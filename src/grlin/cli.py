@@ -199,9 +199,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = ap.parse_args(argv)
+        return args.fn(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    return args.fn(args)
 
 
 if __name__ == "__main__":

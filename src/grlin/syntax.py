@@ -3,7 +3,8 @@
 Types and terms are immutable dataclasses. Source positions and the
 internal annotations planted by the deriving engine are excluded from
 equality, so ``==`` stays structural and ``alpha_eq`` compares binding
-structure only.
+structure only. The free-variable cache on term nodes, like positions, is
+excluded from equality, hashing and ``repr``.
 """
 
 from __future__ import annotations
@@ -352,43 +353,54 @@ DERIVE_KINDS = ("push", "pull", "drop", "copyShape", "fmap")
 
 
 class Term:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _fv_slot():
+    """The free-variable cache of a term node: filled once by ``free_vars``,
+    and, like positions, left out of ``==``, ``hash`` and ``repr``."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     var: str
     body: Term
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Promote(Term):
     body: Term
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Con(Term):
     con: str
     args: tuple[Term, ...]
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Term):
     scrutinee: Term
     branches: tuple[tuple[Pattern, Term], ...]
@@ -396,9 +408,10 @@ class Case(Term):
     # Scrutinee type planted by the deriving engine so elaborated terms
     # synthesize without a constraint solver; never set by the parser.
     scrut_annot: Type | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetRec(Term):
     var: str
     bound: Term
@@ -406,19 +419,22 @@ class LetRec(Term):
     pos: Pos | None = field(default=None, compare=False, repr=False)
     # Type of the recursive binder, planted by the deriving engine.
     annot: Type | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derive(Term):
     kind: str  # one of DERIVE_KINDS
     at: Type
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit(Term):
     value: int
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _fv: frozenset[str] | None = _fv_slot()
 
 
 UNIT_TERM = Con("unit", ())
@@ -428,31 +444,63 @@ def pair(a: Term, b: Term) -> Term:
     return Con(",", (a, b))
 
 
-def free_vars(t: Term) -> set[str]:
+_NO_VARS: frozenset[str] = frozenset()
+_VAR_SETS: dict[str, frozenset[str]] = {}
+
+
+def free_vars(t: Term) -> frozenset[str]:
+    """The free term variables of ``t``, computed once per node.
+
+    Sets are shared rather than copied: one empty set, one set per variable
+    name, and a child's own set wherever a union or a binder adds or removes
+    nothing."""
+    fv = t._fv
+    if fv is None:
+        fv = _free_vars(t)
+        object.__setattr__(t, "_fv", fv)
+    return fv
+
+
+def _free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
-        return {t.name}
+        fv = _VAR_SETS.get(t.name)
+        if fv is None:
+            fv = _VAR_SETS[t.name] = frozenset((t.name,))
+        return fv
     if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
+        return _union(free_vars(t.fn), free_vars(t.arg))
     if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
+        return _without(free_vars(t.body), (t.var,))
     if isinstance(t, Promote):
         return free_vars(t.body)
     if isinstance(t, Con):
-        out: set[str] = set()
+        fv = _NO_VARS
         for a in t.args:
-            out |= free_vars(a)
-        return out
+            fv = _union(fv, free_vars(a))
+        return fv
     if isinstance(t, Case):
-        out = free_vars(t.scrutinee)
+        fv = free_vars(t.scrutinee)
         for p, b in t.branches:
-            out |= free_vars(b) - set(pattern_vars(p))
-        return out
+            fv = _union(fv, _without(free_vars(b), pattern_vars(p)))
+        return fv
     if isinstance(t, LetRec):
-        return (free_vars(t.bound) | free_vars(t.body)) - {t.var}
-    return set()
+        return _without(_union(free_vars(t.bound), free_vars(t.body)), (t.var,))
+    return _NO_VARS
 
 
-_fresh_counter = itertools.count()
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(fv: frozenset[str], names) -> frozenset[str]:
+    if fv.isdisjoint(names):
+        return fv
+    fv = fv.difference(names)
+    return fv if fv else _NO_VARS
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -476,83 +524,55 @@ def _rename_pattern(p: Pattern, mapping: dict[str, str]) -> Pattern:
 
 
 def subst_term(t: Term, sub: dict[str, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution."""
-    if not sub:
+    """Simultaneous capture-avoiding substitution.
+
+    A subterm in which no key of ``sub`` is free is returned as it is, so
+    the cost is proportional to the part of the term that changes."""
+    if not sub or sub.keys().isdisjoint(free_vars(t)):
         return t
     if isinstance(t, Var):
-        return sub.get(t.name, t)
+        return sub[t.name]
     if isinstance(t, App):
         return App(subst_term(t.fn, sub), subst_term(t.arg, sub), t.pos)
     if isinstance(t, Promote):
         return Promote(subst_term(t.body, sub), t.pos)
     if isinstance(t, Con):
         return Con(t.con, tuple(subst_term(a, sub) for a in t.args), t.pos)
-    if isinstance(t, IntLit) or isinstance(t, Derive):
-        return t
     if isinstance(t, Lam):
-        body, var = _subst_under_binders(t.body, [t.var], sub)
-        return Lam(var[0], body, t.pos)
+        mapping, (body,) = _subst_under_binders((t.var,), (t.body,), sub)
+        return Lam(mapping.get(t.var, t.var), body, t.pos)
     if isinstance(t, LetRec):
-        inner = {k: v for k, v in sub.items() if k != t.var}
-        free_in_values = set()
-        for v in inner.values():
-            free_in_values |= free_vars(v)
-        var = t.var
-        bound, body = t.bound, t.body
-        if inner and var in free_in_values:
-            new = fresh_name(var, free_in_values | free_vars(bound) | free_vars(body) | set(inner))
-            ren = {var: Var(new)}
-            bound, body, var = subst_term(bound, ren), subst_term(body, ren), new
-        if inner:
-            bound, body = subst_term(bound, inner), subst_term(body, inner)
-        return LetRec(var, bound, body, t.pos, t.annot)
+        mapping, (bound, body) = _subst_under_binders((t.var,), (t.bound, t.body), sub)
+        return LetRec(mapping.get(t.var, t.var), bound, body, t.pos, t.annot)
     if isinstance(t, Case):
         scrut = subst_term(t.scrutinee, sub)
         branches = []
         for p, b in t.branches:
-            bound = pattern_vars(p)
-            inner = {k: v for k, v in sub.items() if k not in bound}
-            if not inner:
-                branches.append((p, b))
-                continue
-            free_in_values = set()
-            for v in inner.values():
-                free_in_values |= free_vars(v)
-            clash = [x for x in bound if x in free_in_values]
-            if clash:
-                avoid = free_in_values | free_vars(b) | set(bound) | set(inner)
-                mapping = {}
-                for x in clash:
-                    mapping[x] = fresh_name(x, avoid)
-                    avoid.add(mapping[x])
-                p = _rename_pattern(p, mapping)
-                b = subst_term(b, {x: Var(y) for x, y in mapping.items()})
-            branches.append((p, subst_term(b, inner)))
+            mapping, (b,) = _subst_under_binders(pattern_vars(p), (b,), sub)
+            branches.append((_rename_pattern(p, mapping) if mapping else p, b))
         return Case(scrut, tuple(branches), t.pos, t.scrut_annot)
     raise AssertionError(f"unhandled term: {t}")
 
 
-def _subst_under_binders(body: Term, binders: list[str], sub: dict[str, Term]):
+def _subst_under_binders(binders: tuple[str, ...] | list[str], bodies: tuple[Term, ...],
+                         sub: dict[str, Term]):
+    """Apply ``sub`` minus ``binders`` to the terms they scope over. A binder
+    that a substituted value would capture is renamed first, to a name free
+    nowhere in sight. Returns (binder renaming, new bodies)."""
     inner = {k: v for k, v in sub.items() if k not in binders}
     if not inner:
-        return body, binders
-    free_in_values = set()
-    for v in inner.values():
-        free_in_values |= free_vars(v)
-    new_binders = []
-    ren: dict[str, Term] = {}
-    avoid = free_in_values | free_vars(body) | set(inner)
-    for x in binders:
-        if x in free_in_values:
-            y = fresh_name(x, avoid)
-            avoid.add(y)
-            ren[x] = Var(y)
-            new_binders.append(y)
-        else:
-            new_binders.append(x)
-    if ren:
-        body = subst_term(body, ren)
-    return subst_term(body, inner), new_binders
+        return {}, bodies
+    values_fv = [free_vars(v) for v in inner.values()]
+    clash = [x for x in binders if any(x in fv for fv in values_fv)]
+    mapping: dict[str, str] = {}
+    if clash:
+        avoid = set(inner).union(binders, *values_fv, *map(free_vars, bodies))
+        for x in clash:
+            mapping[x] = fresh_name(x, avoid)
+            avoid.add(mapping[x])
+        ren = {x: Var(y) for x, y in mapping.items()}
+        bodies = tuple(subst_term(b, ren) for b in bodies)
+    return mapping, tuple(subst_term(b, inner) for b in bodies)
 
 
 def subst_tyvars_in_term(t: Term, sub: dict[str, Type]) -> Term:
@@ -584,10 +604,14 @@ def subst_tyvars_in_term(t: Term, sub: dict[str, Type]) -> Term:
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Equality up to consistent renaming of bound term variables."""
-    return _alpha(t1, t2, {}, {})
+    return _alpha(t1, t2, {}, {}, 0)
 
 
-def _alpha(t1: Term, t2: Term, env1: dict[str, int], env2: dict[str, int]) -> bool:
+def _alpha(t1: Term, t2: Term, env1: dict[str, int], env2: dict[str, int],
+           depth: int) -> bool:
+    """``env1``/``env2`` map each bound name to the binding depth of its
+    innermost binder; ``depth`` counts the binders crossed so far, so a
+    shadowing binder gets a level of its own."""
     if type(t1) is not type(t2):
         return False
     if isinstance(t1, Var):
@@ -595,27 +619,28 @@ def _alpha(t1: Term, t2: Term, env1: dict[str, int], env2: dict[str, int]) -> bo
         k2 = env2.get(t2.name, ("free", t2.name))
         return k1 == k2
     if isinstance(t1, App):
-        return _alpha(t1.fn, t2.fn, env1, env2) and _alpha(t1.arg, t2.arg, env1, env2)
+        return (_alpha(t1.fn, t2.fn, env1, env2, depth)
+                and _alpha(t1.arg, t2.arg, env1, env2, depth))
     if isinstance(t1, Lam):
-        lvl = len(env1)
-        return _alpha(t1.body, t2.body, {**env1, t1.var: lvl}, {**env2, t2.var: lvl})
+        return _alpha(t1.body, t2.body, {**env1, t1.var: depth},
+                      {**env2, t2.var: depth}, depth + 1)
     if isinstance(t1, Promote):
-        return _alpha(t1.body, t2.body, env1, env2)
+        return _alpha(t1.body, t2.body, env1, env2, depth)
     if isinstance(t1, Con):
         return t1.con == t2.con and len(t1.args) == len(t2.args) and all(
-            _alpha(a, b, env1, env2) for a, b in zip(t1.args, t2.args)
+            _alpha(a, b, env1, env2, depth) for a, b in zip(t1.args, t2.args)
         )
     if isinstance(t1, IntLit):
         return t1.value == t2.value
     if isinstance(t1, Derive):
         return t1.kind == t2.kind and types_equal(t1.at, t2.at)
     if isinstance(t1, LetRec):
-        lvl = len(env1)
-        e1 = {**env1, t1.var: lvl}
-        e2 = {**env2, t2.var: lvl}
-        return _alpha(t1.bound, t2.bound, e1, e2) and _alpha(t1.body, t2.body, e1, e2)
+        e1 = {**env1, t1.var: depth}
+        e2 = {**env2, t2.var: depth}
+        return (_alpha(t1.bound, t2.bound, e1, e2, depth + 1)
+                and _alpha(t1.body, t2.body, e1, e2, depth + 1))
     if isinstance(t1, Case):
-        if not _alpha(t1.scrutinee, t2.scrutinee, env1, env2):
+        if not _alpha(t1.scrutinee, t2.scrutinee, env1, env2, depth):
             return False
         if len(t1.branches) != len(t2.branches):
             return False
@@ -623,12 +648,11 @@ def _alpha(t1: Term, t2: Term, env1: dict[str, int], env2: dict[str, int]) -> bo
             binders = _pattern_pair(p1, p2)
             if binders is None:
                 return False
-            lvl = len(env1)
             e1, e2 = dict(env1), dict(env2)
             for i, (x1, x2) in enumerate(binders):
-                e1[x1] = lvl + i
-                e2[x2] = lvl + i
-            if not _alpha(b1, b2, e1, e2):
+                e1[x1] = depth + i
+                e2[x2] = depth + i
+            if not _alpha(b1, b2, e1, e2, depth + len(binders)):
                 return False
         return True
     raise AssertionError(f"unhandled term: {t1}")

@@ -4,8 +4,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from conftest import ROOT
 from grlin.cli import main
 
@@ -49,9 +47,15 @@ def test_check_reports_diagnostics_on_stderr(capsys):
 
 
 def test_check_missing_file_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "programs/nosuch.grm"])
-    assert exc.value.code == 2
+    assert main(["check", "programs/nosuch.grm"]) == 2
+    assert "grlin: cannot read programs/nosuch.grm" in capsys.readouterr().err
+
+
+def test_bad_grade_arguments_are_usage_errors(capsys):
+    assert main(["derive", "push", "Unit", "--grade", "zz"]) == 2
+    assert "grlin: bad grade 'zz'" in capsys.readouterr().err
+    assert main(["derive", "pull", "Unit", "--grades", "a"]) == 2
+    assert "grlin: bad --grades entry 'a'" in capsys.readouterr().err
 
 
 def test_run_prints_value(capsys):
@@ -148,9 +152,7 @@ def test_env_fuel_override():
 
 def test_bad_env_fuel_is_run_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("GRLIN_FUEL", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "programs/copy.grm"])
-    assert exc.value.code == 2
+    assert main(["run", "programs/copy.grm"]) == 2
     assert "grlin: bad GRLIN_FUEL value 'abc'" in capsys.readouterr().err
 
 

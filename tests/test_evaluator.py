@@ -8,7 +8,11 @@ from grlin.evaluator import (
     inline_definitions, match_pattern, normalize, run_main,
 )
 from grlin.parser import parse_program, parse_term, pretty_term
-from grlin.syntax import IntLit, Promote, alpha_eq
+from grlin import deriving as D
+from grlin import grades as G
+from grlin.syntax import (
+    App, Con, IntLit, Mu, Promote, RecVar, Sum, Tensor, TyVar, Unit, alpha_eq,
+)
 
 
 def _pat(text):
@@ -213,3 +217,44 @@ def test_subject_reduction_on_corpus():
         term = inline_definitions(prog, "main")
         nf = deep_normalize(term)
         T.check_term({}, nf, main.signature, prog.semiring)
+
+
+def int_list(xs):
+    """An Int list of ``mu X . Unit + (a * X)``, built without recursion."""
+    t = Con("inl", (Con("unit", ()),))
+    for x in reversed(xs):
+        t = Con("inr", (Con(",", (IntLit(x), t)),))
+    return t
+
+
+def boxed_ints(t):
+    """The Ints of a boxed list value, read without recursion (a long list
+    is too deep for the recursive ``==``); None if ``t`` is not one."""
+    if not isinstance(t, Promote):
+        return None
+    xs, t = [], t.body
+    while t != Con("inl", (Con("unit", ()),)):
+        if not (isinstance(t, Con) and t.con == "inr"):
+            return None
+        cell = t.args[0]
+        if not (isinstance(cell, Con) and cell.con == ","
+                and isinstance(cell.args[0], IntLit)):
+            return None
+        xs.append(cell.args[0].value)
+        t = cell.args[1]
+    return xs
+
+
+@pytest.mark.parametrize("n", [10, 40, 160])
+def test_pull_push_step_count(n):
+    # A count, not a time: a change to the reduction order, or a dropped
+    # step, shows here. push and pull at the Int-list shape, grade 2 in nat-le.
+    shape = Mu("X", Sum(Unit(), Tensor(TyVar("a"), RecVar("X"))))
+    r = G.grade_nat(2, G.NAT_LE)
+    push = D.derive_push(shape, r).term
+    pull = D.derive_pull(shape, {"a": r}, G.NAT_LE, default_grade=r).term
+    xs = [(7 * i) % 10 for i in range(n)]
+    fuel = Fuel(100 * n + 1000)
+    nf = deep_normalize(App(pull, App(push, Promote(int_list(xs)))), fuel)
+    assert boxed_ints(nf) == xs
+    assert fuel.spent == 10 * n + 13

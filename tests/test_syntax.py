@@ -1,4 +1,5 @@
-"""Type utilities: constructor counting, unrolling, alpha-equivalence."""
+"""Type utilities: constructor counting, unrolling, alpha-equivalence,
+free variables and capture-avoiding substitution."""
 
 import random
 
@@ -6,11 +7,13 @@ import pytest
 
 from conftest import rand_term, rand_type
 from grlin import grades as G
-from grlin.parser import parse_term, parse_type
+from grlin.parser import parse_term, parse_type, pretty_term
 from grlin.syntax import (
-    Base, Box, Mu, RecVar, Sum, Tensor, TyVar, Unit, alpha_eq, check_wellformed,
-    free_recvars, free_tyvars, IllFormedType, multi_constructor, NotAMu,
-    subst_recvar, types_equal, unroll_mu,
+    App, Base, Box, Case, Con, Derive, IntLit, Lam, LetRec, Mu, PBox, PCon,
+    Promote, PVar, RecVar, Sum, Tensor, TyVar, Unit, Var, alpha_eq,
+    check_wellformed, free_recvars, free_tyvars, free_vars, IllFormedType,
+    multi_constructor, NotAMu, pattern_vars, subst_recvar, subst_term,
+    types_equal, unroll_mu,
 )
 
 
@@ -132,3 +135,240 @@ def test_types_equal_mu_binders():
                        parse_type("mu Y . Unit + (a * Y)"))
     assert not types_equal(parse_type("mu X . Unit + (a * X)"),
                            parse_type("mu Y . Unit + (b * Y)"))
+
+
+def test_alpha_eq_shadowing_keeps_levels_apart():
+    # the inner x shadows the outer one: the body refers to the third binder,
+    # while the right-hand body refers to the second
+    assert not alpha_eq(parse_term("\\x -> \\x -> \\a -> a"),
+                        parse_term("\\p -> \\q -> \\b -> q"))
+    assert alpha_eq(parse_term("\\x -> \\x -> x"), parse_term("\\p -> \\q -> q"))
+    assert not alpha_eq(parse_term("\\x -> \\x -> x"), parse_term("\\p -> \\q -> p"))
+
+
+def de_bruijn(t, env=()):
+    """Nameless form: a bound variable becomes its distance to its binder,
+    a free one keeps its name. Independent of ``alpha_eq``."""
+    if isinstance(t, Var):
+        for i, x in enumerate(reversed(env)):
+            if x == t.name:
+                return ("bound", i)
+        return ("free", t.name)
+    if isinstance(t, App):
+        return ("app", de_bruijn(t.fn, env), de_bruijn(t.arg, env))
+    if isinstance(t, Lam):
+        return ("lam", de_bruijn(t.body, env + (t.var,)))
+    if isinstance(t, Promote):
+        return ("box", de_bruijn(t.body, env))
+    if isinstance(t, Con):
+        return ("con", t.con, tuple(de_bruijn(a, env) for a in t.args))
+    if isinstance(t, IntLit):
+        return ("int", t.value)
+    if isinstance(t, Derive):
+        return ("derive", t.kind, t.at)
+    if isinstance(t, LetRec):
+        inner = env + (t.var,)
+        return ("letrec", de_bruijn(t.bound, inner), de_bruijn(t.body, inner))
+    assert isinstance(t, Case)
+    return ("case", de_bruijn(t.scrutinee, env), tuple(
+        (nameless_pattern(p), de_bruijn(b, env + tuple(pattern_vars(p))))
+        for p, b in t.branches))
+
+
+def nameless_pattern(p):
+    if isinstance(p, PVar):
+        return "var"
+    if isinstance(p, PBox):
+        return ("box", nameless_pattern(p.pat))
+    if isinstance(p, PCon):
+        return (p.con, tuple(nameless_pattern(a) for a in p.args))
+    return p  # PWild and PInt carry no names
+
+
+def rename_binders(t, rng, names, env=None):
+    """Give every binder a name drawn from the small pool ``names`` (distinct
+    within a pattern), and rename its bound occurrences to match. Free
+    variables keep their names, so a draw may capture one, or an outer
+    binder's occurrence."""
+    env = env or {}
+    if isinstance(t, Var):
+        return Var(env.get(t.name, t.name))
+    if isinstance(t, App):
+        return App(rename_binders(t.fn, rng, names, env),
+                   rename_binders(t.arg, rng, names, env))
+    if isinstance(t, Lam):
+        y = rng.choice(names)
+        return Lam(y, rename_binders(t.body, rng, names, {**env, t.var: y}))
+    if isinstance(t, Promote):
+        return Promote(rename_binders(t.body, rng, names, env))
+    if isinstance(t, Con):
+        return Con(t.con, tuple(rename_binders(a, rng, names, env) for a in t.args))
+    if isinstance(t, LetRec):
+        y = rng.choice(names)
+        inner = {**env, t.var: y}
+        return LetRec(y, rename_binders(t.bound, rng, names, inner),
+                      rename_binders(t.body, rng, names, inner))
+    if isinstance(t, Case):
+        branches = []
+        for p, b in t.branches:
+            mapping = {}
+            p2 = _rename_pattern_vars(p, rng, names, mapping)
+            branches.append((p2, rename_binders(b, rng, names, {**env, **mapping})))
+        return Case(rename_binders(t.scrutinee, rng, names, env), tuple(branches))
+    return t
+
+
+def _rename_pattern_vars(p, rng, names, mapping):
+    if isinstance(p, PVar):
+        # the pattern's own name is there for when the pool runs out
+        y = rng.choice([n for n in names + [p.name] if n not in mapping.values()])
+        mapping[p.name] = y
+        return PVar(y)
+    if isinstance(p, PBox):
+        return PBox(_rename_pattern_vars(p.pat, rng, names, mapping))
+    if isinstance(p, PCon):
+        return PCon(p.con, tuple(_rename_pattern_vars(a, rng, names, mapping)
+                                 for a in p.args))
+    return p
+
+
+def rescope(t, rng, env=()):
+    """Point about half of the bound occurrences at another binder in scope."""
+    if isinstance(t, Var):
+        if t.name in env and rng.random() < 0.5:
+            return Var(rng.choice(env))
+        return t
+    if isinstance(t, App):
+        return App(rescope(t.fn, rng, env), rescope(t.arg, rng, env))
+    if isinstance(t, Lam):
+        return Lam(t.var, rescope(t.body, rng, env + (t.var,)))
+    if isinstance(t, Promote):
+        return Promote(rescope(t.body, rng, env))
+    if isinstance(t, Con):
+        return Con(t.con, tuple(rescope(a, rng, env) for a in t.args))
+    if isinstance(t, LetRec):
+        inner = env + (t.var,)
+        return LetRec(t.var, rescope(t.bound, rng, inner), rescope(t.body, rng, inner))
+    if isinstance(t, Case):
+        return Case(rescope(t.scrutinee, rng, env), tuple(
+            (p, rescope(b, rng, env + tuple(pattern_vars(p)))) for p, b in t.branches))
+    return t
+
+
+def test_alpha_eq_agrees_with_de_bruijn_equality():
+    rng = random.Random(14)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        t = rand_term(5, rng, ["p"])
+        # two names for all binders: shadowing on nearly every path
+        u1 = rename_binders(t, rng, ["p", "q"])
+        u2 = rescope(rename_binders(t, rng, ["p", "q", "r"]), rng)
+        same = de_bruijn(u1) == de_bruijn(u2)
+        assert alpha_eq(u1, u2) == same, (u1, u2)
+        assert alpha_eq(u2, u1) == same, (u2, u1)
+        outcomes[same] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+    # unrelated pairs: de Bruijn equality decides those too
+    sample = [rand_term(2, rng, []) for _ in range(80)]
+    for t1 in sample:
+        for t2 in sample[:20]:
+            assert alpha_eq(t1, t2) == (de_bruijn(t1) == de_bruijn(t2)), (t1, t2)
+
+
+def first_binders(t):
+    """The names bound by the outermost binder of ``t``."""
+    if isinstance(t, (Lam, LetRec)):
+        return [t.var]
+    assert isinstance(t, Case)
+    return pattern_vars(t.branches[0][0])
+
+
+# (term, substitution, expected result up to alpha): each substituted value
+# mentions a name that the term binds, so the binder must be renamed
+CAPTURE_CASES = [
+    ("\\y -> x y", {"x": "y"}, "\\z -> y z"),
+    ("letrec f = \\n -> x f in f x", {"x": "f"}, "letrec g = \\n -> f g in g f"),
+    ("case z of (a, b) -> (x, a)", {"x": "a"}, "case z of (c, b) -> (a, c)"),
+    ("case z of [a] -> (a, x)", {"x": "(a, a_1)"}, "case z of [c] -> (c, (a, a_1))"),
+]
+
+
+@pytest.mark.parametrize("src,sub,expected", CAPTURE_CASES)
+def test_subst_term_avoids_capture(src, sub, expected):
+    t = parse_term(src)
+    values = {k: parse_term(v) for k, v in sub.items()}
+    result = subst_term(t, values)
+    assert alpha_eq(result, parse_term(expected)), result
+    captured = set().union(*(free_vars(v) for v in values.values()))
+    renamed = [y for x, y in zip(first_binders(t), first_binders(result)) if x != y]
+    assert renamed
+    for y in renamed:
+        assert y not in captured and y not in free_vars(t)
+
+
+# (term, substitution, expected result): no binder is in the way
+PLAIN_CASES = [
+    ("(x, y)", {"x": "y", "y": "x"}, "(y, x)"),  # simultaneous, not in sequence
+    ("\\a -> (x, (y, a))", {"x": "1", "y": "inl unit"}, "\\a -> (1, (inl unit, a))"),
+    ("\\x -> (x, y)", {"x": "1", "y": "2"}, "\\x -> (x, 2)"),
+    ("case y of [x] -> (x, y)", {"x": "1", "y": "z"}, "case z of [x] -> (x, z)"),
+]
+
+
+@pytest.mark.parametrize("src,sub,expected", PLAIN_CASES)
+def test_subst_term_simultaneous(src, sub, expected):
+    t = parse_term(src)
+    result = subst_term(t, {k: parse_term(v) for k, v in sub.items()})
+    assert result == parse_term(expected)
+
+
+@pytest.mark.parametrize("src,sub", [
+    ("\\x -> x", {"x": "1"}),                    # the key is bound
+    ("letrec f = \\n -> f n in f", {"f": "unit"}),
+    ("case z of (a, b) -> (a, b)", {"a": "1", "b": "2"}),
+    ("(y, [1])", {"x": "y"}),                       # the key is absent
+    ("case z of (a, b) -> (a, \\y -> y)", {"y": "a"}),
+])
+def test_subst_term_returns_untouched_term_itself(src, sub):
+    t = parse_term(src)
+    assert subst_term(t, {k: parse_term(v) for k, v in sub.items()}) is t
+
+
+def test_subst_term_leaves_untouched_subterms_shared():
+    t = parse_term("(x, \\y -> y)")
+    result = subst_term(t, {"x": IntLit(1)})
+    assert result.args[1] is t.args[1]
+
+
+def test_free_vars_examples():
+    assert free_vars(parse_term("\\x -> (x, y)")) == {"y"}
+    assert free_vars(parse_term("letrec f = \\n -> f (n, g) in f h")) == {"g", "h"}
+    assert free_vars(parse_term("case z of (a, b) -> (a, c) ; inl u -> u")) == {"z", "c"}
+    assert free_vars(parse_term("[(1, unit)]")) == set()
+
+
+def test_free_vars_agrees_with_de_bruijn_free_names():
+    rng = random.Random(15)
+    for _ in range(300):
+        t = rand_term(4, rng, ["p", "q"])
+        named = set()
+        stack = [de_bruijn(t)]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, tuple) and x[:1] == ("free",):
+                named.add(x[1])
+            elif isinstance(x, tuple):
+                stack.extend(x)
+        assert free_vars(t) == named, t
+
+
+def test_free_variable_cache_is_invisible():
+    rng = random.Random(16)
+    for _ in range(100):
+        t = rand_term(3, rng, ["p"])
+        filled, empty = (parse_term(pretty_term(t)) for _ in range(2))
+        free_vars(filled)  # fills the cache of filled and its subterms only
+        assert filled == empty and empty == filled
+        assert hash(filled) == hash(empty)
+        assert repr(filled) == repr(empty)
+        assert "_fv" not in repr(filled)
