@@ -1,0 +1,117 @@
+"""Golden ``grlin derive --explain`` outputs over a seeded corpus of subjects.
+
+Each instance draws a subject with ``lawcheck.gen_type`` at depth 3, with
+recursive types allowed and ``Int`` and function types each allowed in half
+of the draws, and grades from the law
+suites' pools, rotating the four semirings. Its entry is what ``grlin derive
+--explain`` prints (term, type, key and trace), followed by the side
+conditions and the type annotations of the elaborated term, or the
+``CODE: message`` of the refusal.
+
+Rewrite the golden file from the repo root with
+
+    PYTHONPATH=src python tests/golden/gen_derive.py
+
+``tests/test_deriving.py`` regenerates the entries in-process and compares
+them with the file.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from pathlib import Path
+
+from grlin import deriving, lawcheck
+from grlin.deriving import DeriveError
+from grlin.parser import pretty_term, pretty_type
+from grlin.syntax import Term, free_tyvars
+
+GOLDEN = Path(__file__).with_name("derive.txt")
+KINDS = ("push", "pull", "drop", "copyShape", "fmap")
+PER_KIND = 300
+
+
+def instances():
+    """(kind, subject, semiring, args) of every golden instance; ``args`` are
+    the arguments of ``deriving.derive_<kind>`` after the subject."""
+    for i in range(PER_KIND * len(KINDS)):
+        kind = KINDS[i % len(KINDS)]
+        sr = lawcheck.SEMIRING_ROTATION[i % len(lawcheck.SEMIRING_ROTATION)]
+        rng = random.Random(f"golden:{i}")
+        cfg = lawcheck.TypeGenConfig(max_depth=3, allow_fun=rng.random() < 0.5,
+                                     allow_mu=True, allow_base=rng.random() < 0.5,
+                                     tyvars=("a", "b")[: rng.randrange(3)],
+                                     semiring=sr)
+        t = lawcheck.gen_type(cfg, rng)
+        pool = lawcheck.GRADE_POOLS[sr]
+        if kind == "push":
+            args = (rng.choice(pool),)
+        elif kind == "pull":
+            rs = {a: rng.choice(pool) for a in sorted(free_tyvars(t))}
+            args = (rs, sr, rng.choice(pool + [None]))
+        elif kind == "fmap":
+            args = ("a", rng.choice(pool), sr)
+        else:
+            args = (sr,)
+        yield kind, t, sr, args
+
+
+def derive(kind: str, subject, args) -> deriving.DerivedCombinator:
+    fn = {"push": deriving.derive_push, "pull": deriving.derive_pull,
+          "drop": deriving.derive_drop, "copyShape": deriving.derive_copyshape,
+          "fmap": deriving.derive_fmap}[kind]
+    return fn(subject, *args)
+
+
+def _show_args(args) -> str:
+    def one(a):
+        if isinstance(a, dict):
+            return ",".join(f"{k}={v}" for k, v in a.items()) or "-"
+        return str(a)
+    return " ".join(one(a) for a in args)
+
+
+def _annotations(t: Term) -> list[str]:
+    """The scrutinee and letrec annotations of a term, in pre-order."""
+    out: list[str] = []
+
+    def go(x) -> None:
+        if isinstance(x, tuple):
+            for y in x:
+                go(y)
+        elif isinstance(x, Term):
+            annot = getattr(x, "scrut_annot", None) or getattr(x, "annot", None)
+            if annot is not None:
+                out.append(pretty_type(annot))
+            for f in dataclasses.fields(x):
+                go(getattr(x, f.name))
+    go(t)
+    return out
+
+
+def entry(index: int, kind: str, subject, sr: str, args) -> str:
+    lines = [f"== {index} {kind} {sr} {pretty_type(subject)} :: {_show_args(args)}"]
+    try:
+        comb = derive(kind, subject, args)
+    except DeriveError as e:
+        lines.append(f"!! {e.code}: {e.message}")
+    except RuntimeError as e:  # an internal error: the derived term fails to check
+        lines.append(f"!! {e}")
+    else:
+        lines.append(pretty_term(comb.term))
+        lines.append(f"  : {pretty_type(comb.type)}")
+        lines.append(f"-- key: {comb.key_str()}")
+        lines += [f"-- {line}" for line in comb.trace]
+        lines += [f"-- side: {c}" for c in comb.side_conditions]
+        lines += [f"-- annot: {a}" for a in _annotations(comb.term)]
+    return "\n".join(lines) + "\n"
+
+
+def entries() -> list[str]:
+    return [entry(i, kind, t, sr, args)
+            for i, (kind, t, sr, args) in enumerate(instances())]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("".join(entries()))

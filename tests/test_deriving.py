@@ -1,5 +1,7 @@
 """The derivation engine: golden terms, schemes, side conditions, soundness."""
 
+import re
+
 import pytest
 
 from grlin import deriving as D
@@ -232,3 +234,33 @@ def test_derived_terms_reparse():
             continue
         printed = pretty_term(comb.term)
         assert alpha_eq(parse_term(printed, sr), comb.term), printed
+
+
+def _golden_entries(text):
+    return re.split(r"(?m)^(?=== )", text)[1:]
+
+
+def test_derive_goldens():
+    """Every derivation of the golden corpus prints as recorded; rewrite the
+    file with ``tests/golden/gen_derive.py`` only for an intended change."""
+    from golden import gen_derive
+    want = _golden_entries(gen_derive.GOLDEN.read_text())
+    got = gen_derive.entries()
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"golden entry {i} differs"
+
+
+def test_elaborate_untyped_builds_the_derived_term():
+    """Run-time elaboration builds the same term as the checked derivation."""
+    from golden import gen_derive
+    D.clear_memo()  # elaborate_untyped reads fmap's mapped variable off the memo
+    accepted = 0
+    for kind, t, sr, args in gen_derive.instances():
+        try:
+            comb = gen_derive.derive(kind, t, args)
+        except (DeriveError, RuntimeError):
+            continue
+        assert D.elaborate_untyped(kind, t) == comb.term, (kind, t)
+        accepted += 1
+    assert accepted > 700
