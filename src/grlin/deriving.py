@@ -6,6 +6,8 @@ weakening for closed weakenable types, ``copyShape`` produces a unit-spine
 copy alongside the original value, and ``fmap`` is the covariant morphism
 mapping with its function argument boxed at a caller-chosen grade.
 
+All five are built by one induction on the structure of the subject type
+(``_Walker``), after the kind's preconditions (``_PRECONDITIONS``) hold.
 Every elaborated term is type-checked against its concluded scheme before
 being returned, and results are memoized per (kind, type, semiring, grades).
 Elaborated case expressions carry scrutinee-type annotations so they check
@@ -14,6 +16,7 @@ without any constraint solving.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 
@@ -87,164 +90,192 @@ def _show(ty: Type) -> str:
     return pretty_type(ty)
 
 
-class _Namer:
-    def __init__(self):
-        self.n = 0
-
-    def fresh(self, base: str) -> str:
-        self.n += 1
-        return f"{base}{self.n}"
-
-
-def _assert_checks(term: Term, ty: Type, semiring: str, what: str) -> None:
-    from .typecheck import Checker, CheckError
+def _assert_checks(term: Term, ty: Type, semiring: str, what: str,
+                   g: Grade | None = None) -> None:
+    """Check a derived term at its concluded scheme; a failure is an internal
+    error. fmap passes the grade ``g`` of its function: a usage count that
+    ``g`` cannot cover is a side condition of the derivation instead."""
+    from .typecheck import Checker, CheckError, GRADE_EXCEEDED, NO_UPPER_BOUND
     try:
         Checker(semiring).check({}, term, ty)
     except CheckError as e:
+        if g is not None and e.diag.code in (GRADE_EXCEEDED, NO_UPPER_BOUND):
+            raise DeriveError(
+                SIDE_CONDITION,
+                f"grade {g} cannot cover the usage count of the mapped function: "
+                f"{e.diag.message}", (g,)) from e
         raise RuntimeError(
             f"internal: derived {what} fails to check at {_show(ty)}: "
             f"{e.diag.render()}") from e
 
 
+def _close(s: Type, mu_env: dict[str, Type]) -> Type:
+    """The type with the recursion variables of ``mu_env`` replaced by their
+    closed mu types."""
+    for name, mu in mu_env.items():
+        s = syntax.subst_recvar(s, name, mu)
+    return s
+
+
 # ---------------------------------------------------------------------------
-# push
+# the induction on type structure
 # ---------------------------------------------------------------------------
 
-class _Push:
-    def __init__(self, r: Grade, namer: _Namer, trace: list[str]):
-        self.r = r
-        self.namer = namer
-        self.trace = trace
-        self.env: dict[str, str] = {}          # recvar -> function variable
-        self.mu_env: dict[str, Type] = {}      # recvar -> its mu type
+class _Walker:
+    """One combinator, built by induction on the structure of its subject.
+
+    The walker does what all kinds share: tracing, closing the recursion
+    variables of a type (``annot``), the call at a recursion variable, the
+    match on a sum or a product, and at a mu the letrec-tied function typed
+    by the kind's ``scheme``. A kind supplies ``split``, the branches of a
+    match, and ``node``, its cases for the other constructors. It may supply
+    ``context``, what the body at a type is passed (push: the subject's
+    type; pull: the target grade; fmap: the unboxed function).
+    """
+
+    kind = ""
+    fn = "f"      # base name of the recursive function at a mu
+    boxed_match = False  # whether the subject is matched under its box
+    named = ()    # the named grades of the derived combinator
+    start = None  # the context the subject's own context is drawn from
+    g = None      # fmap: the grade of the mapped function
+
+    def __init__(self, semiring: str):
+        self.sr = semiring
+        self.names = itertools.count(1)  # numbers the fresh names
+        self.trace: list[str] = []
+        self.env: dict[str, tuple] = {}      # recvar -> (function var, context)
+        self.mu_env: dict[str, Type] = {}    # recvar -> its closed mu type
 
     def annot(self, s: Type) -> Type:
-        out = s
-        for name, mu in self.mu_env.items():
-            out = syntax.subst_recvar(out, name, mu)
-        return out
+        return _close(s, self.mu_env)
 
-    def boxed(self, s: Type) -> Type:
-        closed = self.annot(s)
-        return subst_tyvars(closed, {a: Box(self.r, TyVar(a)) for a in free_tyvars(closed)})
+    def fresh(self, *bases: str) -> list[str]:
+        return [f"{base}{next(self.names)}" for base in bases]
 
-    def body(self, s: Type, subj: Term, subj_ty: Type) -> Term:
-        self.trace.append(f"push @ {_show(s)}")
+    def term(self, s: Type) -> tuple[Term, object]:
+        """The combinator at the (closed) subject and its body's context."""
+        ctx = self.context(s, s, self.start)
+        return self.function(s, "z", ctx), ctx
+
+    def function(self, s: Type, x: str, ctx) -> Term:
+        [z] = self.fresh(x)
+        return Lam(z, self.body(s, Var(z), ctx))
+
+    def context(self, s: Type, closed: Type, ctx):
+        return None
+
+    def call(self, f: str, subj: Term, ctx) -> Term:
+        return App(Var(f), subj)
+
+    def scrut_type(self, s: Type, ctx) -> Type:
+        return self.annot(s)
+
+    def side_conditions(self, s: Type) -> tuple[str, ...]:
+        return ()
+
+    def body(self, s: Type, subj: Term, ctx=None) -> Term:
+        self.trace.append(f"{self.kind} @ {_show(s)}")
+        if isinstance(s, RecVar):
+            return self.call(self.env[s.name][0], subj, ctx)
+        if isinstance(s, (Sum, Tensor)):
+            x, y = self.fresh("x", "y")
+            if isinstance(s, Sum):
+                pats = (PCon("inl", (PVar(x),)), PCon("inr", (PVar(y),)))
+            else:
+                pats = (PCon(",", (PVar(x), PVar(y))),)
+            if self.boxed_match:
+                pats = tuple(PBox(p) for p in pats)
+            branches = self.split(s, Var(x), Var(y), ctx)
+            return Case(subj, tuple(zip(pats, branches)), scrut_annot=self.scrut_type(s, ctx))
+        if not isinstance(s, Mu):
+            return self.node(s, subj, ctx)
+        if isinstance(s.body, (TyVar, RecVar)):
+            raise DeriveError(
+                SIDE_CONDITION,
+                f"degenerate recursive type {_show(s)} has no constructor structure")
+        mu_closed = self.annot(s)
+        inner = self.context(s, mu_closed, ctx)
+        [f] = self.fresh(self.fn)
+        self.env[s.var] = (f, inner)
+        self.mu_env[s.var] = mu_closed
+        fn = self.function(s.body, "w", inner)
+        del self.env[s.var]
+        del self.mu_env[s.var]
+        return LetRec(f, fn, self.call(f, subj, ctx),
+                      annot=self.scheme(mu_closed, inner))
+
+
+class _Push(_Walker):
+    """(T) [r] -o T with every type variable boxed at r. The context is the
+    type of the subject term."""
+
+    kind = "push"
+    boxed_match = True
+
+    def __init__(self, r: Grade):
+        super().__init__(r.semiring)
+        self.r = r
+        self.named = (("r", r),)
+
+    def scheme(self, closed: Type, ctx) -> Type:
+        boxed = {a: Box(self.r, TyVar(a)) for a in free_tyvars(closed)}
+        return Fun(Box(self.r, closed), subst_tyvars(closed, boxed))
+
+    def context(self, s: Type, closed: Type, ctx) -> Type:
+        return Box(self.r, closed)
+
+    def scrut_type(self, s: Type, subj_ty: Type) -> Type:
+        return subj_ty
+
+    def side_conditions(self, s: Type) -> tuple[str, ...]:
+        return (f"1 <= {self.r}",) if _push_matches(s) else ()
+
+    def part(self, s: Type, subj: Term) -> Term:
+        """push at ``s`` of a value taken from under the box."""
+        return self.body(s, Promote(subj), Box(self.r, self.annot(s)))
+
+    def split(self, s: Type, x: Term, y: Term, subj_ty: Type) -> list[Term]:
+        return _rebuild(s, self.part(s.left, x), self.part(s.right, y))
+
+    def node(self, s: Type, subj: Term, subj_ty: Type) -> Term:
         if isinstance(s, Unit):
             return Case(subj, ((PBox(PCon("unit", ())), Con("unit", ())),),
                         scrut_annot=subj_ty)
         if isinstance(s, TyVar):
             return subj
         if isinstance(s, Base):
-            x = self.namer.fresh("x")
+            [x] = self.fresh("x")
             return Case(subj, ((PBox(PVar(x)), Var(x)),), scrut_annot=subj_ty)
-        if isinstance(s, RecVar):
-            return App(Var(self.env[s.name]), subj)
-        if isinstance(s, Sum):
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            left = Con("inl", (self.body(s.left, Promote(Var(x)),
-                                         Box(self.r, self.annot(s.left))),))
-            right = Con("inr", (self.body(s.right, Promote(Var(y)),
-                                          Box(self.r, self.annot(s.right))),))
-            return Case(subj, (
-                (PBox(PCon("inl", (PVar(x),))), left),
-                (PBox(PCon("inr", (PVar(y),))), right),
-            ), scrut_annot=subj_ty)
-        if isinstance(s, Tensor):
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            result = pair(
-                self.body(s.left, Promote(Var(x)), Box(self.r, self.annot(s.left))),
-                self.body(s.right, Promote(Var(y)), Box(self.r, self.annot(s.right))))
-            return Case(subj, ((PBox(PCon(",", (PVar(x), PVar(y)))), result),),
-                        scrut_annot=subj_ty)
         if isinstance(s, Fun):
             if free_recvars(s.arg):
                 raise DeriveError(
                     SIDE_CONDITION,
                     "recursion variables under a function argument are not supported")
-            y, f, u = self.namer.fresh("y"), self.namer.fresh("f"), self.namer.fresh("u")
-            rs = {a: self.r for a in free_tyvars(self.annot(s.arg))}
-            puller = _Pull(rs, self.r.semiring, self.namer, self.trace)
-            pull_of_arg = puller.body(self.annot(s.arg), Var(y), self.r)
-            inner = Case(pull_of_arg,
-                         ((PBox(PVar(u)),
-                           self.body(s.res, Promote(App(Var(f), Var(u))),
-                                     Box(self.r, self.annot(s.res)))),),
-                         scrut_annot=Box(self.r, self.annot(s.arg)))
+            y, f, u = self.fresh("y", "f", "u")
+            arg = self.annot(s.arg)
+            puller = _Pull({a: self.r for a in free_tyvars(arg)}, self.sr)
+            puller.names, puller.trace = self.names, self.trace
+            inner = Case(puller.body(arg, Var(y), self.r),
+                         ((PBox(PVar(u)), self.part(s.res, App(Var(f), Var(u)))),),
+                         scrut_annot=Box(self.r, arg))
             return Lam(y, Case(subj, ((PBox(PVar(f)), inner),), scrut_annot=subj_ty))
-        if isinstance(s, Mu):
-            if isinstance(s.body, (TyVar, RecVar)):
-                raise DeriveError(
-                    SIDE_CONDITION,
-                    f"degenerate recursive type {_show(s)} has no constructor structure")
-            f, w = self.namer.fresh("f"), self.namer.fresh("w")
-            mu_closed = self.annot(s)
-            ftype = Fun(Box(self.r, mu_closed), self.boxed(s))
-            self.env[s.var] = f
-            self.mu_env[s.var] = mu_closed
-            inner = self.body(s.body, Var(w), Box(self.r, mu_closed))
-            del self.env[s.var]
-            del self.mu_env[s.var]
-            return LetRec(f, Lam(w, inner), App(Var(f), subj), annot=ftype)
-        if isinstance(s, Box):
-            raise DeriveError(BOX_IN_SUBJECT,
-                              "no derivation for types which are themselves graded modalities")
         raise AssertionError(f"unhandled type: {s}")
 
 
-def derive_push(subject: Type, r: Grade) -> DerivedCombinator:
-    """Elaborate the box-over-constructor distributive law at the subject type:
-    (T) [r] -o T with every type variable boxed at r."""
-    semiring = r.semiring
-    key = ("push", subject, semiring, r)
-    return _memoized(key, lambda: _build_push(subject, r, semiring))
+class _Pull(_Walker):
+    """The subject with each type variable boxed at its grade -o the subject
+    boxed at the meet of those grades (or at the result grade if no variable
+    occurs). The context is the target grade."""
 
+    kind = "pull"
 
-def _build_push(subject: Type, r: Grade, semiring: str) -> DerivedCombinator:
-    syntax.check_wellformed(subject)
-    if contains_box(subject):
-        raise DeriveError(BOX_IN_SUBJECT,
-                          "no derivation for types which are themselves graded modalities")
-    side: list[str] = []
-    if multi_constructor(subject) or contains_base(subject):
-        one = grades.one(semiring)
-        if not grades.sr_leq(one, r):
-            raise DeriveError(
-                SIDE_CONDITION,
-                f"matching under the box consumes a use, so 1 must be approximated "
-                f"by the grade: {one} is not approximated by {r}",
-                (one, r))
-        side.append(f"1 <= {r}")
-    namer = _Namer()
-    trace: list[str] = []
-    push = _Push(r, namer, trace)
-    z = namer.fresh("z")
-    term = Lam(z, push.body(subject, Var(z), Box(r, subject)))
-    concluded = Fun(Box(r, subject), push.boxed(subject))
-    _assert_checks(term, concluded, semiring, "push")
-    return DerivedCombinator("push", subject, semiring, (("r", r),), term,
-                             concluded, tuple(side), tuple(trace))
-
-
-# ---------------------------------------------------------------------------
-# pull
-# ---------------------------------------------------------------------------
-
-class _Pull:
-    def __init__(self, rs: dict[str, Grade], semiring: str, namer: _Namer,
-                 trace: list[str]):
+    def __init__(self, rs: dict[str, Grade], semiring: str, default: Grade | None = None):
+        super().__init__(semiring)
         self.rs = rs
-        self.sr = semiring
-        self.namer = namer
-        self.trace = trace
-        self.env: dict[str, tuple[str, Grade]] = {}  # recvar -> (fn var, grade)
-        self.mu_env: dict[str, Type] = {}
-
-    def annot(self, s: Type) -> Type:
-        out = s
-        for name, mu in self.mu_env.items():
-            out = syntax.subst_recvar(out, name, mu)
-        return out
+        self.start = default
+        # with no variables the result grade is the default, or it is missing
+        self.named = tuple(sorted(rs.items())) + ((("result", default),) if not rs else ())
 
     def boxed(self, s: Type) -> Type:
         closed = self.annot(s)
@@ -272,222 +303,72 @@ class _Pull:
             acc = met
         return acc
 
-    def body(self, s: Type, subj: Term, tgt: Grade | None) -> Term:
-        self.trace.append(f"pull @ {_show(s)}")
+    def scheme(self, closed: Type, c: Grade) -> Type:
+        return Fun(self.boxed(closed), Box(c, closed))
+
+    def context(self, s: Type, closed: Type, tgt: Grade | None) -> Grade:
+        return self.conclude(s, tgt)
+
+    def scrut_type(self, s: Type, tgt: Grade | None) -> Type:
+        return self.boxed(s)
+
+    def node(self, s: Type, subj: Term, tgt: Grade | None) -> Term:
         if isinstance(s, Unit):
             return Case(subj, ((PCon("unit", ()), Promote(Con("unit", ()))),),
                         scrut_annot=self.annot(s))
         if isinstance(s, TyVar):
             return subj
-        if isinstance(s, RecVar):
-            return App(Var(self.env[s.name][0]), subj)
         if isinstance(s, Base):
-            raise DeriveError(
-                BASE_IN_SUBJECT,
-                f"cannot pull at {_show(s)}: a bare base value cannot be re-boxed "
-                f"(promotion requires a graded context)")
-        if isinstance(s, Sum):
-            c = self.conclude(s, tgt)
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            u, v = self.namer.fresh("u"), self.namer.fresh("v")
-            ca, cb = self.conclude(s.left, c), self.conclude(s.right, c)
-            left = Case(self.body(s.left, Var(x), c),
-                        ((PBox(PVar(u)), Promote(Con("inl", (Var(u),)))),),
-                        scrut_annot=Box(ca, self.annot(s.left)))
-            right = Case(self.body(s.right, Var(y), c),
-                         ((PBox(PVar(v)), Promote(Con("inr", (Var(v),)))),),
-                         scrut_annot=Box(cb, self.annot(s.right)))
-            return Case(subj, (
-                (PCon("inl", (PVar(x),)), left),
-                (PCon("inr", (PVar(y),)), right),
-            ), scrut_annot=self.boxed(s))
-        if isinstance(s, Tensor):
-            c = self.conclude(s, tgt)
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            u, v = self.namer.fresh("u"), self.namer.fresh("v")
-            ca, cb = self.conclude(s.left, c), self.conclude(s.right, c)
-            scrut = pair(self.body(s.left, Var(x), c), self.body(s.right, Var(y), c))
-            inner = Case(scrut,
-                         ((PCon(",", (PBox(PVar(u)), PBox(PVar(v)))),
-                           Promote(pair(Var(u), Var(v)))),),
-                         scrut_annot=Tensor(Box(ca, self.annot(s.left)),
-                                            Box(cb, self.annot(s.right))))
-            return Case(subj, ((PCon(",", (PVar(x), PVar(y))), inner),),
-                        scrut_annot=self.boxed(s))
-        if isinstance(s, Mu):
-            if isinstance(s.body, (TyVar, RecVar)):
-                raise DeriveError(
-                    SIDE_CONDITION,
-                    f"degenerate recursive type {_show(s)} has no constructor structure")
-            c = self.conclude(s, tgt)
-            f, w = self.namer.fresh("f"), self.namer.fresh("w")
-            mu_closed = self.annot(s)
-            ftype = Fun(self.boxed(s), Box(c, mu_closed))
-            self.env[s.var] = (f, c)
-            self.mu_env[s.var] = mu_closed
-            inner = self.body(s.body, Var(w), c)
-            del self.env[s.var]
-            del self.mu_env[s.var]
-            return LetRec(f, Lam(w, inner), App(Var(f), subj), annot=ftype)
+            raise DeriveError(BASE_IN_SUBJECT, _no_pull_at_base(s))
         if isinstance(s, Fun):
-            raise DeriveError(FUN_IN_SUBJECT,
-                              "cannot pull at function types: the concluding box "
-                              "would have to promote the incoming function")
-        if isinstance(s, Box):
-            raise DeriveError(BOX_IN_SUBJECT,
-                              "no derivation for types which are themselves graded modalities")
+            raise DeriveError(FUN_IN_SUBJECT, _NO_PULL_AT_FUN)
         raise AssertionError(f"unhandled type: {s}")
 
-
-def derive_pull(subject: Type, rs: dict[str, Grade], semiring: str,
-                default_grade: Grade | None = None) -> DerivedCombinator:
-    """Elaborate the constructor-over-box distributive law: the subject with
-    each variable boxed at its grade, concluding at the meet of the grades
-    of the variables that occur (or at ``default_grade`` if none do)."""
-    key = ("pull", subject, semiring,
-           tuple(sorted(rs.items())), default_grade)
-    return _memoized(key, lambda: _build_pull(subject, rs, semiring, default_grade))
-
-
-def _build_pull(subject, rs, semiring, default_grade) -> DerivedCombinator:
-    syntax.check_wellformed(subject)
-    if contains_box(subject):
-        raise DeriveError(BOX_IN_SUBJECT,
-                          "no derivation for types which are themselves graded modalities")
-    if contains_fun(subject):
-        raise DeriveError(FUN_IN_SUBJECT,
-                          "cannot pull at function types: the concluding box "
-                          "would have to promote the incoming function")
-    if contains_base(subject):
-        raise DeriveError(
-            BASE_IN_SUBJECT,
-            f"cannot pull at {_show(subject)}: a bare base value cannot be "
-            f"re-boxed (promotion requires a graded context)")
-    occurring = free_tyvars(subject)
-    if set(rs) != occurring:
-        raise DeriveError(
-            SIDE_CONDITION,
-            f"grades must cover exactly the type variables of the subject "
-            f"(given {sorted(rs)}, subject has {sorted(occurring)})")
-    for name, g in rs.items():
-        if g.semiring != semiring:
-            raise DeriveError(MIXED_SEMIRING,
-                              f"grade for {name!r} is from {g.semiring}, "
-                              f"expected {semiring}", (g,))
-    if default_grade is not None and default_grade.semiring != semiring:
-        raise DeriveError(MIXED_SEMIRING,
-                          f"result grade is from {default_grade.semiring}, "
-                          f"expected {semiring}", (default_grade,))
-    namer = _Namer()
-    trace: list[str] = []
-    pull = _Pull(rs, semiring, namer, trace)
-    result_grade = pull.conclude(subject, default_grade)
-    z = namer.fresh("z")
-    term = Lam(z, pull.body(subject, Var(z), default_grade))
-    concluded = Fun(pull.boxed(subject), Box(result_grade, subject))
-    _assert_checks(term, concluded, semiring, "pull")
-    gs = tuple(sorted(rs.items())) + ((("result", result_grade),) if not occurring else ())
-    return DerivedCombinator("pull", subject, semiring, gs, term, concluded,
-                             (), tuple(trace))
+    def split(self, s: Type, x: Term, y: Term, tgt: Grade | None) -> list[Term]:
+        c = self.conclude(s, tgt)
+        u, v = self.fresh("u", "v")
+        ca, cb = self.conclude(s.left, c), self.conclude(s.right, c)
+        left, right = self.body(s.left, x, c), self.body(s.right, y, c)
+        left_ty, right_ty = Box(ca, self.annot(s.left)), Box(cb, self.annot(s.right))
+        if isinstance(s, Sum):
+            return [Case(left, ((PBox(PVar(u)), Promote(Con("inl", (Var(u),)))),),
+                         scrut_annot=left_ty),
+                    Case(right, ((PBox(PVar(v)), Promote(Con("inr", (Var(v),)))),),
+                         scrut_annot=right_ty)]
+        return [Case(pair(left, right),
+                     ((PCon(",", (PBox(PVar(u)), PBox(PVar(v)))), Promote(pair(Var(u), Var(v)))),),
+                     scrut_annot=Tensor(left_ty, right_ty))]
 
 
-# ---------------------------------------------------------------------------
-# drop
-# ---------------------------------------------------------------------------
+class _Drop(_Walker):
+    """Structural weakening at a closed weakenable type: T -o Unit."""
 
-class _Drop:
-    def __init__(self, namer: _Namer, trace: list[str]):
-        self.namer = namer
-        self.trace = trace
-        self.env: dict[str, str] = {}
-        self.mu_env: dict[str, Type] = {}
+    kind = "drop"
 
-    def annot(self, s: Type) -> Type:
-        out = s
-        for name, mu in self.mu_env.items():
-            out = syntax.subst_recvar(out, name, mu)
-        return out
+    def term(self, s: Type) -> tuple[Term, object]:
+        if isinstance(s, Base):
+            # drop at a weakenable base type is the built-in primitive itself
+            return Derive("drop", s), None
+        return super().term(s)
 
-    def body(self, s: Type, subj: Term) -> Term:
-        self.trace.append(f"drop @ {_show(s)}")
+    def scheme(self, closed: Type, ctx) -> Type:
+        return Fun(closed, Unit())
+
+    def node(self, s: Type, subj: Term, ctx) -> Term:
         if isinstance(s, Base):
             return App(Derive("drop", s), subj)  # built-in weakening
         if isinstance(s, Unit):
             return Case(subj, ((PCon("unit", ()), Con("unit", ())),),
                         scrut_annot=self.annot(s))
-        if isinstance(s, RecVar):
-            return App(Var(self.env[s.name]), subj)
-        if isinstance(s, Sum):
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            return Case(subj, (
-                (PCon("inl", (PVar(x),)), self.body(s.left, Var(x))),
-                (PCon("inr", (PVar(y),)), self.body(s.right, Var(y))),
-            ), scrut_annot=self.annot(s))
-        if isinstance(s, Tensor):
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            inner = Case(self.body(s.left, Var(x)),
-                         ((PCon("unit", ()),
-                           Case(self.body(s.right, Var(y)),
-                                ((PCon("unit", ()), Con("unit", ())),),
-                                scrut_annot=Unit())),),
-                         scrut_annot=Unit())
-            return Case(subj, ((PCon(",", (PVar(x), PVar(y))), inner),),
-                        scrut_annot=self.annot(s))
-        if isinstance(s, Mu):
-            if isinstance(s.body, (TyVar, RecVar)):
-                raise DeriveError(
-                    SIDE_CONDITION,
-                    f"degenerate recursive type {_show(s)} has no constructor structure")
-            f, w = self.namer.fresh("f"), self.namer.fresh("w")
-            mu_closed = self.annot(s)
-            ftype = Fun(mu_closed, Unit())
-            self.env[s.var] = f
-            self.mu_env[s.var] = mu_closed
-            inner = self.body(s.body, Var(w))
-            del self.env[s.var]
-            del self.mu_env[s.var]
-            return LetRec(f, Lam(w, inner), App(Var(f), subj), annot=ftype)
         raise AssertionError(f"unhandled type: {s}")
 
+    def split(self, s: Type, x: Term, y: Term, ctx) -> list[Term]:
+        left, right = self.body(s.left, x), self.body(s.right, y)
+        if isinstance(s, Sum):
+            return [left, right]
+        unit = Case(right, ((PCon("unit", ()), Con("unit", ())),), scrut_annot=Unit())
+        return [Case(left, ((PCon("unit", ()), unit),), scrut_annot=Unit())]
 
-def derive_drop(subject: Type, semiring: str = grades.NAT_EXACT) -> DerivedCombinator:
-    """Elaborate structural weakening at a closed weakenable type: T -o Unit."""
-    key = ("drop", subject, semiring)
-    return _memoized(key, lambda: _build_drop(subject, semiring))
-
-
-def _build_drop(subject: Type, semiring: str) -> DerivedCombinator:
-    syntax.check_wellformed(subject)
-    if contains_tyvar(subject):
-        raise DeriveError(
-            POLYMORPHIC_DROP,
-            "cannot derive drop in a polymorphic context: type variables range "
-            "over undroppable types")
-    if contains_res(subject):
-        raise DeriveError(NOT_DROPPABLE, "the subject contains the linear-only "
-                                         "base type Res")
-    if contains_fun(subject):
-        raise DeriveError(NOT_DROPPABLE, "the subject contains a function type")
-    if contains_box(subject):
-        raise DeriveError(NOT_DROPPABLE, "the subject contains a graded modality")
-    namer = _Namer()
-    trace: list[str] = []
-    if isinstance(subject, Base):
-        # drop at a weakenable base type is the built-in primitive itself
-        term: Term = Derive("drop", subject)
-    else:
-        drop = _Drop(namer, trace)
-        z = namer.fresh("z")
-        term = Lam(z, drop.body(subject, Var(z)))
-    concluded = Fun(subject, Unit())
-    _assert_checks(term, concluded, semiring, "drop")
-    return DerivedCombinator("drop", subject, semiring, (), term, concluded,
-                             (), tuple(trace))
-
-
-# ---------------------------------------------------------------------------
-# copyShape
-# ---------------------------------------------------------------------------
 
 def shape_type(s: Type) -> Type:
     """The spine type: element, base and unit positions become Unit."""
@@ -504,215 +385,86 @@ def shape_type(s: Type) -> Type:
     raise AssertionError(f"no shape for type: {s}")
 
 
-class _CopyShape:
-    def __init__(self, namer: _Namer, trace: list[str]):
-        self.namer = namer
-        self.trace = trace
-        self.env: dict[str, str] = {}
-        self.mu_env: dict[str, Type] = {}
+class _CopyShape(_Walker):
+    """The shape-copying combinator: T -o (spine of T * T)."""
 
-    def annot(self, s: Type) -> Type:
-        out = s
-        for name, mu in self.mu_env.items():
-            out = syntax.subst_recvar(out, name, mu)
-        return out
+    kind = "copyShape"
 
-    def result_ty(self, s: Type) -> Type:
+    def scheme(self, closed: Type, ctx) -> Type:
+        return Fun(closed, Tensor(shape_type(closed), closed))
+
+    def copied(self, s: Type, x: Term, sn: str, xn: str, then: Term) -> Term:
+        """copyShape at ``s`` of ``x``, with the shape and the value bound to
+        ``sn`` and ``xn`` in ``then``."""
         closed = self.annot(s)
-        return Tensor(shape_type(closed), closed)
+        return Case(self.body(s, x), ((PCon(",", (PVar(sn), PVar(xn))), then),),
+                    scrut_annot=Tensor(shape_type(closed), closed))
 
-    def body(self, s: Type, subj: Term) -> Term:
-        self.trace.append(f"copyShape @ {_show(s)}")
+    def node(self, s: Type, subj: Term, ctx) -> Term:
         if isinstance(s, (TyVar, Base)):
             return pair(Con("unit", ()), subj)
         if isinstance(s, Unit):
             return Case(subj, ((PCon("unit", ()), pair(Con("unit", ()), Con("unit", ()))),),
                         scrut_annot=self.annot(s))
-        if isinstance(s, RecVar):
-            return App(Var(self.env[s.name]), subj)
+        raise AssertionError(f"no shape for type: {s}")
+
+    def split(self, s: Type, x: Term, y: Term, ctx) -> list[Term]:
+        s1, x1, s2, y2 = self.fresh("s", "x", "s", "y")
         if isinstance(s, Sum):
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            sl, xl = self.namer.fresh("s"), self.namer.fresh("x")
-            sr_, yr = self.namer.fresh("s"), self.namer.fresh("y")
-            left = Case(self.body(s.left, Var(x)),
-                        ((PCon(",", (PVar(sl), PVar(xl))),
-                          pair(Con("inl", (Var(sl),)), Con("inl", (Var(xl),)))),),
-                        scrut_annot=self.result_ty(s.left))
-            right = Case(self.body(s.right, Var(y)),
-                         ((PCon(",", (PVar(sr_), PVar(yr))),
-                           pair(Con("inr", (Var(sr_),)), Con("inr", (Var(yr),)))),),
-                         scrut_annot=self.result_ty(s.right))
-            return Case(subj, (
-                (PCon("inl", (PVar(x),)), left),
-                (PCon("inr", (PVar(y),)), right),
-            ), scrut_annot=self.annot(s))
-        if isinstance(s, Tensor):
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            s1, x1 = self.namer.fresh("s"), self.namer.fresh("x")
-            s2, y2 = self.namer.fresh("s"), self.namer.fresh("y")
-            inner2 = Case(self.body(s.right, Var(y)),
-                          ((PCon(",", (PVar(s2), PVar(y2))),
-                            pair(pair(Var(s1), Var(s2)), pair(Var(x1), Var(y2)))),),
-                          scrut_annot=self.result_ty(s.right))
-            inner1 = Case(self.body(s.left, Var(x)),
-                          ((PCon(",", (PVar(s1), PVar(x1))), inner2),),
-                          scrut_annot=self.result_ty(s.left))
-            return Case(subj, ((PCon(",", (PVar(x), PVar(y))), inner1),),
-                        scrut_annot=self.annot(s))
-        if isinstance(s, Mu):
-            if isinstance(s.body, (TyVar, RecVar)):
-                raise DeriveError(
-                    SIDE_CONDITION,
-                    f"degenerate recursive type {_show(s)} has no constructor structure")
-            f, w = self.namer.fresh("f"), self.namer.fresh("w")
-            mu_closed = self.annot(s)
-            ftype = Fun(mu_closed, Tensor(shape_type(mu_closed), mu_closed))
-            self.env[s.var] = f
-            self.mu_env[s.var] = mu_closed
-            inner = self.body(s.body, Var(w))
-            del self.env[s.var]
-            del self.mu_env[s.var]
-            return LetRec(f, Lam(w, inner), App(Var(f), subj), annot=ftype)
-        raise AssertionError(f"unhandled type: {s}")
+            return [self.copied(s.left, x, s1, x1,
+                                pair(Con("inl", (Var(s1),)), Con("inl", (Var(x1),)))),
+                    self.copied(s.right, y, s2, y2,
+                                pair(Con("inr", (Var(s2),)), Con("inr", (Var(y2),))))]
+        both = pair(pair(Var(s1), Var(s2)), pair(Var(x1), Var(y2)))
+        return [self.copied(s.left, x, s1, x1, self.copied(s.right, y, s2, y2, both))]
 
 
-def derive_copyshape(subject: Type, semiring: str = grades.NAT_EXACT) -> DerivedCombinator:
-    """Elaborate the shape-copying combinator: T -o (spine of T * T)."""
-    key = ("copyShape", subject, semiring)
-    return _memoized(key, lambda: _build_copyshape(subject, semiring))
+class _Fmap(_Walker):
+    """The covariant morphism mapping: (alpha -o beta) [g] -o T -o T with beta
+    for alpha. Each function at a type takes the boxed function first and
+    unboxes it; the context is the unboxed function's variable."""
 
+    kind = "fmap"
+    fn = "h"
 
-def _build_copyshape(subject: Type, semiring: str) -> DerivedCombinator:
-    syntax.check_wellformed(subject)
-    if contains_fun(subject):
-        raise DeriveError(FUN_IN_SUBJECT, "cannot copy the shape of a function")
-    if contains_box(subject):
-        raise DeriveError(BOX_IN_SUBJECT,
-                          "no derivation for types which are themselves graded modalities")
-    namer = _Namer()
-    trace: list[str] = []
-    cs = _CopyShape(namer, trace)
-    z = namer.fresh("z")
-    term = Lam(z, cs.body(subject, Var(z)))
-    concluded = Fun(subject, Tensor(shape_type(subject), subject))
-    _assert_checks(term, concluded, semiring, "copyShape")
-    return DerivedCombinator("copyShape", subject, semiring, (), term, concluded,
-                             (), tuple(trace))
-
-
-# ---------------------------------------------------------------------------
-# fmap
-# ---------------------------------------------------------------------------
-
-class _Fmap:
-    def __init__(self, alpha: str, beta: str, g: Grade, namer: _Namer,
-                 trace: list[str]):
+    def __init__(self, subject: Type, alpha: str, g: Grade, semiring: str):
+        super().__init__(semiring)
         self.alpha = alpha
-        self.beta = beta
+        self.beta = _fresh_tyvar(subject, alpha)
         self.g = g
-        self.namer = namer
-        self.trace = trace
-        self.env: dict[str, str] = {}
-        self.mu_env: dict[str, Type] = {}
+        self.fn_ty = Box(g, Fun(TyVar(alpha), TyVar(self.beta)))
+        self.named = (("var", alpha), ("g", g))
 
-    def annot(self, s: Type) -> Type:
-        out = s
-        for name, mu in self.mu_env.items():
-            out = syntax.subst_recvar(out, name, mu)
-        return out
+    def scheme(self, closed: Type, ctx) -> Type:
+        mapped = subst_tyvars(closed, {self.alpha: TyVar(self.beta)})
+        return Fun(self.fn_ty, Fun(closed, mapped))
 
-    def mapped(self, s: Type) -> Type:
-        return subst_tyvars(self.annot(s), {self.alpha: TyVar(self.beta)})
+    def function(self, s: Type, x: str, ctx) -> Term:
+        bf, z, f = self.fresh("bf", x, "f")
+        return Lam(bf, Lam(z, Case(Var(bf), ((PBox(PVar(f)), self.body(s, Var(z), f)),),
+                                   scrut_annot=self.fn_ty)))
 
-    def fn_box_ty(self) -> Type:
-        return Box(self.g, Fun(TyVar(self.alpha), TyVar(self.beta)))
+    def call(self, h: str, subj: Term, fvar: str) -> Term:
+        return App(App(Var(h), Promote(Var(fvar))), subj)
 
-    def body(self, s: Type, subj: Term, fvar: str) -> Term:
-        self.trace.append(f"fmap @ {_show(s)}")
+    def node(self, s: Type, subj: Term, fvar: str) -> Term:
         if isinstance(s, TyVar):
             if s.name == self.alpha:
                 return App(Var(fvar), subj)
             return subj
         if isinstance(s, (Unit, Base)):
             return subj
-        if isinstance(s, RecVar):
-            return App(App(Var(self.env[s.name]), Promote(Var(fvar))), subj)
-        if isinstance(s, Sum):
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            return Case(subj, (
-                (PCon("inl", (PVar(x),)), Con("inl", (self.body(s.left, Var(x), fvar),))),
-                (PCon("inr", (PVar(y),)), Con("inr", (self.body(s.right, Var(y), fvar),))),
-            ), scrut_annot=self.annot(s))
-        if isinstance(s, Tensor):
-            x, y = self.namer.fresh("x"), self.namer.fresh("y")
-            return Case(subj, ((PCon(",", (PVar(x), PVar(y))),
-                                pair(self.body(s.left, Var(x), fvar),
-                                     self.body(s.right, Var(y), fvar))),),
-                        scrut_annot=self.annot(s))
-        if isinstance(s, Mu):
-            if isinstance(s.body, (TyVar, RecVar)):
-                raise DeriveError(
-                    SIDE_CONDITION,
-                    f"degenerate recursive type {_show(s)} has no constructor structure")
-            h = self.namer.fresh("h")
-            bf, w, f2 = self.namer.fresh("bf"), self.namer.fresh("w"), self.namer.fresh("f")
-            mu_closed = self.annot(s)
-            htype = Fun(self.fn_box_ty(), Fun(mu_closed, self.mapped(s)))
-            self.env[s.var] = h
-            self.mu_env[s.var] = mu_closed
-            inner = Case(Var(bf), ((PBox(PVar(f2)), self.body(s.body, Var(w), f2)),),
-                         scrut_annot=self.fn_box_ty())
-            del self.env[s.var]
-            del self.mu_env[s.var]
-            bound = Lam(bf, Lam(w, inner))
-            return LetRec(h, bound, App(App(Var(h), Promote(Var(fvar))), subj),
-                          annot=htype)
         raise AssertionError(f"unhandled type: {s}")
 
-
-def derive_fmap(subject: Type, alpha: str, g: Grade,
-                semiring: str | None = None) -> DerivedCombinator:
-    """Elaborate the covariant morphism mapping over the ``alpha`` positions,
-    with the mapped function boxed at grade ``g``: the grade must cover the
-    number of uses along every control path."""
-    semiring = semiring or g.semiring
-    key = ("fmap", subject, semiring, alpha, g)
-    return _memoized(key, lambda: _build_fmap(subject, alpha, g, semiring))
+    def split(self, s: Type, x: Term, y: Term, fvar: str) -> list[Term]:
+        return _rebuild(s, self.body(s.left, x, fvar), self.body(s.right, y, fvar))
 
 
-def _build_fmap(subject: Type, alpha: str, g: Grade, semiring: str) -> DerivedCombinator:
-    syntax.check_wellformed(subject)
-    if contains_box(subject):
-        raise DeriveError(BOX_IN_SUBJECT,
-                          "no derivation for types which are themselves graded modalities")
-    if contains_fun(subject):
-        raise DeriveError(FUN_IN_SUBJECT, "fmap subjects must not contain functions")
-    if g.semiring != semiring:
-        raise DeriveError(MIXED_SEMIRING,
-                          f"grade {g} is from {g.semiring}, expected {semiring}", (g,))
-    beta = _fresh_tyvar(subject, alpha)
-    namer = _Namer()
-    trace: list[str] = []
-    fm = _Fmap(alpha, beta, g, namer, trace)
-    bf, z, f = namer.fresh("bf"), namer.fresh("z"), namer.fresh("f")
-    term = Lam(bf, Lam(z, Case(Var(bf),
-                               ((PBox(PVar(f)), fm.body(subject, Var(z), f)),),
-                               scrut_annot=fm.fn_box_ty())))
-    concluded = Fun(fm.fn_box_ty(), Fun(subject, fm.mapped(subject)))
-    from .typecheck import Checker, CheckError, GRADE_EXCEEDED, NO_UPPER_BOUND
-    try:
-        Checker(semiring).check({}, term, concluded)
-    except CheckError as e:
-        if e.diag.code in (GRADE_EXCEEDED, NO_UPPER_BOUND):
-            raise DeriveError(
-                SIDE_CONDITION,
-                f"grade {g} cannot cover the usage count of the mapped function: "
-                f"{e.diag.message}", (g,)) from e
-        raise RuntimeError(
-            f"internal: derived fmap fails to check: {e.diag.render()}") from e
-    return DerivedCombinator("fmap", subject, semiring,
-                             (("var", alpha), ("g", g)), term, concluded,
-                             (), tuple(trace))
+def _rebuild(s: Type, left: Term, right: Term) -> list[Term]:
+    """The branches that rebuild the sum or product ``s`` from its parts."""
+    if isinstance(s, Sum):
+        return [Con("inl", (left,)), Con("inr", (right,))]
+    return [pair(left, right)]
 
 
 def _fresh_tyvar(subject: Type, alpha: str) -> str:
@@ -727,6 +479,147 @@ def _fresh_tyvar(subject: Type, alpha: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# preconditions
+# ---------------------------------------------------------------------------
+
+def _push_matches(s: Type) -> bool:
+    """Whether push matches under the box at a base type or at a type with
+    more than one constructor, which consumes a use."""
+    return multi_constructor(s) or contains_base(s)
+
+
+def _foreign(gs, semiring: str) -> tuple[Grade] | None:
+    """The first of the grades that is from another semiring, as a 1-tuple."""
+    return next(((g,) for g in gs if g is not None and g.semiring != semiring), None)
+
+
+def _no_pull_at_base(s: Type) -> str:
+    return (f"cannot pull at {_show(s)}: a bare base value cannot be "
+            f"re-boxed (promotion requires a graded context)")
+
+
+_NO_PULL_AT_FUN = ("cannot pull at function types: the concluding box "
+                   "would have to promote the incoming function")
+
+_BOXED = (lambda s, w: contains_box(s), BOX_IN_SUBJECT,
+          "no derivation for types which are themselves graded modalities")
+
+# Per kind, the preconditions in the order they are checked, as rows
+# (fails, code, message). ``fails(subject, walker)`` is falsy when the
+# precondition holds; otherwise it is True or the grades to report.
+# ``message`` is a string or a function of (subject, walker, grades).
+_PRECONDITIONS = {
+    "push": (
+        _BOXED,
+        (lambda s, w: (_push_matches(s) and not grades.sr_leq(grades.one(w.sr), w.r)
+                       and (grades.one(w.sr), w.r)),
+         SIDE_CONDITION,
+         lambda s, w, gs: (f"matching under the box consumes a use, so 1 must be "
+                           f"approximated by the grade: {gs[0]} is not approximated "
+                           f"by {gs[1]}")),
+    ),
+    "pull": (
+        _BOXED,
+        (lambda s, w: contains_fun(s), FUN_IN_SUBJECT, _NO_PULL_AT_FUN),
+        (lambda s, w: contains_base(s), BASE_IN_SUBJECT,
+         lambda s, w, gs: _no_pull_at_base(s)),
+        (lambda s, w: set(w.rs) != free_tyvars(s), SIDE_CONDITION,
+         lambda s, w, gs: (f"grades must cover exactly the type variables of the "
+                           f"subject (given {sorted(w.rs)}, subject has "
+                           f"{sorted(free_tyvars(s))})")),
+        (lambda s, w: _foreign(w.rs.values(), w.sr), MIXED_SEMIRING,
+         lambda s, w, gs: (f"grade for {next(a for a, g in w.rs.items() if g == gs[0])!r} "
+                           f"is from {gs[0].semiring}, expected {w.sr}")),
+        (lambda s, w: _foreign((w.start,), w.sr), MIXED_SEMIRING,
+         lambda s, w, gs: f"result grade is from {gs[0].semiring}, expected {w.sr}"),
+    ),
+    "drop": (
+        (lambda s, w: contains_tyvar(s), POLYMORPHIC_DROP,
+         "cannot derive drop in a polymorphic context: type variables range "
+         "over undroppable types"),
+        (lambda s, w: contains_res(s), NOT_DROPPABLE,
+         "the subject contains the linear-only base type Res"),
+        (lambda s, w: contains_fun(s), NOT_DROPPABLE, "the subject contains a function type"),
+        (lambda s, w: contains_box(s), NOT_DROPPABLE, "the subject contains a graded modality"),
+    ),
+    "copyShape": (
+        (lambda s, w: contains_fun(s), FUN_IN_SUBJECT, "cannot copy the shape of a function"),
+        _BOXED,
+    ),
+    "fmap": (
+        _BOXED,
+        (lambda s, w: contains_fun(s), FUN_IN_SUBJECT, "fmap subjects must not contain functions"),
+        (lambda s, w: _foreign((w.g,), w.sr), MIXED_SEMIRING,
+         lambda s, w, gs: f"grade {gs[0]} is from {gs[0].semiring}, expected {w.sr}"),
+    ),
+}
+
+
+def _elaborate(w: _Walker, subject: Type) -> tuple[Term, object]:
+    """Check the preconditions of the walker's kind at the subject, then
+    build the combinator: its term and the context of the term's body."""
+    syntax.check_wellformed(subject)
+    for fails, code, message in _PRECONDITIONS[w.kind]:
+        hit = fails(subject, w)
+        if hit:
+            gs = hit if isinstance(hit, tuple) else ()
+            raise DeriveError(
+                code, message if isinstance(message, str) else message(subject, w, gs), gs)
+    return w.term(subject)
+
+
+def _build(w: _Walker, subject: Type) -> DerivedCombinator:
+    term, ctx = _elaborate(w, subject)
+    concluded = w.scheme(subject, ctx)
+    _assert_checks(term, concluded, w.sr, w.kind, w.g)
+    return DerivedCombinator(w.kind, subject, w.sr, w.named, term, concluded,
+                             w.side_conditions(subject), tuple(w.trace))
+
+
+# ---------------------------------------------------------------------------
+# the derivations
+# ---------------------------------------------------------------------------
+
+def derive_push(subject: Type, r: Grade) -> DerivedCombinator:
+    """Elaborate the box-over-constructor distributive law at the subject type:
+    (T) [r] -o T with every type variable boxed at r."""
+    key = ("push", subject, r.semiring, r)
+    return _memoized(key, lambda: _build(_Push(r), subject))
+
+
+def derive_pull(subject: Type, rs: dict[str, Grade], semiring: str,
+                default_grade: Grade | None = None) -> DerivedCombinator:
+    """Elaborate the constructor-over-box distributive law: the subject with
+    each variable boxed at its grade, concluding at the meet of the grades
+    of the variables that occur (or at ``default_grade`` if none do)."""
+    key = ("pull", subject, semiring,
+           tuple(sorted(rs.items())), default_grade)
+    return _memoized(key, lambda: _build(_Pull(rs, semiring, default_grade), subject))
+
+
+def derive_drop(subject: Type, semiring: str = grades.NAT_EXACT) -> DerivedCombinator:
+    """Elaborate structural weakening at a closed weakenable type: T -o Unit."""
+    key = ("drop", subject, semiring)
+    return _memoized(key, lambda: _build(_Drop(semiring), subject))
+
+
+def derive_copyshape(subject: Type, semiring: str = grades.NAT_EXACT) -> DerivedCombinator:
+    """Elaborate the shape-copying combinator: T -o (spine of T * T)."""
+    key = ("copyShape", subject, semiring)
+    return _memoized(key, lambda: _build(_CopyShape(semiring), subject))
+
+
+def derive_fmap(subject: Type, alpha: str, g: Grade,
+                semiring: str | None = None) -> DerivedCombinator:
+    """Elaborate the covariant morphism mapping over the ``alpha`` positions,
+    with the mapped function boxed at grade ``g``: the grade must cover the
+    number of uses along every control path."""
+    semiring = semiring or g.semiring
+    key = ("fmap", subject, semiring, alpha, g)
+    return _memoized(key, lambda: _build(_Fmap(subject, alpha, g, semiring), subject))
+
+
+# ---------------------------------------------------------------------------
 # graded comonad witnesses
 # ---------------------------------------------------------------------------
 
@@ -735,10 +628,6 @@ def comonad_eps(a: Type, semiring: str) -> Term:
     term = Lam("x", Case(Var("x"), ((PBox(PVar("z")), Var("z")),)))
     _assert_checks(term, Fun(Box(grades.one(semiring), a), a), semiring, "eps")
     return term
-
-
-def eps_type(a: Type, semiring: str) -> Type:
-    return Fun(Box(grades.one(semiring), a), a)
 
 
 def comonad_delta(a: Type, r: Grade, s: Grade) -> Term:
@@ -766,70 +655,32 @@ def elaborate_untyped(kind: str, subject: Type) -> Term:
     Terms are grade-independent, so placeholder grades are used for the
     (runtime-irrelevant) annotations. drop at a base type stays primitive.
     Underivable subjects (possible only in unchecked terms) surface as
-    stuck terms.
+    stuck terms. The term is built as ``derive_<kind>`` builds it, but it is
+    not checked and not memoized.
     """
     from .evaluator import StuckTerm
-    try:
-        return _elaborate_untyped(kind, subject)
-    except DeriveError as e:
-        raise StuckTerm(f"{kind} @{_show(subject)} is not derivable: {e.message}") from e
-
-
-def _elaborate_untyped(kind: str, subject: Type) -> Term:
     one = grades.one(grades.NAT_LE)
-    if contains_box(subject):
-        raise DeriveError(BOX_IN_SUBJECT,
-                          "no derivation for types which are themselves graded modalities")
     if kind == "push":
-        namer = _Namer()
-        push = _Push(one, namer, [])
-        z = namer.fresh("z")
-        return Lam(z, push.body(subject, Var(z), Box(one, subject)))
-    if kind == "pull":
-        if contains_fun(subject):
-            raise DeriveError(FUN_IN_SUBJECT, "cannot pull at function types")
-        namer = _Namer()
-        rs = {a: one for a in free_tyvars(subject)}
-        pull = _Pull(rs, grades.NAT_LE, namer, [])
-        z = namer.fresh("z")
-        return Lam(z, pull.body(subject, Var(z), one))
-    if kind == "drop":
-        if contains_tyvar(subject):
-            raise DeriveError(POLYMORPHIC_DROP, "drop at a polymorphic type")
-        if contains_res(subject) or contains_fun(subject):
-            raise DeriveError(NOT_DROPPABLE, "the subject cannot be dropped")
-        if isinstance(subject, Base):
-            return Derive("drop", subject)
-        namer = _Namer()
-        drop = _Drop(namer, [])
-        z = namer.fresh("z")
-        return Lam(z, drop.body(subject, Var(z)))
-    if kind == "copyShape":
-        if contains_fun(subject):
-            raise DeriveError(FUN_IN_SUBJECT, "cannot copy the shape of a function")
-        namer = _Namer()
-        cs = _CopyShape(namer, [])
-        z = namer.fresh("z")
-        return Lam(z, cs.body(subject, Var(z)))
-    if kind == "fmap":
-        if contains_fun(subject):
-            raise DeriveError(FUN_IN_SUBJECT, "fmap subjects must not contain functions")
+        w: _Walker = _Push(one)
+    elif kind == "pull":
+        w = _Pull({a: one for a in free_tyvars(subject)}, grades.NAT_LE, one)
+    elif kind == "drop":
+        w = _Drop(grades.NAT_LE)
+    elif kind == "copyShape":
+        w = _CopyShape(grades.NAT_LE)
+    elif kind == "fmap":
         alphas = _memo_fmap_alphas(subject) or sorted(free_tyvars(subject))
-        if not alphas:
-            alpha = "a"  # no variable positions; the function goes unused
-        elif len(set(alphas)) == 1:
-            alpha = alphas[0]
-        else:
-            from .evaluator import StuckTerm
+        if len(set(alphas)) > 1:
             raise StuckTerm(f"ambiguous fmap @{_show(subject)}: cannot determine "
                             f"the mapped variable at run time")
-        namer = _Namer()
-        fm = _Fmap(alpha, _fresh_tyvar(subject, alpha), one, namer, [])
-        bf, z, f = namer.fresh("bf"), namer.fresh("z"), namer.fresh("f")
-        return Lam(bf, Lam(z, Case(Var(bf),
-                                   ((PBox(PVar(f)), fm.body(subject, Var(z), f)),),
-                                   scrut_annot=fm.fn_box_ty())))
-    raise AssertionError(f"unhandled derive kind: {kind}")
+        # with no variable positions the function goes unused
+        w = _Fmap(subject, alphas[0] if alphas else "a", one, grades.NAT_LE)
+    else:
+        raise AssertionError(f"unhandled derive kind: {kind}")
+    try:
+        return _elaborate(w, subject)[0]
+    except DeriveError as e:
+        raise StuckTerm(f"{kind} @{_show(subject)} is not derivable: {e.message}") from e
 
 
 def _memo_fmap_alphas(subject: Type) -> list[str]:

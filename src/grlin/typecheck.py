@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import grades, syntax
+from . import deriving, grades, syntax
+from .deriving import NOT_DROPPABLE, DeriveError
 from .grades import Grade
 from .parser import SourceProgram
 from .syntax import (
@@ -39,13 +40,6 @@ MIXED_SEMIRING = "MIXED_SEMIRING"
 UNKNOWN_VAR = "UNKNOWN_VAR"
 DUPLICATE_DEF = "DUPLICATE_DEF"
 SYNTAX = "SYNTAX"
-# Codes raised by the deriving engine for in-program derive nodes.
-BOX_IN_SUBJECT = "BOX_IN_SUBJECT"
-FUN_IN_SUBJECT = "FUN_IN_SUBJECT"
-BASE_IN_SUBJECT = "BASE_IN_SUBJECT"
-SIDE_CONDITION = "SIDE_CONDITION"
-POLYMORPHIC_DROP = "POLYMORPHIC_DROP"
-NOT_DROPPABLE = "NOT_DROPPABLE"
 
 
 @dataclass(frozen=True)
@@ -513,7 +507,6 @@ class Checker:
     # -- derive nodes ----------------------------------------------------------
 
     def _synth_derive(self, t: Derive) -> tuple[Type, UsageMap]:
-        from . import deriving
         if t.kind == "drop":
             if isinstance(t.at, Base):
                 # built-in weakening for weakenable base types
@@ -530,7 +523,6 @@ class Checker:
               f"{t.kind} @T needs an expected type to determine its grades", t.pos)
 
     def _check_derive(self, t: Derive, expected: Type) -> UsageMap:
-        from . import deriving
         if t.kind in ("drop", "copyShape"):
             ty, usage = self._synth_derive(t)
             if not types_equal(ty, expected):
@@ -635,7 +627,6 @@ class Checker:
         return rs
 
     def _run_derive(self, thunk, pos: Pos | None):
-        from .deriving import DeriveError
         try:
             return thunk()
         except DeriveError as e:
