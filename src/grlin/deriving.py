@@ -484,8 +484,20 @@ def _fresh_tyvar(subject: Type, alpha: str) -> str:
 
 def _push_matches(s: Type) -> bool:
     """Whether push matches under the box at a base type or at a type with
-    more than one constructor, which consumes a use."""
-    return multi_constructor(s) or contains_base(s)
+    more than one constructor, which consumes a use. Push matches at the
+    subject and at the result of each function type outside a function
+    argument."""
+    return multi_constructor(s) or contains_base(s) or _results_multi(s, {})
+
+
+def _results_multi(s: Type, mu_env: dict[str, Type]) -> bool:
+    if isinstance(s, Fun):
+        return multi_constructor(_close(s.res, mu_env)) or _results_multi(s.res, mu_env)
+    if isinstance(s, (Sum, Tensor)):
+        return _results_multi(s.left, mu_env) or _results_multi(s.right, mu_env)
+    if isinstance(s, Mu):
+        return _results_multi(s.body, {**mu_env, s.var: _close(s, mu_env)})
+    return False
 
 
 def _foreign(gs, semiring: str) -> tuple[Grade] | None:

@@ -91,6 +91,13 @@ def test_derive_drop_polymorphic_fails(capsys):
     assert "POLYMORPHIC_DROP" in err
 
 
+def test_derive_push_at_function_result_fails_cleanly(capsys):
+    code, out, err = run_cli(capsys, "derive", "push", "a -o (a + Unit)", "--grade", "0")
+    assert code == 1
+    assert out == ""
+    assert "SIDE_CONDITION" in err
+
+
 def test_derive_copyshape_and_fmap(capsys):
     code, out, err = run_cli(capsys, "derive", "copyshape", "Int * Int")
     assert code == 0

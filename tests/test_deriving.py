@@ -48,6 +48,23 @@ def test_push_side_condition():
     assert exc.value.code == "BOX_IN_SUBJECT"
 
 
+@pytest.mark.parametrize("subject, g", [
+    ("a -o (a + Unit)", 0),
+    ("a -o (mu X . Unit + (b * X))", 3),
+    ("a -o (b -o (a + Unit))", 0),
+    ("mu X . a -o (X * (Unit + Unit))", 0),  # the result's X is a sum too
+])
+def test_push_side_condition_at_function_results(subject, g):
+    """push matches under the box at each function result it crosses, so a
+    sum there needs 1 <= r as much as a sum at the top does."""
+    t = parse_type(subject)
+    with pytest.raises(DeriveError) as exc:
+        D.derive_push(t, nat(g))
+    assert exc.value.code == "SIDE_CONDITION"
+    assert exc.value.grades == (nat(1), nat(g))
+    assert D.derive_push(t, nat(1)).side_conditions == ("1 <= 1",)
+
+
 def test_push_funfree_never_uses_pull():
     comb = D.derive_push(parse_type("(a + Unit) * a"), nat(1))
     assert not any(line.startswith("pull") for line in comb.trace)
