@@ -97,15 +97,10 @@ def case_rng(suite: str, seed: int, index: int) -> random.Random:
 # Generators
 # ---------------------------------------------------------------------------
 
-def _as_rng(seed) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(("gen", seed))
-
-
-def gen_type(cfg: TypeGenConfig, rng, depth: int | None = None) -> Type:
-    """A well-formed, inhabited type within the config (rng or plain seed).
+def gen_type(cfg: TypeGenConfig, rng: random.Random, depth: int | None = None) -> Type:
+    """A well-formed, inhabited type within the config.
     Recursive types are list-shaped (nil + element-cons) so bounded values
     always exist."""
-    rng = _as_rng(rng)
     depth = cfg.max_depth if depth is None else depth
     leaves: list = [Unit()]
     leaves += [TyVar(v) for v in cfg.tyvars]
@@ -137,11 +132,10 @@ class Uninhabitable(Exception):
     pass
 
 
-def gen_value(a: Type, rng, depth: int = 6) -> Term:
-    """A closed normal form of the given (variable-free) type (rng or seed).
+def gen_value(a: Type, rng: random.Random, depth: int = 6) -> Term:
+    """A closed normal form of the given (variable-free) type.
 
     The depth budget bounds list-like recursive values to a few elements."""
-    rng = _as_rng(rng)
     if isinstance(a, Unit):
         return Con("unit", ())
     if isinstance(a, Base):

@@ -10,7 +10,7 @@ from grlin.deriving import DeriveError
 from grlin.evaluator import deep_normalize
 from grlin.parser import parse_term, parse_type, pretty_term
 from grlin.syntax import (
-    App, Base, Box, Con, Fun, IntLit, Promote, TyVar, alpha_eq, pair,
+    App, Base, Box, Con, Fun, IntLit, Promote, TyVar, alpha_eq, free_tyvars, pair,
     types_equal,
 )
 
@@ -281,3 +281,50 @@ def test_elaborate_untyped_builds_the_derived_term():
         assert D.elaborate_untyped(kind, t) == comb.term, (kind, t)
         accepted += 1
     assert accepted > 700
+
+
+def _derive_at(kind, subject):
+    """derive ``kind`` at the subject with grade 1 wherever a grade is needed."""
+    t = parse_type(subject)
+    if kind == "push":
+        return D.derive_push(t, nat(1))
+    if kind == "pull":
+        return D.derive_pull(t, {a: nat(1) for a in free_tyvars(t)}, G.NAT_EXACT, nat(1))
+    if kind == "drop":
+        return D.derive_drop(t)
+    if kind == "copyShape":
+        return D.derive_copyshape(t)
+    return D.derive_fmap(t, "a", nat(1))
+
+
+def _degenerate(kind, subject, mu):
+    return pytest.param(lambda: _derive_at(kind, subject), "SIDE_CONDITION",
+                        f"degenerate recursive type {mu} has no constructor structure",
+                        id=f"{kind} @ {subject}")
+
+
+@pytest.mark.parametrize("derive, code, message", [
+    *(_degenerate(kind, subject, mu)
+      for kind in ("push", "pull", "copyShape", "fmap")
+      for subject, mu in (("mu X . a", "mu X . a"), ("mu X . X", "mu X . X"),
+                          ("Unit * (mu X . a)", "mu X . a"))),
+    _degenerate("drop", "mu X . X", "mu X . X"),
+    _degenerate("drop", "Unit * (mu X . X)", "mu X . X"),
+    pytest.param(lambda: D.derive_pull(parse_type("a * b"),
+                                       {"a": nat(1), "b": G.grade_interval(0, 1)},
+                                       G.NAT_EXACT),
+                 "MIXED_SEMIRING", "grade for 'b' is from interval, expected nat-exact",
+                 id="pull variable grade"),
+    pytest.param(lambda: D.derive_pull(parse_type("a"), {"a": nat(1)}, G.NAT_EXACT,
+                                       G.grade_interval(0, 1)),
+                 "MIXED_SEMIRING", "result grade is from interval, expected nat-exact",
+                 id="pull result grade"),
+    pytest.param(lambda: D.derive_fmap(parse_type("a"), "a", G.grade_interval(0, 1),
+                                       G.NAT_EXACT),
+                 "MIXED_SEMIRING", "grade 0..1 is from interval, expected nat-exact",
+                 id="fmap grade"),
+])
+def test_precondition_rows(derive, code, message):
+    with pytest.raises(DeriveError) as exc:
+        derive()
+    assert (exc.value.code, exc.value.message) == (code, message)
