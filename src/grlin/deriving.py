@@ -134,11 +134,11 @@ class _Walker:
     """
 
     kind = ""
-    fn = "f"      # base name of the recursive function at a mu
-    boxed_match = False  # whether the subject is matched under its box
-    named = ()    # the named grades of the derived combinator
-    start = None  # the context the subject's own context is drawn from
-    g = None      # fmap: the grade of the mapped function
+    fn = "f"             # base name of the recursive function at a mu
+    boxed_match = False  # whether sums and products are matched under the box
+    named = ()           # the named grades of the derived combinator
+    start = None         # what ``context`` is given at the subject (pull: the default grade)
+    g = None             # fmap: the grade of the mapped function
 
     def __init__(self, semiring: str):
         self.sr = semiring
@@ -274,7 +274,7 @@ class _Pull(_Walker):
         super().__init__(semiring)
         self.rs = rs
         self.start = default
-        # with no variables the result grade is the default, or it is missing
+        # with no variables occurring, the result grade is the default
         self.named = tuple(sorted(rs.items())) + ((("result", default),) if not rs else ())
 
     def boxed(self, s: Type) -> Type:
