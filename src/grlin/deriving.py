@@ -197,11 +197,10 @@ class _Walker:
         mu_closed = self.annot(s)
         inner = self.context(s, mu_closed, ctx)
         [f] = self.fresh(self.fn)
-        self.env[s.var] = (f, inner)
-        self.mu_env[s.var] = mu_closed
+        env, mu_env = self.env, self.mu_env  # an outer mu may bind the same name
+        self.env, self.mu_env = {**env, s.var: (f, inner)}, {**mu_env, s.var: mu_closed}
         fn = self.function(s.body, "w", inner)
-        del self.env[s.var]
-        del self.mu_env[s.var]
+        self.env, self.mu_env = env, mu_env
         return LetRec(f, fn, self.call(f, subj, ctx),
                       annot=self.scheme(mu_closed, inner))
 

@@ -328,3 +328,19 @@ def test_precondition_rows(derive, code, message):
     with pytest.raises(DeriveError) as exc:
         derive()
     assert (exc.value.code, exc.value.message) == (code, message)
+
+
+@pytest.mark.parametrize("kind", ["push", "pull", "drop", "copyShape"])
+def test_inner_mu_may_rebind_the_recursion_variable(kind):
+    """An inner mu binding X again shadows the outer X only in its own body;
+    the outer X after it still refers to the outer mu."""
+    comb = _derive_at(kind, "mu X . Unit + ((mu X . Unit + X) * X)")
+    assert comb.trace[-1] == f"{kind} @ X"
+
+
+def test_fmap_maps_under_an_inner_mu_rebinding_the_recursion_variable():
+    fm = D.derive_fmap(parse_type("mu X . Unit + ((mu X . Unit + (a * X)) * X)", "interval"),
+                       "a", G.grade_interval(0, G.INF))
+    value = parse_term("inr (inr (1, inl unit), inl unit)")
+    out = deep_normalize(App(App(fm.term, Promote(parse_term("\\n -> n"))), value))
+    assert pretty_term(out) == "inr (inr (1, inl unit), inl unit)"
