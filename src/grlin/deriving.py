@@ -150,8 +150,8 @@ class _Walker:
     def annot(self, s: Type) -> Type:
         return _close(s, self.mu_env)
 
-    def fresh(self, *bases: str) -> list[str]:
-        return [f"{base}{next(self.names)}" for base in bases]
+    def fresh(self, base: str) -> str:
+        return f"{base}{next(self.names)}"
 
     def term(self, s: Type) -> tuple[Term, object]:
         """The combinator at the (closed) subject and its body's context."""
@@ -159,7 +159,7 @@ class _Walker:
         return self.function(s, "z", ctx), ctx
 
     def function(self, s: Type, x: str, ctx) -> Term:
-        [z] = self.fresh(x)
+        z = self.fresh(x)
         return Lam(z, self.body(s, Var(z), ctx))
 
     def context(self, s: Type, closed: Type, ctx):
@@ -179,13 +179,13 @@ class _Walker:
         if isinstance(s, RecVar):
             return self.call(self.env[s.name][0], subj, ctx)
         if isinstance(s, (Sum, Tensor)):
-            x, y = self.fresh("x", "y")
+            x, y = self.fresh("x"), self.fresh("y")
             if isinstance(s, Sum):
                 pats = (PCon("inl", (PVar(x),)), PCon("inr", (PVar(y),)))
             else:
                 pats = (PCon(",", (PVar(x), PVar(y))),)
             if self.boxed_match:
-                pats = tuple(PBox(p) for p in pats)
+                pats = tuple(map(PBox, pats))
             branches = self.split(s, Var(x), Var(y), ctx)
             return Case(subj, tuple(zip(pats, branches)), scrut_annot=self.scrut_type(s, ctx))
         if not isinstance(s, Mu):
@@ -196,7 +196,7 @@ class _Walker:
                 f"degenerate recursive type {_show(s)} has no constructor structure")
         mu_closed = self.annot(s)
         inner = self.context(s, mu_closed, ctx)
-        [f] = self.fresh(self.fn)
+        f = self.fresh(self.fn)
         env, mu_env = self.env, self.mu_env  # an outer mu may bind the same name
         self.env, self.mu_env = {**env, s.var: (f, inner)}, {**mu_env, s.var: mu_closed}
         fn = self.function(s.body, "w", inner)
@@ -244,14 +244,14 @@ class _Push(_Walker):
         if isinstance(s, TyVar):
             return subj
         if isinstance(s, Base):
-            [x] = self.fresh("x")
+            x = self.fresh("x")
             return Case(subj, ((PBox(PVar(x)), Var(x)),), scrut_annot=subj_ty)
         if isinstance(s, Fun):
             if free_recvars(s.arg):
                 raise DeriveError(
                     SIDE_CONDITION,
                     "recursion variables under a function argument are not supported")
-            y, f, u = self.fresh("y", "f", "u")
+            y, f, u = self.fresh("y"), self.fresh("f"), self.fresh("u")
             arg = self.annot(s.arg)
             puller = _Pull({a: self.r for a in free_tyvars(arg)}, self.sr)
             puller.names, puller.trace = self.names, self.trace
@@ -325,7 +325,7 @@ class _Pull(_Walker):
 
     def split(self, s: Type, x: Term, y: Term, tgt: Grade | None) -> list[Term]:
         c = self.conclude(s, tgt)
-        u, v = self.fresh("u", "v")
+        u, v = self.fresh("u"), self.fresh("v")
         ca, cb = self.conclude(s.left, c), self.conclude(s.right, c)
         left, right = self.body(s.left, x, c), self.body(s.right, y, c)
         left_ty, right_ty = Box(ca, self.annot(s.left)), Box(cb, self.annot(s.right))
@@ -408,7 +408,8 @@ class _CopyShape(_Walker):
         raise AssertionError(f"no shape for type: {s}")
 
     def split(self, s: Type, x: Term, y: Term, ctx) -> list[Term]:
-        s1, x1, s2, y2 = self.fresh("s", "x", "s", "y")
+        s1, x1 = self.fresh("s"), self.fresh("x")
+        s2, y2 = self.fresh("s"), self.fresh("y")
         if isinstance(s, Sum):
             return [self.copied(s.left, x, s1, x1,
                                 pair(Con("inl", (Var(s1),)), Con("inl", (Var(x1),)))),
@@ -439,7 +440,7 @@ class _Fmap(_Walker):
         return Fun(self.fn_ty, Fun(closed, mapped))
 
     def function(self, s: Type, x: str, ctx) -> Term:
-        bf, z, f = self.fresh("bf", x, "f")
+        bf, z, f = self.fresh("bf"), self.fresh(x), self.fresh("f")
         return Lam(bf, Lam(z, Case(Var(bf), ((PBox(PVar(f)), self.body(s, Var(z), f)),),
                                    scrut_annot=self.fn_ty)))
 
@@ -522,7 +523,7 @@ _BOXED = (lambda s, w: contains_box(s), BOX_IN_SUBJECT,
 _PRECONDITIONS = {
     "push": (
         _BOXED,
-        (lambda s, w: (_push_matches(s) and not grades.sr_leq(grades.one(w.sr), w.r)
+        (lambda s, w: (not grades.sr_leq(grades.one(w.sr), w.r) and _push_matches(s)
                        and (grades.one(w.sr), w.r)),
          SIDE_CONDITION,
          lambda s, w, gs: (f"matching under the box consumes a use, so 1 must be "
@@ -569,7 +570,6 @@ _PRECONDITIONS = {
 def _elaborate(w: _Walker, subject: Type) -> tuple[Term, object]:
     """Check the preconditions of the walker's kind at the subject, then
     build the combinator: its term and the context of the term's body."""
-    syntax.check_wellformed(subject)
     for fails, code, message in _PRECONDITIONS[w.kind]:
         hit = fails(subject, w)
         if hit:
@@ -580,6 +580,7 @@ def _elaborate(w: _Walker, subject: Type) -> tuple[Term, object]:
 
 
 def _build(w: _Walker, subject: Type) -> DerivedCombinator:
+    syntax.check_wellformed(subject)
     term, ctx = _elaborate(w, subject)
     concluded = w.scheme(subject, ctx)
     _assert_checks(term, concluded, w.sr, w.kind, w.g)
