@@ -1,6 +1,7 @@
 """Surface syntax: parsing, positions, and the printer round-trip."""
 
 import random
+import re
 
 import pytest
 
@@ -114,3 +115,14 @@ def test_multiline_declarations():
         "    inr v -> v\n")
     assert len(prog.decls) == 1
     assert len(prog.decls[0].body.body.branches) == 2
+
+
+def test_tokens_golden():
+    """Every golden input lexes as recorded; rewrite the file with
+    ``tests/golden/gen_tokens.py`` only for an intended change."""
+    from golden import gen_tokens
+    want = re.split(r"(?m)^(?=== )", gen_tokens.GOLDEN.read_text(encoding="utf-8"))[1:]
+    got = gen_tokens.entries()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w, f"golden entry differs: {w.splitlines()[0]}"
