@@ -216,9 +216,7 @@ def parse_grade(text: str, semiring: str) -> Grade:
     if semiring not in SEMIRINGS:
         raise GradeError(f"unknown semiring: {semiring}")
     if semiring in (NAT_EXACT, NAT_LE):
-        if not s.isdigit():
-            raise GradeSyntaxError(f"expected a natural number, got {s!r}", text.find(s))
-        return grade_nat(int(s), semiring)
+        return grade_nat(_natural(s, "expected a natural number, got", text), semiring)
     if semiring == ZERO_ONE_MANY:
         table = {"0": ZOM_ZERO, "1": ZOM_ONE, "w": ZOM_MANY}
         if s not in table:
@@ -239,6 +237,16 @@ def _parse_bound(part: str, whole: str):
     part = part.strip()
     if part == "Inf":
         return INF
-    if not part.isdigit():
-        raise GradeSyntaxError(f"bad interval bound {part!r}", whole.find(part) if part else 0)
-    return int(part)
+    return _natural(part, "bad interval bound", whole)
+
+
+def _natural(s: str, what: str, whole: str) -> int:
+    """The value of a string of decimal digits. Anything else raises a
+    GradeSyntaxError, which starts with ``what`` unless the digits are too
+    many to convert."""
+    if not s.isdecimal():
+        raise GradeSyntaxError(f"{what} {s!r}", whole.find(s))
+    try:
+        return int(s)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise GradeSyntaxError(f"number too long ({len(s)} digits)", whole.find(s)) from None

@@ -9,12 +9,21 @@ A file holds one optional ``#semiring`` pragma followed by declarations.
 Each declaration is a signature line ``name : type`` and a definition
 ``name = term``; a new declaration starts wherever an identifier in
 column 1 is followed by ``:`` or ``=``, and continuation lines are
-indented. ``--`` starts a line comment.
+indented.
+
+Lexical rules: an identifier starts with a letter or ``_`` and goes on
+with letters, digits, ``_`` and ``'``; an integer literal is a run of
+decimal digits (Unicode category Nd, so ``٣`` reads as 3 but ``²`` is no
+digit); ``--`` starts a comment that runs to the end of the line; ``-o``
+is the linear arrow unless an identifier character follows it. Blanks are
+spaces, tabs and carriage returns, and a column counts characters.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import grades, syntax
 from .grades import Grade, GradeSyntaxError, NAT_EXACT, SEMIRINGS
@@ -29,7 +38,23 @@ KEYWORDS = {
     "push", "pull", "drop", "copyShape", "fmap", "Unit", "Int", "Res",
 }
 
-PUNCT = ("..", "->", "-o", "(", ")", "[", "]", ",", ";", ":", "=", "@", "\\", "*", "+", ".")
+# One alternative per lexeme, after any blanks, so ``finditer`` covers the
+# whole text but trailing blanks. ``\w`` is exactly ``str.isalnum`` plus
+# ``_``; ``UIDENT`` takes the identifiers that start with a non-ASCII
+# character, which ``tokenize`` checks with ``str.isalpha``.
+_LEXEME = re.compile(r"""[ \t\r]*+(?:
+    (?P<IDENT>[A-Za-z_][\w']*)
+  | (?P<PUNCT>\.\.|->|-o(?![\w'])|[()\[\],;:=@\\*+.])
+  | (?P<NL>\n)
+  | (?P<INT>\d+)
+  | (?P<COMMENT>--[^\n]*)
+  | (?P<PRAGMA>\#semiring[ \t]*(?P<SEMIRING>(?:[^\W_]|-)*))
+  | (?P<UIDENT>[^\W\d][\w']*)
+  | (?P<BAD>.)
+)""", re.VERBOSE)
+_IDENT, _PUNCT, _NL, _INT, _COMMENT, _PRAGMA, _UIDENT = (
+    _LEXEME.groupindex[k] for k in ("IDENT", "PUNCT", "NL", "INT", "COMMENT", "PRAGMA", "UIDENT"))
+_tuple = tuple.__new__
 
 
 class ParseError(Exception):
@@ -40,8 +65,7 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, PRAGMA, punctuation text, or EOF
     text: str
     pos: Pos
@@ -68,121 +92,75 @@ class SourceProgram:
         return None
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
-
-
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    append = toks.append
+    line, bol = 1, 0  # bol: the offset where the current line begins
+    eof = len(text)  # the offset the EOF token's column counts to
+    for m in _LEXEME.finditer(text):
+        g = m.lastindex
+        # tuple.__new__ skips the Python-level __new__ of Token and Pos
+        if g == _IDENT:
+            append(_tuple(Token, ("IDENT", m[g], _tuple(Pos, (file, line, m.start(g) - bol + 1)))))
+        elif g == _PUNCT:
+            p = m[g]
+            append(_tuple(Token, (p, p, _tuple(Pos, (file, line, m.start(g) - bol + 1)))))
+        elif g == _NL:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        pos = Pos(file, line, col)
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("#semiring", i):
-            toks.append(Token("PRAGMA", "#semiring", pos))
-            i += len("#semiring")
-            col += len("#semiring")
-            while i < n and text[i] in " \t":
-                i += 1
-                col += 1
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "-"):
-                j += 1
-            if j > i:
-                toks.append(Token("IDENT", text[i:j], Pos(file, line, col)))
-                col += j - i
-                i = j
-            continue
-        if c == "-":
-            nxt = text[i + 1] if i + 1 < n else ""
-            after = text[i + 2] if i + 2 < n else ""
-            if nxt == ">":
-                toks.append(Token("->", "->", pos))
-                i += 2
-                col += 2
-                continue
-            if nxt == "o" and not _is_ident_char(after):
-                toks.append(Token("-o", "-o", pos))
-                i += 2
-                col += 2
-                continue
-            raise ParseError(f"stray {c!r}", pos)
-        matched = False
-        for p in PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, pos))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", pos)
-    toks.append(Token("EOF", "", Pos(file, line, col)))
+            bol = m.end()
+        elif g == _INT:
+            append(Token("INT", m[g], Pos(file, line, m.start(g) - bol + 1)))
+        elif g == _COMMENT:
+            if m.end() == eof:  # a comment that ends the text adds no columns
+                eof = m.start(g)
+        elif g == _PRAGMA:
+            append(Token("PRAGMA", "#semiring", Pos(file, line, m.start(g) - bol + 1)))
+            if m["SEMIRING"]:
+                append(Token("IDENT", m["SEMIRING"],
+                             Pos(file, line, m.start("SEMIRING") - bol + 1)))
+        else:
+            c = m[g][0]
+            pos = Pos(file, line, m.start(g) - bol + 1)
+            if g == _UIDENT and c.isalpha():
+                append(Token("IDENT", m[g], pos))
+            elif c == "-":
+                raise ParseError(f"stray {c!r}", pos)
+            else:
+                raise ParseError(f"unexpected character {c!r}", pos)
+    append(Token("EOF", "", Pos(file, line, eof - bol + 1)))
     return toks
 
 
 class _Cursor:
+    """Reads a token list that ends in an EOF token, which ``next`` never
+    passes."""
+
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        # callers look ahead only from a token that is not EOF
+        return self.toks[self.i + ahead]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != "EOF":
             self.i += 1
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != kind:
             raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}",
                              t.pos, expected=(kind,))
         return self.next()
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.i].kind == kind
 
     def at_end(self) -> bool:
-        return self.at("EOF")
+        return self.toks[self.i].kind == "EOF"
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +251,39 @@ def _parse_type(c: _Cursor, sr: str) -> Type:
     return left
 
 
+def _wellformed(ty: Type, pos: Pos) -> Type:
+    try:
+        syntax.check_wellformed(ty)
+    except syntax.IllFormedType as e:
+        raise ParseError(str(e), pos) from e
+    return ty
+
+
 def parse_type(text: str, sr: str = NAT_EXACT, file: str = "<type>") -> Type:
     c = _Cursor(tokenize(text, file))
     ty = _parse_type(c, sr)
     if not c.at_end():
         t = c.peek()
         raise ParseError(f"unexpected {t.text!r} after type", t.pos)
-    syntax.check_wellformed(ty)
-    return ty
+    return _wellformed(ty, c.toks[0].pos)
 
 
 # ---------------------------------------------------------------------------
 # Terms and patterns
 # ---------------------------------------------------------------------------
 
+def _int_literal(t: Token) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(f"integer literal too long ({len(t.text)} digits)", t.pos) from None
+
+
 def _parse_pattern(c: _Cursor) -> Pattern:
     t = c.peek()
     if t.kind == "INT":
         c.next()
-        return PInt(int(t.text), t.pos)
+        return PInt(_int_literal(t), t.pos)
     if t.kind == "[":
         c.next()
         inner = _parse_pattern(c)
@@ -388,7 +380,7 @@ def _parse_atom(c: _Cursor, sr: str) -> Term:
     t = c.peek()
     if t.kind == "INT":
         c.next()
-        return IntLit(int(t.text), t.pos)
+        return IntLit(_int_literal(t), t.pos)
     if t.kind == "[":
         c.next()
         inner = _parse_term(c, sr)
@@ -409,8 +401,7 @@ def _parse_atom(c: _Cursor, sr: str) -> Term:
             c.next()
             c.expect("@")
             # no box postfix here: a following [t] is an application argument
-            at = _parse_atype_core(c, sr)
-            syntax.check_wellformed(at)
+            at = _wellformed(_parse_atype_core(c, sr), t.pos)
             return Derive(t.text, at, t.pos)
         c.next()
         if t.text == "unit":
@@ -439,24 +430,12 @@ def parse_term(text: str, sr: str = NAT_EXACT, file: str = "<term>") -> Term:
 # ---------------------------------------------------------------------------
 
 def _split_items(toks: list[Token]) -> list[list[Token]]:
-    items: list[list[Token]] = []
-    current: list[Token] = []
-    for i, t in enumerate(toks):
-        if t.kind == "EOF":
-            break
-        starts = (
-            t.kind == "IDENT"
-            and t.pos.col == 1
-            and i + 1 < len(toks)
-            and toks[i + 1].kind in (":", "=")
-        )
-        if starts and current:
-            items.append(current)
-            current = []
-        current.append(t)
-    if current:
-        items.append(current)
-    return items
+    """The declarations in ``toks``, without its final EOF token. Each but
+    the first starts at an IDENT in column 1 followed by ':' or '='."""
+    heads = [i for i, t in enumerate(toks)
+             if t.pos.col == 1 and i and t.kind == "IDENT" and toks[i + 1].kind in (":", "=")]
+    cuts = [0, *heads, len(toks) - 1]
+    return [toks[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def parse_program(text: str, file: str = "<input>") -> SourceProgram:
@@ -479,7 +458,8 @@ def parse_program(text: str, file: str = "<input>") -> SourceProgram:
     decls: list[Decl] = []
     pending: tuple[str, Type, Pos] | None = None
     for item in items:
-        c = _Cursor(item + [Token("EOF", "", item[-1].pos)])
+        item.append(Token("EOF", "", item[-1].pos))
+        c = _Cursor(item)
         name = c.expect("IDENT")
         if c.at(":"):
             if pending is not None:
@@ -489,11 +469,7 @@ def parse_program(text: str, file: str = "<input>") -> SourceProgram:
             if not c.at_end():
                 t = c.peek()
                 raise ParseError(f"unexpected {t.text!r} after type", t.pos)
-            try:
-                syntax.check_wellformed(ty)
-            except syntax.IllFormedType as e:
-                raise ParseError(str(e), name.pos) from e
-            pending = (name.text, ty, name.pos)
+            pending = (name.text, _wellformed(ty, name.pos), name.pos)
         elif c.at("="):
             c.next()
             if pending is None:

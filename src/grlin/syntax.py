@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .grades import Grade
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     file: str
     line: int
     col: int

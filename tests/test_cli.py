@@ -1,6 +1,8 @@
 """The grlin command line: exit codes, output streams, determinism."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -168,3 +170,89 @@ def test_bad_env_fuel_leaves_check_alone(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "check", "programs/copy.grm")
     assert code == 0
     assert err == ""
+
+
+def test_non_decimal_digits_are_not_integers(capsys, tmp_path):
+    path = tmp_path / "sup.grm"
+    path.write_text("main : Int\nmain = \u00b2\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out, err) == (1, "", f"{path}:2:8: SYNTAX: unexpected character '\u00b2'\n")
+    path.write_text("main : Int\nmain = case 1 of \u00b2 -> 1; _ -> 2\n")
+    assert run_cli(capsys, "run", str(path))[2] \
+        == f"{path}:2:18: SYNTAX: unexpected character '\u00b2'\n"
+    path.write_text("main : Int\nmain = \u0663\n")  # ARABIC-INDIC DIGIT THREE
+    assert run_cli(capsys, "run", str(path)) == (0, "3\n", "")
+
+
+def test_overlong_integer_literals_are_syntax_errors(capsys, tmp_path):
+    digits = "7" * 5000
+    path = tmp_path / "long.grm"
+    for body, col in ((digits, 8), (f"case 1 of {digits} -> 1; _ -> 2", 18)):
+        path.write_text(f"main : Int\nmain = {body}\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"{path}:2:{col}: SYNTAX: integer literal too long (5000 digits)\n"
+    path.write_text(f"main : Int [{digits}]\nmain = [1]\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert err.startswith(f"{path}:1:13: SYNTAX: number too long (5000 digits)")
+
+
+def test_linear_arrow_at_end_of_input(capsys):
+    for subject, col in (("a -o", 5), ("a -o ", 6)):
+        code, out, err = run_cli(capsys, "derive", "push", subject, "--grade", "1")
+        assert (code, out) == (1, "")
+        assert err == f"<type>:1:{col}: SYNTAX: expected a type, found 'end of input'\n"
+
+
+def test_unbound_recursion_variable_in_a_derive_subject(capsys, tmp_path):
+    path = tmp_path / "ill.grm"
+    path.write_text("f : Unit -o Unit\nf = push @X\n")
+    assert run_cli(capsys, "check", str(path)) \
+        == (1, "", f"{path}:2:5: SYNTAX: unbound recursion variable X\n")
+    assert run_cli(capsys, "derive", "push", "Unit * X", "--grade", "1") \
+        == (1, "", "<type>:1:1: SYNTAX: unbound recursion variable X\n")
+
+
+# Lexemes of the fuzz: blanks, comments and words stay whole, so a mutation
+# deletes, replaces, duplicates or inserts a token.
+FUZZ_LEXEME = re.compile(r"\s+|--[^\n]*|#semiring|[\w']+|->|-o|\.\.|.")
+FUZZ_EXTRA = ("\u00b2", "7" * 5000, "\u0663", "\u03bb", "-", "\t", "\r\n", "\n", " ")
+
+
+def test_cli_totality_fuzz(capsys, tmp_path):
+    """``check`` and ``run`` on seeded token-level mutations of the example
+    programs exit with 0, 1 or 2 and raise nothing. On exit 1 every stderr
+    line is a diagnostic, ``file:line:col: CODE: message``, except the
+    evaluator's ``grlin: ...`` report from ``run``."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("programs/**/*.grm"))]
+    vocab = sorted({lx for t in texts for lx in FUZZ_LEXEME.findall(t)
+                    if not lx.isspace() and not lx.startswith("--")}) + list(FUZZ_EXTRA)
+    path = tmp_path / "mutant.grm"
+    diag = re.compile(re.escape(str(path)) + r":\d+:\d+: [A-Z_]+: \S")
+    rng = random.Random(5)
+    for i in range(1000):
+        lexemes = FUZZ_LEXEME.findall(texts[i % len(texts)])
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(len(lexemes))
+            op = rng.randrange(4)
+            if op == 0:
+                del lexemes[j]
+            elif op == 1:
+                lexemes[j] = rng.choice(vocab)
+            elif op == 2:
+                lexemes.insert(j, rng.choice(vocab))
+            else:
+                lexemes.insert(j, lexemes[j])
+        text = "".join(lexemes)
+        path.write_text(text, encoding="utf-8")
+        for argv in (["check", str(path)], ["run", str(path), "--fuel", "2000"]):
+            try:
+                code, out, err = run_cli(capsys, *argv)
+            except Exception as e:
+                raise AssertionError(f"{argv[0]} raised {e!r} on {text!r}") from e
+            assert code in (0, 1, 2), (argv[0], text)
+            if code == 1:
+                for line in err.splitlines():
+                    assert diag.match(line) or (argv[0] == "run" and line.startswith("grlin: ")), \
+                        (argv[0], line, text)
