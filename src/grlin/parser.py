@@ -38,11 +38,13 @@ KEYWORDS = {
     "push", "pull", "drop", "copyShape", "fmap", "Unit", "Int", "Res",
 }
 
-# One alternative per lexeme, after any blanks, so ``finditer`` covers the
-# whole text but trailing blanks. ``\w`` is exactly ``str.isalnum`` plus
-# ``_``; ``UIDENT`` takes the identifiers that start with a non-ASCII
-# character, which ``tokenize`` checks with ``str.isalpha``.
-_LEXEME = re.compile(r"""[ \t\r]*+(?:
+# One alternative per lexeme, after any blanks, and the end of the text. One
+# of them matches after the longest run of blanks, so the matches of
+# ``finditer`` cover the whole text and no run of blanks is scanned twice
+# (``BAD`` never takes a blank). ``\w`` is exactly ``str.isalnum`` plus ``_``;
+# ``UIDENT`` takes the identifiers that start with a non-ASCII character,
+# which ``tokenize`` checks with ``str.isalpha``.
+_LEXEME = re.compile(r"""[ \t\r]*(?:
     (?P<IDENT>[A-Za-z_][\w']*)
   | (?P<PUNCT>\.\.|->|-o(?![\w'])|[()\[\],;:=@\\*+.])
   | (?P<NL>\n)
@@ -51,6 +53,7 @@ _LEXEME = re.compile(r"""[ \t\r]*+(?:
   | (?P<PRAGMA>\#semiring[ \t]*(?P<SEMIRING>(?:[^\W_]|-)*))
   | (?P<UIDENT>[^\W\d][\w']*)
   | (?P<BAD>.)
+  | \Z
 )""", re.VERBOSE)
 _IDENT, _PUNCT, _NL, _INT, _COMMENT, _PRAGMA, _UIDENT = (
     _LEXEME.groupindex[k] for k in ("IDENT", "PUNCT", "NL", "INT", "COMMENT", "PRAGMA", "UIDENT"))
@@ -118,7 +121,7 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
             if m["SEMIRING"]:
                 append(Token("IDENT", m["SEMIRING"],
                              Pos(file, line, m.start("SEMIRING") - bol + 1)))
-        else:
+        elif g is not None:  # UIDENT or BAD; None is the end of the text
             c = m[g][0]
             pos = Pos(file, line, m.start(g) - bol + 1)
             if g == _UIDENT and c.isalpha():
@@ -433,7 +436,8 @@ def _split_items(toks: list[Token]) -> list[list[Token]]:
     """The declarations in ``toks``, without its final EOF token. Each but
     the first starts at an IDENT in column 1 followed by ':' or '='."""
     heads = [i for i, t in enumerate(toks)
-             if t.pos.col == 1 and i and t.kind == "IDENT" and toks[i + 1].kind in (":", "=")]
+             if t.pos.col == 1 and i > 0 and t.kind == "IDENT"
+             and toks[i + 1].kind in (":", "=")]
     cuts = [0, *heads, len(toks) - 1]
     return [toks[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import rand_term, rand_type
 from grlin import grades as G
 from grlin.parser import (
     ParseError, parse_program, parse_term, parse_type, pretty_term, pretty_type,
+    tokenize,
 )
 from grlin.syntax import (
     Box, Case, Derive, Fun, Lam, Mu, PBox, Sum, Tensor, TyVar, alpha_eq,
@@ -126,3 +128,12 @@ def test_tokens_golden():
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w, f"golden entry differs: {w.splitlines()[0]}"
+
+
+def test_trailing_blanks_lex_in_linear_time():
+    """A lexer that rescans the blanks after each failed match takes
+    seconds here."""
+    start = time.perf_counter()
+    toks = tokenize("x" + " \t\r" * 30_000)
+    assert time.perf_counter() - start < 0.5
+    assert [(t.kind, t.pos.col) for t in toks] == [("IDENT", 1), ("EOF", 90_002)]
