@@ -56,7 +56,8 @@ _LEXEME = re.compile(r"""[ \t\r]*(?:
   | \Z
 )""", re.VERBOSE)
 _IDENT, _PUNCT, _NL, _INT, _COMMENT, _PRAGMA, _UIDENT = (
-    _LEXEME.groupindex[k] for k in ("IDENT", "PUNCT", "NL", "INT", "COMMENT", "PRAGMA", "UIDENT"))
+    _LEXEME.groupindex[k]
+    for k in ("IDENT", "PUNCT", "NL", "INT", "COMMENT", "PRAGMA", "UIDENT"))
 _tuple = tuple.__new__
 
 
@@ -104,10 +105,12 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
         g = m.lastindex
         # tuple.__new__ skips the Python-level __new__ of Token and Pos
         if g == _IDENT:
-            append(_tuple(Token, ("IDENT", m[g], _tuple(Pos, (file, line, m.start(g) - bol + 1)))))
+            pos = _tuple(Pos, (file, line, m.start(g) - bol + 1))
+            append(_tuple(Token, ("IDENT", m[g], pos)))
         elif g == _PUNCT:
             p = m[g]
-            append(_tuple(Token, (p, p, _tuple(Pos, (file, line, m.start(g) - bol + 1)))))
+            pos = _tuple(Pos, (file, line, m.start(g) - bol + 1))
+            append(_tuple(Token, (p, p, pos)))
         elif g == _NL:
             line += 1
             bol = m.end()

@@ -174,13 +174,13 @@ def test_bad_env_fuel_leaves_check_alone(monkeypatch, capsys):
 
 def test_non_decimal_digits_are_not_integers(capsys, tmp_path):
     path = tmp_path / "sup.grm"
-    path.write_text("main : Int\nmain = \u00b2\n")
+    path.write_text("main : Int\nmain = \u00b2\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "run", str(path))
     assert (code, out, err) == (1, "", f"{path}:2:8: SYNTAX: unexpected character '\u00b2'\n")
-    path.write_text("main : Int\nmain = case 1 of \u00b2 -> 1; _ -> 2\n")
+    path.write_text("main : Int\nmain = case 1 of \u00b2 -> 1; _ -> 2\n", encoding="utf-8")
     assert run_cli(capsys, "run", str(path))[2] \
         == f"{path}:2:18: SYNTAX: unexpected character '\u00b2'\n"
-    path.write_text("main : Int\nmain = \u0663\n")  # ARABIC-INDIC DIGIT THREE
+    path.write_text("main : Int\nmain = \u0663\n", encoding="utf-8")  # ARABIC-INDIC DIGIT THREE
     assert run_cli(capsys, "run", str(path)) == (0, "3\n", "")
 
 
