@@ -258,3 +258,17 @@ def test_pull_push_step_count(n):
     nf = deep_normalize(App(pull, App(push, Promote(int_list(xs)))), fuel)
     assert boxed_ints(nf) == xs
     assert fuel.spent == 10 * n + 13
+
+
+def test_normal_form_goldens():
+    """Every golden input normalizes as recorded: the same outcome, fuel
+    spent and printed normal form. Rewrite the file with
+    ``tests/golden/gen_normal_forms.py`` only for an intended change."""
+    import re
+    from golden import gen_normal_forms
+    text = gen_normal_forms.GOLDEN.read_text(encoding="utf-8")
+    want = re.split(r"(?m)^(?=== )", text)[1:]
+    got = gen_normal_forms.entries()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w, f"golden entry differs: {w.splitlines()[0]}"
