@@ -5,23 +5,31 @@ first-matching-branch case elimination, unroll-on-demand letrec); boxes
 suspend their payload until a deep normal form is requested. The remaining
 equations of the theory are not rewrite rules here; the law harness
 validates them extensionally by comparing normal forms.
+
+The normalizer is a call-by-name environment machine (Sestoft, "Deriving a
+Lazy Abstract Machine", JFP 1997) without thunk update: a term is evaluated
+in an environment that maps its free variables to closures, so no step
+substitutes. Weak head normal forms are computed on an explicit continuation
+stack, and normal forms are read back from a work list (Gregoire & Leroy,
+ICFP 2002), so neither a long reduction nor a deep result uses the Python
+stack. Each rule costs one step of fuel, as a substituting normalizer would
+spend it: a closure is evaluated afresh at each use, a scrutinee forced by
+one branch is reused by the next, and a neutral term is evaluated again
+wherever it is read back.
 """
 
 from __future__ import annotations
 
 import re
 
-from . import syntax
 from .parser import SourceProgram, pretty_term
 from .syntax import (
     App, Base, Case, Con, Derive, IntLit, Lam, LetRec, Pattern, PBox, PCon,
-    PInt, Pos, Promote, PVar, PWild, Term, Var, free_vars, pattern_vars,
-    subst_term,
+    Pos, Promote, PVar, PWild, Term, UNIT_TERM, Var, _rename_pattern,
+    free_vars, fresh_name, pattern_vars, subst_term,
 )
 
 DEFAULT_FUEL = 100_000
-
-MATCH, NOMATCH, BLOCKED = "match", "nomatch", "blocked"
 
 _UID_ROOT = re.compile(r"^(.+?~\d+)")
 
@@ -55,152 +63,504 @@ class Fuel:
         self.spent += 1
 
 
+# ---------------------------------------------------------------------------
+# Machine values
+#
+# A closure is a tuple (term, env); env maps names to closures and values.
+# A closure whose term is a Lam, Con, Promote, IntLit or Derive is a value.
+# ---------------------------------------------------------------------------
+
+_VALUE_TERMS = frozenset({Lam, Con, Promote, IntLit, Derive})
+
+
+class Rec:
+    """A letrec-bound variable. Each use unrolls the definition once, in an
+    environment that binds the variable to this same object."""
+    __slots__ = ("node", "env")
+
+    def __init__(self, node: LetRec, env: dict):
+        self.node = node
+        self.env = {**env, node.var: self}
+
+
+class VCon:
+    """A constructor value whose arguments a match has forced in part."""
+    __slots__ = ("con", "args", "pos")
+
+    def __init__(self, con: str, args: tuple, pos: Pos | None):
+        self.con, self.args, self.pos = con, args, pos
+
+
+class VBox:
+    """A box whose payload a match has forced."""
+    __slots__ = ("body", "pos")
+
+    def __init__(self, body, pos: Pos | None):
+        self.body, self.pos = body, pos
+
+
+class NVar:
+    """A free variable, or a binder that read-back has gone under."""
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+
+class NApp:
+    """A neutral applied to a closure; also ``drop`` at a base type applied
+    to a closure whose value is neutral (``fn`` is then the derive value)."""
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn, arg):
+        self.fn, self.arg = fn, arg
+
+
+class NCase:
+    """A case blocked on a neutral inside its partly forced scrutinee."""
+    __slots__ = ("node", "env", "scrut")
+
+    def __init__(self, node: Case, env: dict, scrut):
+        self.node, self.env, self.scrut = node, env, scrut
+
+
+_NEUTRALS = frozenset({NVar, NApp, NCase})
+
+# Continuation frames: (_ARG, arg), (_DROP, derive value, arg) and
+# (_CASE, node, env, branch index, scrutinee, path of the forced part).
+_ARG, _DROP, _CASE = range(3)
+
+# Outcomes of matching one pattern.
+_MATCH, _NOMATCH, _NEED = range(3)
+
+
+def _closure(t: Term, env: dict):
+    """The closure of ``t`` in ``env``; a bound variable is its binding."""
+    if type(t) is Var:
+        e = env.get(t.name)
+        if e is not None:
+            return e
+    return (t, env)
+
+
 class Evaluator:
     def __init__(self, fuel: Fuel, counter: dict | None = None):
         self.fuel = fuel
         self.counter = counter
+        self._occ: dict = {}
 
     # -- counting -------------------------------------------------------------
 
-    def _charge(self, sub: dict[str, Term], body: Term) -> None:
-        if self.counter is None:
-            return
-        for name in sub:
-            n = _occurrences(body, name)
+    def _charge(self, names, body: Term) -> None:
+        """Count the occurrences of each binder in the body it scopes over;
+        a body's counts are computed once."""
+        for name in names:
+            hit = self._occ.get((id(body), name))
+            if hit is None:
+                hit = self._occ[(id(body), name)] = (body, _occurrences(body, name))
             key = _count_key(name)
-            self.counter[key] = self.counter.get(key, 0) + n
+            self.counter[key] = self.counter.get(key, 0) + hit[1]
 
     # -- weak head normal form ------------------------------------------------
 
-    def whnf(self, t: Term) -> Term:
+    def whnf(self, c):
+        """The value of a closure or value, computed on an explicit stack."""
+        t, env = c if type(c) is tuple else (c, None)
+        fuel = self.fuel
+        counting = self.counter is not None
+        stack: list = []
+        push = stack.append
         while True:
-            if isinstance(t, App):
-                fn = self.whnf(t.fn)
-                if isinstance(fn, Lam):
-                    self.fuel.spend()
-                    self._charge({fn.var: t.arg}, fn.body)
-                    t = subst_term(fn.body, {fn.var: t.arg})
+            k = type(t)
+            if k is App:
+                push((_ARG, _closure(t.arg, env)))
+                t = t.fn
+                continue
+            if k is Var:
+                e = env.get(t.name)
+                if e is None:
+                    v = NVar(t.name)
+                elif type(e) is tuple:
+                    t, env = e
                     continue
-                if isinstance(fn, Derive):
-                    stepped = self._apply_derive(fn, t.arg)
-                    if stepped is not None:
-                        t = stepped
-                        continue
-                    return App(fn, t.arg, t.pos)
-                if isinstance(fn, (Con, Promote, IntLit)):
-                    raise StuckTerm(f"applying a non-function: {pretty_term(fn)}")
-                return App(fn, t.arg, t.pos)  # neutral head
-            if isinstance(t, LetRec):
-                self.fuel.spend()
-                unrolled = LetRec(t.var, t.bound, t.bound, t.pos, t.annot)
-                self._charge({t.var: unrolled}, t.body)
-                t = subst_term(t.body, {t.var: unrolled})
-                continue
-            if isinstance(t, Case):
-                scrut = t.scrutinee
-                blocked = False
-                for pat, body in t.branches:
-                    status, sub, scrut = self.match(scrut, pat)
-                    if status == MATCH:
-                        self.fuel.spend()
-                        self._charge(sub, body)
-                        t = subst_term(body, sub)
-                        break
-                    if status == BLOCKED:
-                        blocked = True
-                        break
                 else:
-                    raise StuckTerm(
-                        f"no branch matches {pretty_term(self.whnf(scrut))}")
-                if blocked:
-                    return Case(scrut, t.branches, t.pos, t.scrut_annot)
+                    t = e
+                    continue
+            elif k is Case:
+                branches = t.branches
+                if not branches or type(branches[0][0]) not in (PVar, PWild):
+                    push((_CASE, t, env, 0, None, ()))
+                    t = t.scrutinee
+                    continue
+                t, env, frame = self._select(t, env, 0, _closure(t.scrutinee, env))
+                if frame:
+                    push(frame)
                 continue
-            if isinstance(t, Var):
-                return t  # free under a binder being normalized
-            return t  # Lam, Promote, Con, IntLit, Derive
+            elif k in _VALUE_TERMS:
+                v = (t, env)
+            elif k is LetRec:
+                fuel.spend()
+                if counting:
+                    self._charge((t.var,), t.body)
+                env = Rec(t, env).env
+                t = t.body
+                continue
+            elif k is Rec:
+                node = t.node
+                fuel.spend()
+                if counting:
+                    self._charge((node.var,), node.bound)
+                env = t.env
+                t = node.bound
+                continue
+            elif k is NApp:
+                push((_ARG, t.arg))
+                t, env = _split(t.fn)
+                continue
+            elif k is NCase:
+                t, env, frame = self._select(t.node, t.env, 0, t.scrut)
+                if frame:
+                    push(frame)
+                continue
+            else:  # VCon, VBox, NVar
+                v = t
 
-    def _apply_derive(self, fn: Derive, arg: Term) -> Term | None:
-        """delta-rules for derive nodes in head position."""
-        from . import deriving
-        if fn.kind == "drop" and isinstance(fn.at, Base):
-            v = self.whnf(arg)
-            if isinstance(v, IntLit):
+            # -- return v to the innermost frame ------------------------------
+            while stack:
+                f = stack.pop()
+                tag = f[0]
+                if tag is _ARG:
+                    arg = f[1]
+                    if type(v) is tuple:
+                        fn = v[0]
+                        if type(fn) is Lam:
+                            fuel.spend()
+                            if counting:
+                                self._charge((fn.var,), fn.body)
+                            env = {**v[1], fn.var: arg}
+                            t = fn.body
+                            break
+                        if type(fn) is Derive:
+                            if fn.kind == "drop" and isinstance(fn.at, Base):
+                                push((_DROP, v, arg))
+                            else:
+                                fuel.spend()
+                                from . import deriving
+                                push((_ARG, arg))
+                                arg = (deriving.elaborate_untyped(fn.kind, fn.at), {})
+                            t, env = _split(arg)
+                            break
+                    if type(v) not in _NEUTRALS:
+                        raise StuckTerm(
+                            f"applying a non-function: {pretty_term(self.quote(v))}")
+                    v = NApp(v, arg)
+                elif tag is _DROP:
+                    if type(v) is tuple and type(v[0]) is IntLit:
+                        fuel.spend()
+                        v = (UNIT_TERM, {})
+                    elif type(v) in _NEUTRALS:
+                        v = NApp(f[1], f[2])
+                    else:
+                        raise StuckTerm(f"drop @{f[1][0].at.name} applied to "
+                                        f"{pretty_term(self.quote(v))}")
+                else:
+                    _, node, cenv, bi, scrut, path = f
+                    scrut = _install(scrut, path, v)
+                    if type(v) in _NEUTRALS:
+                        v = NCase(node, cenv, scrut)
+                        continue
+                    t, env, frame = self._select(node, cenv, bi, scrut)
+                    if frame:
+                        push(frame)
+                    break
+            else:
+                return v
+
+    def _select(self, node: Case, env: dict, bi: int, scrut):
+        """Try the branches of ``node`` from ``bi`` on against the partly
+        forced scrutinee. Returns (term, env, frame): the body and
+        environment of the first branch that matches and no frame, or the
+        part of the scrutinee to evaluate next and the case frame that
+        takes its value."""
+        branches = node.branches
+        while bi < len(branches):
+            pat, body = branches[bi]
+            status, res = _walk(pat, scrut)
+            if status is _MATCH:
                 self.fuel.spend()
-                return syntax.UNIT_TERM
-            if _is_neutral(v):
-                return None
-            raise StuckTerm(f"drop @{fn.at.name} applied to {pretty_term(v)}")
-        self.fuel.spend()
-        return App(deriving.elaborate_untyped(fn.kind, fn.at), arg)
-
-    # -- pattern matching -----------------------------------------------------
-
-    def match(self, t: Term, p: Pattern) -> tuple[str, dict | None, Term]:
-        """Match a term against a pattern, forcing only as much of the term
-        as the pattern demands. Returns (status, substitution, forced term);
-        a pattern variable binds its sub-term unevaluated."""
-        if isinstance(p, PWild):
-            return MATCH, {}, t
-        if isinstance(p, PVar):
-            return MATCH, {p.name: t}, t
-        v = self.whnf(t)
-        if _is_neutral(v):
-            return BLOCKED, None, v
-        if isinstance(p, PInt):
-            if isinstance(v, IntLit):
-                if v.value == p.value:
-                    return MATCH, {}, v
-                return NOMATCH, None, v
-            return NOMATCH, None, v
-        if isinstance(p, PBox):
-            if isinstance(v, Promote):
-                status, sub, forced = self.match(v.body, p.pat)
-                return status, sub, Promote(forced, v.pos)
-            return NOMATCH, None, v
-        if isinstance(p, PCon):
-            if not (isinstance(v, Con) and v.con == p.con
-                    and len(v.args) == len(p.args)):
-                return NOMATCH, None, v
-            subst: dict[str, Term] = {}
-            args = list(v.args)
-            for i, (sub_t, sub_p) in enumerate(zip(args, p.args)):
-                status, s, forced = self.match(sub_t, sub_p)
-                args[i] = forced
-                if status != MATCH:
-                    return status, None, Con(v.con, tuple(args), v.pos)
-                subst.update(s)
-            return MATCH, subst, Con(v.con, tuple(args), v.pos)
-        raise AssertionError(f"unhandled pattern: {p}")
+                if self.counter is not None:
+                    self._charge(res, body)
+                return body, ({**env, **res} if res else env), None
+            if status is _NEED:
+                path, part = res
+                return (*_split(part), (_CASE, node, env, bi, scrut, path))
+            bi += 1
+        raise StuckTerm(f"no branch matches {pretty_term(self.quote(scrut))}")
 
     # -- normal forms -----------------------------------------------------------
 
     def normalize(self, t: Term, deep: bool = False) -> Term:
-        t = self.whnf(t)
-        if isinstance(t, Con):
-            return Con(t.con, tuple(self.normalize(a, deep) for a in t.args), t.pos)
-        if isinstance(t, Promote):
-            if deep:
-                return Promote(self.normalize(t.body, deep), t.pos)
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.var, self.normalize(t.body, deep), t.pos)
-        if isinstance(t, App):
-            return App(self.normalize(t.fn, deep), self.normalize(t.arg, deep), t.pos)
-        if isinstance(t, Case):
-            scrut = self.normalize(t.scrutinee, deep)
-            branches = tuple((p, self.normalize(b, deep)) for p, b in t.branches)
-            return Case(scrut, branches, t.pos, t.scrut_annot)
-        return t
+        """Read back the normal form of ``t``. Each item of the work list is
+        evaluated to weak head normal form, then its parts are queued left
+        to right, and a node is built once its parts are done."""
+        names = None  # every name a neutral variable can have, once needed
+        out: list[Term] = []
+        todo: list = [(t, {})]
+        while todo:
+            item = todo.pop()
+            if type(item) is _Build:
+                n = item.arity
+                parts = out[len(out) - n:]
+                del out[len(out) - n:]
+                out.append(item.make(parts))
+                continue
+            v = self.whnf(item)
+            k = type(v)
+            if k is tuple:
+                term, env = v
+                k = type(term)
+                if k is Con:
+                    if term.args:
+                        todo.append(_Build(_con(term.con, term.pos), len(term.args)))
+                        todo.extend(_closure(a, env) for a in reversed(term.args))
+                    else:
+                        out.append(term)
+                elif k is Lam:
+                    names = set(free_vars(t)) if names is None else names
+                    x = self._rename((term.var,), term.body, env, names).get(term.var, term.var)
+                    names.add(x)
+                    todo.append(_Build(_lam(x, term.pos), 1))
+                    todo.append((term.body, {**env, term.var: NVar(x)}))
+                elif k is Promote and deep:
+                    todo.append(_Build(_box(term.pos), 1))
+                    todo.append(_closure(term.body, env))
+                elif k is Promote:
+                    out.append(self.quote(v))
+                else:  # IntLit, Derive
+                    out.append(term)
+            elif k is VCon:
+                todo.append(_Build(_con(v.con, v.pos), len(v.args)))
+                todo.extend(reversed(v.args))
+            elif k is VBox:
+                if deep:
+                    todo.append(_Build(_box(v.pos), 1))
+                    todo.append(v.body)
+                else:
+                    out.append(self.quote(v))
+            elif k is NVar:
+                out.append(Var(v.name))
+            elif k is NApp:
+                todo.append(_Build(_app, 2))
+                todo.append(v.arg)
+                todo.append(v.fn)
+            else:  # NCase
+                node, env = v.node, v.env
+                names = set(free_vars(t)) if names is None else names
+                pats, bodies = [], []
+                for p, b in node.branches:
+                    binders = pattern_vars(p)
+                    mapping = self._rename(binders, b, env, names)
+                    names.update(mapping.get(x, x) for x in binders)
+                    pats.append(_rename_pattern(p, mapping) if mapping else p)
+                    bodies.append((b, {**env, **{x: NVar(mapping.get(x, x))
+                                                 for x in binders}}))
+                todo.append(_Build(_case(node, pats), len(pats) + 1))
+                todo.extend(reversed(bodies))
+                todo.append(v.scrut)
+        return out[0]
+
+    def _rename(self, binders, body: Term, env: dict, names: set) -> dict[str, str]:
+        """New names for the binders of ``body`` that would capture a neutral
+        variable reachable from body's other free variables in ``env``.
+        ``names`` holds every name a neutral variable has had so far."""
+        if names.isdisjoint(binders):
+            return {}
+        fv = free_vars(body)
+        reach = _reach([z for z in fv if z not in binders], env)
+        clash = [x for x in binders if x in reach]
+        if not clash:
+            return {}
+        avoid = reach | fv | set(binders)
+        mapping = {}
+        for x in clash:
+            mapping[x] = fresh_name(x, avoid)
+            avoid.add(mapping[x])
+        return mapping
+
+    def quote(self, c) -> Term:
+        """The term a closure or value stands for, without evaluating it:
+        its environment is substituted into it."""
+        k = type(c)
+        if k is tuple:
+            t, env = c
+            sub = {z: self.quote(env[z]) for z in free_vars(t) if z in env}
+            return subst_term(t, sub)
+        if k is Rec:
+            node = c.node
+            return self.quote((LetRec(node.var, node.bound, node.bound, node.pos,
+                                      node.annot), c.env))
+        if k is VCon:
+            return Con(c.con, tuple(self.quote(a) for a in c.args), c.pos)
+        if k is VBox:
+            return Promote(self.quote(c.body), c.pos)
+        if k is NVar:
+            return Var(c.name)
+        if k is NApp:
+            return App(self.quote(c.fn), self.quote(c.arg))
+        case = self.quote((c.node, c.env))
+        return Case(self.quote(c.scrut), case.branches, case.pos, case.scrut_annot)
 
 
-def _is_neutral(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, App):
-        return _is_neutral(t.fn) or isinstance(t.fn, Derive)
-    if isinstance(t, Case):
-        return True  # a case surviving whnf is blocked on a neutral scrutinee
-    return False
+def _split(c):
+    """A closure or value as the machine's (term, env) registers."""
+    return c if type(c) is tuple else (c, None)
+
+
+def _walk(p: Pattern, s):
+    """Match pattern ``p`` against the partly forced scrutinee ``s``, left to
+    right. Returns (_MATCH, bindings), (_NOMATCH, None), or (_NEED, (path,
+    part)) when the part of ``s`` at ``path`` must be evaluated first. A
+    pattern variable binds its part as it is."""
+    binds: dict = {}
+    work = [(p, s, ())]
+    while work:
+        p, s, path = work.pop()
+        kp = type(p)
+        if kp is PVar:
+            binds[p.name] = s
+            continue
+        if kp is PWild:
+            continue
+        ks = type(s)
+        if ks is tuple:
+            t, env = s
+            k = type(t)
+            if k not in _VALUE_TERMS:
+                return _NEED, (path, s)
+        elif ks is VCon or ks is VBox:
+            k = ks
+        else:
+            return _NEED, (path, s)
+        if kp is PCon:
+            if k is Con:
+                if t.con != p.con or len(t.args) != len(p.args):
+                    return _NOMATCH, None
+                args = [_closure(a, env) for a in t.args]
+            elif k is VCon:
+                if s.con != p.con or len(s.args) != len(p.args):
+                    return _NOMATCH, None
+                args = s.args
+            else:
+                return _NOMATCH, None
+            for i in range(len(args) - 1, -1, -1):
+                work.append((p.args[i], args[i], path + (i,)))
+        elif kp is PBox:
+            if k is Promote:
+                work.append((p.pat, _closure(t.body, env), path + (0,)))
+            elif k is VBox:
+                work.append((p.pat, s.body, path + (0,)))
+            else:
+                return _NOMATCH, None
+        elif k is not IntLit or t.value != p.value:  # PInt
+            return _NOMATCH, None
+    return _MATCH, binds
+
+
+def _install(s, path: tuple, v):
+    """``s`` with its part at ``path`` replaced by ``v``."""
+    if not path:
+        return v
+    spine = []
+    for i in path:
+        spine.append(s)
+        if type(s) is tuple:
+            t, env = s
+            s = _closure(t.body if type(t) is Promote else t.args[i], env)
+        else:
+            s = s.body if type(s) is VBox else s.args[i]
+    for s, i in zip(reversed(spine), reversed(path)):
+        if type(s) is tuple:
+            t, env = s
+            if type(t) is Promote:
+                v = VBox(v, t.pos)
+                continue
+            con, args, pos = t.con, [_closure(a, env) for a in t.args], t.pos
+        elif type(s) is VBox:
+            v = VBox(v, s.pos)
+            continue
+        else:
+            con, args, pos = s.con, list(s.args), s.pos
+        args[i] = v
+        v = VCon(con, tuple(args), pos)
+    return v
+
+
+class _Build:
+    """A read-back node waiting for its ``arity`` parts."""
+    __slots__ = ("make", "arity")
+
+    def __init__(self, make, arity: int):
+        self.make, self.arity = make, arity
+
+
+def _con(con, pos):
+    return lambda parts: Con(con, tuple(parts), pos)
+
+
+def _lam(x, pos):
+    return lambda parts: Lam(x, parts[0], pos)
+
+
+def _box(pos):
+    return lambda parts: Promote(parts[0], pos)
+
+
+def _app(parts):
+    return App(parts[0], parts[1])
+
+
+def _case(node, pats):
+    return lambda parts: Case(parts[0], tuple(zip(pats, parts[1:])), node.pos,
+                              node.scrut_annot)
+
+
+def _reach(names, env: dict) -> set[str]:
+    """The names of the neutral variables that ``names`` can reach through
+    ``env``; a name that ``env`` does not bind is itself a neutral."""
+    found: set[str] = set()
+    seen: dict = {}
+    todo = []
+    for z in names:
+        e = env.get(z)
+        if e is None:
+            found.add(z)
+        else:
+            todo.append(e)
+    while todo:
+        e = todo.pop()
+        if id(e) in seen:
+            continue
+        seen[id(e)] = e
+        k = type(e)
+        if k is tuple or k is Rec:
+            t, cenv = e if k is tuple else (e.node, e.env)
+            for z in free_vars(t):
+                c = cenv.get(z)
+                if c is None:
+                    found.add(z)
+                else:
+                    todo.append(c)
+        elif k is VCon:
+            todo.extend(e.args)
+        elif k is VBox:
+            todo.append(e.body)
+        elif k is NVar:
+            found.add(e.name)
+        elif k is NApp:
+            todo += (e.fn, e.arg)
+        else:  # NCase
+            todo += ((e.node, e.env), e.scrut)
+    return found
 
 
 def _occurrences(t: Term, name: str) -> int:
@@ -239,10 +599,19 @@ def _count_key(name: str) -> str:
 def match_pattern(t: Term, p: Pattern, fuel: Fuel | None = None):
     """Spec-level matcher: returns (substitution | None, forced term)."""
     ev = Evaluator(fuel or Fuel())
-    status, sub, forced = ev.match(t, p)
-    if status == MATCH:
-        return sub, forced
-    return None, forced
+    scrut = (t, {})
+    while True:
+        status, res = _walk(p, scrut)
+        if status is not _NEED:
+            break
+        path, part = res
+        v = ev.whnf(part)
+        scrut = _install(scrut, path, v)
+        if type(v) in _NEUTRALS:
+            return None, ev.quote(scrut)
+    if status is _MATCH:
+        return {x: ev.quote(c) for x, c in res.items()}, ev.quote(scrut)
+    return None, ev.quote(scrut)
 
 
 def normalize(t: Term, fuel: Fuel | None = None, deep: bool = False) -> Term:

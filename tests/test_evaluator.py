@@ -110,6 +110,26 @@ def test_normalize_under_lambda():
     assert alpha_eq(normalize(blocked), blocked)
 
 
+@pytest.mark.parametrize("src, printed, spent", [
+    # a neutral is evaluated again wherever it is read back, so the work
+    # under a stuck drop is paid once more for each read
+    (r"\x -> drop @Int ((\y -> y) x)", r"\x -> drop @Int x", 2),
+    (r"\x -> (drop @Int ((\y -> y) x)) unit", r"\x -> drop @Int x unit", 3),
+    (r"\x -> case drop @Int ((\y -> y) x) of unit -> 1",
+     r"\x -> case drop @Int x of unit -> 1", 3),
+    (r"\x -> (case drop @Int ((\y -> y) x) of unit -> \z -> z) 5",
+     r"\x -> (case drop @Int x of unit -> \z -> z) 5", 4),
+    # a binder that would capture a variable read back under it is renamed
+    (r"\x -> (\y -> \x -> y) x", r"\x -> \x_1 -> x", 1),
+    (r"\x -> case (\y -> y) x of inl a -> a; inr b -> (\c -> \x -> c) x",
+     r"\x -> case x of inl a -> a; inr b -> \x_1 -> x", 2),
+])
+def test_reading_back_open_terms(src, printed, spent):
+    fuel = Fuel(100)
+    assert pretty_term(deep_normalize(parse_term(src), fuel)) == printed
+    assert fuel.spent == spent
+
+
 def test_printed_values_reparse():
     prog = parse_program(
         "main : (Unit + Int) * (Int [2])\nmain = (inr 3, [4])\n")
@@ -175,6 +195,11 @@ main = go [\\n -> n] (inr (1, inr (2, inr (3, inl unit))))
     prog = parse_program(src)
     assert T.check_program(prog) == []
     assert run_main(prog) == "inr (1, inr (2, inr (3, inl unit)))"
+    # go is used once by the letrec and once by each of the 4 unrollings;
+    # f twice in each of the 4 calls
+    counts = {name: n for (name, pos), n in
+              count_uses(inline_definitions(prog, "main")).items()}
+    assert (counts["go"], counts["f"]) == (5, 8)
 
 
 def test_normalization_is_alpha_invariant():
@@ -245,7 +270,7 @@ def boxed_ints(t):
     return xs
 
 
-@pytest.mark.parametrize("n", [10, 40, 160])
+@pytest.mark.parametrize("n", [10, 40, 160, 10_240])
 def test_pull_push_step_count(n):
     # A count, not a time: a change to the reduction order, or a dropped
     # step, shows here. push and pull at the Int-list shape, grade 2 in nat-le.
