@@ -8,6 +8,7 @@ reports go to stdout. Exit codes: 0 success, 1 diagnostics or failures,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -32,13 +33,19 @@ def _default_fuel() -> int:
 
 
 def _load_program(path: str):
+    """Parse the program in ``path``. A file that cannot be read, or is not
+    UTF-8, is a usage error (exit 2)."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        print(f"grlin: cannot read {path}: {e.strerror}", file=sys.stderr)
-        raise SystemExit(2)
-    return parser.parse_program(text, file=path)
+        reason = e.strerror
+    except UnicodeDecodeError as e:
+        reason = f"not valid UTF-8 ({e.reason} at byte {e.start})"
+    else:
+        return parser.parse_program(text, file=path)
+    print(f"grlin: cannot read {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def cmd_check(args) -> int:
@@ -159,7 +166,10 @@ def cmd_laws(args) -> int:
     return 1 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use: building it costs
+    more than checking a small program."""
     ap = argparse.ArgumentParser(
         prog="grlin",
         description="Graded linear calculus: check, run, derive, laws.")
@@ -196,9 +206,12 @@ def main(argv: list[str] | None = None) -> int:
     p_laws.add_argument("--case", type=int, default=None,
                         help="re-run a single case by index")
     p_laws.set_defaults(fn=cmd_laws)
+    return ap
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _argument_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0

@@ -53,6 +53,24 @@ def test_check_missing_file_is_usage_error(capsys):
     assert "grlin: cannot read programs/nosuch.grm" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.grm"
+    path.write_bytes(b"main : Int\nmain = \xff\n")
+    for cmd in ("check", "run"):
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"grlin: cannot read {path}: not valid UTF-8 "
+                       "(invalid start byte at byte 18)\n")
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    """The argument parser is built once per process; a value given to one
+    call must not carry over to the next."""
+    code, out, err = run_cli(capsys, "run", "programs/copy.grm", "--fuel", "1")
+    assert code == 1 and "fuel exhausted" in err
+    assert run_cli(capsys, "run", "programs/copy.grm") == (0, "(5, 5)\n", "")
+
+
 def test_bad_grade_arguments_are_usage_errors(capsys):
     assert main(["derive", "push", "Unit", "--grade", "zz"]) == 2
     assert "grlin: bad grade 'zz'" in capsys.readouterr().err
@@ -217,6 +235,9 @@ def test_unbound_recursion_variable_in_a_derive_subject(capsys, tmp_path):
 # Lexemes of the fuzz: blanks, comments and words stay whole, so a mutation
 # deletes, replaces, duplicates or inserts a token.
 FUZZ_LEXEME = re.compile(r"\s+|--[^\n]*|#semiring|[\w']+|->|-o|\.\.|.")
+# A stray high byte, a cut-off two-byte sequence and a cut-off three-byte
+# one, none of which UTF-8 can decode.
+FUZZ_BAD_BYTES = (b"\xff", b"\xc3", b"\xe2\x82")
 FUZZ_EXTRA = ("\u00b2", "7" * 5000, "\u0663", "\u03bb", "-", "\t", "\r\n", "\n", " ")
 
 
@@ -224,7 +245,8 @@ def test_cli_totality_fuzz(capsys, tmp_path):
     """``check`` and ``run`` on seeded token-level mutations of the example
     programs exit with 0, 1 or 2 and raise nothing. On exit 1 every stderr
     line is a diagnostic, ``file:line:col: CODE: message``, except the
-    evaluator's ``grlin: ...`` report from ``run``."""
+    evaluator's ``grlin: ...`` report from ``run``. Every tenth mutation
+    also gets a byte that is not UTF-8, which is a usage error."""
     texts = [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("programs/**/*.grm"))]
     vocab = sorted({lx for t in texts for lx in FUZZ_LEXEME.findall(t)
                     if not lx.isspace() and not lx.startswith("--")}) + list(FUZZ_EXTRA)
@@ -245,13 +267,20 @@ def test_cli_totality_fuzz(capsys, tmp_path):
             else:
                 lexemes.insert(j, lexemes[j])
         text = "".join(lexemes)
-        path.write_text(text, encoding="utf-8")
+        data = text.encode("utf-8")
+        if i % 10 == 9:
+            raw = random.Random(i)
+            k = raw.randrange(len(data) + 1)
+            data = data[:k] + raw.choice(FUZZ_BAD_BYTES) + data[k:]
+        path.write_bytes(data)
         for argv in (["check", str(path)], ["run", str(path), "--fuel", "2000"]):
             try:
                 code, out, err = run_cli(capsys, *argv)
             except Exception as e:
-                raise AssertionError(f"{argv[0]} raised {e!r} on {text!r}") from e
-            assert code in (0, 1, 2), (argv[0], text)
+                raise AssertionError(f"{argv[0]} raised {e!r} on {data!r}") from e
+            assert code in (0, 1, 2), (argv[0], data)
+            if i % 10 == 9:
+                assert code == 2 and "not valid UTF-8" in err, (argv[0], data)
             if code == 1:
                 for line in err.splitlines():
                     assert diag.match(line) or (argv[0] == "run" and line.startswith("grlin: ")), \
