@@ -10,7 +10,7 @@ The normalizer is a call-by-name environment machine (Sestoft, "Deriving a
 Lazy Abstract Machine", JFP 1997) without thunk update: a term is evaluated
 in an environment that maps its free variables to closures, so no step
 substitutes. Weak head normal forms are computed on an explicit continuation
-stack, and normal forms are read back from a work list (Gregoire & Leroy,
+stack, and normal forms are read back from a work list (Grégoire & Leroy,
 ICFP 2002), so neither a long reduction nor a deep result uses the Python
 stack. Each rule costs one step of fuel, as a substituting normalizer would
 spend it: a closure is evaluated afresh at each use, a scrutinee forced by
@@ -21,6 +21,7 @@ wherever it is read back.
 from __future__ import annotations
 
 import re
+from typing import Callable, NamedTuple
 
 from .parser import SourceProgram, pretty_term
 from .syntax import (
@@ -66,8 +67,9 @@ class Fuel:
 # ---------------------------------------------------------------------------
 # Machine values
 #
-# A closure is a tuple (term, env); env maps names to closures and values.
-# A closure whose term is a Lam, Con, Promote, IntLit or Derive is a value.
+# A closure is a plain tuple (term, env); env maps names to closures and
+# values. A closure whose term is a Lam, Con, Promote, IntLit or Derive is a
+# value. The other values are the named tuples below.
 # ---------------------------------------------------------------------------
 
 _VALUE_TERMS = frozenset({Lam, Con, Promote, IntLit, Derive})
@@ -83,45 +85,36 @@ class Rec:
         self.env = {**env, node.var: self}
 
 
-class VCon:
+class VCon(NamedTuple):
     """A constructor value whose arguments a match has forced in part."""
-    __slots__ = ("con", "args", "pos")
+    con: str
+    args: tuple
+    pos: Pos | None
 
-    def __init__(self, con: str, args: tuple, pos: Pos | None):
-        self.con, self.args, self.pos = con, args, pos
 
-
-class VBox:
+class VBox(NamedTuple):
     """A box whose payload a match has forced."""
-    __slots__ = ("body", "pos")
-
-    def __init__(self, body, pos: Pos | None):
-        self.body, self.pos = body, pos
+    body: object
+    pos: Pos | None
 
 
-class NVar:
+class NVar(NamedTuple):
     """A free variable, or a binder that read-back has gone under."""
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
+    name: str
 
 
-class NApp:
+class NApp(NamedTuple):
     """A neutral applied to a closure; also ``drop`` at a base type applied
     to a closure whose value is neutral (``fn`` is then the derive value)."""
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn, arg):
-        self.fn, self.arg = fn, arg
+    fn: object
+    arg: object
 
 
-class NCase:
+class NCase(NamedTuple):
     """A case blocked on a neutral inside its partly forced scrutinee."""
-    __slots__ = ("node", "env", "scrut")
-
-    def __init__(self, node: Case, env: dict, scrut):
-        self.node, self.env, self.scrut = node, env, scrut
+    node: Case
+    env: dict
+    scrut: object
 
 
 _NEUTRALS = frozenset({NVar, NApp, NCase})
@@ -229,7 +222,7 @@ class Evaluator:
             while stack:
                 f = stack.pop()
                 tag = f[0]
-                if tag is _ARG:
+                if tag == _ARG:
                     arg = f[1]
                     if type(v) is tuple:
                         fn = v[0]
@@ -254,7 +247,7 @@ class Evaluator:
                         raise StuckTerm(
                             f"applying a non-function: {pretty_term(self.quote(v))}")
                     v = NApp(v, arg)
-                elif tag is _DROP:
+                elif tag == _DROP:
                     if type(v) is tuple and type(v[0]) is IntLit:
                         fuel.spend()
                         v = (UNIT_TERM, {})
@@ -286,12 +279,12 @@ class Evaluator:
         while bi < len(branches):
             pat, body = branches[bi]
             status, res = _walk(pat, scrut)
-            if status is _MATCH:
+            if status == _MATCH:
                 self.fuel.spend()
                 if self.counter is not None:
                     self._charge(res, body)
                 return body, ({**env, **res} if res else env), None
-            if status is _NEED:
+            if status == _NEED:
                 path, part = res
                 return (*_split(part), (_CASE, node, env, bi, scrut, path))
             bi += 1
@@ -321,7 +314,7 @@ class Evaluator:
                 k = type(term)
                 if k is Con:
                     if term.args:
-                        todo.append(_Build(_con(term.con, term.pos), len(term.args)))
+                        todo.append(_Build(len(term.args), lambda ps, t=term: Con(t.con, tuple(ps), t.pos)))
                         todo.extend(_closure(a, env) for a in reversed(term.args))
                     else:
                         out.append(term)
@@ -329,28 +322,28 @@ class Evaluator:
                     names = set(free_vars(t)) if names is None else names
                     x = self._rename((term.var,), term.body, env, names).get(term.var, term.var)
                     names.add(x)
-                    todo.append(_Build(_lam(x, term.pos), 1))
+                    todo.append(_Build(1, lambda ps, x=x, t=term: Lam(x, ps[0], t.pos)))
                     todo.append((term.body, {**env, term.var: NVar(x)}))
                 elif k is Promote and deep:
-                    todo.append(_Build(_box(term.pos), 1))
+                    todo.append(_Build(1, lambda ps, t=term: Promote(ps[0], t.pos)))
                     todo.append(_closure(term.body, env))
                 elif k is Promote:
                     out.append(self.quote(v))
                 else:  # IntLit, Derive
                     out.append(term)
             elif k is VCon:
-                todo.append(_Build(_con(v.con, v.pos), len(v.args)))
+                todo.append(_Build(len(v.args), lambda ps, v=v: Con(v.con, tuple(ps), v.pos)))
                 todo.extend(reversed(v.args))
             elif k is VBox:
                 if deep:
-                    todo.append(_Build(_box(v.pos), 1))
+                    todo.append(_Build(1, lambda ps, v=v: Promote(ps[0], v.pos)))
                     todo.append(v.body)
                 else:
                     out.append(self.quote(v))
             elif k is NVar:
                 out.append(Var(v.name))
             elif k is NApp:
-                todo.append(_Build(_app, 2))
+                todo.append(_Build(2, lambda ps: App(ps[0], ps[1])))
                 todo.append(v.arg)
                 todo.append(v.fn)
             else:  # NCase
@@ -364,7 +357,8 @@ class Evaluator:
                     pats.append(_rename_pattern(p, mapping) if mapping else p)
                     bodies.append((b, {**env, **{x: NVar(mapping.get(x, x))
                                                  for x in binders}}))
-                todo.append(_Build(_case(node, pats), len(pats) + 1))
+                todo.append(_Build(len(pats) + 1, lambda ps, c=node, pats=pats: Case(
+                    ps[0], tuple(zip(pats, ps[1:])), c.pos, c.scrut_annot)))
                 todo.extend(reversed(bodies))
                 todo.append(v.scrut)
         return out[0]
@@ -452,17 +446,26 @@ def _walk(p: Pattern, s):
                 args = s.args
             else:
                 return _NOMATCH, None
-            for i in range(len(args) - 1, -1, -1):
-                work.append((p.args[i], args[i], path + (i,)))
+            pats = p.args
         elif kp is PBox:
             if k is Promote:
-                work.append((p.pat, _closure(t.body, env), path + (0,)))
+                args = (_closure(t.body, env),)
             elif k is VBox:
-                work.append((p.pat, s.body, path + (0,)))
+                args = (s.body,)
             else:
                 return _NOMATCH, None
+            pats = (p.pat,)
         elif k is not IntLit or t.value != p.value:  # PInt
             return _NOMATCH, None
+        else:
+            continue
+        # variables bind at once; the other parts wait their turn
+        for i in range(len(pats) - 1, -1, -1):
+            q = pats[i]
+            if type(q) is PVar:
+                binds[q.name] = args[i]
+            elif type(q) is not PWild:
+                work.append((q, args[i], path + (i,)))
     return _MATCH, binds
 
 
@@ -495,33 +498,10 @@ def _install(s, path: tuple, v):
     return v
 
 
-class _Build:
+class _Build(NamedTuple):
     """A read-back node waiting for its ``arity`` parts."""
-    __slots__ = ("make", "arity")
-
-    def __init__(self, make, arity: int):
-        self.make, self.arity = make, arity
-
-
-def _con(con, pos):
-    return lambda parts: Con(con, tuple(parts), pos)
-
-
-def _lam(x, pos):
-    return lambda parts: Lam(x, parts[0], pos)
-
-
-def _box(pos):
-    return lambda parts: Promote(parts[0], pos)
-
-
-def _app(parts):
-    return App(parts[0], parts[1])
-
-
-def _case(node, pats):
-    return lambda parts: Case(parts[0], tuple(zip(pats, parts[1:])), node.pos,
-                              node.scrut_annot)
+    arity: int
+    make: Callable[[list], Term]
 
 
 def _reach(names, env: dict) -> set[str]:
@@ -543,7 +523,7 @@ def _reach(names, env: dict) -> set[str]:
         seen[id(e)] = e
         k = type(e)
         if k is tuple or k is Rec:
-            t, cenv = e if k is tuple else (e.node, e.env)
+            t, cenv = e if k is tuple else (e.node.bound, e.env)
             for z in free_vars(t):
                 c = cenv.get(z)
                 if c is None:
@@ -602,14 +582,14 @@ def match_pattern(t: Term, p: Pattern, fuel: Fuel | None = None):
     scrut = (t, {})
     while True:
         status, res = _walk(p, scrut)
-        if status is not _NEED:
+        if status != _NEED:
             break
         path, part = res
         v = ev.whnf(part)
         scrut = _install(scrut, path, v)
         if type(v) in _NEUTRALS:
             return None, ev.quote(scrut)
-    if status is _MATCH:
+    if status == _MATCH:
         return {x: ev.quote(c) for x, c in res.items()}, ev.quote(scrut)
     return None, ev.quote(scrut)
 
