@@ -158,7 +158,7 @@ class Evaluator:
 
     def whnf(self, c):
         """The value of a closure or value, computed on an explicit stack."""
-        t, env = c if type(c) is tuple else (c, None)
+        t, env = _split(c)
         fuel = self.fuel
         counting = self.counter is not None
         stack: list = []
@@ -171,14 +171,10 @@ class Evaluator:
                 continue
             if k is Var:
                 e = env.get(t.name)
-                if e is None:
-                    v = NVar(t.name)
-                elif type(e) is tuple:
-                    t, env = e
+                if e is not None:
+                    t, env = e if type(e) is tuple else (e, None)
                     continue
-                else:
-                    t = e
-                    continue
+                v = NVar(t.name)
             elif k is Case:
                 branches = t.branches
                 if not branches or type(branches[0][0]) not in (PVar, PWild):
@@ -314,13 +310,15 @@ class Evaluator:
                 k = type(term)
                 if k is Con:
                     if term.args:
-                        todo.append(_Build(len(term.args), lambda ps, t=term: Con(t.con, tuple(ps), t.pos)))
+                        todo.append(_Build(len(term.args), lambda ps, t=term:
+                                           Con(t.con, tuple(ps), t.pos)))
                         todo.extend(_closure(a, env) for a in reversed(term.args))
                     else:
                         out.append(term)
                 elif k is Lam:
                     names = set(free_vars(t)) if names is None else names
-                    x = self._rename((term.var,), term.body, env, names).get(term.var, term.var)
+                    x = self._rename((term.var,), term.body, env, names).get(
+                        term.var, term.var)
                     names.add(x)
                     todo.append(_Build(1, lambda ps, x=x, t=term: Lam(x, ps[0], t.pos)))
                     todo.append((term.body, {**env, term.var: NVar(x)}))
@@ -332,7 +330,8 @@ class Evaluator:
                 else:  # IntLit, Derive
                     out.append(term)
             elif k is VCon:
-                todo.append(_Build(len(v.args), lambda ps, v=v: Con(v.con, tuple(ps), v.pos)))
+                todo.append(_Build(len(v.args), lambda ps, v=v:
+                                   Con(v.con, tuple(ps), v.pos)))
                 todo.extend(reversed(v.args))
             elif k is VBox:
                 if deep:
@@ -370,7 +369,8 @@ class Evaluator:
         if names.isdisjoint(binders):
             return {}
         fv = free_vars(body)
-        reach = _reach([z for z in fv if z not in binders], env)
+        reach = {y for z in fv if z not in binders
+                 for y in (free_vars(self.quote(env[z])) if z in env else (z,))}
         clash = [x for x in binders if x in reach]
         if not clash:
             return {}
@@ -502,45 +502,6 @@ class _Build(NamedTuple):
     """A read-back node waiting for its ``arity`` parts."""
     arity: int
     make: Callable[[list], Term]
-
-
-def _reach(names, env: dict) -> set[str]:
-    """The names of the neutral variables that ``names`` can reach through
-    ``env``; a name that ``env`` does not bind is itself a neutral."""
-    found: set[str] = set()
-    seen: dict = {}
-    todo = []
-    for z in names:
-        e = env.get(z)
-        if e is None:
-            found.add(z)
-        else:
-            todo.append(e)
-    while todo:
-        e = todo.pop()
-        if id(e) in seen:
-            continue
-        seen[id(e)] = e
-        k = type(e)
-        if k is tuple or k is Rec:
-            t, cenv = e if k is tuple else (e.node.bound, e.env)
-            for z in free_vars(t):
-                c = cenv.get(z)
-                if c is None:
-                    found.add(z)
-                else:
-                    todo.append(c)
-        elif k is VCon:
-            todo.extend(e.args)
-        elif k is VBox:
-            todo.append(e.body)
-        elif k is NVar:
-            found.add(e.name)
-        elif k is NApp:
-            todo += (e.fn, e.arg)
-        else:  # NCase
-            todo += ((e.node, e.env), e.scrut)
-    return found
 
 
 def _occurrences(t: Term, name: str) -> int:
