@@ -21,7 +21,6 @@ wherever it is read back.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
 
 from .parser import SourceProgram, pretty_term
 from .syntax import (
@@ -69,7 +68,7 @@ class Fuel:
 #
 # A closure is a plain tuple (term, env); env maps names to closures and
 # values. A closure whose term is a Lam, Con, Promote, IntLit or Derive is a
-# value. The other values are the named tuples below.
+# value. The other values are the objects below.
 # ---------------------------------------------------------------------------
 
 _VALUE_TERMS = frozenset({Lam, Con, Promote, IntLit, Derive})
@@ -85,36 +84,45 @@ class Rec:
         self.env = {**env, node.var: self}
 
 
-class VCon(NamedTuple):
+class VCon:
     """A constructor value whose arguments a match has forced in part."""
-    con: str
-    args: tuple
-    pos: Pos | None
+    __slots__ = ("con", "args", "pos")
+
+    def __init__(self, con: str, args: tuple, pos: Pos | None):
+        self.con, self.args, self.pos = con, args, pos
 
 
-class VBox(NamedTuple):
+class VBox:
     """A box whose payload a match has forced."""
-    body: object
-    pos: Pos | None
+    __slots__ = ("body", "pos")
+
+    def __init__(self, body, pos: Pos | None):
+        self.body, self.pos = body, pos
 
 
-class NVar(NamedTuple):
+class NVar:
     """A free variable, or a binder that read-back has gone under."""
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-class NApp(NamedTuple):
+class NApp:
     """A neutral applied to a closure; also ``drop`` at a base type applied
     to a closure whose value is neutral (``fn`` is then the derive value)."""
-    fn: object
-    arg: object
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn, arg):
+        self.fn, self.arg = fn, arg
 
 
-class NCase(NamedTuple):
+class NCase:
     """A case blocked on a neutral inside its partly forced scrutinee."""
-    node: Case
-    env: dict
-    scrut: object
+    __slots__ = ("node", "env", "scrut")
+
+    def __init__(self, node: Case, env: dict, scrut):
+        self.node, self.env, self.scrut = node, env, scrut
 
 
 _NEUTRALS = frozenset({NVar, NApp, NCase})
@@ -498,10 +506,12 @@ def _install(s, path: tuple, v):
     return v
 
 
-class _Build(NamedTuple):
+class _Build:
     """A read-back node waiting for its ``arity`` parts."""
-    arity: int
-    make: Callable[[list], Term]
+    __slots__ = ("arity", "make")
+
+    def __init__(self, arity: int, make):
+        self.arity, self.make = arity, make
 
 
 def _occurrences(t: Term, name: str) -> int:
