@@ -25,7 +25,7 @@ import re
 from .parser import SourceProgram, pretty_term
 from .syntax import (
     App, Base, Case, Con, Derive, IntLit, Lam, LetRec, Pattern, PBox, PCon,
-    Pos, Promote, PVar, PWild, Term, UNIT_TERM, Var, _rename_pattern,
+    Pos, Promote, PVar, PWild, Term, Type, UNIT_TERM, Var, _rename_pattern,
     free_vars, fresh_name, pattern_vars, subst_term,
 )
 
@@ -583,28 +583,29 @@ def inline_definitions(prog: SourceProgram, name: str) -> Term:
     bodies = {d.name: d.body for d in prog.decls}
     if name not in bodies:
         raise NoMain(f"program has no definition {name!r}")
-    resolved: dict[str, Term] = {}
-    visiting: list[str] = []
+    return _resolve(name, bodies, sigs, {}, [])
 
-    def resolve(n: str) -> Term:
-        if n in resolved:
-            return resolved[n]
-        if n in visiting:
-            cycle = " -> ".join(visiting + [n])
-            raise StuckTerm(
-                f"mutually recursive top-level definitions (use letrec): {cycle}")
-        visiting.append(n)
-        body = bodies[n]
-        deps = {m for m in free_vars(body) if m in bodies and m != n}
-        sub = {m: resolve(m) for m in deps}
-        visiting.pop()
-        inlined = subst_term(body, sub)
-        if n in free_vars(body):
-            inlined = LetRec(n, inlined, Var(n), annot=sigs.get(n))
-        resolved[n] = inlined
+
+def _resolve(n: str, bodies: dict[str, Term], sigs: dict[str, Type],
+             resolved: dict[str, Term], visiting: list[str]) -> Term:
+    """``n``'s body with its dependencies inlined, memoized in ``resolved``;
+    ``visiting`` is the chain of definitions being resolved."""
+    if n in resolved:
         return resolved[n]
-
-    return resolve(name)
+    if n in visiting:
+        cycle = " -> ".join(visiting + [n])
+        raise StuckTerm(
+            f"mutually recursive top-level definitions (use letrec): {cycle}")
+    visiting.append(n)
+    body = bodies[n]
+    deps = {m for m in free_vars(body) if m in bodies and m != n}
+    sub = {m: _resolve(m, bodies, sigs, resolved, visiting) for m in deps}
+    visiting.pop()
+    inlined = subst_term(body, sub)
+    if n in free_vars(body):
+        inlined = LetRec(n, inlined, Var(n), annot=sigs.get(n))
+    resolved[n] = inlined
+    return inlined
 
 
 def run_main(prog: SourceProgram, fuel: Fuel | None = None) -> str:
@@ -618,52 +619,54 @@ def tag_binders(t: Term) -> tuple[Term, dict[str, tuple[str, Pos | None]]]:
     """Rename every binder to a unique tagged name, returning the registry
     of binding sites for the instrumented evaluator."""
     registry: dict[str, tuple[str, Pos | None]] = {}
-    counter = [0]
+    return _tag(t, {}, registry), registry
 
-    def uid(name: str, pos: Pos | None) -> str:
-        counter[0] += 1
-        u = f"{name}~{counter[0]}"
-        registry[u] = (name, pos)
-        return u
 
-    def go_pattern(p: Pattern, mapping: dict[str, str]) -> Pattern:
-        if isinstance(p, PVar):
-            u = uid(p.name, p.pos)
-            mapping[p.name] = u
-            return PVar(u, p.pos)
-        if isinstance(p, PBox):
-            return PBox(go_pattern(p.pat, mapping), p.pos)
-        if isinstance(p, PCon):
-            return PCon(p.con, tuple(go_pattern(a, mapping) for a in p.args), p.pos)
-        return p
+def _uid(name: str, pos: Pos | None, registry: dict[str, tuple[str, Pos | None]]) -> str:
+    u = f"{name}~{len(registry) + 1}"
+    registry[u] = (name, pos)
+    return u
 
-    def go(t: Term, env: dict[str, str]) -> Term:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name), t.pos)
-        if isinstance(t, App):
-            return App(go(t.fn, env), go(t.arg, env), t.pos)
-        if isinstance(t, Lam):
-            u = uid(t.var, t.pos)
-            return Lam(u, go(t.body, {**env, t.var: u}), t.pos)
-        if isinstance(t, Promote):
-            return Promote(go(t.body, env), t.pos)
-        if isinstance(t, Con):
-            return Con(t.con, tuple(go(a, env) for a in t.args), t.pos)
-        if isinstance(t, LetRec):
-            u = uid(t.var, t.pos)
-            env2 = {**env, t.var: u}
-            return LetRec(u, go(t.bound, env2), go(t.body, env2), t.pos, t.annot)
-        if isinstance(t, Case):
-            scrut = go(t.scrutinee, env)
-            branches = []
-            for p, b in t.branches:
-                mapping: dict[str, str] = {}
-                p2 = go_pattern(p, mapping)
-                branches.append((p2, go(b, {**env, **mapping})))
-            return Case(scrut, tuple(branches), t.pos, t.scrut_annot)
-        return t
 
-    return go(t, {}), registry
+def _tag_pattern(p: Pattern, mapping: dict[str, str],
+                 registry: dict[str, tuple[str, Pos | None]]) -> Pattern:
+    if isinstance(p, PVar):
+        u = _uid(p.name, p.pos, registry)
+        mapping[p.name] = u
+        return PVar(u, p.pos)
+    if isinstance(p, PBox):
+        return PBox(_tag_pattern(p.pat, mapping, registry), p.pos)
+    if isinstance(p, PCon):
+        return PCon(p.con, tuple(_tag_pattern(a, mapping, registry) for a in p.args), p.pos)
+    return p
+
+
+def _tag(t: Term, env: dict[str, str], registry: dict[str, tuple[str, Pos | None]]) -> Term:
+    if isinstance(t, Var):
+        return Var(env.get(t.name, t.name), t.pos)
+    if isinstance(t, App):
+        return App(_tag(t.fn, env, registry), _tag(t.arg, env, registry), t.pos)
+    if isinstance(t, Lam):
+        u = _uid(t.var, t.pos, registry)
+        return Lam(u, _tag(t.body, {**env, t.var: u}, registry), t.pos)
+    if isinstance(t, Promote):
+        return Promote(_tag(t.body, env, registry), t.pos)
+    if isinstance(t, Con):
+        return Con(t.con, tuple(_tag(a, env, registry) for a in t.args), t.pos)
+    if isinstance(t, LetRec):
+        u = _uid(t.var, t.pos, registry)
+        env2 = {**env, t.var: u}
+        return LetRec(u, _tag(t.bound, env2, registry), _tag(t.body, env2, registry),
+                      t.pos, t.annot)
+    if isinstance(t, Case):
+        scrut = _tag(t.scrutinee, env, registry)
+        branches = []
+        for p, b in t.branches:
+            mapping: dict[str, str] = {}
+            p2 = _tag_pattern(p, mapping, registry)
+            branches.append((p2, _tag(b, {**env, **mapping}, registry)))
+        return Case(scrut, tuple(branches), t.pos, t.scrut_annot)
+    return t
 
 
 def count_uses(t: Term, fuel: Fuel | None = None):

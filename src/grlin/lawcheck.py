@@ -27,7 +27,7 @@ from .syntax import (
     App, Base, Box, Case, Con, Fun, IntLit, Lam, LetRec, Mu, PBox, PCon,
     PInt, Promote, PVar, RecVar, Sum, Tensor, Term, TyVar, Type, Unit, Var,
     alpha_eq, contains_base, free_tyvars, multi_constructor, pair,
-    subst_tyvars, unroll_mu,
+    subst_term, subst_tyvars, unroll_mu,
 )
 
 SUITES = ("inverses", "naturality", "preservation", "equational")
@@ -232,15 +232,17 @@ def _pick_push_grade(t: Type, sr: str, rng: random.Random) -> Grade:
 
 
 def _derive_fmap_somehow(t: Type, alpha: str, sr: str) -> deriving.DerivedCombinator:
-    last: DeriveError | None = None
-    for g in FMAP_GRADES[sr]:
+    """fmap at the first grade of ``FMAP_GRADES`` whose side conditions hold.
+    A failure at the last grade propagates as raised: a caught exception
+    kept in a local would tie this frame into a reference cycle."""
+    *first, last = FMAP_GRADES[sr]
+    for g in first:
         try:
             return deriving.derive_fmap(t, alpha, g, sr)
         except DeriveError as e:
             if e.code != deriving.SIDE_CONDITION:
                 raise
-            last = e
-    raise last or DeriveError(deriving.SIDE_CONDITION, "no usable fmap grade")
+    return deriving.derive_fmap(t, alpha, last, sr)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +437,6 @@ def _case_equational(i: int, rng: random.Random, max_depth: int) -> str | None:
         holes = [Var("hz"), pair(Var("hz"), Con("unit", ())),
                  Con("inl", (Var("hz"),)), Promote(Var("hz"))]
         t2 = holes[rng.randrange(len(holes))]
-        from .syntax import subst_term
         lhs = Case(t1, ((PCon(",", (PVar("ex"), PVar("ey"))),
                          subst_term(t2, {"hz": pair(Var("ex"), Var("ey"))})),))
         rhs = subst_term(t2, {"hz": t1})

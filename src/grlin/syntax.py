@@ -5,6 +5,11 @@ internal annotations planted by the deriving engine are excluded from
 equality, so ``==`` stays structural and ``alpha_eq`` compares binding
 structure only. The free-variable cache on term nodes, like positions, is
 excluded from equality, hashing and ``repr``.
+
+Substitution shares: ``subst_term``, ``subst_tyvars`` and ``subst_recvar``
+return a node itself when none of its children changed, so they allocate
+only the path to what they replace. Nothing here is a self-recursive
+closure, whose cycle only the cyclic garbage collector could free.
 """
 
 from __future__ import annotations
@@ -97,21 +102,23 @@ class IllFormedType(Exception):
 
 def check_wellformed(t: Type) -> None:
     """Every recursion variable must be bound by an enclosing mu binder."""
-    def go(t: Type, bound: frozenset[str]) -> None:
-        if isinstance(t, RecVar):
-            if t.name not in bound:
-                raise IllFormedType(f"unbound recursion variable {t.name}")
-        elif isinstance(t, Mu):
-            go(t.body, bound | {t.var})
-        elif isinstance(t, (Fun,)):
-            go(t.arg, bound)
-            go(t.res, bound)
-        elif isinstance(t, (Tensor, Sum)):
-            go(t.left, bound)
-            go(t.right, bound)
-        elif isinstance(t, Box):
-            go(t.body, bound)
-    go(t, frozenset())
+    _check_bound(t, frozenset())
+
+
+def _check_bound(t: Type, bound: frozenset[str]) -> None:
+    if isinstance(t, RecVar):
+        if t.name not in bound:
+            raise IllFormedType(f"unbound recursion variable {t.name}")
+    elif isinstance(t, Mu):
+        _check_bound(t.body, bound | {t.var})
+    elif isinstance(t, Fun):
+        _check_bound(t.arg, bound)
+        _check_bound(t.res, bound)
+    elif isinstance(t, (Tensor, Sum)):
+        _check_bound(t.left, bound)
+        _check_bound(t.right, bound)
+    elif isinstance(t, Box):
+        _check_bound(t.body, bound)
 
 
 def free_tyvars(t: Type) -> set[str]:
@@ -177,15 +184,17 @@ def subst_tyvars(t: Type, sub: dict[str, Type]) -> Type:
     if isinstance(t, TyVar):
         return sub.get(t.name, t)
     if isinstance(t, Fun):
-        return Fun(subst_tyvars(t.arg, sub), subst_tyvars(t.res, sub))
-    if isinstance(t, Tensor):
-        return Tensor(subst_tyvars(t.left, sub), subst_tyvars(t.right, sub))
-    if isinstance(t, Sum):
-        return Sum(subst_tyvars(t.left, sub), subst_tyvars(t.right, sub))
+        arg, res = subst_tyvars(t.arg, sub), subst_tyvars(t.res, sub)
+        return t if arg is t.arg and res is t.res else Fun(arg, res)
+    if isinstance(t, (Tensor, Sum)):
+        left, right = subst_tyvars(t.left, sub), subst_tyvars(t.right, sub)
+        return t if left is t.left and right is t.right else type(t)(left, right)
     if isinstance(t, Box):
-        return Box(t.grade, subst_tyvars(t.body, sub))
+        body = subst_tyvars(t.body, sub)
+        return t if body is t.body else Box(t.grade, body)
     if isinstance(t, Mu):
-        return Mu(t.var, subst_tyvars(t.body, sub))
+        body = subst_tyvars(t.body, sub)
+        return t if body is t.body else Mu(t.var, body)
     return t
 
 
@@ -194,13 +203,14 @@ def subst_recvar(t: Type, name: str, value: Type) -> Type:
     if isinstance(t, RecVar):
         return value if t.name == name else t
     if isinstance(t, Fun):
-        return Fun(subst_recvar(t.arg, name, value), subst_recvar(t.res, name, value))
-    if isinstance(t, Tensor):
-        return Tensor(subst_recvar(t.left, name, value), subst_recvar(t.right, name, value))
-    if isinstance(t, Sum):
-        return Sum(subst_recvar(t.left, name, value), subst_recvar(t.right, name, value))
+        arg, res = subst_recvar(t.arg, name, value), subst_recvar(t.res, name, value)
+        return t if arg is t.arg and res is t.res else Fun(arg, res)
+    if isinstance(t, (Tensor, Sum)):
+        left, right = subst_recvar(t.left, name, value), subst_recvar(t.right, name, value)
+        return t if left is t.left and right is t.right else type(t)(left, right)
     if isinstance(t, Box):
-        return Box(t.grade, subst_recvar(t.body, name, value))
+        body = subst_recvar(t.body, name, value)
+        return t if body is t.body else Box(t.grade, body)
     if isinstance(t, Mu):
         if t.var == name:
             return t
@@ -208,7 +218,8 @@ def subst_recvar(t: Type, name: str, value: Type) -> Type:
             fresh = _fresh_recvar(t.var, free_recvars(value) | free_recvars(t.body))
             body = subst_recvar(t.body, t.var, RecVar(fresh))
             return Mu(fresh, subst_recvar(body, name, value))
-        return Mu(t.var, subst_recvar(t.body, name, value))
+        body = subst_recvar(t.body, name, value)
+        return t if body is t.body else Mu(t.var, body)
     return t
 
 
@@ -269,25 +280,34 @@ def _count(t: Type, env: dict[str, int]) -> int:
 
 def types_equal(a: Type, b: Type) -> bool:
     """Structural equality up to renaming of mu binders."""
-    def go(a: Type, b: Type, env: dict[str, str]) -> bool:
-        if isinstance(a, RecVar) and isinstance(b, RecVar):
-            return env.get(a.name, a.name) == b.name
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, (Unit,)):
-            return True
-        if isinstance(a, (TyVar, Base)):
-            return a.name == b.name
-        if isinstance(a, Fun):
-            return go(a.arg, b.arg, env) and go(a.res, b.res, env)
-        if isinstance(a, (Tensor, Sum)):
-            return go(a.left, b.left, env) and go(a.right, b.right, env)
-        if isinstance(a, Box):
-            return a.grade == b.grade and go(a.body, b.body, env)
-        if isinstance(a, Mu):
-            return go(a.body, b.body, {**env, a.var: b.var})
-        raise AssertionError(f"unhandled type: {a}")
-    return go(a, b, {})
+    return _types_equal(a, b, {})
+
+
+def _types_equal(a: Type, b: Type, env: dict[str, str]) -> bool:
+    """``env`` maps each mu binder of ``a`` to the binder of ``b`` it is
+    renamed to; a binder that both sides name alike is left out of it, so a
+    type compared with itself under no renaming answers at once."""
+    if a is b and not env:
+        return True
+    if isinstance(a, RecVar) and isinstance(b, RecVar):
+        return env.get(a.name, a.name) == b.name
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Unit):
+        return True
+    if isinstance(a, (TyVar, Base)):
+        return a.name == b.name
+    if isinstance(a, Fun):
+        return _types_equal(a.arg, b.arg, env) and _types_equal(a.res, b.res, env)
+    if isinstance(a, (Tensor, Sum)):
+        return _types_equal(a.left, b.left, env) and _types_equal(a.right, b.right, env)
+    if isinstance(a, Box):
+        return a.grade == b.grade and _types_equal(a.body, b.body, env)
+    if isinstance(a, Mu):
+        if a.var != b.var or a.var in env:
+            env = {**env, a.var: b.var}
+        return _types_equal(a.body, b.body, env)
+    raise AssertionError(f"unhandled type: {a}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,38 +473,62 @@ def free_vars(t: Term) -> frozenset[str]:
 
     Sets are shared rather than copied: one empty set, one set per variable
     name, and a child's own set wherever a union or a binder adds or removes
-    nothing."""
+    nothing. The nodes not yet filled are filled children first, on an
+    explicit stack, so a term of any depth is fine."""
     fv = t._fv
-    if fv is None:
-        fv = _free_vars(t)
-        object.__setattr__(t, "_fv", fv)
-    return fv
+    if fv is not None:
+        return fv
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        for c in _subterms(node):
+            if c._fv is None:
+                stack.append(c)
+        if stack[-1] is node:  # every child is filled
+            stack.pop()
+            object.__setattr__(node, "_fv", _free_vars(node))
+    return t._fv
+
+
+def _subterms(t: Term) -> tuple[Term, ...]:
+    if isinstance(t, App):
+        return (t.fn, t.arg)
+    if isinstance(t, (Lam, Promote)):
+        return (t.body,)
+    if isinstance(t, Con):
+        return t.args
+    if isinstance(t, Case):
+        return (t.scrutinee, *(b for _, b in t.branches))
+    if isinstance(t, LetRec):
+        return (t.bound, t.body)
+    return ()
 
 
 def _free_vars(t: Term) -> frozenset[str]:
+    """The free variables of ``t`` from the filled caches of its children."""
     if isinstance(t, Var):
         fv = _VAR_SETS.get(t.name)
         if fv is None:
             fv = _VAR_SETS[t.name] = frozenset((t.name,))
         return fv
     if isinstance(t, App):
-        return _union(free_vars(t.fn), free_vars(t.arg))
+        return _union(t.fn._fv, t.arg._fv)
     if isinstance(t, Lam):
-        return _without(free_vars(t.body), (t.var,))
+        return _without(t.body._fv, (t.var,))
     if isinstance(t, Promote):
-        return free_vars(t.body)
+        return t.body._fv
     if isinstance(t, Con):
         fv = _NO_VARS
         for a in t.args:
-            fv = _union(fv, free_vars(a))
+            fv = _union(fv, a._fv)
         return fv
     if isinstance(t, Case):
-        fv = free_vars(t.scrutinee)
+        fv = t.scrutinee._fv
         for p, b in t.branches:
-            fv = _union(fv, _without(free_vars(b), pattern_vars(p)))
+            fv = _union(fv, _without(b._fv, pattern_vars(p)))
         return fv
     if isinstance(t, LetRec):
-        return _without(_union(free_vars(t.bound), free_vars(t.body)), (t.var,))
+        return _without(_union(t.bound._fv, t.body._fv), (t.var,))
     return _NO_VARS
 
 

@@ -594,33 +594,7 @@ class Checker:
     def _extract_pull_grades(self, subject: Type, arg: Type, pos: Pos | None
                              ) -> dict[str, Grade]:
         rs: dict[str, Grade] = {}
-
-        def go(s: Type, a: Type) -> bool:
-            if isinstance(s, TyVar):
-                if not (isinstance(a, Box) and isinstance(a.body, TyVar)
-                        and a.body.name == s.name):
-                    return False
-                if s.name in rs and rs[s.name] != a.grade:
-                    _fail(TYPE_MISMATCH,
-                          f"variable {s.name!r} is boxed at both {rs[s.name]} "
-                          f"and {a.grade}", pos, gs=(rs[s.name], a.grade))
-                rs[s.name] = a.grade
-                return True
-            if type(s) is not type(a):
-                return False
-            if isinstance(s, (Unit,)):
-                return True
-            if isinstance(s, Base):
-                return s.name == a.name
-            if isinstance(s, (Tensor, Sum)):
-                return go(s.left, a.left) and go(s.right, a.right)
-            if isinstance(s, Mu):
-                return s.var == a.var and go(s.body, a.body)
-            if isinstance(s, RecVar):
-                return s.name == a.name
-            return False
-
-        if not go(subject, arg):
+        if not _match_pull_arg(subject, arg, rs, pos):
             _fail(TYPE_MISMATCH,
                   f"pull @{_show(subject)} argument type does not match the subject "
                   f"with boxed variables", pos)
@@ -631,6 +605,35 @@ class Checker:
             return thunk()
         except DeriveError as e:
             raise CheckError(Diagnostic(e.code, e.message, pos, e.grades)) from e
+
+
+def _match_pull_arg(s: Type, a: Type, rs: dict[str, Grade], pos: Pos | None) -> bool:
+    """Whether ``a`` is ``s`` with each type variable boxed, recording
+    each variable's grade in ``rs``."""
+    if isinstance(s, TyVar):
+        if not (isinstance(a, Box) and isinstance(a.body, TyVar)
+                and a.body.name == s.name):
+            return False
+        if s.name in rs and rs[s.name] != a.grade:
+            _fail(TYPE_MISMATCH,
+                  f"variable {s.name!r} is boxed at both {rs[s.name]} "
+                  f"and {a.grade}", pos, gs=(rs[s.name], a.grade))
+        rs[s.name] = a.grade
+        return True
+    if type(s) is not type(a):
+        return False
+    if isinstance(s, Unit):
+        return True
+    if isinstance(s, Base):
+        return s.name == a.name
+    if isinstance(s, (Tensor, Sum)):
+        return (_match_pull_arg(s.left, a.left, rs, pos)
+                and _match_pull_arg(s.right, a.right, rs, pos))
+    if isinstance(s, Mu):
+        return s.var == a.var and _match_pull_arg(s.body, a.body, rs, pos)
+    if isinstance(s, RecVar):
+        return s.name == a.name
+    return False
 
 
 def _types_match(a: Type, b: Type) -> bool:

@@ -11,7 +11,8 @@ from grlin.parser import parse_program, parse_term, pretty_term
 from grlin import deriving as D
 from grlin import grades as G
 from grlin.syntax import (
-    App, Con, IntLit, Mu, Promote, RecVar, Sum, Tensor, TyVar, Unit, alpha_eq,
+    App, Con, IntLit, Lam, Mu, Promote, RecVar, Sum, Tensor, TyVar, Unit, Var,
+    alpha_eq,
 )
 
 
@@ -252,12 +253,10 @@ def int_list(xs):
     return t
 
 
-def boxed_ints(t):
-    """The Ints of a boxed list value, read without recursion (a long list
-    is too deep for the recursive ``==``); None if ``t`` is not one."""
-    if not isinstance(t, Promote):
-        return None
-    xs, t = [], t.body
+def list_ints(t):
+    """The Ints of a list value, read without recursion (a long list is too
+    deep for the recursive ``==``); None if ``t`` is not one."""
+    xs = []
     while t != Con("inl", (Con("unit", ()),)):
         if not (isinstance(t, Con) and t.con == "inr"):
             return None
@@ -268,6 +267,11 @@ def boxed_ints(t):
         xs.append(cell.args[0].value)
         t = cell.args[1]
     return xs
+
+
+def boxed_ints(t):
+    """The Ints of a boxed list value; None if ``t`` is not one."""
+    return list_ints(t.body) if isinstance(t, Promote) else None
 
 
 @pytest.mark.parametrize("n", [10, 40, 160, 10_240])
@@ -297,3 +301,23 @@ def test_normal_form_goldens():
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w, f"golden entry differs: {w.splitlines()[0]}"
+
+
+def test_reading_back_a_long_list_under_a_binder():
+    # read-back takes the free names of the whole body at the binder
+    xs = list(range(3_000))
+    nf = deep_normalize(Lam("x", int_list(xs)))
+    assert isinstance(nf, Lam) and list_ints(nf.body) == xs
+
+
+def test_reading_back_a_long_application_spine():
+    spine = Var("f")
+    for _ in range(500):
+        spine = App(spine, IntLit(0))
+    nf = deep_normalize(Lam("f", spine))
+    assert isinstance(nf, Lam)
+    t, args = nf.body, 0
+    while isinstance(t, App):
+        assert t.arg == IntLit(0)
+        t, args = t.fn, args + 1
+    assert t == Var(nf.var) and args == 500

@@ -7,13 +7,14 @@ import pytest
 
 from conftest import rand_term, rand_type
 from grlin import grades as G
+from grlin import lawcheck as L
 from grlin.parser import parse_term, parse_type, pretty_term
 from grlin.syntax import (
-    App, Base, Box, Case, Con, Derive, IntLit, Lam, LetRec, Mu, PBox, PCon,
-    Promote, PVar, RecVar, Sum, Tensor, TyVar, Unit, Var, alpha_eq,
+    App, Base, Box, Case, Con, Derive, Fun, IntLit, Lam, LetRec, Mu, PBox,
+    PCon, Promote, PVar, RecVar, Sum, Tensor, TyVar, Unit, Var, alpha_eq,
     check_wellformed, free_recvars, free_tyvars, free_vars, IllFormedType,
     multi_constructor, NotAMu, pattern_vars, subst_recvar, subst_term,
-    types_equal, unroll_mu,
+    subst_tyvars, Type, types_equal, unroll_mu,
 )
 
 
@@ -338,6 +339,184 @@ def test_subst_term_leaves_untouched_subterms_shared():
     t = parse_term("(x, \\y -> y)")
     result = subst_term(t, {"x": IntLit(1)})
     assert result.args[1] is t.args[1]
+
+
+LISTS = "mu X . Unit + (a * X)"
+
+
+@pytest.mark.parametrize("src,sub", [
+    (LISTS, {"b": "Int"}),                          # the key is absent
+    ("(a -o Unit) * (Int + Unit)", {}),
+    ("mu X . Unit + ((mu X . Unit + X) * X)", {"a": "Int"}),
+])
+def test_subst_tyvars_returns_untouched_type_itself(src, sub):
+    t = parse_type(src)
+    assert subst_tyvars(t, {k: parse_type(v) for k, v in sub.items()}) is t
+
+
+@pytest.mark.parametrize("t,name", [
+    (parse_type(LISTS), "X"),                        # the name is bound
+    (parse_type(LISTS).body, "Y"),                   # the name is absent
+    (parse_type("mu Y . (mu X . Unit + (a * X)) -o Y").body, "X"),
+    (Box(G.grade_nat(2), Tensor(RecVar("Y"), Unit())), "X"),
+])
+def test_subst_recvar_returns_untouched_type_itself(t, name):
+    assert subst_recvar(t, name, parse_type(LISTS)) is t
+
+
+def test_type_substitution_leaves_untouched_children_shared():
+    t = parse_type("(a * Unit) + (b -o Unit)")
+    result = subst_tyvars(t, {"a": Base("Int")})
+    assert result.left.left == Base("Int")
+    assert result.left.right is t.left.right and result.right is t.right
+    lists = parse_type(LISTS)
+    unrolled = unroll_mu(lists)                      # Unit + (a * lists)
+    assert unrolled.left is lists.body.left
+    assert unrolled.right.left is lists.body.right.left
+    assert unrolled.right.right is lists
+
+
+# Reference copies of the type utilities as they were before they shared
+# untouched nodes: every node rebuilt, equality always walked in full.
+
+def ref_subst_tyvars(t, sub):
+    if isinstance(t, TyVar):
+        return sub.get(t.name, t)
+    if isinstance(t, Fun):
+        return Fun(ref_subst_tyvars(t.arg, sub), ref_subst_tyvars(t.res, sub))
+    if isinstance(t, Tensor):
+        return Tensor(ref_subst_tyvars(t.left, sub), ref_subst_tyvars(t.right, sub))
+    if isinstance(t, Sum):
+        return Sum(ref_subst_tyvars(t.left, sub), ref_subst_tyvars(t.right, sub))
+    if isinstance(t, Box):
+        return Box(t.grade, ref_subst_tyvars(t.body, sub))
+    if isinstance(t, Mu):
+        return Mu(t.var, ref_subst_tyvars(t.body, sub))
+    return t
+
+
+def ref_subst_recvar(t, name, value):
+    if isinstance(t, RecVar):
+        return value if t.name == name else t
+    if isinstance(t, Fun):
+        return Fun(ref_subst_recvar(t.arg, name, value), ref_subst_recvar(t.res, name, value))
+    if isinstance(t, Tensor):
+        return Tensor(ref_subst_recvar(t.left, name, value),
+                      ref_subst_recvar(t.right, name, value))
+    if isinstance(t, Sum):
+        return Sum(ref_subst_recvar(t.left, name, value), ref_subst_recvar(t.right, name, value))
+    if isinstance(t, Box):
+        return Box(t.grade, ref_subst_recvar(t.body, name, value))
+    if isinstance(t, Mu):
+        if t.var == name:
+            return t
+        if t.var in free_recvars(value):
+            avoid = free_recvars(value) | free_recvars(t.body)
+            fresh = next(f"{t.var}{i}" for i in range(1, len(avoid) + 2)
+                         if f"{t.var}{i}" not in avoid)
+            body = ref_subst_recvar(t.body, t.var, RecVar(fresh))
+            return Mu(fresh, ref_subst_recvar(body, name, value))
+        return Mu(t.var, ref_subst_recvar(t.body, name, value))
+    return t
+
+
+def ref_unroll_mu(t):
+    return ref_subst_recvar(t.body, t.var, t)
+
+
+def ref_types_equal(a, b, env=None):
+    env = env or {}
+    if isinstance(a, RecVar) and isinstance(b, RecVar):
+        return env.get(a.name, a.name) == b.name
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Unit):
+        return True
+    if isinstance(a, (TyVar, Base)):
+        return a.name == b.name
+    if isinstance(a, Fun):
+        return ref_types_equal(a.arg, b.arg, env) and ref_types_equal(a.res, b.res, env)
+    if isinstance(a, (Tensor, Sum)):
+        return (ref_types_equal(a.left, b.left, env)
+                and ref_types_equal(a.right, b.right, env))
+    if isinstance(a, Box):
+        return a.grade == b.grade and ref_types_equal(a.body, b.body, env)
+    if isinstance(a, Mu):
+        return ref_types_equal(a.body, b.body, {**env, a.var: b.var})
+    raise AssertionError(a)
+
+
+# subjects in which a mu binds a name again, or binds one that a
+# substituted value mentions
+REBINDING = [
+    "mu X . Unit + ((mu X . Unit + X) * X)",
+    "mu X . Unit + (mu Y . Unit + (X * Y))",
+    "mu Y . (mu X . Unit + (Y * X)) + (mu X . X -o Unit)",
+    "mu X . mu Y . Unit + (X * (Y * (mu X . Unit + (X * Y))))",
+]
+
+
+def subtypes(t):
+    """``t`` and every type inside it."""
+    out, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        out.append(s)
+        stack.extend(v for v in vars(s).values() if isinstance(v, Type))
+    return out
+
+
+def rename_mu_binders(t, suffix):
+    """``t`` with every mu binder renamed apart, by the shared substitution."""
+    if isinstance(t, Mu):
+        body = rename_mu_binders(t.body, suffix)
+        return Mu(t.var + suffix, subst_recvar(body, t.var, RecVar(t.var + suffix)))
+    if isinstance(t, (Fun, Tensor, Sum, Box)):
+        fields = {k: rename_mu_binders(v, suffix) if isinstance(v, Type) else v
+                  for k, v in vars(t).items()}
+        return type(t)(**fields)
+    return t
+
+
+def test_type_utilities_agree_with_reference_copies():
+    rng = random.Random(18)
+    cfg = L.TypeGenConfig(max_depth=4, allow_fun=True, allow_mu=True, allow_base=True)
+    subjects = [L.gen_type(cfg, rng) for _ in range(2_000)]
+    subjects += [rand_type(4, G.NAT_LE, rng) for _ in range(300)]
+    subjects += [parse_type(src) for src in REBINDING]
+    two = G.grade_nat(2, G.NAT_LE)
+    tyvar_subs = [{}, {"c": Unit()}, {"a": Box(two, TyVar("a"))},
+                  {"a": Base("Int"), "b": parse_type(LISTS)}]
+    mus = 0
+    for i, t in enumerate(subjects):
+        other = subjects[i - 1]
+        for sub in tyvar_subs:
+            assert subst_tyvars(t, sub) == ref_subst_tyvars(t, sub), (t, sub)
+        names = {s.var for s in subtypes(t) if isinstance(s, Mu)} | {"X", "Z"}
+        for s in subtypes(t):
+            if not isinstance(s, Mu):
+                continue
+            mus += 1
+            assert unroll_mu(s) == ref_unroll_mu(s), s
+            for value in [s, Unit(), *map(RecVar, sorted(names))]:
+                got = subst_recvar(s.body, s.var, value)
+                assert got == ref_subst_recvar(s.body, s.var, value), (s, value)
+            # the same body under a new binder: equal only if the old one is
+            # not used; renamed in the body: equal, inner mus of the old name
+            # stay shared
+            y = s.var + "'"
+            for b in (Mu(y, s.body), Mu(y, subst_recvar(s.body, s.var, RecVar(y)))):
+                assert types_equal(s, b) == ref_types_equal(s, b), (s, b)
+        copy = ref_subst_tyvars(t, {})
+        renamed = rename_mu_binders(t, "'")
+        pairs = [(t, t), (t, copy), (copy, t), (t, renamed), (renamed, t),
+                 (t, other), (other, t), (t, subst_tyvars(t, tyvar_subs[3]))]
+        if isinstance(t, Mu):
+            pairs += [(t, unroll_mu(t)), (unroll_mu(t), ref_unroll_mu(t))]
+        for a, b in pairs:
+            assert types_equal(a, b) == ref_types_equal(a, b), (a, b)
+        assert types_equal(t, renamed)
+    assert mus >= 1_000
 
 
 def test_free_vars_examples():
