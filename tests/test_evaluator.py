@@ -321,3 +321,9 @@ def test_reading_back_a_long_application_spine():
         assert t.arg == IntLit(0)
         t, args = t.fn, args + 1
     assert t == Var(nf.var) and args == 500
+
+
+def test_substituting_a_long_list_into_a_suspended_box():
+    xs = list(range(3_000))
+    nf = normalize(App(Lam("y", Promote(Var("y"))), int_list(xs)))
+    assert boxed_ints(nf) == xs
