@@ -130,6 +130,18 @@ def test_tokens_golden():
         assert g == w, f"golden entry differs: {w.splitlines()[0]}"
 
 
+def test_parse_golden():
+    """Every golden input parses as recorded, positions included; rewrite
+    the file with ``tests/golden/gen_parse.py`` only for an intended
+    change."""
+    from golden import gen_parse
+    want = re.split(r"(?m)^(?=== )", gen_parse.GOLDEN.read_text(encoding="utf-8"))[1:]
+    got = gen_parse.entries()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w, f"golden entry differs: {w.splitlines()[0]}"
+
+
 def test_trailing_blanks_lex_in_linear_time():
     """A lexer that rescans the blanks after each failed match takes
     seconds here."""
