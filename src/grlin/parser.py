@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import grades, syntax
 from .grades import Grade, GradeSyntaxError, NAT_EXACT, SEMIRINGS
 from .syntax import (
-    App, Base, Box, Case, Con, Derive, Fun, IntLit, Lam, LetRec, Mu, Pattern,
-    PBox, PCon, PInt, Pos, Promote, PVar, PWild, RecVar, Sum, Tensor, Term,
-    TyVar, Type, Unit, Var,
+    App, Base, Box, Case, Con, Derive, DERIVE_KINDS, Fun, INT, IntLit, Lam, LetRec,
+    Mu, Pattern, PBox, PCon, PInt, Pos, Promote, PVar, PWild, RecVar, RES, Sum,
+    Tensor, Term, TyVar, Type, UNIT, Unit, Var,
 )
 
 KEYWORDS = {
@@ -69,10 +68,18 @@ class ParseError(Exception):
         self.expected = expected
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT, INT, PRAGMA, punctuation text, or EOF
-    text: str
-    pos: Pos
+# (kind, text, line, col, file); kind is IDENT, INT, PRAGMA, the punctuation
+# text, or EOF
+Token = tuple[str, str, int, int, str]
+
+
+def _pos(t: Token) -> Pos:
+    return _tuple(Pos, (t[4], t[2], t[3]))
+
+
+def _expected(kind: str, t: Token) -> ParseError:
+    return ParseError(f"expected {kind!r}, found {t[1] or 'end of input'!r}", _pos(t),
+                      expected=(kind,))
 
 
 @dataclass
@@ -103,158 +110,186 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
     eof = len(text)  # the offset the EOF token's column counts to
     for m in _LEXEME.finditer(text):
         g = m.lastindex
-        # tuple.__new__ skips the Python-level __new__ of Token and Pos
         if g == _IDENT:
-            pos = _tuple(Pos, (file, line, m.start(g) - bol + 1))
-            append(_tuple(Token, ("IDENT", m[g], pos)))
+            append(("IDENT", m[g], line, m.start(g) - bol + 1, file))
         elif g == _PUNCT:
             p = m[g]
-            pos = _tuple(Pos, (file, line, m.start(g) - bol + 1))
-            append(_tuple(Token, (p, p, pos)))
+            append((p, p, line, m.start(g) - bol + 1, file))
         elif g == _NL:
             line += 1
             bol = m.end()
         elif g == _INT:
-            append(Token("INT", m[g], Pos(file, line, m.start(g) - bol + 1)))
+            append(("INT", m[g], line, m.start(g) - bol + 1, file))
         elif g == _COMMENT:
             if m.end() == eof:  # a comment that ends the text adds no columns
                 eof = m.start(g)
         elif g == _PRAGMA:
-            append(Token("PRAGMA", "#semiring", Pos(file, line, m.start(g) - bol + 1)))
+            append(("PRAGMA", "#semiring", line, m.start(g) - bol + 1, file))
             if m["SEMIRING"]:
-                append(Token("IDENT", m["SEMIRING"],
-                             Pos(file, line, m.start("SEMIRING") - bol + 1)))
+                append(("IDENT", m["SEMIRING"], line, m.start("SEMIRING") - bol + 1, file))
         elif g is not None:  # UIDENT or BAD; None is the end of the text
             c = m[g][0]
-            pos = Pos(file, line, m.start(g) - bol + 1)
+            col = m.start(g) - bol + 1
             if g == _UIDENT and c.isalpha():
-                append(Token("IDENT", m[g], pos))
+                append(("IDENT", m[g], line, col, file))
             elif c == "-":
-                raise ParseError(f"stray {c!r}", pos)
+                raise ParseError(f"stray {c!r}", Pos(file, line, col))
             else:
-                raise ParseError(f"unexpected character {c!r}", pos)
-    append(Token("EOF", "", Pos(file, line, eof - bol + 1)))
+                raise ParseError(f"unexpected character {c!r}", Pos(file, line, col))
+    append(("EOF", "", line, eof - bol + 1, file))
     return toks
 
 
 class _Cursor:
     """Reads a token list that ends in an EOF token, which ``next`` never
-    passes."""
+    passes. The type and term parsers read ``toks`` at ``i`` directly and
+    store ``i`` back before they return or call the pattern parser."""
 
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        # callers look ahead only from a token that is not EOF
-        return self.toks[self.i + ahead]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
         t = self.toks[self.i]
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             self.i += 1
         return t
 
     def expect(self, kind: str) -> Token:
         t = self.toks[self.i]
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}",
-                             t.pos, expected=(kind,))
+        if t[0] != kind:
+            raise _expected(kind, t)
         return self.next()
 
     def at(self, kind: str) -> bool:
-        return self.toks[self.i].kind == kind
+        return self.toks[self.i][0] == kind
 
     def at_end(self) -> bool:
-        return self.toks[self.i].kind == "EOF"
+        return self.toks[self.i][0] == "EOF"
 
 
 # ---------------------------------------------------------------------------
 # Types and grades
 # ---------------------------------------------------------------------------
 
-def _parse_grade_tokens(c: _Cursor, sr: str) -> Grade:
-    start = c.peek()
+# Frames of the type parser: what a type being read will be part of.
+_TPAREN = 0  # (_TPAREN,): the inside of "( ... )"
+_TMU = 1  # (_TMU, var): the body of "mu var . ..."
+_TFUN = 2  # (_TFUN, arg): the result of "arg -o ..."
+_TCHAIN = 3  # [_TCHAIN, op, operands]: the next operand of "a op b op ..."
+
+
+def _parse_grade(toks: list[Token], i: int, sr: str) -> tuple[Grade, int]:
+    """The grade whose tokens run from ``toks[i]`` up to ``]`` or the end."""
+    start = toks[i]
     parts: list[str] = []
-    while not c.at("]") and not c.at_end():
-        parts.append(c.next().text)
-    text = "".join(parts)
+    while toks[i][0] != "]" and toks[i][0] != "EOF":
+        parts.append(toks[i][1])
+        i += 1
     try:
-        return grades.parse_grade(text, sr)
+        return grades.parse_grade("".join(parts), sr), i
     except GradeSyntaxError as e:
-        raise ParseError(str(e), start.pos) from e
+        raise ParseError(str(e), _pos(start)) from e
 
 
-def _parse_atype(c: _Cursor, sr: str) -> Type:
-    ty = _parse_atype_core(c, sr)
-    while c.at("["):
-        c.next()
-        g = _parse_grade_tokens(c, sr)
-        c.expect("]")
-        ty = Box(g, ty)
-    return ty
+def _parse_type(c: _Cursor, sr: str, core: bool = False) -> Type:
+    """A type, or with ``core`` an atomic type without the box postfix.
 
-
-def _parse_atype_core(c: _Cursor, sr: str) -> Type:
-    t = c.peek()
-    if t.kind == "(":
-        c.next()
-        inner = _parse_type(c, sr)
-        c.expect(")")
-        ty = inner
-    elif t.kind == "IDENT":
-        c.next()
-        if t.text == "Unit":
-            ty = Unit()
-        elif t.text == "Int":
-            ty = Base("Int")
-        elif t.text == "Res":
-            ty = Base("Res")
-        elif t.text == "mu":
-            var = c.expect("IDENT")
-            if not var.text[0].isupper():
-                raise ParseError("recursion variables are capitalized", var.pos)
-            c.expect(".")
-            body = _parse_type(c, sr)
-            ty = Mu(var.text, body)
-        elif t.text in KEYWORDS:
-            raise ParseError(f"keyword {t.text!r} is not a type", t.pos)
-        elif t.text[0].isupper():
-            ty = RecVar(t.text)
+    ``type ::= btype ['-o' type]``, ``btype ::= atype (op atype)*`` with
+    one op, ``*`` or ``+``, per chain, and ``atype ::= core ('[' grade
+    ']')*``. A core is a name, ``( type )`` or ``mu X . type``."""
+    toks = c.toks
+    i = c.i
+    stack: list = []
+    while True:
+        # Read a core, opening a frame for each "(" and "mu X ." before it.
+        t = toks[i]
+        kind = t[0]
+        if kind == "(":
+            stack.append((_TPAREN,))
+            i += 1
+            continue
+        if kind != "IDENT":
+            raise ParseError(f"expected a type, found {t[1] or 'end of input'!r}", _pos(t))
+        text = t[1]
+        i += 1
+        if text == "Unit":
+            ty = UNIT
+        elif text == "Int":
+            ty = INT
+        elif text == "Res":
+            ty = RES
+        elif text == "mu":
+            var = toks[i]
+            if var[0] != "IDENT":
+                raise _expected("IDENT", var)
+            if not var[1][0].isupper():
+                raise ParseError("recursion variables are capitalized", _pos(var))
+            if toks[i + 1][0] != ".":
+                raise _expected(".", toks[i + 1])
+            stack.append((_TMU, var[1]))
+            i += 2
+            continue
+        elif text in KEYWORDS:
+            raise ParseError(f"keyword {text!r} is not a type", _pos(t))
+        elif text[0].isupper():
+            ty = RecVar(text)
         else:
-            ty = TyVar(t.text)
-    else:
-        raise ParseError(f"expected a type, found {t.text or 'end of input'!r}", t.pos)
-    return ty
-
-
-def _parse_btype(c: _Cursor, sr: str) -> Type:
-    first = _parse_atype(c, sr)
-    op = None
-    operands = [first]
-    while c.at("*") or c.at("+"):
-        t = c.next()
-        if op is None:
-            op = t.kind
-        elif t.kind != op:
-            raise ParseError("cannot mix * and + without parentheses", t.pos)
-        operands.append(_parse_atype(c, sr))
-    if op is None:
-        return first
-    ctor = Tensor if op == "*" else Sum
-    ty = operands[-1]
-    for operand in reversed(operands[:-1]):
-        ty = ctor(operand, ty)
-    return ty
-
-
-def _parse_type(c: _Cursor, sr: str) -> Type:
-    left = _parse_btype(c, sr)
-    if c.at("-o"):
-        c.next()
-        right = _parse_type(c, sr)
-        return Fun(left, right)
-    return left
+            ty = TyVar(text)
+        # ty is a core. Close the frames it completes, until one needs more.
+        while True:
+            if core and not stack:
+                c.i = i
+                return ty
+            while toks[i][0] == "[":
+                g, i = _parse_grade(toks, i + 1, sr)
+                if toks[i][0] != "]":
+                    raise _expected("]", toks[i])
+                i += 1
+                ty = Box(g, ty)
+            # ty is an atype
+            kind = toks[i][0]
+            op = kind == "*" or kind == "+"
+            if stack and stack[-1][0] == _TCHAIN:
+                frame = stack[-1]
+                frame[2].append(ty)
+                if op:
+                    if kind != frame[1]:
+                        raise ParseError("cannot mix * and + without parentheses",
+                                         _pos(toks[i]))
+                    i += 1
+                    break
+                stack.pop()
+                operands = frame[2]
+                ctor = Tensor if frame[1] == "*" else Sum
+                ty = operands.pop()
+                while operands:
+                    ty = ctor(operands.pop(), ty)
+            elif op:
+                stack.append([_TCHAIN, kind, [ty]])
+                i += 1
+                break
+            # ty is a btype
+            if kind == "-o":
+                stack.append((_TFUN, ty))
+                i += 1
+                break
+            # ty is a type
+            while stack and stack[-1][0] == _TFUN:
+                ty = Fun(stack.pop()[1], ty)
+            if not stack:
+                c.i = i
+                return ty
+            frame = stack.pop()
+            if frame[0] == _TPAREN:
+                if toks[i][0] != ")":
+                    raise _expected(")", toks[i])
+                i += 1
+            else:
+                ty = Mu(frame[1], ty)
 
 
 def _wellformed(ty: Type, pos: Pos) -> Type:
@@ -270,8 +305,8 @@ def parse_type(text: str, sr: str = NAT_EXACT, file: str = "<type>") -> Type:
     ty = _parse_type(c, sr)
     if not c.at_end():
         t = c.peek()
-        raise ParseError(f"unexpected {t.text!r} after type", t.pos)
-    return _wellformed(ty, c.toks[0].pos)
+        raise ParseError(f"unexpected {t[1]!r} after type", _pos(t))
+    return _wellformed(ty, _pos(c.toks[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -280,146 +315,219 @@ def parse_type(text: str, sr: str = NAT_EXACT, file: str = "<type>") -> Type:
 
 def _int_literal(t: Token) -> int:
     try:
-        return int(t.text)
+        return int(t[1])
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise ParseError(f"integer literal too long ({len(t.text)} digits)", t.pos) from None
+        raise ParseError(f"integer literal too long ({len(t[1])} digits)", _pos(t)) from None
 
 
 def _parse_pattern(c: _Cursor) -> Pattern:
     t = c.peek()
-    if t.kind == "INT":
+    kind = t[0]
+    if kind == "INT":
         c.next()
-        return PInt(_int_literal(t), t.pos)
-    if t.kind == "[":
+        return PInt(_int_literal(t), _pos(t))
+    if kind == "[":
         c.next()
         inner = _parse_pattern(c)
         c.expect("]")
-        return PBox(inner, t.pos)
-    if t.kind == "(":
+        return PBox(inner, _pos(t))
+    if kind == "(":
         c.next()
         first = _parse_pattern(c)
         if c.at(","):
             c.next()
             second = _parse_pattern(c)
             c.expect(")")
-            return PCon(",", (first, second), t.pos)
+            return PCon(",", (first, second), _pos(t))
         c.expect(")")
         return first
-    if t.kind == "IDENT":
+    if kind == "IDENT":
         c.next()
-        if t.text == "_":
-            return PWild(t.pos)
-        if t.text == "unit":
-            return PCon("unit", (), t.pos)
-        if t.text == "inl":
-            return PCon("inl", (_parse_pattern(c),), t.pos)
-        if t.text == "inr":
-            return PCon("inr", (_parse_pattern(c),), t.pos)
-        if t.text in KEYWORDS:
-            raise ParseError(f"keyword {t.text!r} is not a pattern", t.pos)
-        return PVar(t.text, t.pos)
-    raise ParseError(f"expected a pattern, found {t.text or 'end of input'!r}", t.pos)
+        text = t[1]
+        if text == "_":
+            return PWild(_pos(t))
+        if text == "unit":
+            return PCon("unit", (), _pos(t))
+        if text == "inl" or text == "inr":
+            return PCon(text, (_parse_pattern(c),), _pos(t))
+        if text in KEYWORDS:
+            raise ParseError(f"keyword {text!r} is not a pattern", _pos(t))
+        return PVar(text, _pos(t))
+    raise ParseError(f"expected a pattern, found {t[1] or 'end of input'!r}", _pos(t))
+
+
+# Frames of the term parser: what a term being read will be part of.
+_LAM = 0  # (_LAM, var, pos): the body of "\var -> ..."
+_LETREC = 1  # (_LETREC, var, pos): the bound term of "letrec var = ... in"
+_LETREC_IN = 2  # (_LETREC_IN, var, pos, bound): the body after "in"
+_CASE = 3  # (_CASE, pos): the scrutinee of "case ... of"
+_ALT = 4  # (_ALT, pos, scrutinee, branches, pattern): a branch's body
+_PAREN = 5  # (_PAREN, pos): the inside of "( ... )", or a pair's first half
+_PAIR = 6  # (_PAIR, pos, first): a pair's second half
+_PROMOTE = 7  # (_PROMOTE, pos): the inside of "[ ... ]"
+_APP = 8  # (_APP, fn): the next argument applied to fn
+_INJ = 9  # (_INJ, con, pos): the atom after "inl" or "inr"
+
+# identifiers that never start an atom
+_NOT_ATOM = frozenset({"case", "letrec", "of", "in", "mu"})
+
+
+def _parse_alt(c: _Cursor, i: int) -> tuple[Pattern, int]:
+    """The pattern of a case branch at ``toks[i]`` and the index of the
+    branch's body, after the "->"."""
+    c.i = i
+    pat = _parse_pattern(c)
+    c.expect("->")
+    return pat, c.i
 
 
 def _parse_term(c: _Cursor, sr: str) -> Term:
-    t = c.peek()
-    if t.kind == "\\":
-        c.next()
-        var = c.expect("IDENT")
-        c.expect("->")
-        body = _parse_term(c, sr)
-        return Lam(var.text, body, t.pos)
-    if t.kind == "IDENT" and t.text == "letrec":
-        c.next()
-        var = c.expect("IDENT")
-        c.expect("=")
-        bound = _parse_term(c, sr)
-        inkw = c.expect("IDENT")
-        if inkw.text != "in":
-            raise ParseError("expected 'in'", inkw.pos)
-        body = _parse_term(c, sr)
-        return LetRec(var.text, bound, body, t.pos)
-    if t.kind == "IDENT" and t.text == "case":
-        c.next()
-        scrut = _parse_term(c, sr)
-        ofkw = c.expect("IDENT")
-        if ofkw.text != "of":
-            raise ParseError("expected 'of'", ofkw.pos)
-        branches = [_parse_alt(c, sr)]
-        while c.at(";"):
-            c.next()
-            branches.append(_parse_alt(c, sr))
-        return Case(scrut, tuple(branches), t.pos)
-    return _parse_app(c, sr)
-
-
-def _parse_alt(c: _Cursor, sr: str) -> tuple[Pattern, Term]:
-    pat = _parse_pattern(c)
-    c.expect("->")
-    body = _parse_term(c, sr)
-    return (pat, body)
-
-
-def _starts_atom(c: _Cursor) -> bool:
-    t = c.peek()
-    if t.kind in ("INT", "(", "["):
-        return True
-    if t.kind == "IDENT":
-        if t.text in ("case", "letrec", "of", "in", "mu"):
-            return False
-        # a new top-level declaration is never absorbed as an argument
-        if t.pos.col == 1 and c.peek(1).kind in (":", "="):
-            return False
-        return True
-    return False
-
-
-def _parse_app(c: _Cursor, sr: str) -> Term:
-    term = _parse_atom(c, sr)
-    while _starts_atom(c):
-        arg = _parse_atom(c, sr)
-        term = App(term, arg, term.pos)
-    return term
-
-
-def _parse_atom(c: _Cursor, sr: str) -> Term:
-    t = c.peek()
-    if t.kind == "INT":
-        c.next()
-        return IntLit(_int_literal(t), t.pos)
-    if t.kind == "[":
-        c.next()
-        inner = _parse_term(c, sr)
-        c.expect("]")
-        return Promote(inner, t.pos)
-    if t.kind == "(":
-        c.next()
-        first = _parse_term(c, sr)
-        if c.at(","):
-            c.next()
-            second = _parse_term(c, sr)
-            c.expect(")")
-            return Con(",", (first, second), t.pos)
-        c.expect(")")
-        return first
-    if t.kind == "IDENT":
-        if t.text in syntax.DERIVE_KINDS:
-            c.next()
-            c.expect("@")
-            # no box postfix here: a following [t] is an application argument
-            at = _wellformed(_parse_atype_core(c, sr), t.pos)
-            return Derive(t.text, at, t.pos)
-        c.next()
-        if t.text == "unit":
-            return Con("unit", (), t.pos)
-        if t.text == "inl":
-            return Con("inl", (_parse_atom(c, sr),), t.pos)
-        if t.text == "inr":
-            return Con("inr", (_parse_atom(c, sr),), t.pos)
-        if t.text in KEYWORDS:
-            raise ParseError(f"keyword {t.text!r} is not a term", t.pos)
-        return Var(t.text, t.pos)
-    raise ParseError(f"expected a term, found {t.text or 'end of input'!r}", t.pos)
+    """A term: ``\\x -> term``, ``letrec x = term in term``, ``case term of
+    pat -> term (; pat -> term)*``, or an application ``atom atom*``. An
+    atom is a name, an integer, ``unit``, ``inl atom``, ``inr atom``,
+    ``[term]``, ``(term)``, ``(term, term)`` or ``kind @core``. Each
+    construct still open is a frame on ``stack``."""
+    toks = c.toks
+    i = c.i
+    stack: list = []
+    push = stack.append
+    term_starts = True  # a term starts at toks[i], else an atom
+    while True:
+        # Read an atom, opening a frame for each construct that encloses it.
+        t = toks[i]
+        kind = t[0]
+        if kind == "IDENT":
+            text = t[1]
+            if term_starts and (text == "letrec" or text == "case"):
+                if text == "case":
+                    push((_CASE, _pos(t)))
+                    i += 1
+                    continue
+                var = toks[i + 1]
+                if var[0] != "IDENT":
+                    raise _expected("IDENT", var)
+                if toks[i + 2][0] != "=":
+                    raise _expected("=", toks[i + 2])
+                push((_LETREC, var[1], _pos(t)))
+                i += 3
+                continue
+            i += 1
+            if text in DERIVE_KINDS:
+                if toks[i][0] != "@":
+                    raise _expected("@", toks[i])
+                c.i = i + 1
+                # no box postfix here: a following [t] is an application argument
+                term = Derive(text, _wellformed(_parse_type(c, sr, core=True), _pos(t)), _pos(t))
+                i = c.i
+            elif text == "unit":
+                term = Con("unit", (), _pos(t))
+            elif text == "inl" or text == "inr":
+                push((_INJ, text, _pos(t)))
+                term_starts = False
+                continue
+            elif text in KEYWORDS:
+                raise ParseError(f"keyword {text!r} is not a term", _pos(t))
+            else:
+                term = Var(text, _pos(t))
+        elif kind == "INT":
+            term = IntLit(_int_literal(t), _pos(t))
+            i += 1
+        elif kind == "(" or kind == "[":
+            push((_PAREN if kind == "(" else _PROMOTE, _pos(t)))
+            i += 1
+            term_starts = True
+            continue
+        elif kind == "\\" and term_starts:
+            var = toks[i + 1]
+            if var[0] != "IDENT":
+                raise _expected("IDENT", var)
+            if toks[i + 2][0] != "->":
+                raise _expected("->", toks[i + 2])
+            push((_LAM, var[1], _pos(t)))
+            i += 3
+            continue
+        else:
+            raise ParseError(f"expected a term, found {t[1] or 'end of input'!r}", _pos(t))
+        # term is an atom. Close the frames it completes, until one needs more.
+        atom = True
+        while True:
+            if atom:
+                while stack and stack[-1][0] == _INJ:
+                    frame = stack.pop()
+                    term = Con(frame[1], (term,), frame[2])
+                if stack and stack[-1][0] == _APP:
+                    fn = stack.pop()[1]
+                    term = App(fn, term, fn.pos)
+                # term is an application; an atom that follows is its argument
+                t = toks[i]
+                kind = t[0]
+                if (kind == "INT" or kind == "(" or kind == "["
+                        or kind == "IDENT" and t[1] not in _NOT_ATOM
+                        # a new top-level declaration is never an argument
+                        and not (t[3] == 1 and toks[i + 1][0] in (":", "="))):
+                    push((_APP, term))
+                    term_starts = False
+                    break
+            # term is a term
+            if not stack:
+                c.i = i
+                return term
+            frame = stack[-1]
+            tag = frame[0]
+            atom = False
+            if tag == _LAM:
+                stack.pop()
+                term = Lam(frame[1], term, frame[2])
+            elif tag == _LETREC_IN:
+                stack.pop()
+                term = LetRec(frame[1], frame[3], term, frame[2])
+            elif tag == _ALT:
+                frame[3].append((frame[4], term))
+                if toks[i][0] != ";":
+                    stack.pop()
+                    term = Case(frame[2], tuple(frame[3]), frame[1])
+                    continue
+                pat, i = _parse_alt(c, i + 1)
+                stack[-1] = (_ALT, frame[1], frame[2], frame[3], pat)
+                term_starts = True
+                break
+            elif tag == _PAREN or tag == _PAIR:
+                t = toks[i]
+                if tag == _PAREN and t[0] == ",":
+                    stack[-1] = (_PAIR, frame[1], term)
+                    i += 1
+                    term_starts = True
+                    break
+                if t[0] != ")":
+                    raise _expected(")", t)
+                i += 1
+                stack.pop()
+                if tag == _PAIR:
+                    term = Con(",", (frame[2], term), frame[1])
+                atom = True
+            elif tag == _PROMOTE:
+                if toks[i][0] != "]":
+                    raise _expected("]", toks[i])
+                i += 1
+                stack.pop()
+                term = Promote(term, frame[1])
+                atom = True
+            else:  # _LETREC or _CASE: the keyword that ends the term comes next
+                t = toks[i]
+                if t[0] != "IDENT":
+                    raise _expected("IDENT", t)
+                if tag == _LETREC:
+                    if t[1] != "in":
+                        raise ParseError("expected 'in'", _pos(t))
+                    stack[-1] = (_LETREC_IN, frame[1], frame[2], term)
+                    i += 1
+                else:
+                    if t[1] != "of":
+                        raise ParseError("expected 'of'", _pos(t))
+                    pat, i = _parse_alt(c, i + 1)
+                    stack[-1] = (_ALT, frame[1], term, [], pat)
+                term_starts = True
+                break
 
 
 def parse_term(text: str, sr: str = NAT_EXACT, file: str = "<term>") -> Term:
@@ -427,7 +535,7 @@ def parse_term(text: str, sr: str = NAT_EXACT, file: str = "<term>") -> Term:
     term = _parse_term(c, sr)
     if not c.at_end():
         t = c.peek()
-        raise ParseError(f"unexpected {t.text!r} after term", t.pos)
+        raise ParseError(f"unexpected {t[1]!r} after term", _pos(t))
     return term
 
 
@@ -439,8 +547,8 @@ def _split_items(toks: list[Token]) -> list[list[Token]]:
     """The declarations in ``toks``, without its final EOF token. Each but
     the first starts at an IDENT in column 1 followed by ':' or '='."""
     heads = [i for i, t in enumerate(toks)
-             if t.pos.col == 1 and i > 0 and t.kind == "IDENT"
-             and toks[i + 1].kind in (":", "=")]
+             if t[3] == 1 and i > 0 and t[0] == "IDENT"
+             and toks[i + 1][0] in (":", "=")]
     cuts = [0, *heads, len(toks) - 1]
     return [toks[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
 
@@ -449,50 +557,52 @@ def parse_program(text: str, file: str = "<input>") -> SourceProgram:
     toks = tokenize(text, file)
     sr = NAT_EXACT
     idx = 0
-    if toks and toks[0].kind == "PRAGMA":
+    if toks and toks[0][0] == "PRAGMA":
         name = toks[1]
-        if name.kind != "IDENT" or name.text not in SEMIRINGS:
+        if name[0] != "IDENT" or name[1] not in SEMIRINGS:
             raise ParseError(
-                f"unknown semiring {name.text!r} (expected one of {', '.join(SEMIRINGS)})",
-                name.pos)
-        sr = name.text
+                f"unknown semiring {name[1]!r} (expected one of {', '.join(SEMIRINGS)})",
+                _pos(name))
+        sr = name[1]
         idx = 2
     for t in toks[idx:]:
-        if t.kind == "PRAGMA":
-            raise ParseError("only one #semiring pragma is allowed, at the top", t.pos)
+        if t[0] == "PRAGMA":
+            raise ParseError("only one #semiring pragma is allowed, at the top", _pos(t))
 
     items = _split_items(toks[idx:])
     decls: list[Decl] = []
     pending: tuple[str, Type, Pos] | None = None
     for item in items:
-        item.append(Token("EOF", "", item[-1].pos))
+        last = item[-1]
+        item.append(("EOF", "", last[2], last[3], last[4]))
         c = _Cursor(item)
         name = c.expect("IDENT")
         if c.at(":"):
             if pending is not None:
-                raise ParseError(f"signature {pending[0]!r} has no definition", name.pos)
+                raise ParseError(f"signature {pending[0]!r} has no definition", _pos(name))
             c.next()
             ty = _parse_type(c, sr)
             if not c.at_end():
                 t = c.peek()
-                raise ParseError(f"unexpected {t.text!r} after type", t.pos)
-            pending = (name.text, _wellformed(ty, name.pos), name.pos)
+                raise ParseError(f"unexpected {t[1]!r} after type", _pos(t))
+            pos = _pos(name)
+            pending = (name[1], _wellformed(ty, pos), pos)
         elif c.at("="):
             c.next()
             if pending is None:
-                raise ParseError(f"definition {name.text!r} has no signature", name.pos)
-            if pending[0] != name.text:
+                raise ParseError(f"definition {name[1]!r} has no signature", _pos(name))
+            if pending[0] != name[1]:
                 raise ParseError(
-                    f"definition {name.text!r} does not match signature {pending[0]!r}",
-                    name.pos)
+                    f"definition {name[1]!r} does not match signature {pending[0]!r}",
+                    _pos(name))
             body = _parse_term(c, sr)
             if not c.at_end():
                 t = c.peek()
-                raise ParseError(f"unexpected {t.text!r} after definition", t.pos)
-            decls.append(Decl(name.text, pending[1], body, pending[2]))
+                raise ParseError(f"unexpected {t[1]!r} after definition", _pos(t))
+            decls.append(Decl(name[1], pending[1], body, pending[2]))
             pending = None
         else:
-            raise ParseError("expected ':' or '=' after name", name.pos)
+            raise ParseError("expected ':' or '=' after name", _pos(name))
     if pending is not None:
         raise ParseError(f"signature {pending[0]!r} has no definition", pending[2])
     return SourceProgram(sr, decls, file)
@@ -559,59 +669,76 @@ def pretty_pattern(p: Pattern) -> str:
 
 
 def pretty_term(t: Term) -> str:
-    return _ptm(t, 0)
-
-
-def _ptm(t: Term, prec: int) -> str:
-    # prec: 0 = open position, 1 = application head/argument-ish, 2 = atom
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, IntLit):
-        return str(t.value)
-    if isinstance(t, Promote):
-        return f"[{_ptm(t.body, 0)}]"
-    if isinstance(t, Derive):
-        at = _pt(t.at, 2)
-        if isinstance(t.at, Box):
-            at = f"({at})"
-        return f"{t.kind} @{at}"
-    if isinstance(t, Con):
-        if t.con == "unit":
-            return "unit"
-        if t.con == ",":
-            return f"({_ptm(t.args[0], 0)}, {_ptm(t.args[1], 0)})"
-        s = f"{t.con} {_ptm(t.args[0], 2)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(t, App):
-        s = f"{_ptm(t.fn, 1)} {_ptm(t.arg, 2)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(t, Lam):
-        s = f"\\{t.var} -> {_ptm(t.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(t, LetRec):
-        s = f"letrec {t.var} = {_ptm(t.bound, 0)} in {_ptm(t.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(t, Case):
-        parts = []
-        for i, (p, b) in enumerate(t.branches):
-            body = _ptm(b, 0)
-            # a case (or a term ending in one) would swallow later branches
-            if i + 1 < len(t.branches) and _ends_open(b):
-                body = f"({body})"
-            parts.append(f"{pretty_pattern(p)} -> {body}")
-        s = f"case {_ptm(t.scrutinee, 1)} of {'; '.join(parts)}"
-        return f"({s})" if prec > 0 else s
-    raise AssertionError(f"unhandled term: {t}")
+    # prec: 0 = open position, 1 = application head/argument-ish, 2 = atom.
+    # ``todo`` holds what is left to write, last piece first: strings and
+    # (term, prec) pairs.
+    out: list[str] = []
+    todo: list = [(t, 0)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        t, prec = item
+        if isinstance(t, Var):
+            out.append(t.name)
+            continue
+        if isinstance(t, IntLit):
+            out.append(str(t.value))
+            continue
+        if isinstance(t, Derive):
+            at = _pt(t.at, 2)
+            if isinstance(t.at, Box):
+                at = f"({at})"
+            out.append(f"{t.kind} @{at}")
+            continue
+        wrap = False
+        if isinstance(t, Promote):
+            parts = ["[", (t.body, 0), "]"]
+        elif isinstance(t, Con):
+            if t.con == "unit":
+                out.append("unit")
+                continue
+            if t.con == ",":
+                parts = ["(", (t.args[0], 0), ", ", (t.args[1], 0), ")"]
+            else:
+                parts = [f"{t.con} ", (t.args[0], 2)]
+                wrap = prec > 1
+        elif isinstance(t, App):
+            parts = [(t.fn, 1), " ", (t.arg, 2)]
+            wrap = prec > 1
+        elif isinstance(t, Lam):
+            parts = [f"\\{t.var} -> ", (t.body, 0)]
+            wrap = prec > 0
+        elif isinstance(t, LetRec):
+            parts = [f"letrec {t.var} = ", (t.bound, 0), " in ", (t.body, 0)]
+            wrap = prec > 0
+        elif isinstance(t, Case):
+            parts = ["case ", (t.scrutinee, 1), " of "]
+            last = len(t.branches) - 1
+            for i, (p, b) in enumerate(t.branches):
+                if i:
+                    parts.append("; ")
+                parts.append(f"{pretty_pattern(p)} -> ")
+                # a case (or a term ending in one) would swallow later branches
+                if i < last and _ends_open(b):
+                    parts += ["(", (b, 0), ")"]
+                else:
+                    parts.append((b, 0))
+            wrap = prec > 0
+        else:
+            raise AssertionError(f"unhandled term: {t}")
+        if wrap:
+            out.append("(")
+            todo.append(")")
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def _ends_open(t: Term) -> bool:
-    if isinstance(t, Case):
-        return True
-    if isinstance(t, Lam):
-        return _ends_open(t.body)
-    if isinstance(t, LetRec):
-        return _ends_open(t.body)
-    return False
+    while isinstance(t, (Lam, LetRec)):
+        t = t.body
+    return isinstance(t, Case)
 
 
 def pretty(x) -> str:

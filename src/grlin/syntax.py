@@ -101,24 +101,27 @@ class IllFormedType(Exception):
 
 
 def check_wellformed(t: Type) -> None:
-    """Every recursion variable must be bound by an enclosing mu binder."""
-    _check_bound(t, frozenset())
-
-
-def _check_bound(t: Type, bound: frozenset[str]) -> None:
-    if isinstance(t, RecVar):
-        if t.name not in bound:
-            raise IllFormedType(f"unbound recursion variable {t.name}")
-    elif isinstance(t, Mu):
-        _check_bound(t.body, bound | {t.var})
-    elif isinstance(t, Fun):
-        _check_bound(t.arg, bound)
-        _check_bound(t.res, bound)
-    elif isinstance(t, (Tensor, Sum)):
-        _check_bound(t.left, bound)
-        _check_bound(t.right, bound)
-    elif isinstance(t, Box):
-        _check_bound(t.body, bound)
+    """Every recursion variable must be bound by an enclosing mu binder.
+    The first unbound one, left to right, is reported."""
+    bound: list[str] = []  # the binders around the type on top of ``todo``
+    todo: list = [t]  # None closes the scope of the innermost binder
+    while todo:
+        t = todo.pop()
+        c = t.__class__
+        if c is RecVar:
+            if t.name not in bound:
+                raise IllFormedType(f"unbound recursion variable {t.name}")
+        elif c is Fun:
+            todo += (t.res, t.arg)
+        elif c is Tensor or c is Sum:
+            todo += (t.right, t.left)
+        elif c is Box:
+            todo.append(t.body)
+        elif c is Mu:
+            bound.append(t.var)
+            todo += (None, t.body)
+        elif t is None:
+            bound.pop()
 
 
 def free_tyvars(t: Type) -> set[str]:

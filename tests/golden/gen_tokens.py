@@ -79,9 +79,9 @@ def entry(header: str, text: str) -> str:
     except ParseError as e:
         lines.append(f"!! {e.pos.line}:{e.pos.col} {e.message}")
     else:
-        for t in toks:
-            shown = "" if t.kind in (t.text, "EOF") else f" {t.text!r}"
-            lines.append(f"{t.pos.line}:{t.pos.col} {t.kind}{shown}")
+        for kind, text, line, col, _ in toks:
+            shown = "" if kind in (text, "EOF") else f" {text!r}"
+            lines.append(f"{line}:{col} {kind}{shown}")
     return "\n".join(lines) + "\n"
 
 

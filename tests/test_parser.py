@@ -13,7 +13,8 @@ from grlin.parser import (
     tokenize,
 )
 from grlin.syntax import (
-    Box, Case, Derive, Fun, Lam, Mu, PBox, Sum, Tensor, TyVar, alpha_eq,
+    Box, Case, Con, Derive, Fun, IntLit, Lam, Mu, PBox, Pos, Sum, Tensor, TyVar,
+    Var, alpha_eq,
 )
 
 
@@ -148,4 +149,47 @@ def test_trailing_blanks_lex_in_linear_time():
     start = time.perf_counter()
     toks = tokenize("x" + " \t\r" * 30_000)
     assert time.perf_counter() - start < 0.5
-    assert [(t.kind, t.pos.col) for t in toks] == [("IDENT", 1), ("EOF", 90_002)]
+    assert [(t[0], t[3]) for t in toks] == [("IDENT", 1), ("EOF", 90_002)]
+
+
+# Deep inputs, read under the default recursion limit.
+DEEP = 10_240
+
+
+def list_literal(n: int) -> str:
+    """The Int list 0, 1, ..., n - 1 as ``grlin run`` prints it."""
+    return "".join(f"inr ({x}, " for x in range(n)) + "inl unit" + ")" * n
+
+
+def test_deep_list_literal_parses():
+    text = list_literal(DEEP)
+    prog = parse_program(f"main : mu X . Unit + (Int * X)\nmain = {text}\n")
+    for term, line, col in ((parse_term(text), 1, 1), (prog.decls[0].body, 2, 8)):
+        xs = []
+        while term.con == "inr":
+            head, term = term.args[0].args
+            xs.append(head.value)
+        assert xs == list(range(DEEP))
+        assert term == Con("inl", (Con("unit", ()),))
+        assert term.pos[1:] == (line, col + len(text) - DEEP - len("inl unit"))
+
+
+def test_deep_list_prints():
+    term = Con("inl", (Con("unit", ()),))
+    for x in reversed(range(DEEP)):
+        term = Con("inr", (Con(",", (IntLit(x), term)),))
+    text = pretty_term(term)
+    assert text.startswith("inr (0, inr (1, ")
+    assert text == list_literal(DEEP)
+
+
+def test_deep_types_and_parentheses_parse():
+    ty = parse_type(" -o ".join(["a"] * 10_001))
+    arrows = 0
+    while isinstance(ty, Fun):
+        assert ty.arg == TyVar("a")
+        ty, arrows = ty.res, arrows + 1
+    assert (arrows, ty) == (10_000, TyVar("a"))
+    assert parse_type("(" * 10_000 + "a" + ")" * 10_000) == TyVar("a")
+    x = parse_term("(" * 10_000 + "x" + ")" * 10_000)
+    assert (x, x.pos) == (Var("x"), Pos("<term>", 1, 10_001))
