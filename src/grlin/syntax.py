@@ -283,17 +283,19 @@ def _count(t: Type, env: dict[str, int]) -> int:
 
 def types_equal(a: Type, b: Type) -> bool:
     """Structural equality up to renaming of mu binders."""
-    return _types_equal(a, b, {})
+    return _types_equal(a, b, {}, {}, 0)
 
 
-def _types_equal(a: Type, b: Type, env: dict[str, str]) -> bool:
-    """``env`` maps each mu binder of ``a`` to the binder of ``b`` it is
-    renamed to; a binder that both sides name alike is left out of it, so a
-    type compared with itself under no renaming answers at once."""
-    if a is b and not env:
+def _types_equal(a: Type, b: Type, la: dict[str, int], lb: dict[str, int],
+                 depth: int) -> bool:
+    """``la``/``lb`` map each name a mu binds on that side to the depth of
+    its innermost binder; ``depth`` counts the mu binders crossed, as in
+    ``_alpha``. Where the two maps agree, a type compared with itself
+    answers at once."""
+    if a is b and la == lb:
         return True
     if isinstance(a, RecVar) and isinstance(b, RecVar):
-        return env.get(a.name, a.name) == b.name
+        return la.get(a.name, a.name) == lb.get(b.name, b.name)
     if type(a) is not type(b):
         return False
     if isinstance(a, Unit):
@@ -301,15 +303,16 @@ def _types_equal(a: Type, b: Type, env: dict[str, str]) -> bool:
     if isinstance(a, (TyVar, Base)):
         return a.name == b.name
     if isinstance(a, Fun):
-        return _types_equal(a.arg, b.arg, env) and _types_equal(a.res, b.res, env)
+        return (_types_equal(a.arg, b.arg, la, lb, depth)
+                and _types_equal(a.res, b.res, la, lb, depth))
     if isinstance(a, (Tensor, Sum)):
-        return _types_equal(a.left, b.left, env) and _types_equal(a.right, b.right, env)
+        return (_types_equal(a.left, b.left, la, lb, depth)
+                and _types_equal(a.right, b.right, la, lb, depth))
     if isinstance(a, Box):
-        return a.grade == b.grade and _types_equal(a.body, b.body, env)
+        return a.grade == b.grade and _types_equal(a.body, b.body, la, lb, depth)
     if isinstance(a, Mu):
-        if a.var != b.var or a.var in env:
-            env = {**env, a.var: b.var}
-        return _types_equal(a.body, b.body, env)
+        return _types_equal(a.body, b.body, {**la, a.var: depth}, {**lb, b.var: depth},
+                            depth + 1)
     raise AssertionError(f"unhandled type: {a}")
 
 

@@ -232,6 +232,20 @@ def test_unbound_recursion_variable_in_a_derive_subject(capsys, tmp_path):
         == (1, "", "<type>:1:1: SYNTAX: unbound recursion variable X\n")
 
 
+def test_a_mu_that_binds_a_name_again_hides_the_outer_binder(capsys, tmp_path):
+    """In ``mu X . Unit + (mu X . Unit + (X * X))`` both Xs are the inner
+    binder, so the type differs from ``mu Y . Unit + (mu X . Unit + (Y *
+    X))``, in either order."""
+    outer = "mu Y . Unit + (mu X . Unit + (Y * X))"
+    inner = "mu X . Unit + (mu X . Unit + (X * X))"
+    path = tmp_path / "rebind.grm"
+    for a, b in ((outer, inner), (inner, outer)):
+        path.write_text(f"f : ({a}) -o ({b})\nf = \\x -> x\n")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{path}:2:11: TYPE_MISMATCH: "), err
+
+
 # Lexemes of the fuzz: blanks, comments and words stay whole, so a mutation
 # deletes, replaces, duplicates or inserts a token.
 FUZZ_LEXEME = re.compile(r"\s+|--[^\n]*|#semiring|[\w']+|->|-o|\.\.|.")

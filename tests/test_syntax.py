@@ -424,26 +424,26 @@ def ref_unroll_mu(t):
     return ref_subst_recvar(t.body, t.var, t)
 
 
-def ref_types_equal(a, b, env=None):
+def ref_types_equal(a, b):
+    return ref_canonical(a) == ref_canonical(b)
+
+
+def ref_canonical(t, env=None, depth=0):
+    """``t`` with each mu binder renamed after its depth, a name that no
+    parsed type uses."""
     env = env or {}
-    if isinstance(a, RecVar) and isinstance(b, RecVar):
-        return env.get(a.name, a.name) == b.name
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Unit):
-        return True
-    if isinstance(a, (TyVar, Base)):
-        return a.name == b.name
-    if isinstance(a, Fun):
-        return ref_types_equal(a.arg, b.arg, env) and ref_types_equal(a.res, b.res, env)
-    if isinstance(a, (Tensor, Sum)):
-        return (ref_types_equal(a.left, b.left, env)
-                and ref_types_equal(a.right, b.right, env))
-    if isinstance(a, Box):
-        return a.grade == b.grade and ref_types_equal(a.body, b.body, env)
-    if isinstance(a, Mu):
-        return ref_types_equal(a.body, b.body, {**env, a.var: b.var})
-    raise AssertionError(a)
+    if isinstance(t, RecVar):
+        return RecVar(env.get(t.name, t.name))
+    if isinstance(t, Mu):
+        name = f"#{depth}"
+        return Mu(name, ref_canonical(t.body, {**env, t.var: name}, depth + 1))
+    if isinstance(t, Fun):
+        return Fun(ref_canonical(t.arg, env, depth), ref_canonical(t.res, env, depth))
+    if isinstance(t, (Tensor, Sum)):
+        return type(t)(ref_canonical(t.left, env, depth), ref_canonical(t.right, env, depth))
+    if isinstance(t, Box):
+        return Box(t.grade, ref_canonical(t.body, env, depth))
+    return t
 
 
 # subjects in which a mu binds a name again, or binds one that a
@@ -453,6 +453,8 @@ REBINDING = [
     "mu X . Unit + (mu Y . Unit + (X * Y))",
     "mu Y . (mu X . Unit + (Y * X)) + (mu X . X -o Unit)",
     "mu X . mu Y . Unit + (X * (Y * (mu X . Unit + (X * Y))))",
+    "mu Y . Unit + (mu X . Unit + (Y * X))",
+    "mu X . Unit + (mu X . Unit + (X * X))",
 ]
 
 
@@ -515,6 +517,7 @@ def test_type_utilities_agree_with_reference_copies():
             pairs += [(t, unroll_mu(t)), (unroll_mu(t), ref_unroll_mu(t))]
         for a, b in pairs:
             assert types_equal(a, b) == ref_types_equal(a, b), (a, b)
+            assert types_equal(a, b) == types_equal(b, a), (a, b)
         assert types_equal(t, renamed)
     assert mus >= 1_000
 
