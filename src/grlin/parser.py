@@ -17,6 +17,19 @@ decimal digits (Unicode category Nd, so ``٣`` reads as 3 but ``²`` is no
 digit); ``--`` starts a comment that runs to the end of the line; ``-o``
 is the linear arrow unless an identifier character follows it. Blanks are
 spaces, tabs and carriage returns, and a column counts characters.
+
+A token is a plain tuple ``(kind, text, line, col, file)``, where kind is
+``IDENT``, ``INT``, ``PRAGMA``, the text of a punctuation mark, or ``EOF``.
+A ``Pos`` is built only where a syntax node or a ``ParseError`` keeps one,
+and the garbage collector stops tracking tuples of strings and ints, so
+most tokens cost one allocation.
+
+Types and terms are parsed without recursion: each parser is one loop
+over an explicit stack of frames, one frame per construct still open (a
+parenthesis, a binder, an application, ...), so input nested to any
+depth parses. ``pretty_term`` prints from an explicit stack too.
+Patterns, which are shallow, are parsed and printed by recursive descent,
+and ``pretty_type`` recurses.
 """
 
 from __future__ import annotations
@@ -68,9 +81,7 @@ class ParseError(Exception):
         self.expected = expected
 
 
-# (kind, text, line, col, file); kind is IDENT, INT, PRAGMA, the punctuation
-# text, or EOF
-Token = tuple[str, str, int, int, str]
+Token = tuple[str, str, int, int, str]  # (kind, text, line, col, file)
 
 
 def _pos(t: Token) -> Pos:
