@@ -684,65 +684,67 @@ def pretty_term(t: Term) -> str:
     # ``todo`` holds what is left to write, last piece first: strings and
     # (term, prec) pairs.
     out: list[str] = []
+    write = out.append
     todo: list = [(t, 0)]
+    push = todo.append
     while todo:
         item = todo.pop()
         if item.__class__ is str:
-            out.append(item)
+            write(item)
             continue
         t, prec = item
-        if isinstance(t, Var):
-            out.append(t.name)
-            continue
-        if isinstance(t, IntLit):
-            out.append(str(t.value))
-            continue
-        if isinstance(t, Derive):
-            at = _pt(t.at, 2)
-            if isinstance(t.at, Box):
-                at = f"({at})"
-            out.append(f"{t.kind} @{at}")
-            continue
-        wrap = False
-        if isinstance(t, Promote):
-            parts = ["[", (t.body, 0), "]"]
-        elif isinstance(t, Con):
-            if t.con == "unit":
-                out.append("unit")
-                continue
+        c = t.__class__
+        if c is Var:
+            write(t.name)
+        elif c is IntLit:
+            write(str(t.value))
+        elif c is Con:
             if t.con == ",":
-                parts = ["(", (t.args[0], 0), ", ", (t.args[1], 0), ")"]
+                write("(")
+                todo += (")", (t.args[1], 0), ", ", (t.args[0], 0))
+            elif t.con == "unit":
+                write("unit")
+            elif prec > 1:
+                write(f"({t.con} ")
+                todo += (")", (t.args[0], 2))
             else:
-                parts = [f"{t.con} ", (t.args[0], 2)]
-                wrap = prec > 1
-        elif isinstance(t, App):
-            parts = [(t.fn, 1), " ", (t.arg, 2)]
-            wrap = prec > 1
-        elif isinstance(t, Lam):
-            parts = [f"\\{t.var} -> ", (t.body, 0)]
-            wrap = prec > 0
-        elif isinstance(t, LetRec):
-            parts = [f"letrec {t.var} = ", (t.bound, 0), " in ", (t.body, 0)]
-            wrap = prec > 0
-        elif isinstance(t, Case):
-            parts = ["case ", (t.scrutinee, 1), " of "]
-            last = len(t.branches) - 1
-            for i, (p, b) in enumerate(t.branches):
-                if i:
-                    parts.append("; ")
-                parts.append(f"{pretty_pattern(p)} -> ")
-                # a case (or a term ending in one) would swallow later branches
-                if i < last and _ends_open(b):
-                    parts += ["(", (b, 0), ")"]
-                else:
-                    parts.append((b, 0))
-            wrap = prec > 0
+                write(f"{t.con} ")
+                push((t.args[0], 2))
+        elif c is App:
+            if prec > 1:
+                write("(")
+                push(")")
+            todo += ((t.arg, 2), " ", (t.fn, 1))
+        elif c is Promote:
+            write("[")
+            todo += ("]", (t.body, 0))
+        elif c is Derive:
+            at = _pt(t.at, 2)
+            write(f"{t.kind} @({at})" if isinstance(t.at, Box) else f"{t.kind} @{at}")
+        elif c is Lam or c is LetRec or c is Case:
+            if prec > 0:
+                write("(")
+                push(")")
+            if c is Lam:
+                write(f"\\{t.var} -> ")
+                push((t.body, 0))
+            elif c is LetRec:
+                write(f"letrec {t.var} = ")
+                todo += ((t.body, 0), " in ", (t.bound, 0))
+            else:
+                parts: list = [(t.scrutinee, 1), " of "]
+                last = len(t.branches) - 1
+                for i, (p, b) in enumerate(t.branches):
+                    parts.append(f"{'; ' if i else ''}{pretty_pattern(p)} -> ")
+                    # a case (or a term ending in one) would swallow later branches
+                    if i < last and _ends_open(b):
+                        parts += ["(", (b, 0), ")"]
+                    else:
+                        parts.append((b, 0))
+                write("case ")
+                todo.extend(reversed(parts))
         else:
             raise AssertionError(f"unhandled term: {t}")
-        if wrap:
-            out.append("(")
-            todo.append(")")
-        todo.extend(reversed(parts))
     return "".join(out)
 
 
