@@ -20,9 +20,9 @@ spaces, tabs and carriage returns, and a column counts characters.
 
 A token is a plain tuple ``(kind, text, line, col, file)``, where kind is
 ``IDENT``, ``INT``, ``PRAGMA``, the text of a punctuation mark, or ``EOF``.
-A ``Pos`` is built only where a syntax node or a ``ParseError`` keeps one,
-and the garbage collector stops tracking tuples of strings and ints, so
-most tokens cost one allocation.
+A ``Pos`` is built only where a syntax node or a ``ParseError`` keeps one.
+So a token is one tuple, which the garbage collector stops tracking once
+it has seen that the tuple holds only strings and ints.
 
 Types and terms are parsed without recursion: each parser is one loop
 over an explicit stack of frames, one frame per construct still open (a
@@ -85,6 +85,7 @@ Token = tuple[str, str, int, int, str]  # (kind, text, line, col, file)
 
 
 def _pos(t: Token) -> Pos:
+    # tuple.__new__ skips the Python-level __new__ of Pos
     return _tuple(Pos, (t[4], t[2], t[3]))
 
 
@@ -427,8 +428,9 @@ def _parse_term(c: _Cursor, sr: str) -> Term:
                 if toks[i][0] != "@":
                     raise _expected("@", toks[i])
                 c.i = i + 1
+                pos = _pos(t)
                 # no box postfix here: a following [t] is an application argument
-                term = Derive(text, _wellformed(_parse_type(c, sr, core=True), _pos(t)), _pos(t))
+                term = Derive(text, _wellformed(_parse_type(c, sr, core=True), pos), pos)
                 i = c.i
             elif text == "unit":
                 term = Con("unit", (), _pos(t))
