@@ -1,6 +1,7 @@
 """Type utilities: constructor counting, unrolling, alpha-equivalence,
 free variables and capture-avoiding substitution."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,13 +9,15 @@ import pytest
 from conftest import rand_term, rand_type
 from grlin import grades as G
 from grlin import lawcheck as L
+from grlin import typecheck as T
 from grlin.parser import parse_term, parse_type, pretty_term
 from grlin.syntax import (
-    App, Base, Box, Case, Con, Derive, Fun, IntLit, Lam, LetRec, Mu, PBox,
-    PCon, Promote, PVar, RecVar, Sum, Tensor, TyVar, Unit, Var, alpha_eq,
-    check_wellformed, free_recvars, free_tyvars, free_vars, IllFormedType,
-    multi_constructor, NotAMu, pattern_vars, subst_recvar, subst_term,
-    subst_tyvars, Type, types_equal, unroll_mu,
+    App, Base, Box, Case, Con, Derive, Fun, INT, IntLit, Lam, LetRec, Mu,
+    PBox, PCon, PInt, Pos, Promote, PVar, PWild, RecVar, Sum, Tensor, Term,
+    TyVar, UNIT, Unit, Var, alpha_eq, check_wellformed, free_recvars,
+    free_tyvars, free_vars, IllFormedType, multi_constructor, NotAMu,
+    pattern_vars, subst_recvar, subst_term, subst_tyvars, Type, types_equal,
+    unroll_mu,
 )
 
 
@@ -554,3 +557,86 @@ def test_free_variable_cache_is_invisible():
         assert hash(filled) == hash(empty)
         assert repr(filled) == repr(empty)
         assert "_fv" not in repr(filled)
+
+
+# Every frozen node class: (class, the names ``dataclasses.fields`` lists,
+# the compared constructor arguments, the arguments left out of ``==``,
+# ``hash`` and ``repr``, and the ``repr`` pinned for the sample).
+P1 = Pos("f.grm", 1, 2)
+TWO = G.grade_nat(2)
+NODES = [
+    (Fun, ("arg", "res"), {"arg": INT, "res": UNIT}, {},
+     "Fun(arg=Base(name='Int'), res=Unit())"),
+    (Tensor, ("left", "right"), {"left": TyVar("a"), "right": INT}, {},
+     "Tensor(left=TyVar(name='a'), right=Base(name='Int'))"),
+    (Sum, ("left", "right"), {"left": UNIT, "right": RecVar("X")}, {},
+     "Sum(left=Unit(), right=RecVar(name='X'))"),
+    (Unit, (), {}, {}, "Unit()"),
+    (Box, ("grade", "body"), {"grade": TWO, "body": TyVar("a")}, {},
+     "Box(grade=Grade(semiring='nat-exact', value=2), body=TyVar(name='a'))"),
+    (TyVar, ("name",), {"name": "a"}, {}, "TyVar(name='a')"),
+    (RecVar, ("name",), {"name": "X"}, {}, "RecVar(name='X')"),
+    (Mu, ("var", "body"), {"var": "X", "body": Sum(UNIT, RecVar("X"))}, {},
+     "Mu(var='X', body=Sum(left=Unit(), right=RecVar(name='X')))"),
+    (Base, ("name",), {"name": "Res"}, {}, "Base(name='Res')"),
+    (PVar, ("name", "pos"), {"name": "x"}, {"pos": P1}, "PVar(name='x')"),
+    (PWild, ("pos",), {}, {"pos": P1}, "PWild()"),
+    (PBox, ("pat", "pos"), {"pat": PVar("x")}, {"pos": P1}, "PBox(pat=PVar(name='x'))"),
+    (PCon, ("con", "args", "pos"), {"con": ",", "args": (PWild(), PInt(3))}, {"pos": P1},
+     "PCon(con=',', args=(PWild(), PInt(value=3)))"),
+    (PInt, ("value", "pos"), {"value": -4}, {"pos": P1}, "PInt(value=-4)"),
+    (Var, ("name", "pos", "_fv"), {"name": "x"}, {"pos": P1}, "Var(name='x')"),
+    (App, ("fn", "arg", "pos", "_fv"), {"fn": Var("f"), "arg": IntLit(1)}, {"pos": P1},
+     "App(fn=Var(name='f'), arg=IntLit(value=1))"),
+    (Lam, ("var", "body", "pos", "_fv"), {"var": "x", "body": Var("y")}, {"pos": P1},
+     "Lam(var='x', body=Var(name='y'))"),
+    (Promote, ("body", "pos", "_fv"), {"body": Var("x")}, {"pos": P1},
+     "Promote(body=Var(name='x'))"),
+    (Con, ("con", "args", "pos", "_fv"), {"con": "inl", "args": (Var("x"),)}, {"pos": P1},
+     "Con(con='inl', args=(Var(name='x'),))"),
+    (Case, ("scrutinee", "branches", "pos", "scrut_annot", "_fv"),
+     {"scrutinee": Var("x"), "branches": ((PVar("y"), Var("z")),)},
+     {"pos": P1, "scrut_annot": INT},
+     "Case(scrutinee=Var(name='x'), branches=((PVar(name='y'), Var(name='z')),))"),
+    (LetRec, ("var", "bound", "body", "pos", "annot", "_fv"),
+     {"var": "f", "bound": Var("f"), "body": Var("g")}, {"pos": P1, "annot": INT},
+     "LetRec(var='f', bound=Var(name='f'), body=Var(name='g'))"),
+    (Derive, ("kind", "at", "pos", "_fv"), {"kind": "push", "at": TyVar("a")}, {"pos": P1},
+     "Derive(kind='push', at=TyVar(name='a'))"),
+    (IntLit, ("value", "pos", "_fv"), {"value": 7}, {"pos": P1}, "IntLit(value=7)"),
+    (G.Grade, ("semiring", "value"), {"semiring": G.INTERVAL, "value": (0, G.INF)}, {},
+     "Grade(semiring='interval', value=(0, inf))"),
+    (T.Linear, ("type",), {"type": INT}, {}, "Linear(type=Base(name='Int'))"),
+    (T.Graded, ("type", "grade"), {"type": TyVar("a"), "grade": TWO}, {},
+     "Graded(type=TyVar(name='a'), grade=Grade(semiring='nat-exact', value=2))"),
+    (T.RecRef, ("type",), {"type": Fun(INT, INT)}, {},
+     "RecRef(type=Fun(arg=Base(name='Int'), res=Base(name='Int')))"),
+    (T.LinearUses, ("count",), {"count": 2}, {}, "LinearUses(count=2)"),
+    (T.GradedUses, ("grade",), {"grade": TWO}, {},
+     "GradedUses(grade=Grade(semiring='nat-exact', value=2))"),
+]
+
+
+@pytest.mark.parametrize("cls,names,args,hidden,shown", NODES,
+                         ids=[entry[0].__name__ for entry in NODES])
+def test_node_semantics(cls, names, args, hidden, shown):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    node = cls(**args)
+    assert node == cls(*args.values()) and repr(node) == shown
+    for name in ("pos", "scrut_annot", "annot", "_fv"):
+        if name in names:
+            assert getattr(node, name) is None
+    full = cls(**args, **hidden)
+    assert full == cls(*args.values(), *hidden.values())
+    for name, value in hidden.items():
+        assert getattr(full, name) is value
+    if isinstance(full, Term):
+        free_vars(full)
+        assert full._fv is not None
+    for a, b in ((node, full), (full, node)):
+        assert a == b and hash(a) == hash(b) and repr(a) == shown
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
