@@ -467,7 +467,8 @@ def subtypes(t):
     while stack:
         s = stack.pop()
         out.append(s)
-        stack.extend(v for v in vars(s).values() if isinstance(v, Type))
+        stack.extend(v for v in (getattr(s, f.name) for f in dataclasses.fields(s))
+                     if isinstance(v, Type))
     return out
 
 
@@ -477,9 +478,9 @@ def rename_mu_binders(t, suffix):
         body = rename_mu_binders(t.body, suffix)
         return Mu(t.var + suffix, subst_recvar(body, t.var, RecVar(t.var + suffix)))
     if isinstance(t, (Fun, Tensor, Sum, Box)):
-        fields = {k: rename_mu_binders(v, suffix) if isinstance(v, Type) else v
-                  for k, v in vars(t).items()}
-        return type(t)(**fields)
+        fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+        return type(t)(**{k: rename_mu_binders(v, suffix) if isinstance(v, Type) else v
+                          for k, v in fields.items()})
     return t
 
 
