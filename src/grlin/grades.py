@@ -17,7 +17,7 @@ All operations are pure; grades are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .frozen import frozen
 
 INF = float("inf")
 
@@ -49,7 +49,7 @@ class GradeSyntaxError(GradeError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@frozen
 class Grade:
     """A semiring element tagged with its semiring.
 

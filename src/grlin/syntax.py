@@ -1,10 +1,13 @@
 """Abstract syntax for types, terms and patterns, plus type-level utilities.
 
-Types and terms are immutable dataclasses. Source positions and the
-internal annotations planted by the deriving engine are excluded from
-equality, so ``==`` stays structural and ``alpha_eq`` compares binding
-structure only. The free-variable cache on term nodes, like positions, is
-excluded from equality, hashing and ``repr``.
+Types, patterns and terms are frozen, slotted dataclasses made by
+``frozen.frozen``: a node's ``__init__`` writes each field through its
+slot's member descriptor, and ``==``, ``hash`` and ``repr`` are the ones
+``dataclasses`` generates. Four fields stay out of all three: the source
+position ``pos``, the free-variable cache ``_fv`` of a term node, which
+``free_vars`` fills later with ``object.__setattr__``, and the types
+``Case.scrut_annot`` and ``LetRec.annot`` that the deriving engine plants.
+So ``==`` stays structural and ``alpha_eq`` compares binding structure only.
 
 Substitution shares: ``subst_term``, ``subst_tyvars`` and ``subst_recvar``
 return a node itself when none of its children changed, so they allocate
@@ -15,9 +18,10 @@ closure, whose cycle only the cyclic garbage collector could free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import NamedTuple
 
+from .frozen import frozen
 from .grades import Grade
 
 
@@ -35,55 +39,55 @@ class Pos(NamedTuple):
 # ---------------------------------------------------------------------------
 
 class Type:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class Fun(Type):
     arg: Type
     res: Type
 
 
-@dataclass(frozen=True)
+@frozen
 class Tensor(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
+@frozen
 class Sum(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
+@frozen
 class Unit(Type):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Box(Type):
     grade: Grade
     body: Type
 
 
-@dataclass(frozen=True)
+@frozen
 class TyVar(Type):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class RecVar(Type):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Mu(Type):
     var: str
     body: Type
 
 
-@dataclass(frozen=True)
+@frozen
 class Base(Type):
     name: str  # "Int" or "Res"
 
@@ -321,34 +325,34 @@ def _types_equal(a: Type, b: Type, la: dict[str, int], lb: dict[str, int],
 # ---------------------------------------------------------------------------
 
 class Pattern:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class PVar(Pattern):
     name: str
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class PWild(Pattern):
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class PBox(Pattern):
     pat: Pattern
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class PCon(Pattern):
     con: str
     args: tuple[Pattern, ...]
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen
 class PInt(Pattern):
     value: int
     pos: Pos | None = field(default=None, compare=False, repr=False)
@@ -388,14 +392,14 @@ def _fv_slot():
     return field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Var(Term):
     name: str
     pos: Pos | None = field(default=None, compare=False, repr=False)
     _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class App(Term):
     fn: Term
     arg: Term
@@ -403,7 +407,7 @@ class App(Term):
     _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Lam(Term):
     var: str
     body: Term
@@ -411,14 +415,14 @@ class Lam(Term):
     _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Promote(Term):
     body: Term
     pos: Pos | None = field(default=None, compare=False, repr=False)
     _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Con(Term):
     con: str
     args: tuple[Term, ...]
@@ -426,7 +430,7 @@ class Con(Term):
     _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Case(Term):
     scrutinee: Term
     branches: tuple[tuple[Pattern, Term], ...]
@@ -437,7 +441,7 @@ class Case(Term):
     _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class LetRec(Term):
     var: str
     bound: Term
@@ -448,7 +452,7 @@ class LetRec(Term):
     _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Derive(Term):
     kind: str  # one of DERIVE_KINDS
     at: Type
@@ -456,7 +460,7 @@ class Derive(Term):
     _fv: frozenset[str] | None = _fv_slot()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class IntLit(Term):
     value: int
     pos: Pos | None = field(default=None, compare=False, repr=False)

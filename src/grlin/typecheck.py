@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import deriving, grades, syntax
+from .frozen import frozen
 from .deriving import NOT_DROPPABLE, DeriveError
 from .grades import Grade
 from .parser import SourceProgram
@@ -68,18 +69,18 @@ def _fail(code: str, message: str, pos: Pos | None = None,
 
 # Assumptions -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Linear:
     type: Type
 
 
-@dataclass(frozen=True)
+@frozen
 class Graded:
     type: Type
     grade: Grade
 
 
-@dataclass(frozen=True)
+@frozen
 class RecRef:
     """letrec-bound or top-level name; uses charge no usage."""
     type: Type
@@ -90,12 +91,12 @@ Assumption = Linear | Graded | RecRef
 
 # Usages ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class LinearUses:
     count: int
 
 
-@dataclass(frozen=True)
+@frozen
 class GradedUses:
     grade: Grade
 
