@@ -195,11 +195,17 @@ _TCHAIN = 3  # [_TCHAIN, op, operands]: the next operand of "a op b op ..."
 
 
 def _parse_grade(toks: list[Token], i: int, sr: str) -> tuple[Grade, int]:
-    """The grade whose tokens run from ``toks[i]`` up to ``]`` or the end."""
+    """The grade whose tokens run from ``toks[i]`` up to ``]`` or the end.
+    Tokens that a blank or a comment separates stay separated by a blank."""
     start = toks[i]
     parts: list[str] = []
+    end = None  # (line, col) just after the previous token
     while toks[i][0] != "]" and toks[i][0] != "EOF":
-        parts.append(toks[i][1])
+        _, text, line, col, _ = toks[i]
+        if parts and (line, col) != end:
+            parts.append(" ")
+        parts.append(text)
+        end = (line, col + len(text))
         i += 1
     try:
         return grades.parse_grade("".join(parts), sr), i

@@ -8,6 +8,7 @@ import sys
 
 from conftest import ROOT
 from grlin.cli import main
+from grlin.parser import parse_type, pretty_type
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +245,21 @@ def test_a_mu_that_binds_a_name_again_hides_the_outer_binder(capsys, tmp_path):
         code, out, err = run_cli(capsys, "check", str(path))
         assert (code, out) == (1, "")
         assert err.startswith(f"{path}:2:11: TYPE_MISMATCH: "), err
+
+
+def test_blanks_and_comments_separate_grade_tokens(capsys, tmp_path):
+    """``1 2`` is two numbers, not grade 12, wherever the break comes from;
+    blanks around an interval's ``..`` still read as one interval."""
+    path = tmp_path / "grade.grm"
+    for grade in ("1 2", "1 -- c\n2"):
+        path.write_text(f"main : Int [{grade}]\nmain = [5]\n")
+        assert run_cli(capsys, "check", str(path)) == (
+            1, "", f"{path}:1:13: SYNTAX: expected a natural number, got '1 2' (at offset 0)\n")
+    for grade in ("0..2", "0 .. 2", "0..Inf"):
+        path.write_text(f"#semiring interval\nmain : Int [{grade}]\nmain = [5]\n")
+        assert run_cli(capsys, "check", str(path)) == (0, "", "")
+    assert [pretty_type(parse_type(f"Int [{g}]", "interval"))
+            for g in ("0..2", "0 .. 2", "0..Inf")] == ["Int [0..2]", "Int [0..2]", "Int [0..Inf]"]
 
 
 # Lexemes of the fuzz: blanks, comments and words stay whole, so a mutation
