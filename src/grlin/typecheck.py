@@ -164,20 +164,24 @@ def merge_branch_usages(us: list[UsageMap], sr: str) -> UsageMap:
 
 
 def _scan_type_semiring(ty: Type, sr: str, pos: Pos | None) -> None:
-    if isinstance(ty, Box):
-        if ty.grade.semiring != sr:
-            _fail(MIXED_SEMIRING,
-                  f"grade {ty.grade} is from {ty.grade.semiring}, program uses {sr}",
-                  pos, gs=(ty.grade,))
-        _scan_type_semiring(ty.body, sr, pos)
-    elif isinstance(ty, Fun):
-        _scan_type_semiring(ty.arg, sr, pos)
-        _scan_type_semiring(ty.res, sr, pos)
-    elif isinstance(ty, (Tensor, Sum)):
-        _scan_type_semiring(ty.left, sr, pos)
-        _scan_type_semiring(ty.right, sr, pos)
-    elif isinstance(ty, Mu):
-        _scan_type_semiring(ty.body, sr, pos)
+    """Reject the first grade, left to right, that is not from ``sr``. The
+    walk keeps the types still to scan on an explicit stack."""
+    todo = [ty]
+    while todo:
+        ty = todo.pop()
+        c = ty.__class__
+        if c is Box:
+            if ty.grade.semiring != sr:
+                _fail(MIXED_SEMIRING,
+                      f"grade {ty.grade} is from {ty.grade.semiring}, program uses {sr}",
+                      pos, gs=(ty.grade,))
+            todo.append(ty.body)
+        elif c is Fun:
+            todo += (ty.res, ty.arg)
+        elif c is Tensor or c is Sum:
+            todo += (ty.right, ty.left)
+        elif c is Mu:
+            todo.append(ty.body)
 
 
 class Checker:

@@ -262,6 +262,15 @@ def test_blanks_and_comments_separate_grade_tokens(capsys, tmp_path):
             for g in ("0..2", "0 .. 2", "0..Inf")] == ["Int [0..2]", "Int [0..2]", "Int [0..Inf]"]
 
 
+def test_a_deep_signature_checks(capsys, tmp_path):
+    """A signature of 3,000 arrows is scanned for its grades without
+    recursion."""
+    path = tmp_path / "deep.grm"
+    arrows = " -o ".join(["Int"] * 3_001)
+    path.write_text(f"g : {arrows}\ng = g\n\nmain : Int\nmain = 5\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+
+
 # Lexemes of the fuzz: blanks, comments and words stay whole, so a mutation
 # deletes, replaces, duplicates or inserts a token.
 FUZZ_LEXEME = re.compile(r"\s+|--[^\n]*|#semiring|[\w']+|->|-o|\.\.|.")
