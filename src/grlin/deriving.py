@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import grades, syntax
 from .grades import Grade
+from .parser import pretty_type
 from .syntax import (
     App, Base, Box, Case, Con, Derive, Fun, Lam, LetRec, Mu, PBox, PCon,
     Promote, PVar, RecVar, Sum, Tensor, Term, TyVar, Type, Unit, Var,
@@ -61,7 +62,6 @@ class DerivedCombinator:
     trace: tuple[str, ...]
 
     def key_str(self) -> str:
-        from .parser import pretty_type
         gs = ",".join(f"{k}={v}" for k, v in self.grades) if self.grades else "-"
         return f"{self.kind}@{pretty_type(self.subject)}@{self.semiring}@{gs}"
 
@@ -85,11 +85,6 @@ def _memoized(key, build):
         return _memo.setdefault(key, result)
 
 
-def _show(ty: Type) -> str:
-    from .parser import pretty_type
-    return pretty_type(ty)
-
-
 def _assert_checks(term: Term, ty: Type, semiring: str, what: str,
                    g: Grade | None = None) -> None:
     """Check a derived term at its concluded scheme; a failure is an internal
@@ -105,7 +100,7 @@ def _assert_checks(term: Term, ty: Type, semiring: str, what: str,
                 f"grade {g} cannot cover the usage count of the mapped function: "
                 f"{e.diag.message}", (g,)) from e
         raise RuntimeError(
-            f"internal: derived {what} fails to check at {_show(ty)}: "
+            f"internal: derived {what} fails to check at {pretty_type(ty)}: "
             f"{e.diag.render()}") from e
 
 
@@ -175,7 +170,7 @@ class _Walker:
         return ()
 
     def body(self, s: Type, subj: Term, ctx=None) -> Term:
-        self.trace.append(f"{self.kind} @ {_show(s)}")
+        self.trace.append(f"{self.kind} @ {pretty_type(s)}")
         if isinstance(s, RecVar):
             return self.call(self.env[s.name][0], subj, ctx)
         if isinstance(s, (Sum, Tensor)):
@@ -193,7 +188,7 @@ class _Walker:
         if isinstance(s.body, (TyVar, RecVar)):
             raise DeriveError(
                 SIDE_CONDITION,
-                f"degenerate recursive type {_show(s)} has no constructor structure")
+                f"degenerate recursive type {pretty_type(s)} has no constructor structure")
         mu_closed = self.annot(s)
         inner = self.context(s, mu_closed, ctx)
         f = self.fresh(self.fn)
@@ -288,7 +283,7 @@ class _Pull(_Walker):
             if tgt is None:
                 raise DeriveError(
                     NEEDS_ANNOTATION,
-                    f"pull @{_show(s)} has no type variables; its grade must be "
+                    f"pull @{pretty_type(s)} has no type variables; its grade must be "
                     f"given explicitly")
             return tgt
         acc = parts[0]
@@ -506,7 +501,7 @@ def _foreign(gs, semiring: str) -> tuple[Grade] | None:
 
 
 def _no_pull_at_base(s: Type) -> str:
-    return (f"cannot pull at {_show(s)}: a bare base value cannot be "
+    return (f"cannot pull at {pretty_type(s)}: a bare base value cannot be "
             f"re-boxed (promotion requires a graded context)")
 
 
@@ -683,7 +678,7 @@ def elaborate_untyped(kind: str, subject: Type) -> Term:
     elif kind == "fmap":
         alphas = _memo_fmap_alphas(subject) or sorted(free_tyvars(subject))
         if len(set(alphas)) > 1:
-            raise StuckTerm(f"ambiguous fmap @{_show(subject)}: cannot determine "
+            raise StuckTerm(f"ambiguous fmap @{pretty_type(subject)}: cannot determine "
                             f"the mapped variable at run time")
         # with no variable positions the function goes unused
         w = _Fmap(subject, alphas[0] if alphas else "a", one, grades.NAT_LE)
@@ -692,7 +687,7 @@ def elaborate_untyped(kind: str, subject: Type) -> Term:
     try:
         return _elaborate(w, subject)[0]
     except DeriveError as e:
-        raise StuckTerm(f"{kind} @{_show(subject)} is not derivable: {e.message}") from e
+        raise StuckTerm(f"{kind} @{pretty_type(subject)} is not derivable: {e.message}") from e
 
 
 def _memo_fmap_alphas(subject: Type) -> list[str]:
