@@ -1,12 +1,13 @@
 """The one class decorator behind every syntax, grade and usage node.
 
 ``@frozen`` makes a class a ``@dataclass(frozen=True, slots=True)`` and
-replaces only its generated ``__init__``. That ``__init__`` sets each field
-through ``object.__setattr__``, which looks the name up on the class on
-every call; the one built here calls each slot's member descriptor
-directly, which skips the lookup, and fills each ``init=False`` field with
-its default. Everything else is what ``dataclasses`` generates: ``==``,
-``hash``, ``repr``, ``fields`` and the ``FrozenInstanceError`` on assignment.
+replaces only its generated ``__init__``, which sets every field with
+``object.__setattr__``: a lookup of ``__setattr__`` on ``object`` and of
+the field's name on the class, per field and per call. The ``__init__``
+built here calls each slot's member descriptor, looked up once, and fills
+each ``init=False`` field with its default. Everything else is what
+``dataclasses`` generates: ``==``, ``hash``, ``repr``, ``fields`` and the
+``FrozenInstanceError`` on assignment.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ def frozen(cls):
     env: dict = {}
     params, body = [], []
     for f in fields(cls):
-        assert f.default_factory is MISSING, f"{cls.__name__}.{f.name}: no factories"
+        if f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a default factory is not supported")
         env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
         env[f"_dflt_{f.name}"] = f.default
-        if not f.init:
-            body.append(f" _set_{f.name}(self, _dflt_{f.name})")
-            continue
-        params.append(f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}")
-        body.append(f" _set_{f.name}(self, {f.name})")
+        if f.init:
+            params.append(f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}")
+        body.append(f" _set_{f.name}(self, {f.name if f.init else f'_dflt_{f.name}'})")
     # Compiled once per class, as dataclasses compiles the __init__ it makes.
     exec(f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or " pass"), env)
     init = env["__init__"]

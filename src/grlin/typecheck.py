@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import deriving, grades, syntax
-from .frozen import frozen
 from .deriving import NOT_DROPPABLE, DeriveError
+from .frozen import frozen
 from .grades import Grade
 from .parser import SourceProgram
 from .syntax import (
