@@ -1,13 +1,14 @@
 """The one class decorator behind every syntax, grade and usage node.
 
-``@frozen`` makes a class a ``@dataclass(frozen=True, slots=True)`` and
-replaces only its generated ``__init__``, which sets every field with
-``object.__setattr__``: a lookup of ``__setattr__`` on ``object`` and of
-the field's name on the class, per field and per call. The ``__init__``
-built here calls each slot's member descriptor, looked up once, and fills
-each ``init=False`` field with its default. Everything else is what
-``dataclasses`` generates: ``==``, ``hash``, ``repr``, ``fields`` and the
-``FrozenInstanceError`` on assignment.
+``@frozen`` makes a class a ``@dataclass(frozen=True, slots=True)`` with
+an ``__init__`` of its own, in place of the one ``dataclasses`` would
+generate. That one sets every field with ``object.__setattr__``: a lookup
+of ``__setattr__`` on ``object`` and of the field's name on the class, per
+field and per call. The ``__init__`` built here calls each slot's member
+descriptor, looked up once, and fills each ``init=False`` field with its
+default. Everything else is what ``dataclasses`` generates: ``==``,
+``hash``, ``repr``, ``fields`` and the ``FrozenInstanceError`` on
+assignment.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 
 
 def frozen(cls):
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     env: dict = {}
     params, body = [], []
     for f in fields(cls):
