@@ -1,6 +1,8 @@
 """Checker behaviour: a 40-program corpus with hand-derived verdicts, plus
 the weakening/dereliction invariants and usage bookkeeping."""
 
+import re
+
 import pytest
 
 from grlin import grades as G
@@ -270,3 +272,15 @@ def test_in_program_push_grade_flows_from_expected():
            "p : ((a * b) [2]) -o ((a [2]) * (b [3]))\n"
            "p = push @(a * b)")
     assert [d.code for d in check_program(parse_program(src))] == ["TYPE_MISMATCH"]
+
+
+def test_check_golden():
+    """Every golden input checks as recorded, diagnostics in order; rewrite
+    the file with ``tests/golden/gen_check.py`` only for an intended
+    change."""
+    from golden import gen_check
+    want = re.split(r"(?m)^(?=== )", gen_check.GOLDEN.read_text(encoding="utf-8"))[1:]
+    got = gen_check.entries()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w, f"golden entry differs: {w.splitlines()[0]}"
