@@ -338,40 +338,60 @@ def _int_literal(t: Token) -> int:
         raise ParseError(f"integer literal too long ({len(t[1])} digits)", _pos(t)) from None
 
 
+# Frames of the pattern parser: what a pattern being read will be part of.
+_PBOX = 0  # (_PBOX, pos): the inside of "[ ... ]"
+_PPAREN = 1  # (_PPAREN, pos): the inside of "( ... )", or a pair's first half
+_PPAIR = 2  # (_PPAIR, pos, first): a pair's second half
+_PINJ = 3  # (_PINJ, con, pos): the pattern after "inl" or "inr"
+
+
 def _parse_pattern(c: _Cursor) -> Pattern:
-    t = c.peek()
-    kind = t[0]
-    if kind == "INT":
-        c.next()
-        return PInt(_int_literal(t), _pos(t))
-    if kind == "[":
-        c.next()
-        inner = _parse_pattern(c)
-        c.expect("]")
-        return PBox(inner, _pos(t))
-    if kind == "(":
-        c.next()
-        first = _parse_pattern(c)
-        if c.at(","):
-            c.next()
-            second = _parse_pattern(c)
-            c.expect(")")
-            return PCon(",", (first, second), _pos(t))
-        c.expect(")")
-        return first
-    if kind == "IDENT":
-        c.next()
-        text = t[1]
-        if text == "_":
-            return PWild(_pos(t))
-        if text == "unit":
-            return PCon("unit", (), _pos(t))
-        if text == "inl" or text == "inr":
-            return PCon(text, (_parse_pattern(c),), _pos(t))
-        if text in KEYWORDS:
-            raise ParseError(f"keyword {text!r} is not a pattern", _pos(t))
-        return PVar(text, _pos(t))
-    raise ParseError(f"expected a pattern, found {t[1] or 'end of input'!r}", _pos(t))
+    """A pattern: a name, ``_``, an integer, ``unit``, ``inl pat``, ``inr
+    pat``, ``[pat]``, ``(pat)`` or ``(pat, pat)``. Each construct still
+    open is a frame on ``stack``."""
+    stack: list = []
+    while True:
+        t = c.next()
+        kind = t[0]
+        if kind == "INT":
+            pat = PInt(_int_literal(t), _pos(t))
+        elif kind == "[" or kind == "(":
+            stack.append((_PBOX if kind == "[" else _PPAREN, _pos(t)))
+            continue
+        elif kind == "IDENT":
+            text = t[1]
+            if text == "_":
+                pat = PWild(_pos(t))
+            elif text == "unit":
+                pat = PCon("unit", (), _pos(t))
+            elif text == "inl" or text == "inr":
+                stack.append((_PINJ, text, _pos(t)))
+                continue
+            elif text in KEYWORDS:
+                raise ParseError(f"keyword {text!r} is not a pattern", _pos(t))
+            else:
+                pat = PVar(text, _pos(t))
+        else:
+            raise ParseError(f"expected a pattern, found {t[1] or 'end of input'!r}", _pos(t))
+        # pat is complete. Close the frames it completes, until one needs more.
+        while stack:
+            frame = stack[-1]
+            tag = frame[0]
+            if tag == _PINJ:
+                pat = PCon(frame[1], (pat,), frame[2])
+            elif tag == _PPAREN and c.at(","):
+                c.next()
+                stack[-1] = (_PPAIR, frame[1], pat)
+                break
+            else:
+                c.expect("]" if tag == _PBOX else ")")
+                if tag == _PBOX:
+                    pat = PBox(pat, frame[1])
+                elif tag == _PPAIR:
+                    pat = PCon(",", (frame[2], pat), frame[1])
+            stack.pop()
+        else:
+            return pat
 
 
 # Frames of the term parser: what a term being read will be part of.
@@ -636,34 +656,51 @@ def pretty_type(t: Type) -> str:
 
 
 def _pt(t: Type, prec: int) -> str:
-    # prec: 0 = function position, 1 = chain operand, 2 = atom
-    if isinstance(t, Unit):
-        return "Unit"
-    if isinstance(t, Base):
-        return t.name
-    if isinstance(t, TyVar) or isinstance(t, RecVar):
-        return t.name
-    if isinstance(t, Box):
-        return f"{_pt(t.body, 2)} [{grades.show_grade(t.grade)}]"
-    if isinstance(t, Mu):
-        s = f"mu {t.var} . {_pt(t.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(t, (Tensor, Sum)):
-        op = "*" if isinstance(t, Tensor) else "+"
-        left = _pt(t.left, 2)
-        right = t.right
-        # flatten right-nested chains of the same operator
-        parts = [left]
-        while isinstance(right, type(t)):
-            parts.append(_pt(right.left, 2))
-            right = right.right
-        parts.append(_pt(right, 2))
-        s = f" {op} ".join(parts)
-        return f"({s})" if prec > 1 else s
-    if isinstance(t, Fun):
-        s = f"{_pt(t.arg, 1)} -o {_pt(t.res, 0)}"
-        return f"({s})" if prec > 0 else s
-    raise AssertionError(f"unhandled type: {t}")
+    # prec: 0 = function position, 1 = chain operand, 2 = atom. ``todo``
+    # holds what is left to write, last piece first: strings and
+    # (type, prec) pairs.
+    out: list[str] = []
+    write = out.append
+    todo: list = [(t, prec)]
+    push = todo.append
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            write(item)
+            continue
+        t, prec = item
+        c = t.__class__
+        if c is Unit:
+            write("Unit")
+        elif c is Base or c is TyVar or c is RecVar:
+            write(t.name)
+        elif c is Box:
+            todo += (f" [{grades.show_grade(t.grade)}]", (t.body, 2))
+        elif c is Tensor or c is Sum:
+            if prec > 1:
+                write("(")
+                push(")")
+            # flatten right-nested chains of the same operator
+            op = " * " if c is Tensor else " + "
+            parts: list = [(t.left, 2)]
+            t = t.right
+            while t.__class__ is c:
+                parts += (op, (t.left, 2))
+                t = t.right
+            parts += (op, (t, 2))
+            todo.extend(reversed(parts))
+        elif c is Mu or c is Fun:
+            if prec > 0:
+                write("(")
+                push(")")
+            if c is Mu:
+                write(f"mu {t.var} . ")
+                push((t.body, 0))
+            else:
+                todo += ((t.res, 0), " -o ", (t.arg, 1))
+        else:
+            raise AssertionError(f"unhandled type: {t}")
+    return "".join(out)
 
 
 def pretty_pattern(p: Pattern) -> str:
