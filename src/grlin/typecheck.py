@@ -19,11 +19,11 @@ from . import deriving, grades, syntax
 from .deriving import NOT_DROPPABLE, DeriveError
 from .frozen import frozen
 from .grades import Grade
-from .parser import SourceProgram
+from .parser import SourceProgram, pretty_type
 from .syntax import (
     App, Base, Box, Case, Con, Derive, Fun, IntLit, Lam, LetRec, Mu, Pattern,
-    PBox, PCon, PInt, Pos, Promote, PVar, PWild, Sum, Tensor, Term, TyVar,
-    Type, Unit, Var, fresh_name, free_vars, multi_constructor,
+    PBox, PCon, PInt, Pos, Promote, PVar, PWild, RecVar, Sum, Tensor, Term,
+    TyVar, Type, Unit, Var, fresh_name, free_vars, multi_constructor,
     subst_term, types_equal, unroll_mu,
 )
 
@@ -184,6 +184,14 @@ def _scan_type_semiring(ty: Type, sr: str, pos: Pos | None) -> None:
             todo.append(ty.body)
 
 
+# Post-actions of ``Checker.check``: what a tail position does to the usage
+# of its sub-term on the way out.
+_ADD = 0  # (_ADD, u1): add after the usage u1 of a pair's left component
+_EXIT = 1  # (_EXIT, name, asm, pos): the lambda's binder leaves scope
+_SCALE = 2  # (_SCALE, grade, pos): the promotion scales the usage
+_LETREC = 3  # (_LETREC, u1, var): add after the bound term's usage, drop var
+
+
 class Checker:
     def __init__(self, semiring: str, defs: dict[str, Type] | None = None,
                  record: bool = False):
@@ -272,7 +280,7 @@ class Checker:
                 _fail(TYPE_MISMATCH, "box patterns cannot be nested", p.pos)
             if not isinstance(ty, Box):
                 _fail(TYPE_MISMATCH,
-                      f"box pattern against non-box type {_show(ty)}", p.pos)
+                      f"box pattern against non-box type {pretty_type(ty)}", p.pos)
             if ty.grade.semiring != self.sr:
                 _fail(MIXED_SEMIRING,
                       f"grade {ty.grade} is from {ty.grade.semiring}, program uses {self.sr}",
@@ -281,7 +289,7 @@ class Checker:
         if isinstance(p, PInt):
             if not (isinstance(ty, Base) and ty.name == "Int"):
                 _fail(TYPE_MISMATCH,
-                      f"integer pattern against type {_show(ty)}", p.pos)
+                      f"integer pattern against type {pretty_type(ty)}", p.pos)
             if enc is not None:
                 o = grades.one(self.sr)
                 if not grades.sr_leq(o, enc):
@@ -299,16 +307,16 @@ class Checker:
                           p.pos, gs=(o, enc))
             if p.con == "unit":
                 if not isinstance(ty, Unit):
-                    _fail(TYPE_MISMATCH, f"unit pattern against type {_show(ty)}", p.pos)
+                    _fail(TYPE_MISMATCH, f"unit pattern against type {pretty_type(ty)}", p.pos)
                 return []
             if p.con == ",":
                 if not isinstance(ty, Tensor):
-                    _fail(TYPE_MISMATCH, f"pair pattern against type {_show(ty)}", p.pos)
+                    _fail(TYPE_MISMATCH, f"pair pattern against type {pretty_type(ty)}", p.pos)
                 return (self._pattern(enc, p.args[0], ty.left)
                         + self._pattern(enc, p.args[1], ty.right))
             if p.con in ("inl", "inr"):
                 if not isinstance(ty, Sum):
-                    _fail(TYPE_MISMATCH, f"{p.con} pattern against type {_show(ty)}", p.pos)
+                    _fail(TYPE_MISMATCH, f"{p.con} pattern against type {pretty_type(ty)}", p.pos)
                 side = ty.left if p.con == "inl" else ty.right
                 return self._pattern(enc, p.args[0], side)
             _fail(TYPE_MISMATCH, f"unknown constructor {p.con!r}", p.pos)
@@ -317,77 +325,94 @@ class Checker:
     # -- terms ---------------------------------------------------------------
 
     def check(self, ctx: dict, t: Term, expected: Type) -> UsageMap:
-        if isinstance(t, Lam):
-            if isinstance(expected, Mu):
-                return self.check(ctx, t, unroll_mu(expected))
-            if not isinstance(expected, Fun):
+        """The usage of ``t`` checked against ``expected``. A tail position
+        (a mu unrolling, an injection's argument, a pair's right component,
+        the body of a lambda, promotion or letrec) continues the loop, and
+        what it does to the usage on the way out waits on ``post``, to run
+        last first once a leaf has given the usage."""
+        post: list[tuple] = []
+        while True:
+            c = t.__class__
+            if (expected.__class__ is Mu and (c is Lam or c is Promote or c is Con
+                                              or c is IntLit)
+                    and not _unguarded(expected)):
+                expected = unroll_mu(expected)
+            elif c is Lam:
+                if expected.__class__ is not Fun:
+                    _fail(TYPE_MISMATCH,
+                          f"lambda against non-function type {pretty_type(expected)}",
+                          t.pos)
+                var, body = self._rename_binder(ctx, t.var, t.body)
+                asm = Linear(expected.arg)
+                post.append((_EXIT, var, asm, t.pos))
+                ctx = {**ctx, var: asm}
+                t, expected = body, expected.res
+            elif c is Promote:
+                if expected.__class__ is not Box:
+                    _fail(TYPE_MISMATCH,
+                          f"promotion against non-box type {pretty_type(expected)}", t.pos)
+                if expected.grade.semiring != self.sr:
+                    _fail(MIXED_SEMIRING,
+                          f"grade {expected.grade} is from {expected.grade.semiring}, "
+                          f"program uses {self.sr}", t.pos, gs=(expected.grade,))
+                post.append((_SCALE, expected.grade, t.pos))
+                t, expected = t.body, expected.body
+            elif c is Con and t.con == ",":
+                if expected.__class__ is not Tensor:
+                    _fail(TYPE_MISMATCH, f"pair against type {pretty_type(expected)}", t.pos)
+                post.append((_ADD, self.check(ctx, t.args[0], expected.left)))
+                t, expected = t.args[1], expected.right
+            elif c is Con and (t.con == "inl" or t.con == "inr"):
+                if expected.__class__ is not Sum:
+                    _fail(TYPE_MISMATCH, f"{t.con} against type {pretty_type(expected)}",
+                          t.pos)
+                expected = expected.left if t.con == "inl" else expected.right
+                t = t.args[0]
+            elif c is LetRec:
+                bound_ty, ctx, var, bound, t = self._letrec_intro(ctx, t)
+                post.append((_LETREC, self.check(ctx, bound, bound_ty), var))
+            else:
+                break
+        # t is a leaf
+        if c is Con:
+            if t.con != "unit":
+                _fail(TYPE_MISMATCH, f"unknown constructor {t.con!r}", t.pos)
+            if expected.__class__ is not Unit:
+                _fail(TYPE_MISMATCH, f"unit against type {pretty_type(expected)}", t.pos)
+            usage = {}
+        elif c is IntLit:
+            if not (expected.__class__ is Base and expected.name == "Int"):
                 _fail(TYPE_MISMATCH,
-                      f"lambda against non-function type {_show(expected)}", t.pos)
-            var, body = self._rename_binder(ctx, t.var, t.body)
-            asm = Linear(expected.arg)
-            usage = self.check({**ctx, var: asm}, body, expected.res)
-            self._exit_binder(usage, var, asm, t.pos)
-            return usage
-        if isinstance(t, Promote):
-            if isinstance(expected, Mu):
-                return self.check(ctx, t, unroll_mu(expected))
-            if not isinstance(expected, Box):
-                _fail(TYPE_MISMATCH,
-                      f"promotion against non-box type {_show(expected)}", t.pos)
-            if expected.grade.semiring != self.sr:
-                _fail(MIXED_SEMIRING,
-                      f"grade {expected.grade} is from {expected.grade.semiring}, "
-                      f"program uses {self.sr}", t.pos, gs=(expected.grade,))
-            inner = self.check(ctx, t.body, expected.body)
-            return self._scale(expected.grade, inner, t.pos)
-        if isinstance(t, Con):
-            if isinstance(expected, Mu):
-                return self.check(ctx, t, unroll_mu(expected))
-            if t.con == "unit":
-                if not isinstance(expected, Unit):
-                    _fail(TYPE_MISMATCH, f"unit against type {_show(expected)}", t.pos)
-                return {}
-            if t.con == ",":
-                if not isinstance(expected, Tensor):
-                    _fail(TYPE_MISMATCH, f"pair against type {_show(expected)}", t.pos)
-                u1 = self.check(ctx, t.args[0], expected.left)
-                u2 = self.check(ctx, t.args[1], expected.right)
-                return usage_add(u1, u2)
-            if t.con in ("inl", "inr"):
-                if not isinstance(expected, Sum):
-                    _fail(TYPE_MISMATCH, f"{t.con} against type {_show(expected)}", t.pos)
-                side = expected.left if t.con == "inl" else expected.right
-                return self.check(ctx, t.args[0], side)
-            _fail(TYPE_MISMATCH, f"unknown constructor {t.con!r}", t.pos)
-        if isinstance(t, IntLit):
-            if isinstance(expected, Mu):
-                return self.check(ctx, t, unroll_mu(expected))
-            if not (isinstance(expected, Base) and expected.name == "Int"):
-                _fail(TYPE_MISMATCH,
-                      f"integer literal against type {_show(expected)}", t.pos)
-            return {}
-        if isinstance(t, Case):
+                      f"integer literal against type {pretty_type(expected)}", t.pos)
+            usage = {}
+        elif c is Case:
             scrut_ty, u_scrut = self._scrutinee(ctx, t)
             branch_usages = []
             for p, body in t.branches:
                 u = self._branch(ctx, p, scrut_ty, body, expected, check_mode=True)
                 branch_usages.append(u)
             merged = merge_branch_usages(branch_usages, self.sr)
-            return usage_add(u_scrut, merged)
-        if isinstance(t, LetRec):
-            bound_ty, ctx2, var, bound, body = self._letrec_intro(ctx, t)
-            u1 = self.check(ctx2, bound, bound_ty)
-            u2 = self.check(ctx2, body, expected)
-            usage = usage_add(u1, u2)
-            usage.pop(var, None)
-            return usage
-        if isinstance(t, Derive):
-            return self._check_derive(t, expected)
-        ty, usage = self.synth(ctx, t)
-        if not _types_match(ty, expected):
-            _fail(TYPE_MISMATCH,
-                  f"expected {_show(expected)}, found {_show(ty)}",
-                  t.pos)
+            usage = usage_add(u_scrut, merged)
+        elif c is Derive:
+            usage = self._check_derive(t, expected)
+        else:
+            ty, usage = self.synth(ctx, t)
+            if not _types_match(ty, expected):
+                _fail(TYPE_MISMATCH,
+                      f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
+                      t.pos)
+        while post:
+            action = post.pop()
+            tag = action[0]
+            if tag == _ADD:
+                usage = usage_add(action[1], usage)
+            elif tag == _EXIT:
+                self._exit_binder(usage, action[1], action[2], action[3])
+            elif tag == _SCALE:
+                usage = self._scale(action[1], usage, action[2])
+            else:
+                usage = usage_add(action[1], usage)
+                usage.pop(action[2], None)
         return usage
 
     def synth(self, ctx: dict, t: Term) -> tuple[Type, UsageMap]:
@@ -403,14 +428,21 @@ class Checker:
                 return self.defs[t.name], {}
             _fail(UNKNOWN_VAR, f"unknown variable {t.name!r}", t.pos, var=t.name)
         if isinstance(t, App):
-            fn_ty, u1 = self.synth(ctx, t.fn)
-            if isinstance(fn_ty, Mu):
-                fn_ty = unroll_mu(fn_ty)
-            if not isinstance(fn_ty, Fun):
-                _fail(TYPE_MISMATCH,
-                      f"applying a non-function of type {_show(fn_ty)}", t.pos)
-            u2 = self.check(ctx, t.arg, fn_ty.arg)
-            return fn_ty.res, usage_add(u1, u2)
+            # f a1 ... an: synthesize f, then check the arguments left to right
+            spine = []
+            while isinstance(t, App):
+                spine.append(t)
+                t = t.fn
+            fn_ty, usage = self.synth(ctx, t)
+            for app in reversed(spine):
+                if isinstance(fn_ty, Mu):
+                    fn_ty = unroll_mu(fn_ty)
+                if not isinstance(fn_ty, Fun):
+                    _fail(TYPE_MISMATCH,
+                          f"applying a non-function of type {pretty_type(fn_ty)}", app.pos)
+                usage = usage_add(usage, self.check(ctx, app.arg, fn_ty.arg))
+                fn_ty = fn_ty.res
+            return fn_ty, usage
         if isinstance(t, IntLit):
             return Base("Int"), {}
         if isinstance(t, Con):
@@ -435,7 +467,7 @@ class Checker:
                 elif not types_equal(result_ty, ty):
                     if not _types_match(result_ty, ty):
                         _fail(TYPE_MISMATCH,
-                              f"branches disagree: {_show(result_ty)} vs {_show(ty)}",
+                              f"branches disagree: {pretty_type(result_ty)} vs {pretty_type(ty)}",
                               t.pos)
                     if isinstance(ty, Mu):
                         result_ty = ty  # prefer the rolled form
@@ -532,29 +564,29 @@ class Checker:
             ty, usage = self._synth_derive(t)
             if not types_equal(ty, expected):
                 _fail(TYPE_MISMATCH,
-                      f"{t.kind} @{_show(t.at)} has type {_show(ty)}, "
-                      f"expected {_show(expected)}", t.pos)
+                      f"{t.kind} @{pretty_type(t.at)} has type {pretty_type(ty)}, "
+                      f"expected {pretty_type(expected)}", t.pos)
             return usage
         if t.kind == "push":
             if not (isinstance(expected, Fun) and isinstance(expected.arg, Box)
                     and types_equal(expected.arg.body, t.at)):
                 _fail(TYPE_MISMATCH,
-                      f"push @{_show(t.at)} must be used at a type of shape "
-                      f"({_show(t.at)}) [r] -o ...", t.pos)
+                      f"push @{pretty_type(t.at)} must be used at a type of shape "
+                      f"({pretty_type(t.at)}) [r] -o ...", t.pos)
             r = expected.arg.grade
             self._grade_semiring(r, t.pos)
             comb = self._run_derive(lambda: deriving.derive_push(t.at, r), t.pos)
             if not types_equal(comb.type, expected):
                 _fail(TYPE_MISMATCH,
-                      f"push @{_show(t.at)} has type {_show(comb.type)}, "
-                      f"expected {_show(expected)}", t.pos)
+                      f"push @{pretty_type(t.at)} has type {pretty_type(comb.type)}, "
+                      f"expected {pretty_type(expected)}", t.pos)
             return {}
         if t.kind == "pull":
             if not (isinstance(expected, Fun) and isinstance(expected.res, Box)
                     and types_equal(expected.res.body, t.at)):
                 _fail(TYPE_MISMATCH,
-                      f"pull @{_show(t.at)} must be used at a type of shape "
-                      f"... -o ({_show(t.at)}) [r]", t.pos)
+                      f"pull @{pretty_type(t.at)} must be used at a type of shape "
+                      f"... -o ({pretty_type(t.at)}) [r]", t.pos)
             rs = self._extract_pull_grades(t.at, expected.arg, t.pos)
             for g in rs.values():
                 self._grade_semiring(g, t.pos)
@@ -565,8 +597,8 @@ class Checker:
                 t.pos)
             if not types_equal(comb.type, expected):
                 _fail(TYPE_MISMATCH,
-                      f"pull @{_show(t.at)} has type {_show(comb.type)}, "
-                      f"expected {_show(expected)}", t.pos)
+                      f"pull @{pretty_type(t.at)} has type {pretty_type(comb.type)}, "
+                      f"expected {pretty_type(expected)}", t.pos)
             return {}
         if t.kind == "fmap":
             shape = (isinstance(expected, Fun) and isinstance(expected.arg, Box)
@@ -576,8 +608,8 @@ class Checker:
                      and types_equal(expected.res.arg, t.at))
             if not shape:
                 _fail(TYPE_MISMATCH,
-                      f"fmap @{_show(t.at)} must be used at a type of shape "
-                      f"(a -o b) [g] -o ({_show(t.at)}) -o ...", t.pos)
+                      f"fmap @{pretty_type(t.at)} must be used at a type of shape "
+                      f"(a -o b) [g] -o ({pretty_type(t.at)}) -o ...", t.pos)
             alpha = expected.arg.body.arg.name
             g = expected.arg.grade
             self._grade_semiring(g, t.pos)
@@ -601,7 +633,7 @@ class Checker:
         rs: dict[str, Grade] = {}
         if not _match_pull_arg(subject, arg, rs, pos):
             _fail(TYPE_MISMATCH,
-                  f"pull @{_show(subject)} argument type does not match the subject "
+                  f"pull @{pretty_type(subject)} argument type does not match the subject "
                   f"with boxed variables", pos)
         return rs
 
@@ -641,6 +673,14 @@ def _match_pull_arg(s: Type, a: Type, rs: dict[str, Grade], pos: Pos | None) -> 
     return False
 
 
+def _unguarded(ty: Mu) -> bool:
+    """Whether a recursion variable sits under ``ty``'s leading mus, as in
+    ``mu X . X``: its unrolling is such a mu again, so no value has it."""
+    while ty.__class__ is Mu:
+        ty = ty.body
+    return ty.__class__ is RecVar
+
+
 def _types_match(a: Type, b: Type) -> bool:
     """Equality up to one unrolling of a recursive type on either side
     (values cross the mu boundary freely)."""
@@ -649,11 +689,6 @@ def _types_match(a: Type, b: Type) -> bool:
     if isinstance(a, Mu) and types_equal(unroll_mu(a), b):
         return True
     return isinstance(b, Mu) and types_equal(a, unroll_mu(b))
-
-
-def _show(ty: Type) -> str:
-    from .parser import pretty_type
-    return pretty_type(ty)
 
 
 # ---------------------------------------------------------------------------

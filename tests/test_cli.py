@@ -271,6 +271,82 @@ def test_a_deep_signature_checks(capsys, tmp_path):
     assert run_cli(capsys, "check", str(path)) == (0, "", "")
 
 
+def test_pull_at_a_recursive_subject_checks(capsys, tmp_path):
+    """Matching pull's argument against a recursive subject reaches the
+    subject's recursion variable."""
+    path = tmp_path / "pull.grm"
+    path.write_text("p : (mu X . Unit + ((a [2]) * X)) -o ((mu X . Unit + (a * X)) [2])\n"
+                    "p = pull @(mu X . Unit + (a * X))\n\nmain : Int\nmain = 5\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+
+
+def test_a_value_against_an_unguarded_mu_is_a_mismatch(capsys, tmp_path):
+    """``mu X . X`` unrolls to itself, so the checker must not keep
+    unrolling it."""
+    path = tmp_path / "unguarded.grm"
+    for ty in ("mu X . X", "mu X . mu Y . X"):
+        path.write_text(f"main : {ty}\nmain = 5\n")
+        assert run_cli(capsys, "check", str(path)) \
+            == (1, "", f"{path}:2:8: TYPE_MISMATCH: integer literal against type {ty}\n")
+
+
+# Deep inputs, checked and run under the default recursion limit.
+DEEP = 10_240
+
+
+def one_diagnostic(err: str, path, code: str) -> bool:
+    return re.fullmatch(re.escape(str(path)) + rf":\d+:\d+: {code}: [^\n]*\n", err) is not None
+
+
+def test_a_deep_list_literal_runs(capsys, tmp_path):
+    """The checker spends no frame on a list element's unrolling, injection
+    or pair."""
+    text = "".join(f"inr ({x}, " for x in range(DEEP)) + "inl unit" + ")" * DEEP
+    path = tmp_path / "list.grm"
+    path.write_text(f"main : mu X . Unit + (Int * X)\nmain = {text}\n")
+    assert run_cli(capsys, "run", str(path)) == (0, text + "\n", "")
+
+
+def test_a_long_application_spine_checks(capsys, tmp_path):
+    path = tmp_path / "spine.grm"
+    arrows = " -o ".join(["Int"] * 2_001)
+    path.write_text(f"f : {arrows}\nf = f\n\nmain : Int\nmain = f{' 0' * 2_000}\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+
+
+def test_deep_lambdas_give_a_diagnostic(capsys, tmp_path):
+    """2,000 nested lambdas whose body uses only the outermost binder: the
+    innermost binder is the first to leave scope unused."""
+    path = tmp_path / "lams.grm"
+    arrows = " -o ".join(["Int"] * 2_001)
+    lams = "".join(f"\\x{i} -> " for i in range(2_000))
+    path.write_text(f"f : {arrows}\nf = {lams}x0\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert one_diagnostic(err, path, "LINEARITY"), err
+    assert "'x1999'" in err
+
+
+def test_a_mismatch_against_a_deep_signature_prints_it(capsys, tmp_path):
+    path = tmp_path / "deep.grm"
+    arrows = " -o ".join(["Int"] * 3_001)
+    path.write_text(f"g : {arrows}\ng = 5\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert one_diagnostic(err, path, "TYPE_MISMATCH"), err[:200]
+    assert err.endswith(f"integer literal against type {arrows}\n")
+
+
+def test_deep_patterns_parse(capsys, tmp_path):
+    path = tmp_path / "pat.grm"
+    path.write_text(f"main : Int\nmain = case 5 of {'(' * 2_000}x{')' * 2_000} -> x\n")
+    assert run_cli(capsys, "run", str(path)) == (0, "5\n", "")
+    path.write_text(f"main : Int\nmain = case 5 of {'inl ' * 2_000}x -> x\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert one_diagnostic(err, path, "TYPE_MISMATCH"), err
+
+
 # Lexemes of the fuzz: blanks, comments and words stay whole, so a mutation
 # deletes, replaces, duplicates or inserts a token.
 FUZZ_LEXEME = re.compile(r"\s+|--[^\n]*|#semiring|[\w']+|->|-o|\.\.|.")
