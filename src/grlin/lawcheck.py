@@ -555,23 +555,6 @@ def run_suite(name: str, cases: int | None = None, seed: int = DEFAULT_SEED,
     return report
 
 
-def suite_inverses(cases: int | None = None, seed: int = DEFAULT_SEED) -> LawReport:
-    return run_suite("inverses", cases=cases, seed=seed)
-
-
-def suite_naturality(cases: int | None = None, seed: int = DEFAULT_SEED) -> LawReport:
-    return run_suite("naturality", cases=cases, seed=seed)
-
-
-def suite_comonad_preservation(cases: int | None = None,
-                               seed: int = DEFAULT_SEED) -> LawReport:
-    return run_suite("preservation", cases=cases, seed=seed)
-
-
-def suite_equational(cases: int | None = None, seed: int = DEFAULT_SEED) -> LawReport:
-    return run_suite("equational", cases=cases, seed=seed)
-
-
 def format_reports(reports: list[LawReport]) -> str:
     lines = [f"{'suite':<14}{'cases':>8}{'failures':>10}"]
     for r in reports:

@@ -375,10 +375,6 @@ def pattern_vars(p: Pattern) -> list[str]:
 # Terms
 # ---------------------------------------------------------------------------
 
-# Fixed constructor table: name -> arity. Result types are structural
-# (unit : 1, (,) : A -o B -o A*B, inl : A -o A+B, inr : B -o A+B).
-CONSTRUCTORS = {"unit": 0, ",": 2, "inl": 1, "inr": 1}
-
 DERIVE_KINDS = ("push", "pull", "drop", "copyShape", "fmap")
 
 
