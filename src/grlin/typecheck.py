@@ -259,68 +259,76 @@ class Checker:
         return binders
 
     def _pattern(self, enc, p, ty):
-        if isinstance(ty, Mu) and isinstance(p, (PCon, PInt, PBox)):
-            ty = unroll_mu(ty)
-        if isinstance(p, PVar):
-            asm = Linear(ty) if enc is None else Graded(ty, enc)
-            return [(p.name, asm, p.pos)]
-        if isinstance(p, PWild):
-            if enc is None:
-                _fail(WILDCARD_WEAKEN,
-                      "wildcard discards a value; it is only allowed under a box pattern",
-                      p.pos)
-            z = grades.zero(self.sr)
-            if not grades.sr_leq(z, enc):
-                _fail(WILDCARD_WEAKEN,
-                      f"wildcard needs weakening: {z} is not approximated by {enc}",
-                      p.pos, gs=(z, enc))
-            return []
-        if isinstance(p, PBox):
-            if enc is not None:
-                _fail(TYPE_MISMATCH, "box patterns cannot be nested", p.pos)
-            if not isinstance(ty, Box):
-                _fail(TYPE_MISMATCH,
-                      f"box pattern against non-box type {pretty_type(ty)}", p.pos)
-            if ty.grade.semiring != self.sr:
-                _fail(MIXED_SEMIRING,
-                      f"grade {ty.grade} is from {ty.grade.semiring}, program uses {self.sr}",
-                      p.pos, gs=(ty.grade,))
-            return self._pattern(ty.grade, p.pat, ty.body)
-        if isinstance(p, PInt):
-            if not (isinstance(ty, Base) and ty.name == "Int"):
-                _fail(TYPE_MISMATCH,
-                      f"integer pattern against type {pretty_type(ty)}", p.pos)
-            if enc is not None:
-                o = grades.one(self.sr)
-                if not grades.sr_leq(o, enc):
-                    _fail(MATCH_USAGE,
-                          f"matching a literal consumes a use: {o} is not approximated by {enc}",
-                          p.pos, gs=(o, enc))
-            return []
-        if isinstance(p, PCon):
-            if enc is not None and multi_constructor(ty):
-                o = grades.one(self.sr)
-                if not grades.sr_leq(o, enc):
-                    _fail(MATCH_USAGE,
-                          f"matching a multi-constructor type consumes a use: "
-                          f"{o} is not approximated by {enc}",
-                          p.pos, gs=(o, enc))
-            if p.con == "unit":
-                if not isinstance(ty, Unit):
-                    _fail(TYPE_MISMATCH, f"unit pattern against type {pretty_type(ty)}", p.pos)
-                return []
-            if p.con == ",":
-                if not isinstance(ty, Tensor):
-                    _fail(TYPE_MISMATCH, f"pair pattern against type {pretty_type(ty)}", p.pos)
-                return (self._pattern(enc, p.args[0], ty.left)
-                        + self._pattern(enc, p.args[1], ty.right))
-            if p.con in ("inl", "inr"):
-                if not isinstance(ty, Sum):
-                    _fail(TYPE_MISMATCH, f"{p.con} pattern against type {pretty_type(ty)}", p.pos)
-                side = ty.left if p.con == "inl" else ty.right
-                return self._pattern(enc, p.args[0], side)
-            _fail(TYPE_MISMATCH, f"unknown constructor {p.con!r}", p.pos)
-        raise AssertionError(f"unhandled pattern: {p}")
+        """The binders of ``p`` matched against ``ty`` under the enclosing
+        grade ``enc``, left to right. The sub-patterns still to match wait
+        on ``todo``, the left one on top."""
+        binders = []
+        todo = [(enc, p, ty)]
+        while todo:
+            enc, p, ty = todo.pop()
+            if isinstance(ty, Mu) and isinstance(p, (PCon, PInt, PBox)):
+                ty = unroll_mu(ty)
+            if isinstance(p, PVar):
+                asm = Linear(ty) if enc is None else Graded(ty, enc)
+                binders.append((p.name, asm, p.pos))
+            elif isinstance(p, PWild):
+                if enc is None:
+                    _fail(WILDCARD_WEAKEN,
+                          "wildcard discards a value; it is only allowed under a box pattern",
+                          p.pos)
+                z = grades.zero(self.sr)
+                if not grades.sr_leq(z, enc):
+                    _fail(WILDCARD_WEAKEN,
+                          f"wildcard needs weakening: {z} is not approximated by {enc}",
+                          p.pos, gs=(z, enc))
+            elif isinstance(p, PBox):
+                if enc is not None:
+                    _fail(TYPE_MISMATCH, "box patterns cannot be nested", p.pos)
+                if not isinstance(ty, Box):
+                    _fail(TYPE_MISMATCH,
+                          f"box pattern against non-box type {pretty_type(ty)}", p.pos)
+                if ty.grade.semiring != self.sr:
+                    _fail(MIXED_SEMIRING,
+                          f"grade {ty.grade} is from {ty.grade.semiring}, program uses {self.sr}",
+                          p.pos, gs=(ty.grade,))
+                todo.append((ty.grade, p.pat, ty.body))
+            elif isinstance(p, PInt):
+                if not (isinstance(ty, Base) and ty.name == "Int"):
+                    _fail(TYPE_MISMATCH,
+                          f"integer pattern against type {pretty_type(ty)}", p.pos)
+                if enc is not None:
+                    o = grades.one(self.sr)
+                    if not grades.sr_leq(o, enc):
+                        _fail(MATCH_USAGE,
+                              f"matching a literal consumes a use: {o} is not approximated "
+                              f"by {enc}", p.pos, gs=(o, enc))
+            elif isinstance(p, PCon):
+                if enc is not None and multi_constructor(ty):
+                    o = grades.one(self.sr)
+                    if not grades.sr_leq(o, enc):
+                        _fail(MATCH_USAGE,
+                              f"matching a multi-constructor type consumes a use: "
+                              f"{o} is not approximated by {enc}",
+                              p.pos, gs=(o, enc))
+                if p.con == "unit":
+                    if not isinstance(ty, Unit):
+                        _fail(TYPE_MISMATCH, f"unit pattern against type {pretty_type(ty)}",
+                              p.pos)
+                elif p.con == ",":
+                    if not isinstance(ty, Tensor):
+                        _fail(TYPE_MISMATCH, f"pair pattern against type {pretty_type(ty)}",
+                              p.pos)
+                    todo += ((enc, p.args[1], ty.right), (enc, p.args[0], ty.left))
+                elif p.con in ("inl", "inr"):
+                    if not isinstance(ty, Sum):
+                        _fail(TYPE_MISMATCH,
+                              f"{p.con} pattern against type {pretty_type(ty)}", p.pos)
+                    todo.append((enc, p.args[0], ty.left if p.con == "inl" else ty.right))
+                else:
+                    _fail(TYPE_MISMATCH, f"unknown constructor {p.con!r}", p.pos)
+            else:
+                raise AssertionError(f"unhandled pattern: {p}")
+        return binders
 
     # -- terms ---------------------------------------------------------------
 

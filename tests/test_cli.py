@@ -337,7 +337,7 @@ def test_a_mismatch_against_a_deep_signature_prints_it(capsys, tmp_path):
     assert err.endswith(f"integer literal against type {arrows}\n")
 
 
-def test_deep_patterns_parse(capsys, tmp_path):
+def test_deep_patterns_parse_and_check(capsys, tmp_path):
     path = tmp_path / "pat.grm"
     path.write_text(f"main : Int\nmain = case 5 of {'(' * 2_000}x{')' * 2_000} -> x\n")
     assert run_cli(capsys, "run", str(path)) == (0, "5\n", "")
@@ -345,6 +345,9 @@ def test_deep_patterns_parse(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(path))
     assert (code, out) == (1, "")
     assert one_diagnostic(err, path, "TYPE_MISMATCH"), err
+    sums = "(" * 2_000 + "Int" + " + Unit)" * 2_000
+    path.write_text(f"f : {sums} -o Int\nf = \\x -> case x of {'inl ' * 2_000}y -> y\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
 
 
 # Lexemes of the fuzz: blanks, comments and words stay whole, so a mutation
