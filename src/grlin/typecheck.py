@@ -266,12 +266,13 @@ class Checker:
         todo = [(enc, p, ty)]
         while todo:
             enc, p, ty = todo.pop()
-            if isinstance(ty, Mu) and isinstance(p, (PCon, PInt, PBox)):
+            c = p.__class__
+            if ty.__class__ is Mu and (c is PCon or c is PInt or c is PBox):
                 ty = unroll_mu(ty)
-            if isinstance(p, PVar):
+            if c is PVar:
                 asm = Linear(ty) if enc is None else Graded(ty, enc)
                 binders.append((p.name, asm, p.pos))
-            elif isinstance(p, PWild):
+            elif c is PWild:
                 if enc is None:
                     _fail(WILDCARD_WEAKEN,
                           "wildcard discards a value; it is only allowed under a box pattern",
@@ -281,10 +282,10 @@ class Checker:
                     _fail(WILDCARD_WEAKEN,
                           f"wildcard needs weakening: {z} is not approximated by {enc}",
                           p.pos, gs=(z, enc))
-            elif isinstance(p, PBox):
+            elif c is PBox:
                 if enc is not None:
                     _fail(TYPE_MISMATCH, "box patterns cannot be nested", p.pos)
-                if not isinstance(ty, Box):
+                if ty.__class__ is not Box:
                     _fail(TYPE_MISMATCH,
                           f"box pattern against non-box type {pretty_type(ty)}", p.pos)
                 if ty.grade.semiring != self.sr:
@@ -292,8 +293,8 @@ class Checker:
                           f"grade {ty.grade} is from {ty.grade.semiring}, program uses {self.sr}",
                           p.pos, gs=(ty.grade,))
                 todo.append((ty.grade, p.pat, ty.body))
-            elif isinstance(p, PInt):
-                if not (isinstance(ty, Base) and ty.name == "Int"):
+            elif c is PInt:
+                if not (ty.__class__ is Base and ty.name == "Int"):
                     _fail(TYPE_MISMATCH,
                           f"integer pattern against type {pretty_type(ty)}", p.pos)
                 if enc is not None:
@@ -302,7 +303,7 @@ class Checker:
                         _fail(MATCH_USAGE,
                               f"matching a literal consumes a use: {o} is not approximated "
                               f"by {enc}", p.pos, gs=(o, enc))
-            elif isinstance(p, PCon):
+            elif c is PCon:
                 if enc is not None and multi_constructor(ty):
                     o = grades.one(self.sr)
                     if not grades.sr_leq(o, enc):
@@ -311,16 +312,16 @@ class Checker:
                               f"{o} is not approximated by {enc}",
                               p.pos, gs=(o, enc))
                 if p.con == "unit":
-                    if not isinstance(ty, Unit):
+                    if ty.__class__ is not Unit:
                         _fail(TYPE_MISMATCH, f"unit pattern against type {pretty_type(ty)}",
                               p.pos)
                 elif p.con == ",":
-                    if not isinstance(ty, Tensor):
+                    if ty.__class__ is not Tensor:
                         _fail(TYPE_MISMATCH, f"pair pattern against type {pretty_type(ty)}",
                               p.pos)
                     todo += ((enc, p.args[1], ty.right), (enc, p.args[0], ty.left))
                 elif p.con in ("inl", "inr"):
-                    if not isinstance(ty, Sum):
+                    if ty.__class__ is not Sum:
                         _fail(TYPE_MISMATCH,
                               f"{p.con} pattern against type {pretty_type(ty)}", p.pos)
                     todo.append((enc, p.args[0], ty.left if p.con == "inl" else ty.right))
@@ -341,20 +342,40 @@ class Checker:
         post: list[tuple] = []
         while True:
             c = t.__class__
-            if (expected.__class__ is Mu and (c is Lam or c is Promote or c is Con
+            if (expected.__class__ is Mu and (c is Con or c is Lam or c is Promote
                                               or c is IntLit)
                     and not _unguarded(expected)):
                 expected = unroll_mu(expected)
-            elif c is Lam:
-                if expected.__class__ is not Fun:
-                    _fail(TYPE_MISMATCH,
-                          f"lambda against non-function type {pretty_type(expected)}",
-                          t.pos)
-                var, body = self._rename_binder(ctx, t.var, t.body)
-                asm = Linear(expected.arg)
-                post.append((_EXIT, var, asm, t.pos))
-                ctx = {**ctx, var: asm}
-                t, expected = body, expected.res
+            elif c is Con:
+                if t.con == ",":
+                    if expected.__class__ is not Tensor:
+                        _fail(TYPE_MISMATCH, f"pair against type {pretty_type(expected)}",
+                              t.pos)
+                    post.append((_ADD, self.check(ctx, t.args[0], expected.left)))
+                    t, expected = t.args[1], expected.right
+                elif t.con == "inl" or t.con == "inr":
+                    if expected.__class__ is not Sum:
+                        _fail(TYPE_MISMATCH, f"{t.con} against type {pretty_type(expected)}",
+                              t.pos)
+                    expected = expected.left if t.con == "inl" else expected.right
+                    t = t.args[0]
+                else:
+                    if t.con != "unit":
+                        _fail(TYPE_MISMATCH, f"unknown constructor {t.con!r}", t.pos)
+                    if expected.__class__ is not Unit:
+                        _fail(TYPE_MISMATCH, f"unit against type {pretty_type(expected)}",
+                              t.pos)
+                    usage = {}
+                    break
+            elif c is Case:
+                scrut_ty, u_scrut = self._scrutinee(ctx, t)
+                branch_usages = []
+                for p, body in t.branches:
+                    u = self._branch(ctx, p, scrut_ty, body, expected, check_mode=True)
+                    branch_usages.append(u)
+                merged = merge_branch_usages(branch_usages, self.sr)
+                usage = usage_add(u_scrut, merged)
+                break
             elif c is Promote:
                 if expected.__class__ is not Box:
                     _fail(TYPE_MISMATCH,
@@ -365,50 +386,35 @@ class Checker:
                           f"program uses {self.sr}", t.pos, gs=(expected.grade,))
                 post.append((_SCALE, expected.grade, t.pos))
                 t, expected = t.body, expected.body
-            elif c is Con and t.con == ",":
-                if expected.__class__ is not Tensor:
-                    _fail(TYPE_MISMATCH, f"pair against type {pretty_type(expected)}", t.pos)
-                post.append((_ADD, self.check(ctx, t.args[0], expected.left)))
-                t, expected = t.args[1], expected.right
-            elif c is Con and (t.con == "inl" or t.con == "inr"):
-                if expected.__class__ is not Sum:
-                    _fail(TYPE_MISMATCH, f"{t.con} against type {pretty_type(expected)}",
+            elif c is Lam:
+                if expected.__class__ is not Fun:
+                    _fail(TYPE_MISMATCH,
+                          f"lambda against non-function type {pretty_type(expected)}",
                           t.pos)
-                expected = expected.left if t.con == "inl" else expected.right
-                t = t.args[0]
+                var, body = self._rename_binder(ctx, t.var, t.body)
+                asm = Linear(expected.arg)
+                post.append((_EXIT, var, asm, t.pos))
+                ctx = {**ctx, var: asm}
+                t, expected = body, expected.res
             elif c is LetRec:
                 bound_ty, ctx, var, bound, t = self._letrec_intro(ctx, t)
                 post.append((_LETREC, self.check(ctx, bound, bound_ty), var))
-            else:
+            elif c is IntLit:
+                if not (expected.__class__ is Base and expected.name == "Int"):
+                    _fail(TYPE_MISMATCH,
+                          f"integer literal against type {pretty_type(expected)}", t.pos)
+                usage = {}
                 break
-        # t is a leaf
-        if c is Con:
-            if t.con != "unit":
-                _fail(TYPE_MISMATCH, f"unknown constructor {t.con!r}", t.pos)
-            if expected.__class__ is not Unit:
-                _fail(TYPE_MISMATCH, f"unit against type {pretty_type(expected)}", t.pos)
-            usage = {}
-        elif c is IntLit:
-            if not (expected.__class__ is Base and expected.name == "Int"):
-                _fail(TYPE_MISMATCH,
-                      f"integer literal against type {pretty_type(expected)}", t.pos)
-            usage = {}
-        elif c is Case:
-            scrut_ty, u_scrut = self._scrutinee(ctx, t)
-            branch_usages = []
-            for p, body in t.branches:
-                u = self._branch(ctx, p, scrut_ty, body, expected, check_mode=True)
-                branch_usages.append(u)
-            merged = merge_branch_usages(branch_usages, self.sr)
-            usage = usage_add(u_scrut, merged)
-        elif c is Derive:
-            usage = self._check_derive(t, expected)
-        else:
-            ty, usage = self.synth(ctx, t)
-            if not _types_match(ty, expected):
-                _fail(TYPE_MISMATCH,
-                      f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
-                      t.pos)
+            elif c is Derive:
+                usage = self._check_derive(t, expected)
+                break
+            else:
+                ty, usage = self.synth(ctx, t)
+                if not _types_match(ty, expected):
+                    _fail(TYPE_MISMATCH,
+                          f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
+                          t.pos)
+                break
         while post:
             action = post.pop()
             tag = action[0]
