@@ -656,51 +656,58 @@ def pretty_type(t: Type) -> str:
 
 
 def _pt(t: Type, prec: int) -> str:
-    # prec: 0 = function position, 1 = chain operand, 2 = atom. ``todo``
-    # holds what is left to write, last piece first: strings and
-    # (type, prec) pairs.
+    # prec: 0 = function position, 1 = chain operand, 2 = atom. The loop
+    # writes the leftmost part of t first; what follows it waits on
+    # ``todo``, last piece first: strings and (type, prec) pairs.
     out: list[str] = []
     write = out.append
-    todo: list = [(t, prec)]
+    todo: list = []
     push = todo.append
-    while todo:
-        item = todo.pop()
-        if item.__class__ is str:
-            write(item)
-            continue
-        t, prec = item
+    while True:
         c = t.__class__
+        if c is Box:
+            push(f" [{grades.show_grade(t.grade)}]")
+            t, prec = t.body, 2
+            continue
+        if c is Fun or c is Mu or c is Tensor or c is Sum:
+            if prec > (0 if c is Fun or c is Mu else 1):
+                write("(")
+                push(")")
+            if c is Fun:
+                todo += ((t.res, 0), " -o ")
+                t, prec = t.arg, 1
+            elif c is Mu:
+                write(f"mu {t.var} . ")
+                t, prec = t.body, 0
+            else:
+                # flatten right-nested chains of the same operator
+                op = " * " if c is Tensor else " + "
+                rest = []
+                r = t.right
+                while r.__class__ is c:
+                    rest.append(r.left)
+                    r = r.right
+                push((r, 2))
+                for x in reversed(rest):
+                    todo += (op, (x, 2))
+                push(op)
+                t, prec = t.left, 2
+            continue
         if c is Unit:
             write("Unit")
         elif c is Base or c is TyVar or c is RecVar:
             write(t.name)
-        elif c is Box:
-            todo += (f" [{grades.show_grade(t.grade)}]", (t.body, 2))
-        elif c is Tensor or c is Sum:
-            if prec > 1:
-                write("(")
-                push(")")
-            # flatten right-nested chains of the same operator
-            op = " * " if c is Tensor else " + "
-            parts: list = [(t.left, 2)]
-            t = t.right
-            while t.__class__ is c:
-                parts += (op, (t.left, 2))
-                t = t.right
-            parts += (op, (t, 2))
-            todo.extend(reversed(parts))
-        elif c is Mu or c is Fun:
-            if prec > 0:
-                write("(")
-                push(")")
-            if c is Mu:
-                write(f"mu {t.var} . ")
-                push((t.body, 0))
-            else:
-                todo += ((t.res, 0), " -o ", (t.arg, 1))
         else:
             raise AssertionError(f"unhandled type: {t}")
-    return "".join(out)
+        # t is written: write what follows it, up to the next type
+        while todo:
+            item = todo.pop()
+            if item.__class__ is not str:
+                t, prec = item
+                break
+            write(item)
+        else:
+            return "".join(out)
 
 
 def pretty_pattern(p: Pattern) -> str:
