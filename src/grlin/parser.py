@@ -154,8 +154,9 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
 
 class _Cursor:
     """Reads a token list that ends in an EOF token, which ``next`` never
-    passes. The type and term parsers read ``toks`` at ``i`` directly and
-    store ``i`` back before they return or call the pattern parser."""
+    passes. The type, term and pattern parsers read ``toks`` at ``i``
+    directly and store ``i`` back before they return or call the pattern
+    parser."""
 
     def __init__(self, toks: list[Token]):
         self.toks = toks
@@ -349,14 +350,17 @@ def _parse_pattern(c: _Cursor) -> Pattern:
     """A pattern: a name, ``_``, an integer, ``unit``, ``inl pat``, ``inr
     pat``, ``[pat]``, ``(pat)`` or ``(pat, pat)``. Each construct still
     open is a frame on ``stack``."""
+    toks = c.toks
+    i = c.i
     stack: list = []
     while True:
-        t = c.next()
+        t = toks[i]
         kind = t[0]
         if kind == "INT":
             pat = PInt(_int_literal(t), _pos(t))
         elif kind == "[" or kind == "(":
             stack.append((_PBOX if kind == "[" else _PPAREN, _pos(t)))
+            i += 1
             continue
         elif kind == "IDENT":
             text = t[1]
@@ -366,6 +370,7 @@ def _parse_pattern(c: _Cursor) -> Pattern:
                 pat = PCon("unit", (), _pos(t))
             elif text == "inl" or text == "inr":
                 stack.append((_PINJ, text, _pos(t)))
+                i += 1
                 continue
             elif text in KEYWORDS:
                 raise ParseError(f"keyword {text!r} is not a pattern", _pos(t))
@@ -373,24 +378,29 @@ def _parse_pattern(c: _Cursor) -> Pattern:
                 pat = PVar(text, _pos(t))
         else:
             raise ParseError(f"expected a pattern, found {t[1] or 'end of input'!r}", _pos(t))
+        i += 1
         # pat is complete. Close the frames it completes, until one needs more.
         while stack:
             frame = stack[-1]
             tag = frame[0]
             if tag == _PINJ:
                 pat = PCon(frame[1], (pat,), frame[2])
-            elif tag == _PPAREN and c.at(","):
-                c.next()
+            elif tag == _PPAREN and toks[i][0] == ",":
                 stack[-1] = (_PPAIR, frame[1], pat)
+                i += 1
                 break
             else:
-                c.expect("]" if tag == _PBOX else ")")
+                close = "]" if tag == _PBOX else ")"
+                if toks[i][0] != close:
+                    raise _expected(close, toks[i])
+                i += 1
                 if tag == _PBOX:
                     pat = PBox(pat, frame[1])
                 elif tag == _PPAIR:
                     pat = PCon(",", (frame[2], pat), frame[1])
             stack.pop()
         else:
+            c.i = i
             return pat
 
 
@@ -665,21 +675,24 @@ def _pt(t: Type, prec: int) -> str:
     push = todo.append
     while True:
         c = t.__class__
-        if c is Box:
-            push(f" [{grades.show_grade(t.grade)}]")
-            t, prec = t.body, 2
-            continue
-        if c is Fun or c is Mu or c is Tensor or c is Sum:
-            if prec > (0 if c is Fun or c is Mu else 1):
-                write("(")
-                push(")")
-            if c is Fun:
+        if c is TyVar or c is Base or c is RecVar:
+            write(t.name)
+        elif c is Unit:
+            write("Unit")
+        else:
+            if c is Box:
+                push(f" [{grades.show_grade(t.grade)}]")
+                t, prec = t.body, 2
+            elif c is Fun:
+                if prec > 0:
+                    write("(")
+                    push(")")
                 todo += ((t.res, 0), " -o ")
                 t, prec = t.arg, 1
-            elif c is Mu:
-                write(f"mu {t.var} . ")
-                t, prec = t.body, 0
-            else:
+            elif c is Tensor or c is Sum:
+                if prec > 1:
+                    write("(")
+                    push(")")
                 # flatten right-nested chains of the same operator
                 op = " * " if c is Tensor else " + "
                 rest = []
@@ -692,13 +705,15 @@ def _pt(t: Type, prec: int) -> str:
                     todo += (op, (x, 2))
                 push(op)
                 t, prec = t.left, 2
+            elif c is Mu:
+                if prec > 0:
+                    write("(")
+                    push(")")
+                write(f"mu {t.var} . ")
+                t, prec = t.body, 0
+            else:
+                raise AssertionError(f"unhandled type: {t}")
             continue
-        if c is Unit:
-            write("Unit")
-        elif c is Base or c is TyVar or c is RecVar:
-            write(t.name)
-        else:
-            raise AssertionError(f"unhandled type: {t}")
         # t is written: write what follows it, up to the next type
         while todo:
             item = todo.pop()

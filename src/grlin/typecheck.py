@@ -342,6 +342,13 @@ class Checker:
         post: list[tuple] = []
         while True:
             c = t.__class__
+            if c is Var or c is App:
+                ty, usage = self.synth(ctx, t)
+                if not _types_match(ty, expected):
+                    _fail(TYPE_MISMATCH,
+                          f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
+                          t.pos)
+                break
             if (expected.__class__ is Mu and (c is Con or c is Lam or c is Promote
                                               or c is IntLit)
                     and not _unguarded(expected)):
@@ -409,12 +416,7 @@ class Checker:
                 usage = self._check_derive(t, expected)
                 break
             else:
-                ty, usage = self.synth(ctx, t)
-                if not _types_match(ty, expected):
-                    _fail(TYPE_MISMATCH,
-                          f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
-                          t.pos)
-                break
+                raise AssertionError(f"unhandled term: {t}")
         while post:
             action = post.pop()
             tag = action[0]
