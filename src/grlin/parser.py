@@ -668,7 +668,8 @@ def pretty_type(t: Type) -> str:
 def _pt(t: Type, prec: int) -> str:
     # prec: 0 = function position, 1 = chain operand, 2 = atom. The loop
     # writes the leftmost part of t first; what follows it waits on
-    # ``todo``, last piece first: strings and (type, prec) pairs.
+    # ``todo``, last piece first: closing parentheses and grades as strings,
+    # and (separator, type, prec) triples.
     out: list[str] = []
     write = out.append
     todo: list = []
@@ -687,7 +688,7 @@ def _pt(t: Type, prec: int) -> str:
                 if prec > 0:
                     write("(")
                     push(")")
-                todo += ((t.res, 0), " -o ")
+                push((" -o ", t.res, 0))
                 t, prec = t.arg, 1
             elif c is Tensor or c is Sum:
                 if prec > 1:
@@ -700,10 +701,9 @@ def _pt(t: Type, prec: int) -> str:
                 while r.__class__ is c:
                     rest.append(r.left)
                     r = r.right
-                push((r, 2))
+                push((op, r, 2))
                 for x in reversed(rest):
-                    todo += (op, (x, 2))
-                push(op)
+                    push((op, x, 2))
                 t, prec = t.left, 2
             elif c is Mu:
                 if prec > 0:
@@ -717,10 +717,12 @@ def _pt(t: Type, prec: int) -> str:
         # t is written: write what follows it, up to the next type
         while todo:
             item = todo.pop()
-            if item.__class__ is not str:
-                t, prec = item
+            if item.__class__ is str:
+                write(item)
+            else:
+                sep, t, prec = item
+                write(sep)
                 break
-            write(item)
         else:
             return "".join(out)
 

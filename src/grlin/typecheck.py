@@ -267,12 +267,13 @@ class Checker:
         while todo:
             enc, p, ty = todo.pop()
             c = p.__class__
-            if ty.__class__ is Mu and (c is PCon or c is PInt or c is PBox):
-                ty = unroll_mu(ty)
             if c is PVar:
                 asm = Linear(ty) if enc is None else Graded(ty, enc)
                 binders.append((p.name, asm, p.pos))
-            elif c is PWild:
+                continue
+            if ty.__class__ is Mu and c is not PWild:
+                ty = unroll_mu(ty)
+            if c is PWild:
                 if enc is None:
                     _fail(WILDCARD_WEAKEN,
                           "wildcard discards a value; it is only allowed under a box pattern",
