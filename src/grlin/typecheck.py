@@ -249,7 +249,8 @@ class Checker:
 
     def check_pattern(self, enc: Grade | None, p: Pattern, ty: Type
                       ) -> list[tuple[str, Assumption, Pos | None]]:
-        binders = self._pattern(enc, p, ty)
+        binders: list[tuple[str, Assumption, Pos | None]] = []
+        self._pattern(enc, p, ty, binders)
         seen = set()
         for name, _, pos in binders:
             if name in seen:
@@ -258,19 +259,17 @@ class Checker:
             seen.add(name)
         return binders
 
-    def _pattern(self, enc, p, ty):
-        """The binders of ``p`` matched against ``ty`` under the enclosing
-        grade ``enc``, left to right. The sub-patterns still to match wait
-        on ``todo``, the left one on top."""
-        binders = []
-        todo = [(enc, p, ty)]
-        while todo:
-            enc, p, ty = todo.pop()
+    def _pattern(self, enc, p, ty, binders: list) -> None:
+        """Append the binders of ``p`` matched against ``ty`` under the
+        enclosing grade ``enc`` to ``binders``, left to right. A box's or an
+        injection's sub-pattern and a pair's right one continue the loop;
+        a pair's left one recurses."""
+        while True:
             c = p.__class__
             if c is PVar:
                 asm = Linear(ty) if enc is None else Graded(ty, enc)
                 binders.append((p.name, asm, p.pos))
-                continue
+                return
             if ty.__class__ is Mu and c is not PWild:
                 ty = unroll_mu(ty)
             if c is PWild:
@@ -283,7 +282,8 @@ class Checker:
                     _fail(WILDCARD_WEAKEN,
                           f"wildcard needs weakening: {z} is not approximated by {enc}",
                           p.pos, gs=(z, enc))
-            elif c is PBox:
+                return
+            if c is PBox:
                 if enc is not None:
                     _fail(TYPE_MISMATCH, "box patterns cannot be nested", p.pos)
                 if ty.__class__ is not Box:
@@ -293,7 +293,7 @@ class Checker:
                     _fail(MIXED_SEMIRING,
                           f"grade {ty.grade} is from {ty.grade.semiring}, program uses {self.sr}",
                           p.pos, gs=(ty.grade,))
-                todo.append((ty.grade, p.pat, ty.body))
+                enc, p, ty = ty.grade, p.pat, ty.body
             elif c is PInt:
                 if not (ty.__class__ is Base and ty.name == "Int"):
                     _fail(TYPE_MISMATCH,
@@ -304,6 +304,7 @@ class Checker:
                         _fail(MATCH_USAGE,
                               f"matching a literal consumes a use: {o} is not approximated "
                               f"by {enc}", p.pos, gs=(o, enc))
+                return
             elif c is PCon:
                 if enc is not None and multi_constructor(ty):
                     o = grades.one(self.sr)
@@ -316,21 +317,23 @@ class Checker:
                     if ty.__class__ is not Unit:
                         _fail(TYPE_MISMATCH, f"unit pattern against type {pretty_type(ty)}",
                               p.pos)
-                elif p.con == ",":
+                    return
+                if p.con == ",":
                     if ty.__class__ is not Tensor:
                         _fail(TYPE_MISMATCH, f"pair pattern against type {pretty_type(ty)}",
                               p.pos)
-                    todo += ((enc, p.args[1], ty.right), (enc, p.args[0], ty.left))
-                elif p.con in ("inl", "inr"):
+                    self._pattern(enc, p.args[0], ty.left, binders)
+                    p, ty = p.args[1], ty.right
+                elif p.con == "inl" or p.con == "inr":
                     if ty.__class__ is not Sum:
                         _fail(TYPE_MISMATCH,
                               f"{p.con} pattern against type {pretty_type(ty)}", p.pos)
-                    todo.append((enc, p.args[0], ty.left if p.con == "inl" else ty.right))
+                    ty = ty.left if p.con == "inl" else ty.right
+                    p = p.args[0]
                 else:
                     _fail(TYPE_MISMATCH, f"unknown constructor {p.con!r}", p.pos)
             else:
                 raise AssertionError(f"unhandled pattern: {p}")
-        return binders
 
     # -- terms ---------------------------------------------------------------
 
@@ -447,14 +450,14 @@ class Checker:
         if isinstance(t, App):
             # f a1 ... an: synthesize f, then check the arguments left to right
             spine = []
-            while isinstance(t, App):
+            while t.__class__ is App:
                 spine.append(t)
                 t = t.fn
             fn_ty, usage = self.synth(ctx, t)
             for app in reversed(spine):
-                if isinstance(fn_ty, Mu):
+                if fn_ty.__class__ is Mu:
                     fn_ty = unroll_mu(fn_ty)
-                if not isinstance(fn_ty, Fun):
+                if fn_ty.__class__ is not Fun:
                     _fail(TYPE_MISMATCH,
                           f"applying a non-function of type {pretty_type(fn_ty)}", app.pos)
                 usage = usage_add(usage, self.check(ctx, app.arg, fn_ty.arg))
