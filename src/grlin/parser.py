@@ -670,6 +670,10 @@ def _pt(t: Type, prec: int) -> str:
     # writes the leftmost part of t first; what follows it waits on
     # ``todo``, last piece first: closing parentheses and grades as strings,
     # and (separator, type, prec) triples.
+    c = t.__class__
+    if c is Unit or c is TyVar or c is RecVar or c is Base:
+        # a leaf needs no stack; half the types derivation traces print are leaves
+        return "Unit" if c is Unit else t.name
     out: list[str] = []
     write = out.append
     todo: list = []
