@@ -20,8 +20,6 @@ wherever it is read back.
 
 from __future__ import annotations
 
-import re
-
 from .parser import SourceProgram, pretty_term
 from .syntax import (
     App, Base, Case, Con, Derive, IntLit, Lam, LetRec, Pattern, PBox, PCon,
@@ -30,8 +28,6 @@ from .syntax import (
 )
 
 DEFAULT_FUEL = 100_000
-
-_UID_ROOT = re.compile(r"^(.+?~\d+)")
 
 
 class FuelExhausted(Exception):
@@ -159,8 +155,7 @@ class Evaluator:
             hit = self._occ.get((id(body), name))
             if hit is None:
                 hit = self._occ[(id(body), name)] = (body, _occurrences(body, name))
-            key = _count_key(name)
-            self.counter[key] = self.counter.get(key, 0) + hit[1]
+            self.counter[name] = self.counter.get(name, 0) + hit[1]
 
     # -- weak head normal form ------------------------------------------------
 
@@ -536,11 +531,6 @@ def _occurrences(t: Term, name: str) -> int:
             return 0
         return _occurrences(t.bound, name) + _occurrences(t.body, name)
     return 0
-
-
-def _count_key(name: str) -> str:
-    m = _UID_ROOT.match(name)
-    return m.group(1) if m else name
 
 
 # ---------------------------------------------------------------------------

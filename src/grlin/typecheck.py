@@ -6,6 +6,10 @@ grade at binder exit. Grade approximation is applied only at binder exit and
 at case-branch merges. Promotion is checking-only (its grade is free
 bottom-up), so programs carry top-level signatures.
 
+A binder scopes by the context: the innermost binding of a name wins, and
+its usage is discharged when its scope ends, so a binder that shadows
+another keeps its source name.
+
 Top-level names and letrec-bound names are recursive references: using them
 charges no usage. The recursive binder itself therefore admits contraction,
 which the unrolling equation for letrec requires anyway.
@@ -23,8 +27,7 @@ from .parser import SourceProgram, pretty_type
 from .syntax import (
     App, Base, Box, Case, Con, Derive, Fun, IntLit, Lam, LetRec, Mu, Pattern,
     PBox, PCon, PInt, Pos, Promote, PVar, PWild, RecVar, Sum, Tensor, Term,
-    TyVar, Type, Unit, Var, fresh_name, free_vars, multi_constructor,
-    subst_term, types_equal, unroll_mu,
+    TyVar, Type, Unit, Var, multi_constructor, types_equal, unroll_mu,
 )
 
 # Stable diagnostic codes (the negative suite matches on these).
@@ -227,12 +230,6 @@ class Checker:
                       f"but its binder permits {asm.grade}",
                       pos, gs=(g, asm.grade), var=name)
 
-    def _rename_binder(self, ctx: dict, name: str, body: Term) -> tuple[str, Term]:
-        if name not in ctx and name not in self.defs:
-            return name, body
-        new = fresh_name(name, set(ctx) | set(self.defs) | free_vars(body))
-        return new, subst_term(body, {name: Var(new)})
-
     def _scale(self, r: Grade, usage: UsageMap, pos: Pos | None) -> UsageMap:
         out: UsageMap = {}
         for name, u in usage.items():
@@ -402,14 +399,14 @@ class Checker:
                     _fail(TYPE_MISMATCH,
                           f"lambda against non-function type {pretty_type(expected)}",
                           t.pos)
-                var, body = self._rename_binder(ctx, t.var, t.body)
                 asm = Linear(expected.arg)
-                post.append((_EXIT, var, asm, t.pos))
-                ctx = {**ctx, var: asm}
-                t, expected = body, expected.res
+                post.append((_EXIT, t.var, asm, t.pos))
+                ctx = {**ctx, t.var: asm}
+                t, expected = t.body, expected.res
             elif c is LetRec:
-                bound_ty, ctx, var, bound, t = self._letrec_intro(ctx, t)
-                post.append((_LETREC, self.check(ctx, bound, bound_ty), var))
+                bound_ty, ctx = self._letrec_intro(ctx, t)
+                post.append((_LETREC, self.check(ctx, t.bound, bound_ty), t.var))
+                t = t.body
             elif c is IntLit:
                 if not (expected.__class__ is Base and expected.name == "Int"):
                     _fail(TYPE_MISMATCH,
@@ -495,11 +492,11 @@ class Checker:
             merged = merge_branch_usages(branch_usages, self.sr)
             return result_ty, usage_add(u_scrut, merged)
         if isinstance(t, LetRec):
-            bound_ty, ctx2, var, bound, body = self._letrec_intro(ctx, t)
-            u1 = self.check(ctx2, bound, bound_ty)
-            ty, u2 = self.synth(ctx2, body)
+            bound_ty, ctx2 = self._letrec_intro(ctx, t)
+            u1 = self.check(ctx2, t.bound, bound_ty)
+            ty, u2 = self.synth(ctx2, t.body)
             usage = usage_add(u1, u2)
-            usage.pop(var, None)
+            usage.pop(t.var, None)
             return ty, usage
         if isinstance(t, Lam):
             _fail(NEEDS_ANNOTATION, "lambda needs an expected function type", t.pos)
@@ -519,22 +516,13 @@ class Checker:
     def _branch(self, ctx, p, scrut_ty, body, expected, check_mode):
         binders = self.check_pattern(None, p, scrut_ty)
         ctx2 = dict(ctx)
-        renames: dict[str, Term] = {}
-        bound = []
-        for name, asm, pos in binders:
-            if name in ctx2 or name in self.defs:
-                new = fresh_name(name, set(ctx2) | set(self.defs) | free_vars(body))
-                renames[name] = Var(new)
-                name = new
+        for name, asm, _ in binders:
             ctx2[name] = asm
-            bound.append((name, asm, pos))
-        if renames:
-            body = subst_term(body, renames)
         if check_mode:
             usage = self.check(ctx2, body, expected)
         else:
             ty, usage = self.synth(ctx2, body)
-        for name, asm, pos in bound:
+        for name, asm, pos in binders:
             self._exit_binder(usage, name, asm, pos)
         return usage if check_mode else (ty, usage)
 
@@ -549,17 +537,7 @@ class Checker:
                           f"recursive binding {t.var!r} needs a type annotation",
                           t.pos)
                 raise
-        var, bound = t.var, t.bound
-        body = t.body
-        if var in ctx or var in self.defs:
-            new = fresh_name(var, set(ctx) | set(self.defs)
-                             | free_vars(bound) | free_vars(body))
-            ren = {var: Var(new)}
-            bound = subst_term(bound, ren)
-            body = subst_term(body, ren)
-            var = new
-        ctx2 = {**ctx, var: RecRef(bound_ty)}
-        return bound_ty, ctx2, var, bound, body
+        return bound_ty, {**ctx, t.var: RecRef(bound_ty)}
 
     # -- derive nodes ----------------------------------------------------------
 

@@ -151,6 +151,11 @@ triple = \\b -> case b of [x] -> (x, (x, x))
 main : Int * (Int * Int)
 main = triple [8]
 """,
+    """copy : (Int [2]) -o (Int * Int)
+copy = \\x -> case x of [x] -> (x, x)
+main : Int * Int
+main = copy [5]
+""",
     """map3 : ((Int -o Int) [3]) -o ((mu X . Unit + (Int * X)) -o (mu X . Unit + (Int * X)))
 map3 = \\bf -> \\l -> case bf of [f] ->
     case l of inr p1 -> (case p1 of (x1, r1) -> inr (f x1,

@@ -274,6 +274,14 @@ def test_in_program_push_grade_flows_from_expected():
     assert [d.code for d in check_program(parse_program(src))] == ["TYPE_MISMATCH"]
 
 
+def test_shadowing_diagnostics_name_the_source_binder():
+    """A binder that shadows another keeps its own name in diagnostics."""
+    src = "f : Int -o Int -o Int -o Int\nf = \\x -> \\x -> \\x -> 5"
+    diags = check_program(parse_program(src, file="file"))
+    assert [d.render() for d in diags] == [
+        "file:2:17: LINEARITY: linear variable 'x' used 0 times (expected exactly 1)"]
+
+
 def test_check_golden():
     """Every golden input checks as recorded, diagnostics in order; rewrite
     the file with ``tests/golden/gen_check.py`` only for an intended
