@@ -27,9 +27,8 @@ it has seen that the tuple holds only strings and ints.
 Types and terms are parsed without recursion: each parser is one loop
 over an explicit stack of frames, one frame per construct still open (a
 parenthesis, a binder, an application, ...), so input nested to any
-depth parses. ``pretty_term`` prints from an explicit stack too.
-Patterns, which are shallow, are parsed and printed by recursive descent,
-and ``pretty_type`` recurses.
+depth parses. Patterns are parsed the same way, and ``pretty_type``,
+``pretty_term`` and ``pretty_pattern`` print from explicit stacks too.
 """
 
 from __future__ import annotations
@@ -732,24 +731,38 @@ def _pt(t: Type, prec: int) -> str:
 
 
 def pretty_pattern(p: Pattern) -> str:
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PWild):
-        return "_"
-    if isinstance(p, PInt):
-        return str(p.value)
-    if isinstance(p, PBox):
-        return f"[{pretty_pattern(p.pat)}]"
-    if isinstance(p, PCon):
-        if p.con == "unit":
-            return "unit"
-        if p.con == ",":
-            return f"({pretty_pattern(p.args[0])}, {pretty_pattern(p.args[1])})"
-        arg = pretty_pattern(p.args[0])
-        if isinstance(p.args[0], PCon) and p.args[0].con in ("inl", "inr"):
-            arg = f"({arg})"
-        return f"{p.con} {arg}"
-    raise AssertionError(f"unhandled pattern: {p}")
+    c = p.__class__
+    if c is PVar or c is PWild:  # a leaf needs no stack
+        return p.name if c is PVar else "_"
+    # ``todo`` holds what is left to write, last piece first: strings and
+    # patterns.
+    out: list[str] = []
+    write = out.append
+    todo: list = [p]
+    while todo:
+        p = todo.pop()
+        c = p.__class__
+        if c is str:
+            write(p)
+        elif c is PVar:
+            write(p.name)
+        elif c is PBox:
+            write("[")
+            todo += ("]", p.pat)
+        elif c is not PCon:
+            write("_" if c is PWild else str(p.value))
+        elif p.con == "unit":
+            write("unit")
+        elif p.con == ",":
+            write("(")
+            todo += (")", p.args[1], ", ", p.args[0])
+        elif p.args[0].__class__ is PCon and p.args[0].con in ("inl", "inr"):
+            write(f"{p.con} (")
+            todo += (")", p.args[0])
+        else:
+            write(f"{p.con} ")
+            todo.append(p.args[0])
+    return "".join(out)
 
 
 def pretty_term(t: Term) -> str:

@@ -359,16 +359,20 @@ class PInt(Pattern):
 
 
 def pattern_vars(p: Pattern) -> list[str]:
-    if isinstance(p, PVar):
-        return [p.name]
-    if isinstance(p, PBox):
-        return pattern_vars(p.pat)
-    if isinstance(p, PCon):
-        out: list[str] = []
-        for sub in p.args:
-            out.extend(pattern_vars(sub))
-        return out
-    return []
+    """The variables ``p`` binds, left to right; the walk keeps the
+    sub-patterns still to visit on an explicit stack."""
+    out: list[str] = []
+    todo = [p]
+    while todo:
+        p = todo.pop()
+        c = p.__class__
+        if c is PVar:
+            out.append(p.name)
+        elif c is PBox:
+            todo.append(p.pat)
+        elif c is PCon:
+            todo += reversed(p.args)
+    return out
 
 
 # ---------------------------------------------------------------------------

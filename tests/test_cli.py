@@ -350,6 +350,26 @@ def test_deep_patterns_parse_and_check(capsys, tmp_path):
     assert run_cli(capsys, "check", str(path)) == (0, "", "")
 
 
+# ((…(Int + Unit) + …) + Unit), nested 2,000 deep, and a case over it
+DEEP_SUM = "(" * 2_000 + "Int" + " + Unit)" * 2_000
+DEEP_BRANCHES = f"{'inl ' * 2_000}y -> y; {'inl ' * 1_999}inr u -> case u of unit -> 0"
+
+
+def test_a_deep_pattern_runs(capsys, tmp_path):
+    path = tmp_path / "pat.grm"
+    path.write_text(f"f : {DEEP_SUM} -o Int\nf = \\x -> case x of {DEEP_BRANCHES}\n\n"
+                    f"main : Int\nmain = f ({'inl ' * 2_000}7)\n")
+    assert run_cli(capsys, "run", str(path)) == (0, "7\n", "")
+
+
+def test_a_deep_pattern_prints(capsys, tmp_path):
+    path = tmp_path / "pat.grm"
+    path.write_text(f"main : {DEEP_SUM} -o Int\nmain = \\x -> case x of {DEEP_BRANCHES}\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("\\x -> case x of inl (inl (") and out.endswith(" u of unit -> 0\n")
+
+
 # Lexemes of the fuzz: blanks, comments and words stay whole, so a mutation
 # deletes, replaces, duplicates or inserts a token.
 FUZZ_LEXEME = re.compile(r"\s+|--[^\n]*|#semiring|[\w']+|->|-o|\.\.|.")
