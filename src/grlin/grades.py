@@ -46,6 +46,7 @@ class MixedSemiringError(GradeError):
 class GradeSyntaxError(GradeError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
+        self.message = message
         self.offset = offset
 
 

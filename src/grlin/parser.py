@@ -196,8 +196,9 @@ _TCHAIN = 3  # [_TCHAIN, op, operands]: the next operand of "a op b op ..."
 
 def _parse_grade(toks: list[Token], i: int, sr: str) -> tuple[Grade, int]:
     """The grade whose tokens run from ``toks[i]`` up to ``]`` or the end.
-    Tokens that a blank or a comment separates stay separated by a blank."""
-    start = toks[i]
+    Tokens that a blank or a comment separates stay separated by a blank.
+    A syntax error points at the character it names in the source."""
+    first = i
     parts: list[str] = []
     end = None  # (line, col) just after the previous token
     while toks[i][0] != "]" and toks[i][0] != "EOF":
@@ -210,7 +211,16 @@ def _parse_grade(toks: list[Token], i: int, sr: str) -> tuple[Grade, int]:
     try:
         return grades.parse_grade("".join(parts), sr), i
     except GradeSyntaxError as e:
-        raise ParseError(str(e), _pos(start)) from e
+        # find the token t that holds the offset, which starts at ``at``
+        t, at, off = toks[first], 0, 0
+        for piece in parts:
+            if piece != " ":
+                if off > e.offset:
+                    break
+                t, at = toks[first], off
+                first += 1
+            off += len(piece)
+        raise ParseError(e.message, Pos(t[4], t[2], t[3] + e.offset - at)) from e
 
 
 def _parse_type(c: _Cursor, sr: str, core: bool = False) -> Type:

@@ -88,6 +88,14 @@ def test_errors_carry_positions_in_bounds():
         assert pos.col >= 1
 
 
+def test_grade_errors_point_at_the_offending_text():
+    """A grade syntax error is placed at the source column of the text it
+    names, not at the grade's first token."""
+    with pytest.raises(ParseError) as exc:
+        parse_type("Int [0 ..    2 x]", "interval")
+    assert str(exc.value) == "<type>:1:14: bad interval bound '2 x'"
+
+
 def test_signature_must_precede_definition():
     with pytest.raises(ParseError):
         parse_program("f = unit")
