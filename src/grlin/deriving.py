@@ -267,14 +267,13 @@ class _Pull(_Walker):
     def __init__(self, rs: dict[str, Grade], semiring: str, default: Grade | None = None):
         super().__init__(semiring)
         self.rs = rs
+        self.boxes = {a: Box(g, TyVar(a)) for a, g in rs.items()}
         self.start = default
         # with no variables occurring, the result grade is the default
         self.named = tuple(sorted(rs.items())) + ((("result", default),) if not rs else ())
 
     def boxed(self, s: Type) -> Type:
-        closed = self.annot(s)
-        return subst_tyvars(closed,
-                            {a: Box(self.rs[a], TyVar(a)) for a in free_tyvars(closed)})
+        return subst_tyvars(self.annot(s), self.boxes)
 
     def conclude(self, s: Type, tgt: Grade | None) -> Grade:
         parts = [self.rs[a] for a in sorted(free_tyvars(s))]

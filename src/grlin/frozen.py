@@ -6,7 +6,9 @@ generate. That one sets every field with ``object.__setattr__``: a lookup
 of ``__setattr__`` on ``object`` and of the field's name on the class, per
 field and per call. The ``__init__`` built here calls each slot's member
 descriptor, looked up once, and fills each ``init=False`` field with its
-default. Everything else is what ``dataclasses`` generates: ``==``,
+default. An ``init=False`` field without a default is a cache that stays
+empty until a reader fills it; such a class is copied and pickled through
+its constructor. Everything else is what ``dataclasses`` generates: ``==``,
 ``hash``, ``repr``, ``fields`` and the ``FrozenInstanceError`` on
 assignment.
 """
@@ -20,9 +22,13 @@ def frozen(cls):
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     env: dict = {}
     params, body = [], []
+    lazy = False
     for f in fields(cls):
         if f.default_factory is not MISSING:
             raise TypeError(f"{cls.__name__}.{f.name}: a default factory is not supported")
+        if not f.init and f.default is MISSING:
+            lazy = True  # a cache, left empty
+            continue
         env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
         env[f"_dflt_{f.name}"] = f.default
         if f.init:
@@ -34,4 +40,8 @@ def frozen(cls):
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__module__ = cls.__module__
     cls.__init__ = init
+    if lazy:
+        # the state that dataclasses would copy reads every field, empty or not
+        names = tuple(f.name for f in fields(cls) if f.init)
+        cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in names))
     return cls

@@ -3,16 +3,21 @@
 Types, patterns and terms are frozen, slotted dataclasses made by
 ``frozen.frozen``: a node's ``__init__`` writes each field through its
 slot's member descriptor, and ``==``, ``hash`` and ``repr`` are the ones
-``dataclasses`` generates. Four fields stay out of all three: the source
-position ``pos``, the free-variable cache ``_fv`` of a term node, which
-``free_vars`` fills later with ``object.__setattr__``, and the types
-``Case.scrut_annot`` and ``LetRec.annot`` that the deriving engine plants.
-So ``==`` stays structural and ``alpha_eq`` compares binding structure only.
+``dataclasses`` generates. These fields stay out of all three: the source
+position ``pos``; the free-variable cache ``_fv`` of a term node, which
+``free_vars`` fills later with ``object.__setattr__``; the types
+``Case.scrut_annot`` and ``LetRec.annot`` that the deriving engine plants;
+and the facts that every type node caches, which ``__init__`` leaves empty
+and the first reader fills: the free type variables ``_ftv`` and the free
+recursion variables ``_frv`` (``free_tyvars`` and ``free_recvars``) and
+the closed answer ``_multi`` of ``multi_constructor``. So ``==`` stays
+structural and ``alpha_eq`` compares binding structure only.
 
 Substitution shares: ``subst_term``, ``subst_tyvars`` and ``subst_recvar``
-return a node itself when none of its children changed, so they allocate
-only the path to what they replace. Nothing here is a self-recursive
-closure, whose cycle only the cyclic garbage collector could free.
+return a node in which no substituted variable is free as it is, after one
+look at its cached facts, so they allocate only the path to what they
+replace. Nothing here is a self-recursive closure, whose cycle only the
+cyclic garbage collector could free.
 """
 
 from __future__ import annotations
@@ -35,11 +40,57 @@ class Pos(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# Variable sets, shared: one empty set, one set per name, and an operand of
+# a union or a removal itself wherever the result equals it
+# ---------------------------------------------------------------------------
+
+_NO_VARS: frozenset[str] = frozenset()
+_VAR_SETS: dict[str, frozenset[str]] = {}
+
+
+def _var_set(name: str) -> frozenset[str]:
+    fv = _VAR_SETS.get(name)
+    if fv is None:
+        fv = _VAR_SETS[name] = frozenset((name,))
+    return fv
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(fv: frozenset[str], names) -> frozenset[str]:
+    if fv.isdisjoint(names):
+        return fv
+    fv = fv.difference(names)
+    return fv if fv else _NO_VARS
+
+
+# ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
+def _fact():
+    """A fact about a type node: cached by the function that reads it
+    first, left empty by ``__init__`` and out of ``==``, ``hash`` and
+    ``repr``."""
+    return field(init=False, repr=False, compare=False)
+
+
+@frozen
 class Type:
-    __slots__ = ()
+    """A type node. Its facts are the free type variables ``_ftv`` and the
+    free recursion variables ``_frv``, which ``free_tyvars`` and
+    ``free_recvars`` fill together, and ``_multi``, which
+    ``multi_constructor`` fills."""
+
+    _ftv: frozenset[str] = _fact()
+    _frv: frozenset[str] = _fact()
+    _multi: bool = _fact()
 
 
 @frozen
@@ -128,30 +179,66 @@ def check_wellformed(t: Type) -> None:
             bound.pop()
 
 
-def free_tyvars(t: Type) -> set[str]:
-    if isinstance(t, TyVar):
-        return {t.name}
-    if isinstance(t, Fun):
-        return free_tyvars(t.arg) | free_tyvars(t.res)
-    if isinstance(t, (Tensor, Sum)):
-        return free_tyvars(t.left) | free_tyvars(t.right)
-    if isinstance(t, (Box, Mu)):
-        return free_tyvars(t.body)
-    return set()
+def free_tyvars(t: Type) -> frozenset[str]:
+    """The free type variables of ``t``, computed once per node."""
+    try:
+        return t._ftv
+    except AttributeError:
+        _fill_free(t)
+        return t._ftv
 
 
-def free_recvars(t: Type) -> set[str]:
-    if isinstance(t, RecVar):
-        return {t.name}
-    if isinstance(t, Fun):
-        return free_recvars(t.arg) | free_recvars(t.res)
-    if isinstance(t, (Tensor, Sum)):
-        return free_recvars(t.left) | free_recvars(t.right)
-    if isinstance(t, Box):
-        return free_recvars(t.body)
-    if isinstance(t, Mu):
-        return free_recvars(t.body) - {t.var}
-    return set()
+def free_recvars(t: Type) -> frozenset[str]:
+    """The free recursion variables of ``t``, computed once per node."""
+    try:
+        return t._frv
+    except AttributeError:
+        _fill_free(t)
+        return t._frv
+
+
+def _fill_free(t: Type) -> None:
+    """Fill ``_ftv`` and ``_frv`` of ``t`` and of the nodes below it not yet
+    filled, children first, on an explicit stack. Sets are shared as in
+    ``free_vars``."""
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        for c in _children(node):
+            if not hasattr(c, "_ftv"):
+                stack.append(c)
+        if stack[-1] is not node:
+            continue
+        stack.pop()
+        c = node.__class__
+        ftv = frv = _NO_VARS
+        if c is TyVar:
+            ftv = _var_set(node.name)
+        elif c is RecVar:
+            frv = _var_set(node.name)
+        elif c is Fun:
+            ftv = _union(node.arg._ftv, node.res._ftv)
+            frv = _union(node.arg._frv, node.res._frv)
+        elif c is Tensor or c is Sum:
+            ftv = _union(node.left._ftv, node.right._ftv)
+            frv = _union(node.left._frv, node.right._frv)
+        elif c is Box:
+            ftv, frv = node.body._ftv, node.body._frv
+        elif c is Mu:
+            ftv, frv = node.body._ftv, _without(node.body._frv, (node.var,))
+        object.__setattr__(node, "_ftv", ftv)
+        object.__setattr__(node, "_frv", frv)
+
+
+def _children(t: Type) -> tuple[Type, ...]:
+    c = t.__class__
+    if c is Fun:
+        return (t.arg, t.res)
+    if c is Tensor or c is Sum:
+        return (t.left, t.right)
+    if c is Box or c is Mu:
+        return (t.body,)
+    return ()
 
 
 def contains(t: Type, pred) -> bool:
@@ -179,7 +266,7 @@ def contains_base(t: Type) -> bool:
 
 
 def contains_tyvar(t: Type) -> bool:
-    return contains(t, lambda s: isinstance(s, TyVar))
+    return bool(free_tyvars(t))
 
 
 def contains_res(t: Type) -> bool:
@@ -188,46 +275,40 @@ def contains_res(t: Type) -> bool:
 
 def subst_tyvars(t: Type, sub: dict[str, Type]) -> Type:
     """Replace free type variables; tyvars have no binders so no capture."""
-    if isinstance(t, TyVar):
-        return sub.get(t.name, t)
-    if isinstance(t, Fun):
-        arg, res = subst_tyvars(t.arg, sub), subst_tyvars(t.res, sub)
-        return t if arg is t.arg and res is t.res else Fun(arg, res)
-    if isinstance(t, (Tensor, Sum)):
-        left, right = subst_tyvars(t.left, sub), subst_tyvars(t.right, sub)
-        return t if left is t.left and right is t.right else type(t)(left, right)
-    if isinstance(t, Box):
-        body = subst_tyvars(t.body, sub)
-        return t if body is t.body else Box(t.grade, body)
-    if isinstance(t, Mu):
-        body = subst_tyvars(t.body, sub)
-        return t if body is t.body else Mu(t.var, body)
-    return t
+    if sub.keys().isdisjoint(free_tyvars(t)):
+        return t
+    c = t.__class__
+    if c is TyVar:
+        return sub[t.name]
+    if c is Fun:
+        return Fun(subst_tyvars(t.arg, sub), subst_tyvars(t.res, sub))
+    if c is Tensor or c is Sum:
+        return c(subst_tyvars(t.left, sub), subst_tyvars(t.right, sub))
+    if c is Box:
+        return Box(t.grade, subst_tyvars(t.body, sub))
+    return Mu(t.var, subst_tyvars(t.body, sub))
 
 
 def subst_recvar(t: Type, name: str, value: Type) -> Type:
-    """Capture-avoiding substitution of a recursion variable."""
-    if isinstance(t, RecVar):
-        return value if t.name == name else t
-    if isinstance(t, Fun):
-        arg, res = subst_recvar(t.arg, name, value), subst_recvar(t.res, name, value)
-        return t if arg is t.arg and res is t.res else Fun(arg, res)
-    if isinstance(t, (Tensor, Sum)):
-        left, right = subst_recvar(t.left, name, value), subst_recvar(t.right, name, value)
-        return t if left is t.left and right is t.right else type(t)(left, right)
-    if isinstance(t, Box):
-        body = subst_recvar(t.body, name, value)
-        return t if body is t.body else Box(t.grade, body)
-    if isinstance(t, Mu):
-        if t.var == name:
-            return t
-        if t.var in free_recvars(value):
-            fresh = _fresh_recvar(t.var, free_recvars(value) | free_recvars(t.body))
-            body = subst_recvar(t.body, t.var, RecVar(fresh))
-            return Mu(fresh, subst_recvar(body, name, value))
-        body = subst_recvar(t.body, name, value)
-        return t if body is t.body else Mu(t.var, body)
-    return t
+    """Capture-avoiding substitution of a recursion variable. A mu binder
+    that ``value`` would capture is renamed where ``name`` occurs below it."""
+    if name not in free_recvars(t):
+        return t
+    c = t.__class__
+    if c is RecVar:
+        return value
+    if c is Fun:
+        return Fun(subst_recvar(t.arg, name, value), subst_recvar(t.res, name, value))
+    if c is Tensor or c is Sum:
+        return c(subst_recvar(t.left, name, value), subst_recvar(t.right, name, value))
+    if c is Box:
+        return Box(t.grade, subst_recvar(t.body, name, value))
+    body = t.body
+    if t.var in free_recvars(value):
+        fresh = _fresh_recvar(t.var, free_recvars(value) | free_recvars(body))
+        body = subst_recvar(body, t.var, RecVar(fresh))
+        return Mu(fresh, subst_recvar(body, name, value))
+    return Mu(t.var, subst_recvar(body, name, value))
 
 
 def _fresh_recvar(base: str, avoid: set[str]) -> str:
@@ -256,7 +337,12 @@ def multi_constructor(t: Type) -> bool:
     counts saturated at 2 and recursion variables starting from 0, which is
     the terminating reading of the unrolling equation for mu types.
     """
-    return _count(t, {}) > 1
+    try:
+        return t._multi
+    except AttributeError:
+        multi = _count(t, {}) > 1
+        object.__setattr__(t, "_multi", multi)
+        return multi
 
 
 def _count(t: Type, env: dict[str, int]) -> int:
@@ -474,10 +560,6 @@ def pair(a: Term, b: Term) -> Term:
     return Con(",", (a, b))
 
 
-_NO_VARS: frozenset[str] = frozenset()
-_VAR_SETS: dict[str, frozenset[str]] = {}
-
-
 def free_vars(t: Term) -> frozenset[str]:
     """The free term variables of ``t``, computed once per node.
 
@@ -517,10 +599,7 @@ def _subterms(t: Term) -> tuple[Term, ...]:
 def _free_vars(t: Term) -> frozenset[str]:
     """The free variables of ``t`` from the filled caches of its children."""
     if isinstance(t, Var):
-        fv = _VAR_SETS.get(t.name)
-        if fv is None:
-            fv = _VAR_SETS[t.name] = frozenset((t.name,))
-        return fv
+        return _var_set(t.name)
     if isinstance(t, App):
         return _union(t.fn._fv, t.arg._fv)
     if isinstance(t, Lam):
@@ -540,21 +619,6 @@ def _free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, LetRec):
         return _without(_union(t.bound._fv, t.body._fv), (t.var,))
     return _NO_VARS
-
-
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
-def _without(fv: frozenset[str], names) -> frozenset[str]:
-    if fv.isdisjoint(names):
-        return fv
-    fv = fv.difference(names)
-    return fv if fv else _NO_VARS
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:

@@ -267,6 +267,7 @@ class Checker:
                 asm = Linear(ty) if enc is None else Graded(ty, enc)
                 binders.append((p.name, asm, p.pos))
                 return
+            rolled = ty  # a mu has the constructors of its unrolling
             if ty.__class__ is Mu and c is not PWild:
                 ty = unroll_mu(ty)
             if c is PWild:
@@ -303,7 +304,7 @@ class Checker:
                               f"by {enc}", p.pos, gs=(o, enc))
                 return
             elif c is PCon:
-                if enc is not None and multi_constructor(ty):
+                if enc is not None and multi_constructor(rolled):
                     o = grades.one(self.sr)
                     if not grades.sr_leq(o, enc):
                         _fail(MATCH_USAGE,

@@ -1,7 +1,9 @@
 """Type utilities: constructor counting, unrolling, alpha-equivalence,
 free variables and capture-avoiding substitution."""
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -367,6 +369,58 @@ def test_subst_recvar_returns_untouched_type_itself(t, name):
     assert subst_recvar(t, name, parse_type(LISTS)) is t
 
 
+def test_substitution_returns_a_type_without_the_variable_itself():
+    """A type in which no substituted variable is free comes back as it is,
+    after one read of its cached facts: the walk below it is not made."""
+    rng = random.Random(19)
+    cfg = L.TypeGenConfig(max_depth=4, allow_fun=True, allow_mu=True, allow_base=True)
+    for _ in range(300):
+        t = L.gen_type(cfg, rng)
+        absent = {"c": Base("Int"), **{a: UNIT for a in "ab" if a not in free_tyvars(t)}}
+        assert subst_tyvars(t, absent) is t
+        for s in subtypes(t):
+            if isinstance(s, Mu):
+                assert subst_recvar(s, s.var, UNIT) is s  # bound, not free
+                assert subst_recvar(s.body, "Z", RecVar(s.var)) is s.body
+    open_body = parse_type(LISTS).body
+    # ``value`` mentions the binder of an inner mu that does not use X:
+    # nothing is substituted there, so nothing is renamed
+    inner = Mu("Y", Sum(UNIT, RecVar("Y")))
+    t = Tensor(open_body, inner)
+    result = subst_recvar(t, "X", RecVar("Y"))
+    assert result.right is inner and result.left.right.right == RecVar("Y")
+
+
+def test_cached_type_facts_equal_a_fresh_recomputation():
+    """The facts cached on type nodes, shared between types that share
+    nodes, equal what a walk of a freshly built copy computes."""
+    rng = random.Random(20)
+    cfg = L.TypeGenConfig(max_depth=4, allow_fun=True, allow_mu=True, allow_base=True)
+    subjects = [L.gen_type(cfg, rng) for _ in range(500)]
+    subjects += [rand_type(4, G.NAT_LE, rng) for _ in range(500)]
+    subjects += [parse_type(src) for src in REBINDING]
+    for t in subjects:
+        # read facts of the parts first, then of types built from them
+        derived = [t, unroll_mu(t) if isinstance(t, Mu) else t,
+                   subst_tyvars(t, {"a": parse_type(LISTS)}), Fun(t, t)]
+        for s in subtypes(t)[::-1] + derived:
+            fresh = ref_subst_tyvars(s, {})  # a copy with every cache empty
+            assert free_tyvars(s) == ref_free(fresh, TyVar), s
+            assert free_recvars(s) == ref_free(fresh, RecVar), s
+            assert multi_constructor(s) == multi_constructor(fresh), s
+            assert isinstance(free_tyvars(s), frozenset)
+
+
+def ref_free(t, cls, bound=frozenset()):
+    """The names of the free ``cls`` nodes of ``t``, by a plain walk."""
+    if isinstance(t, cls):
+        return {t.name} - bound
+    if isinstance(t, Mu):
+        return ref_free(t.body, cls, bound | {t.var} if cls is RecVar else bound)
+    return set().union(*(ref_free(c, cls, bound) for c in (
+        getattr(t, f.name) for f in dataclasses.fields(t) if f.init) if isinstance(c, Type)))
+
+
 def test_type_substitution_leaves_untouched_children_shared():
     t = parse_type("(a * Unit) + (b -o Unit)")
     result = subst_tyvars(t, {"a": Base("Int")})
@@ -380,7 +434,8 @@ def test_type_substitution_leaves_untouched_children_shared():
 
 
 # Reference copies of the type utilities as they were before they shared
-# untouched nodes: every node rebuilt, equality always walked in full.
+# untouched nodes: every node rebuilt, equality always walked in full. A mu
+# binder is renamed only where the substitution would capture under it.
 
 def ref_subst_tyvars(t, sub):
     if isinstance(t, TyVar):
@@ -413,7 +468,7 @@ def ref_subst_recvar(t, name, value):
     if isinstance(t, Mu):
         if t.var == name:
             return t
-        if t.var in free_recvars(value):
+        if t.var in free_recvars(value) and name in free_recvars(t.body):
             avoid = free_recvars(value) | free_recvars(t.body)
             fresh = next(f"{t.var}{i}" for i in range(1, len(avoid) + 2)
                          if f"{t.var}{i}" not in avoid)
@@ -467,7 +522,7 @@ def subtypes(t):
     while stack:
         s = stack.pop()
         out.append(s)
-        stack.extend(v for v in (getattr(s, f.name) for f in dataclasses.fields(s))
+        stack.extend(v for v in (getattr(s, f.name) for f in dataclasses.fields(s) if f.init)
                      if isinstance(v, Type))
     return out
 
@@ -478,7 +533,7 @@ def rename_mu_binders(t, suffix):
         body = rename_mu_binders(t.body, suffix)
         return Mu(t.var + suffix, subst_recvar(body, t.var, RecVar(t.var + suffix)))
     if isinstance(t, (Fun, Tensor, Sum, Box)):
-        fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+        fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(t) if f.init}
         return type(t)(**{k: rename_mu_binders(v, suffix) if isinstance(v, Type) else v
                           for k, v in fields.items()})
     return t
@@ -562,24 +617,26 @@ def test_free_variable_cache_is_invisible():
 
 # Every frozen node class: (class, the names ``dataclasses.fields`` lists,
 # the compared constructor arguments, the arguments left out of ``==``,
-# ``hash`` and ``repr``, and the ``repr`` pinned for the sample).
+# ``hash`` and ``repr``, and the ``repr`` pinned for the sample). A type
+# node's fields start with its cached facts, which ``Type`` declares.
 P1 = Pos("f.grm", 1, 2)
 TWO = G.grade_nat(2)
+FACTS = ("_ftv", "_frv", "_multi")
 NODES = [
-    (Fun, ("arg", "res"), {"arg": INT, "res": UNIT}, {},
+    (Fun, (*FACTS, "arg", "res"), {"arg": INT, "res": UNIT}, {},
      "Fun(arg=Base(name='Int'), res=Unit())"),
-    (Tensor, ("left", "right"), {"left": TyVar("a"), "right": INT}, {},
+    (Tensor, (*FACTS, "left", "right"), {"left": TyVar("a"), "right": INT}, {},
      "Tensor(left=TyVar(name='a'), right=Base(name='Int'))"),
-    (Sum, ("left", "right"), {"left": UNIT, "right": RecVar("X")}, {},
+    (Sum, (*FACTS, "left", "right"), {"left": UNIT, "right": RecVar("X")}, {},
      "Sum(left=Unit(), right=RecVar(name='X'))"),
-    (Unit, (), {}, {}, "Unit()"),
-    (Box, ("grade", "body"), {"grade": TWO, "body": TyVar("a")}, {},
+    (Unit, FACTS, {}, {}, "Unit()"),
+    (Box, (*FACTS, "grade", "body"), {"grade": TWO, "body": TyVar("a")}, {},
      "Box(grade=Grade(semiring='nat-exact', value=2), body=TyVar(name='a'))"),
-    (TyVar, ("name",), {"name": "a"}, {}, "TyVar(name='a')"),
-    (RecVar, ("name",), {"name": "X"}, {}, "RecVar(name='X')"),
-    (Mu, ("var", "body"), {"var": "X", "body": Sum(UNIT, RecVar("X"))}, {},
+    (TyVar, (*FACTS, "name"), {"name": "a"}, {}, "TyVar(name='a')"),
+    (RecVar, (*FACTS, "name"), {"name": "X"}, {}, "RecVar(name='X')"),
+    (Mu, (*FACTS, "var", "body"), {"var": "X", "body": Sum(UNIT, RecVar("X"))}, {},
      "Mu(var='X', body=Sum(left=Unit(), right=RecVar(name='X')))"),
-    (Base, ("name",), {"name": "Res"}, {}, "Base(name='Res')"),
+    (Base, (*FACTS, "name"), {"name": "Res"}, {}, "Base(name='Res')"),
     (PVar, ("name", "pos"), {"name": "x"}, {"pos": P1}, "PVar(name='x')"),
     (PWild, ("pos",), {}, {"pos": P1}, "PWild()"),
     (PBox, ("pat", "pos"), {"pat": PVar("x")}, {"pos": P1}, "PBox(pat=PVar(name='x'))"),
@@ -627,6 +684,9 @@ def test_node_semantics(cls, names, args, hidden, shown):
     for name in ("pos", "scrut_annot", "annot", "_fv"):
         if name in names:
             assert getattr(node, name) is None
+    for name in FACTS:
+        if name in names:
+            assert not hasattr(node, name)  # empty until read
     full = cls(**args, **hidden)
     assert full == cls(*args.values(), *hidden.values())
     for name, value in hidden.items():
@@ -634,8 +694,13 @@ def test_node_semantics(cls, names, args, hidden, shown):
     if isinstance(full, Term):
         free_vars(full)
         assert full._fv is not None
+    if isinstance(full, Type):
+        free_tyvars(full), multi_constructor(full)
+        assert all(hasattr(full, name) for name in FACTS)
     for a, b in ((node, full), (full, node)):
         assert a == b and hash(a) == hash(b) and repr(a) == shown
+    for a in (node, full):
+        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, None)
