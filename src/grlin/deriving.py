@@ -59,7 +59,12 @@ class DerivedCombinator:
     term: Term
     type: Type
     side_conditions: tuple[str, ...]
-    trace: tuple[str, ...]
+    steps: tuple[tuple[str, Type], ...]  # (kind, subject type) per structural step
+
+    @property
+    def trace(self) -> tuple[str, ...]:
+        """One line per structural step of the induction, formatted when read."""
+        return tuple(f"{kind} @ {pretty_type(s)}" for kind, s in self.steps)
 
     def key_str(self) -> str:
         gs = ",".join(f"{k}={v}" for k, v in self.grades) if self.grades else "-"
@@ -119,10 +124,10 @@ def _close(s: Type, mu_env: dict[str, Type]) -> Type:
 class _Walker:
     """One combinator, built by induction on the structure of its subject.
 
-    The walker does what all kinds share: tracing, closing the recursion
-    variables of a type (``annot``), the call at a recursion variable, the
-    match on a sum or a product, and at a mu the letrec-tied function typed
-    by the kind's ``scheme``. A kind supplies ``split``, the branches of a
+    The walker does what all kinds share: recording its steps, closing the
+    recursion variables of a type (``annot``), the call at a recursion
+    variable, the match on a sum or a product, and at a mu the letrec-tied
+    function typed by the kind's ``scheme``. A kind supplies ``split``, the branches of a
     match, and ``node``, its cases for the other constructors. It may supply
     ``context``, what the body at a type is passed (push: the subject's
     type; pull: the target grade; fmap: the unboxed function).
@@ -138,7 +143,7 @@ class _Walker:
     def __init__(self, semiring: str):
         self.sr = semiring
         self.names = itertools.count(1)  # numbers the fresh names
-        self.trace: list[str] = []
+        self.steps: list[tuple[str, Type]] = []
         self.env: dict[str, tuple] = {}      # recvar -> (function var, context)
         self.mu_env: dict[str, Type] = {}    # recvar -> its closed mu type
 
@@ -170,7 +175,7 @@ class _Walker:
         return ()
 
     def body(self, s: Type, subj: Term, ctx=None) -> Term:
-        self.trace.append(f"{self.kind} @ {pretty_type(s)}")
+        self.steps.append((self.kind, s))
         if isinstance(s, RecVar):
             return self.call(self.env[s.name][0], subj, ctx)
         if isinstance(s, (Sum, Tensor)):
@@ -249,7 +254,7 @@ class _Push(_Walker):
             y, f, u = self.fresh("y"), self.fresh("f"), self.fresh("u")
             arg = self.annot(s.arg)
             puller = _Pull({a: self.r for a in free_tyvars(arg)}, self.sr)
-            puller.names, puller.trace = self.names, self.trace
+            puller.names, puller.steps = self.names, self.steps
             inner = Case(puller.body(arg, Var(y), self.r),
                          ((PBox(PVar(u)), self.part(s.res, App(Var(f), Var(u)))),),
                          scrut_annot=Box(self.r, arg))
@@ -579,7 +584,7 @@ def _build(w: _Walker, subject: Type) -> DerivedCombinator:
     concluded = w.scheme(subject, ctx)
     _assert_checks(term, concluded, w.sr, w.kind, w.g)
     return DerivedCombinator(w.kind, subject, w.sr, w.named, term, concluded,
-                             w.side_conditions(subject), tuple(w.trace))
+                             w.side_conditions(subject), tuple(w.steps))
 
 
 # ---------------------------------------------------------------------------

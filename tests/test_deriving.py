@@ -344,3 +344,25 @@ def test_fmap_maps_under_an_inner_mu_rebinding_the_recursion_variable():
     value = parse_term("inr (inr (1, inl unit), inl unit)")
     out = deep_normalize(App(App(fm.term, Promote(parse_term("\\n -> n"))), value))
     assert pretty_term(out) == "inr (inr (1, inl unit), inl unit)"
+
+
+def test_trace_is_formatted_when_read(monkeypatch):
+    """Deriving formats no type; ``trace`` prints the steps when it is read,
+    the pull nested in push at a function type as ``pull @ ...``."""
+    t = parse_type("(a -o (b + Unit)) * Int")
+    g = nat(2, G.NAT_LE)
+    expected = {"push": D.derive_push(t, g).trace,
+                "pull": D.derive_pull(parse_type("a * (b + Unit)"), {"a": g, "b": g},
+                                      G.NAT_LE).trace}
+    D.clear_memo()
+
+    def boom(ty):
+        raise AssertionError(f"pretty_type({ty}) called while deriving")
+
+    with monkeypatch.context() as m:
+        m.setattr(D, "pretty_type", boom)
+        push = D.derive_push(t, g)
+        pull = D.derive_pull(parse_type("a * (b + Unit)"), {"a": g, "b": g}, G.NAT_LE)
+    assert push.trace == expected["push"] and pull.trace == expected["pull"]
+    assert push.trace[:4] == ("push @ (a -o b + Unit) * Int", "push @ a -o b + Unit",
+                              "pull @ a", "push @ b + Unit")

@@ -160,7 +160,7 @@ def test_harness_detects_a_broken_combinator(monkeypatch):
         comb = real(subject, rs, semiring, default_grade=default_grade)
         return D.DerivedCombinator(comb.kind, comb.subject, comb.semiring,
                                    comb.grades, parse_term("\\z -> z"),
-                                   comb.type, comb.side_conditions, comb.trace)
+                                   comb.type, comb.side_conditions, comb.steps)
 
     monkeypatch.setattr(D, "derive_pull", broken)
     rep = L.run_suite("inverses", cases=30, seed=4)
