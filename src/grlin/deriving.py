@@ -4,7 +4,8 @@
 dual (concluding at the meet of the component grades), ``drop`` derives
 weakening for closed weakenable types, ``copyShape`` produces a unit-spine
 copy alongside the original value, and ``fmap`` is the covariant morphism
-mapping with its function argument boxed at a caller-chosen grade.
+mapping with its function argument boxed at a caller-chosen grade;
+``fmap_grade`` picks that grade from the subject's structure.
 
 All five are built by one induction on the structure of the subject type
 (``_Walker``), after the kind's preconditions (``_PRECONDITIONS``) hold.
@@ -457,6 +458,48 @@ class _Fmap(_Walker):
 
     def split(self, s: Type, x: Term, y: Term, fvar: str) -> list[Term]:
         return _rebuild(s, self.body(s.left, x, fvar), self.body(s.right, y, fvar))
+
+
+def fmap_grade(subject: Type, alpha: str, pool) -> Grade | None:
+    """The first grade of ``pool`` at which fmap over the ``alpha``
+    positions of ``subject`` can be derived: the one under which each of
+    its functions uses the mapped function at most as often as the grade
+    allows. None if no grade of the pool will do."""
+    for g in pool:
+        levels: list = []
+        levels.append(_fmap_uses(subject, alpha, g, levels))
+        if all(u is not None and grades.sr_leq(u, g) for u in levels):
+            return g
+    return None
+
+
+def _fmap_uses(s: Type, alpha: str, g: Grade, levels: list) -> Grade | None:
+    """How often the fmap function at ``s``, with its mapped function at
+    grade ``g``, uses that function in the part that ``s`` takes, counted as
+    the checker counts: once at ``alpha``, ``g`` times at a recursive call,
+    the sum over a product and the least upper bound over a sum. The body of
+    a mu is the function of its own and is appended to ``levels``. None
+    where no count exists: a sum without an upper bound, or a subject that
+    fmap refuses."""
+    c = s.__class__
+    if c is TyVar:
+        return grades.one(g.semiring) if s.name == alpha else grades.zero(g.semiring)
+    if c is Unit or c is Base:
+        return grades.zero(g.semiring)
+    if c is RecVar:
+        return g
+    if c is Mu:
+        if isinstance(s.body, (TyVar, RecVar)):
+            return None
+        levels.append(_fmap_uses(s.body, alpha, g, levels))
+        return g
+    if c is Tensor or c is Sum:
+        left = _fmap_uses(s.left, alpha, g, levels)
+        right = _fmap_uses(s.right, alpha, g, levels)
+        if left is None or right is None:
+            return None
+        return grades.sr_add(left, right) if c is Tensor else grades.sr_lub(left, right)
+    return None  # a function or a box
 
 
 def _rebuild(s: Type, left: Term, right: Term) -> list[Term]:

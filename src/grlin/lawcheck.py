@@ -50,7 +50,7 @@ GRADE_POOLS = {
     grades.ZERO_ONE_MANY: [grades.grade_zom(v) for v in (0, 1, 2)],
 }
 
-# fmap's function-argument grades to try, most permissive first
+# fmap's function-argument grades, in the order ``_derive_fmap`` takes them
 FMAP_GRADES = {
     grades.NAT_EXACT: [grades.grade_nat(n, grades.NAT_EXACT) for n in range(0, 9)],
     grades.NAT_LE: [grades.grade_nat(n, grades.NAT_LE) for n in (8, 4, 2, 1, 0)],
@@ -231,18 +231,11 @@ def _pick_push_grade(t: Type, sr: str, rng: random.Random) -> Grade:
     return rng.choice(pool)
 
 
-def _derive_fmap_somehow(t: Type, alpha: str, sr: str) -> deriving.DerivedCombinator:
-    """fmap at the first grade of ``FMAP_GRADES`` whose side conditions hold.
-    A failure at the last grade propagates as raised: a caught exception
-    kept in a local would tie this frame into a reference cycle."""
-    *first, last = FMAP_GRADES[sr]
-    for g in first:
-        try:
-            return deriving.derive_fmap(t, alpha, g, sr)
-        except DeriveError as e:
-            if e.code != deriving.SIDE_CONDITION:
-                raise
-    return deriving.derive_fmap(t, alpha, last, sr)
+def _derive_fmap(t: Type, alpha: str, sr: str) -> deriving.DerivedCombinator | None:
+    """fmap at the first grade of ``FMAP_GRADES`` that covers the uses of
+    the mapped function, or None if none does."""
+    g = deriving.fmap_grade(t, alpha, FMAP_GRADES[sr])
+    return None if g is None else deriving.derive_fmap(t, alpha, g, sr)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +277,9 @@ def _case_naturality(i: int, rng: random.Random, max_depth: int) -> str | None:
                             allow_mu=allow_mu, allow_base=False,
                             tyvars=("a",), semiring=sr)
         t = gen_type(cfg, rng)
-        try:
-            fm = _derive_fmap_somehow(t, "a", sr)
+        fm = _derive_fmap(t, "a", sr)
+        if fm is not None:
             break
-        except DeriveError:
-            continue
     else:
         return f"could not generate an fmap-derivable subject in {sr}"
     r = _pick_push_grade(t, sr, rng)
@@ -347,11 +338,9 @@ def _case_preservation(i: int, rng: random.Random, max_depth: int) -> str | None
                             allow_mu=allow_mu, allow_base=False,
                             tyvars=("a",)[: rng.randrange(2)], semiring=sr)
         t = gen_type(cfg, rng)
-        try:
-            fm = _derive_fmap_somehow(t, "a", sr)
+        fm = _derive_fmap(t, "a", sr)
+        if fm is not None:
             break
-        except DeriveError:
-            continue
     else:
         return f"could not generate an fmap-derivable subject in {sr}"
     one = grades.one(sr)

@@ -63,7 +63,9 @@ def run_derivation_soundness(n: int, seed: int = 99) -> int:
             elif kind == "copyShape":
                 comb = D.derive_copyshape(t, sr)
             else:
-                comb = L._derive_fmap_somehow(t, "a", sr)
+                comb = L._derive_fmap(t, "a", sr)
+                if comb is None:
+                    continue  # no grade of the pool covers the uses
         except DeriveError:
             continue  # instance missed a precondition; draw another
         try:

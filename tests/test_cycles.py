@@ -53,9 +53,15 @@ def derive_subjects():
                       default_grade=two)
         D.derive_copyshape(t, G.NAT_LE)
     D.derive_drop(parse_type("mu X . Unit + (Int * X)"))
-    # fails its side condition at grades 0 and 1 before it succeeds at 2
-    fm = L._derive_fmap_somehow(parse_type("a * a"), "a", G.NAT_EXACT)
+    fm = L._derive_fmap(parse_type("a * a"), "a", G.NAT_EXACT)
     assert fm.grades == (("var", "a"), ("g", G.grade_nat(2)))
+    # the re-check fails, and the refusal is raised from its CheckError
+    try:
+        D.derive_fmap(parse_type("a * a"), "a", G.grade_nat(1))
+    except D.DeriveError as e:
+        assert e.code == D.SIDE_CONDITION
+    else:
+        raise AssertionError("fmap at a * a with grade 1 was derived")
 
 
 def law_cases():

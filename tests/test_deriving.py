@@ -1,17 +1,19 @@
 """The derivation engine: golden terms, schemes, side conditions, soundness."""
 
+import random
 import re
 
 import pytest
 
 from grlin import deriving as D
 from grlin import grades as G
+from grlin import lawcheck as L
 from grlin.deriving import DeriveError
 from grlin.evaluator import deep_normalize
-from grlin.parser import parse_term, parse_type, pretty_term
+from grlin.parser import parse_term, parse_type, pretty_term, pretty_type
 from grlin.syntax import (
-    App, Base, Box, Con, Fun, IntLit, Promote, TyVar, alpha_eq, free_tyvars, pair,
-    types_equal,
+    App, Base, Box, Con, Fun, IntLit, Mu, Promote, RecVar, Sum, Tensor, TyVar, Type,
+    Unit, alpha_eq, free_tyvars, pair, types_equal,
 )
 
 
@@ -344,6 +346,81 @@ def test_fmap_maps_under_an_inner_mu_rebinding_the_recursion_variable():
     value = parse_term("inr (inr (1, inl unit), inl unit)")
     out = deep_normalize(App(App(fm.term, Promote(parse_term("\\n -> n"))), value))
     assert pretty_term(out) == "inr (inr (1, inl unit), inl unit)"
+
+
+def search_fmap(t, alpha, sr):
+    """The reference for ``deriving.fmap_grade``: fmap derived at each grade
+    of ``FMAP_GRADES`` in turn until one checks, as the law harness searched
+    before it counted the grade. A failure at the last grade propagates."""
+    *first, last = L.FMAP_GRADES[sr]
+    for g in first:
+        try:
+            return D.derive_fmap(t, alpha, g, sr)
+        except DeriveError as e:
+            if e.code != D.SIDE_CONDITION:
+                raise
+    return D.derive_fmap(t, alpha, last, sr)
+
+
+def nested_subject(rng, depth, recvars=()):
+    """A subject of Unit, Int, a and b leaves, products, sums and mus whose
+    bodies may hold mus of their own, use the recursion variables of the
+    mus around them, and bind the name of an outer mu again."""
+    kinds = ["Unit", "Int", "a", "a", "b"] + ["rec"] * bool(recvars)
+    if depth > 0:
+        kinds += ["*", "+", "*", "+", "mu", "mu", "mu"]
+    k = rng.choice(kinds)
+    if k == "Unit":
+        return Unit()
+    if k == "Int":
+        return Base("Int")
+    if k in ("a", "b"):
+        return TyVar(k)
+    if k == "rec":
+        return RecVar(rng.choice(recvars))
+    if k == "mu":
+        x = "XY"[len(recvars) % 2] if rng.random() < 0.7 else "X"
+        return Mu(x, Sum(Unit(), nested_subject(rng, depth - 1, recvars + (x,))))
+    return (Tensor if k == "*" else Sum)(nested_subject(rng, depth - 1, recvars),
+                                         nested_subject(rng, depth - 1, recvars))
+
+
+def test_fmap_grade_agrees_with_the_search():
+    """The counted grade is the one the search of every grade finds, and
+    there is none exactly where the search derives nothing."""
+    rng = random.Random(21)
+    cases = [(parse_type(src), sr) for src, sr in (
+        ("mu X . Unit + ((mu Y . Unit + (a * Y)) * X)", G.INTERVAL),
+        ("mu X . Unit + ((mu Y . Unit + (a * Y)) * X)", G.NAT_LE),
+        ("mu X . Unit + ((mu X . Unit + (a * X)) * X)", G.ZERO_ONE_MANY),
+        ("a + (a * a)", G.NAT_EXACT), ("a * a", G.NAT_EXACT), ("a * a", G.NAT_LE),
+        ("Int * (a + Unit)", G.NAT_LE), ("mu X . a", G.INTERVAL))]
+    while len(cases) < 2_000:
+        sr = L.SEMIRING_ROTATION[len(cases) % 4]
+        if len(cases) % 3:
+            cfg = L.TypeGenConfig(max_depth=3, allow_mu=True, allow_base=rng.random() < 0.5,
+                                  tyvars=("a", "b")[:rng.randrange(1, 3)], semiring=sr)
+            cases.append((L.gen_type(cfg, rng), sr))
+        else:
+            cases.append((Mu("X", Sum(Unit(), nested_subject(rng, 3, ("X",)))), sr))
+    found = {None: 0}
+    D.clear_memo()
+    for t, sr in cases:
+        try:
+            expected = search_fmap(t, "a", sr).grades[1][1]
+        except DeriveError:
+            expected = None
+        assert D.fmap_grade(t, "a", L.FMAP_GRADES[sr]) == expected, (pretty_type(t), sr)
+        found[expected] = found.get(expected, 0) + 1
+    nested = sum(1 for t, _ in cases if mu_depth(t) > 1)
+    assert found[None] > 300 and len(found) > 8 and nested > 200, (found, nested)
+
+
+def mu_depth(t):
+    """The greatest number of mus nested in ``t``."""
+    parts = (getattr(t, n, None) for n in ("left", "right", "body"))
+    return isinstance(t, Mu) + max((mu_depth(p) for p in parts if isinstance(p, Type)),
+                                   default=0)
 
 
 def test_trace_is_formatted_when_read(monkeypatch):
