@@ -528,16 +528,27 @@ class Checker:
         return usage if check_mode else (ty, usage)
 
     def _letrec_intro(self, ctx: dict, t: LetRec):
+        """The type of the letrec's bound and the context of its bound and
+        body. Without an annotation the bound's type is synthesized first,
+        with the letrec's own name hidden, so that a use of it there is
+        one that needs the annotation."""
         bound_ty = t.annot
         if bound_ty is None:
+            defs, outer = self.defs, ctx
+            if t.var in defs:
+                self.defs = {k: v for k, v in defs.items() if k != t.var}
+            if t.var in ctx:
+                outer = {k: v for k, v in ctx.items() if k != t.var}
             try:
-                bound_ty, _ = self.synth(ctx, t.bound)
+                bound_ty, _ = self.synth(outer, t.bound)
             except CheckError as e:
                 if e.diag.code == UNKNOWN_VAR and e.diag.var == t.var:
                     _fail(NEEDS_ANNOTATION,
                           f"recursive binding {t.var!r} needs a type annotation",
                           t.pos)
                 raise
+            finally:
+                self.defs = defs
         return bound_ty, {**ctx, t.var: RecRef(bound_ty)}
 
     # -- derive nodes ----------------------------------------------------------

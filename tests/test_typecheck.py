@@ -282,6 +282,19 @@ def test_shadowing_diagnostics_name_the_source_binder():
         "file:2:17: LINEARITY: linear variable 'x' used 0 times (expected exactly 1)"]
 
 
+@pytest.mark.parametrize("src, rendered", [
+    ("main : Int\nmain = letrec main = main in main",
+     "file:2:8: NEEDS_ANNOTATION: recursive binding 'main' needs a type annotation"),
+    ("g : Int -o Int\ng = \\x -> letrec x = (x, 1) in x",
+     "file:2:11: NEEDS_ANNOTATION: recursive binding 'x' needs a type annotation"),
+])
+def test_unannotated_letrec_hides_its_own_name_from_its_bound(src, rendered):
+    """Synthesizing an unannotated letrec's bound, its own name does not
+    fall back on a top-level definition or an outer binder of that name."""
+    diags = check_program(parse_program(src, file="file"))
+    assert [d.render() for d in diags] == [rendered]
+
+
 def test_check_golden():
     """Every golden input checks as recorded, diagnostics in order; rewrite
     the file with ``tests/golden/gen_check.py`` only for an intended
