@@ -227,27 +227,31 @@ def parse_grade(text: str, semiring: str) -> Grade:
     if ".." not in s:
         raise GradeSyntaxError(f"expected L..H interval, got {s!r}", text.find(s))
     lo_text, hi_text = s.split("..", 1)
-    lo = _parse_bound(lo_text, text)
-    hi = _parse_bound(hi_text, text)
+    at = text.find(s)
+    lo = _parse_bound(lo_text, text, at)
+    hi = _parse_bound(hi_text, text, at + len(lo_text) + 2)
     if lo > hi:
         raise GradeSyntaxError(f"interval bounds out of order in {s!r}", text.find(s))
     return grade_interval(lo, hi)
 
 
-def _parse_bound(part: str, whole: str):
+def _parse_bound(part: str, whole: str, start: int):
+    """The bound that ``part``, found at ``start`` in ``whole``, spells."""
     part = part.strip()
     if part == "Inf":
         return INF
-    return _natural(part, "bad interval bound", whole)
+    return _natural(part, "bad interval bound", whole, start)
 
 
-def _natural(s: str, what: str, whole: str) -> int:
-    """The value of a string of decimal digits. Anything else raises a
-    GradeSyntaxError, which starts with ``what`` unless the digits are too
-    many to convert."""
+def _natural(s: str, what: str, whole: str, start: int = 0) -> int:
+    """The value of a string of decimal digits, found in ``whole`` from
+    ``start`` on. Anything else raises a GradeSyntaxError at that place (an
+    empty string is missing at ``start``), which starts with ``what`` unless
+    the digits are too many to convert."""
     if not s.isdecimal():
-        raise GradeSyntaxError(f"{what} {s!r}", whole.find(s))
+        raise GradeSyntaxError(f"{what} {s!r}", whole.find(s, start))
     try:
         return int(s)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise GradeSyntaxError(f"number too long ({len(s)} digits)", whole.find(s)) from None
+        raise GradeSyntaxError(f"number too long ({len(s)} digits)",
+                               whole.find(s, start)) from None

@@ -94,6 +94,10 @@ def test_grade_errors_point_at_the_offending_text():
     with pytest.raises(ParseError) as exc:
         parse_type("Int [0 ..    2 x]", "interval")
     assert str(exc.value) == "<type>:1:14: bad interval bound '2 x'"
+    # a missing bound is placed where it is missing, here at the "]"
+    with pytest.raises(ParseError) as exc:
+        parse_type("Int [0..]", "interval")
+    assert str(exc.value) == "<type>:1:9: bad interval bound ''"
 
 
 def test_signature_must_precede_definition():
