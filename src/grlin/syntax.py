@@ -83,14 +83,12 @@ def _fact():
 
 @frozen
 class Type:
-    """A type node. Its facts are the free type variables ``_ftv`` and the
-    free recursion variables ``_frv``, which ``free_tyvars`` and
-    ``free_recvars`` fill together, and ``_multi``, which
-    ``multi_constructor`` fills."""
-
     _ftv: frozenset[str] = _fact()
     _frv: frozenset[str] = _fact()
     _multi: bool = _fact()
+
+
+_set_ftv, _set_frv, _set_multi = (Type.__dict__[f].__set__ for f in ("_ftv", "_frv", "_multi"))
 
 
 @frozen
@@ -181,64 +179,43 @@ def check_wellformed(t: Type) -> None:
 
 def free_tyvars(t: Type) -> frozenset[str]:
     """The free type variables of ``t``, computed once per node."""
-    try:
-        return t._ftv
-    except AttributeError:
-        _fill_free(t)
-        return t._ftv
+    ftv = getattr(t, "_ftv", None)
+    return _free(t)[0] if ftv is None else ftv
 
 
 def free_recvars(t: Type) -> frozenset[str]:
     """The free recursion variables of ``t``, computed once per node."""
-    try:
-        return t._frv
-    except AttributeError:
-        _fill_free(t)
-        return t._frv
+    frv = getattr(t, "_frv", None)
+    return _free(t)[1] if frv is None else frv
 
 
-def _fill_free(t: Type) -> None:
-    """Fill ``_ftv`` and ``_frv`` of ``t`` and of the nodes below it not yet
-    filled, children first, on an explicit stack. Sets are shared as in
-    ``free_vars``."""
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        for c in _children(node):
-            if not hasattr(c, "_ftv"):
-                stack.append(c)
-        if stack[-1] is not node:
-            continue
-        stack.pop()
-        c = node.__class__
-        ftv = frv = _NO_VARS
-        if c is TyVar:
-            ftv = _var_set(node.name)
-        elif c is RecVar:
-            frv = _var_set(node.name)
-        elif c is Fun:
-            ftv = _union(node.arg._ftv, node.res._ftv)
-            frv = _union(node.arg._frv, node.res._frv)
-        elif c is Tensor or c is Sum:
-            ftv = _union(node.left._ftv, node.right._ftv)
-            frv = _union(node.left._frv, node.right._frv)
-        elif c is Box:
-            ftv, frv = node.body._ftv, node.body._frv
-        elif c is Mu:
-            ftv, frv = node.body._ftv, _without(node.body._frv, (node.var,))
-        object.__setattr__(node, "_ftv", ftv)
-        object.__setattr__(node, "_frv", frv)
-
-
-def _children(t: Type) -> tuple[Type, ...]:
+def _free(t: Type) -> tuple[frozenset[str], frozenset[str]]:
+    """``t``'s free type and recursion variables, read from ``_ftv`` and
+    ``_frv`` or computed from its children's and written there. Sets are
+    shared as in ``free_vars``. A leaf's are written without a look at
+    whether they are there: reading an empty slot raises, which costs more."""
     c = t.__class__
-    if c is Fun:
-        return (t.arg, t.res)
-    if c is Tensor or c is Sum:
-        return (t.left, t.right)
-    if c is Box or c is Mu:
-        return (t.body,)
-    return ()
+    if c is TyVar:
+        ftv, frv = _var_set(t.name), _NO_VARS
+    elif c is RecVar:
+        ftv, frv = _NO_VARS, _var_set(t.name)
+    elif c is Unit or c is Base:
+        ftv = frv = _NO_VARS
+    else:
+        ftv = getattr(t, "_ftv", None)
+        if ftv is not None:
+            return ftv, t._frv
+        if c is Box or c is Mu:
+            ftv, frv = _free(t.body)
+            if c is Mu:
+                frv = _without(frv, (t.var,))
+        else:
+            a, b = (t.arg, t.res) if c is Fun else (t.left, t.right)
+            (ftv, frv), (ftv2, frv2) = _free(a), _free(b)
+            ftv, frv = _union(ftv, ftv2), _union(frv, frv2)
+    _set_ftv(t, ftv)
+    _set_frv(t, frv)
+    return ftv, frv
 
 
 def contains(t: Type, pred) -> bool:
@@ -337,12 +314,11 @@ def multi_constructor(t: Type) -> bool:
     counts saturated at 2 and recursion variables starting from 0, which is
     the terminating reading of the unrolling equation for mu types.
     """
-    try:
-        return t._multi
-    except AttributeError:
+    multi = getattr(t, "_multi", None)
+    if multi is None:
         multi = _count(t, {}) > 1
-        object.__setattr__(t, "_multi", multi)
-        return multi
+        _set_multi(t, multi)
+    return multi
 
 
 def _count(t: Type, env: dict[str, int]) -> int:

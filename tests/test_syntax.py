@@ -396,8 +396,8 @@ def test_cached_type_facts_equal_a_fresh_recomputation():
     nodes, equal what a walk of a freshly built copy computes."""
     rng = random.Random(20)
     cfg = L.TypeGenConfig(max_depth=4, allow_fun=True, allow_mu=True, allow_base=True)
-    subjects = [L.gen_type(cfg, rng) for _ in range(500)]
-    subjects += [rand_type(4, G.NAT_LE, rng) for _ in range(500)]
+    subjects = [L.gen_type(cfg, rng) for _ in range(300)]
+    subjects += [rand_type(4, G.NAT_LE, rng) for _ in range(300)]
     subjects += [parse_type(src) for src in REBINDING]
     for t in subjects:
         # read facts of the parts first, then of types built from them
