@@ -40,37 +40,6 @@ class Pos(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Variable sets, shared: one empty set, one set per name, and an operand of
-# a union or a removal itself wherever the result equals it
-# ---------------------------------------------------------------------------
-
-_NO_VARS: frozenset[str] = frozenset()
-_VAR_SETS: dict[str, frozenset[str]] = {}
-
-
-def _var_set(name: str) -> frozenset[str]:
-    fv = _VAR_SETS.get(name)
-    if fv is None:
-        fv = _VAR_SETS[name] = frozenset((name,))
-    return fv
-
-
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
-def _without(fv: frozenset[str], names) -> frozenset[str]:
-    if fv.isdisjoint(names):
-        return fv
-    fv = fv.difference(names)
-    return fv if fv else _NO_VARS
-
-
-# ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
@@ -88,7 +57,8 @@ class Type:
     _multi: bool = _fact()
 
 
-_set_ftv, _set_frv, _set_multi = (Type.__dict__[f].__set__ for f in ("_ftv", "_frv", "_multi"))
+_set_ftv, _set_frv, _set_multi = (Type.__dict__[f].__set__
+                                   for f in ("_ftv", "_frv", "_multi"))
 
 
 @frozen
@@ -536,6 +506,17 @@ def pair(a: Term, b: Term) -> Term:
     return Con(",", (a, b))
 
 
+_NO_VARS: frozenset[str] = frozenset()
+_VAR_SETS: dict[str, frozenset[str]] = {}
+
+
+def _var_set(name: str) -> frozenset[str]:
+    fv = _VAR_SETS.get(name)
+    if fv is None:
+        fv = _VAR_SETS[name] = frozenset((name,))
+    return fv
+
+
 def free_vars(t: Term) -> frozenset[str]:
     """The free term variables of ``t``, computed once per node.
 
@@ -595,6 +576,21 @@ def _free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, LetRec):
         return _without(_union(t.bound._fv, t.body._fv), (t.var,))
     return _NO_VARS
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(fv: frozenset[str], names) -> frozenset[str]:
+    if fv.isdisjoint(names):
+        return fv
+    fv = fv.difference(names)
+    return fv if fv else _NO_VARS
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
