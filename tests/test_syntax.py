@@ -371,7 +371,8 @@ def test_subst_recvar_returns_untouched_type_itself(t, name):
 
 def test_substitution_returns_a_type_without_the_variable_itself():
     """A type in which no substituted variable is free comes back as it is,
-    after one read of its cached facts: the walk below it is not made."""
+    and a mu binder is renamed only where something is substituted below
+    it."""
     rng = random.Random(19)
     cfg = L.TypeGenConfig(max_depth=4, allow_fun=True, allow_mu=True, allow_base=True)
     for _ in range(300):
