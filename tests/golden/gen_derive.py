@@ -6,7 +6,9 @@ of the draws, and grades from the law
 suites' pools, rotating the four semirings. Its entry is what ``grlin derive
 --explain`` prints (term, type, key and trace), followed by the side
 conditions and the type annotations of the elaborated term, or the
-``CODE: message`` of the refusal.
+``CODE: message`` of the refusal. After the drawn instances come the
+written ones of ``REFUSALS``, which break each precondition of each kind,
+some of them two or three at once.
 
 Rewrite the golden file from the repo root with
 
@@ -22,14 +24,71 @@ import dataclasses
 import random
 from pathlib import Path
 
-from grlin import deriving, lawcheck
+from grlin import deriving, grades, lawcheck
 from grlin.deriving import DeriveError
-from grlin.parser import pretty_term, pretty_type
+from grlin.grades import INTERVAL, NAT_EXACT, NAT_LE, ZERO_ONE_MANY
+from grlin.parser import parse_type, pretty_term, pretty_type
 from grlin.syntax import Term, free_tyvars
 
 GOLDEN = Path(__file__).with_name("derive.txt")
 KINDS = ("push", "pull", "drop", "copyShape", "fmap")
 PER_KIND = 300
+
+# (kind, semiring, subject, arguments after the subject), where a grade is
+# (text, its semiring). Grades from another semiring break MIXED_SEMIRING.
+REFUSALS = (
+    ("push", NAT_EXACT, "a [2]", (("1", NAT_EXACT),)),
+    ("push", NAT_EXACT, "(a [2]) + a", (("0", NAT_EXACT),)),
+    ("push", NAT_EXACT, "(Int [1]) -o Int", (("0", NAT_EXACT),)),
+    ("push", NAT_EXACT, "Int * a", (("0", NAT_EXACT),)),
+    ("push", NAT_EXACT, "a -o (a + Unit)", (("0", NAT_EXACT),)),
+    ("push", NAT_LE, "(Int -o a) * a", (("1", NAT_LE),)),
+    ("push", NAT_LE, "(a -o a) -o a", (("1", NAT_LE),)),
+    ("push", INTERVAL, "mu X . (X -o a) + Unit", (("1..1", INTERVAL),)),
+    ("push", ZERO_ONE_MANY, "mu X . X", (("w", ZERO_ONE_MANY),)),
+    ("pull", NAT_EXACT, "a [2]", ({"a": ("1", NAT_EXACT)}, NAT_EXACT, None)),
+    ("pull", NAT_EXACT, "(Int -o a) * (a [2])",
+     ({"a": ("1", NAT_EXACT)}, NAT_EXACT, ("1", NAT_EXACT))),
+    ("pull", INTERVAL, "(a -o a) [0..1]", ({"a": ("1..1", INTERVAL)}, INTERVAL, None)),
+    ("pull", NAT_EXACT, "Int * (a -o a)", ({"a": ("1", NAT_EXACT)}, NAT_EXACT, None)),
+    ("pull", NAT_EXACT, "Int + a", ({"a": ("1", NAT_EXACT)}, NAT_EXACT, None)),
+    ("pull", NAT_EXACT, "Res", ({}, NAT_EXACT, ("1", NAT_EXACT))),
+    ("pull", ZERO_ONE_MANY, "Int * b", ({"a": ("w", ZERO_ONE_MANY)}, ZERO_ONE_MANY, None)),
+    ("pull", NAT_LE, "a * b", ({"a": ("1", NAT_EXACT)}, NAT_LE, None)),
+    ("pull", NAT_LE, "a * b", ({"a": ("1", NAT_LE), "b": ("0..1", INTERVAL)}, NAT_LE, None)),
+    ("pull", NAT_LE, "a", ({"a": ("0..1", INTERVAL)}, NAT_LE, ("1..1", INTERVAL))),
+    ("pull", NAT_LE, "Unit + Unit", ({}, NAT_LE, ("1..1", INTERVAL))),
+    ("pull", NAT_EXACT, "Unit + Unit", ({}, NAT_EXACT, None)),
+    ("pull", NAT_EXACT, "a * b", ({"a": ("1", NAT_EXACT), "b": ("2", NAT_EXACT)},
+                                  NAT_EXACT, None)),
+    ("drop", NAT_EXACT, "a", (NAT_EXACT,)),
+    ("drop", NAT_EXACT, "Res * (a [2])", (NAT_EXACT,)),
+    ("drop", NAT_EXACT, "(Int -o Int) * Res", (NAT_EXACT,)),
+    ("drop", NAT_LE, "Res", (NAT_LE,)),
+    ("drop", NAT_EXACT, "mu X . Unit + (Res * X)", (NAT_EXACT,)),
+    ("drop", INTERVAL, "Int -o Int", (INTERVAL,)),
+    ("drop", ZERO_ONE_MANY, "(Int [w]) * (Unit -o Unit)", (ZERO_ONE_MANY,)),
+    ("drop", NAT_EXACT, "Int [2]", (NAT_EXACT,)),
+    ("drop", NAT_EXACT, "mu X . X", (NAT_EXACT,)),
+    ("copyShape", NAT_LE, "(a [2]) * (a -o a)", (NAT_LE,)),
+    ("copyShape", NAT_EXACT, "a [2]", (NAT_EXACT,)),
+    ("copyShape", INTERVAL, "Int -o Int", (INTERVAL,)),
+    ("copyShape", NAT_EXACT, "mu X . X", (NAT_EXACT,)),
+    ("fmap", NAT_LE, "(a [2]) * (a -o a)", ("a", ("0..1", INTERVAL), NAT_LE)),
+    ("fmap", NAT_LE, "a -o a", ("a", ("0..1", INTERVAL), NAT_LE)),
+    ("fmap", NAT_LE, "a * a", ("a", ("0..1", INTERVAL), NAT_LE)),
+    ("fmap", NAT_EXACT, "a * a", ("a", ("1", NAT_EXACT), NAT_EXACT)),
+    ("fmap", NAT_EXACT, "mu X . X", ("a", ("1", NAT_EXACT), NAT_EXACT)),
+)
+
+
+def _grades_in(arg):
+    """The argument with each (text, semiring) grade in it parsed."""
+    if isinstance(arg, dict):
+        return {k: _grades_in(v) for k, v in arg.items()}
+    if isinstance(arg, tuple):
+        return grades.parse_grade(*arg)
+    return arg
 
 
 def instances():
@@ -55,6 +114,8 @@ def instances():
         else:
             args = (sr,)
         yield kind, t, sr, args
+    for kind, sr, subject, args in REFUSALS:
+        yield kind, parse_type(subject, sr), sr, tuple(map(_grades_in, args))
 
 
 def derive(kind: str, subject, args) -> deriving.DerivedCombinator:
