@@ -27,7 +27,8 @@ it has seen that the tuple holds only strings and ints.
 Types and terms are parsed without recursion: each parser is one loop
 over an explicit stack of frames, one frame per construct still open (a
 parenthesis, a binder, an application, ...), so input nested to any
-depth parses. Patterns are parsed the same way, and ``pretty_type``,
+depth parses. A parser takes a token list that ends in an EOF token and
+the index where it starts, and returns its node and the index after it. Patterns are parsed the same way, and ``pretty_type``,
 ``pretty_term`` and ``pretty_pattern`` print from explicit stacks too.
 """
 
@@ -151,36 +152,12 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
     return toks
 
 
-class _Cursor:
-    """Reads a token list that ends in an EOF token, which ``next`` never
-    passes. The type, term and pattern parsers read ``toks`` at ``i``
-    directly and store ``i`` back before they return or call the pattern
-    parser."""
-
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t[0] != "EOF":
-            self.i += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        t = self.toks[self.i]
-        if t[0] != kind:
-            raise _expected(kind, t)
-        return self.next()
-
-    def at(self, kind: str) -> bool:
-        return self.toks[self.i][0] == kind
-
-    def at_end(self) -> bool:
-        return self.toks[self.i][0] == "EOF"
+def _end(toks: list[Token], i: int, what: str) -> None:
+    """Refuse a token other than EOF at ``toks[i]``, after the ``what``
+    that ends there."""
+    t = toks[i]
+    if t[0] != "EOF":
+        raise ParseError(f"unexpected {t[1]!r} after {what}", _pos(t))
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +200,13 @@ def _parse_grade(toks: list[Token], i: int, sr: str) -> tuple[Grade, int]:
         raise ParseError(e.message, Pos(t[4], t[2], t[3] + e.offset - at)) from e
 
 
-def _parse_type(c: _Cursor, sr: str, core: bool = False) -> Type:
+def _parse_type(toks: list[Token], i: int, sr: str,
+                core: bool = False) -> tuple[Type, int]:
     """A type, or with ``core`` an atomic type without the box postfix.
 
     ``type ::= btype ['-o' type]``, ``btype ::= atype (op atype)*`` with
     one op, ``*`` or ``+``, per chain, and ``atype ::= core ('[' grade
     ']')*``. A core is a name, ``( type )`` or ``mu X . type``."""
-    toks = c.toks
-    i = c.i
     stack: list = []
     while True:
         # Read a core, opening a frame for each "(" and "mu X ." before it.
@@ -270,8 +246,7 @@ def _parse_type(c: _Cursor, sr: str, core: bool = False) -> Type:
         # ty is a core. Close the frames it completes, until one needs more.
         while True:
             if core and not stack:
-                c.i = i
-                return ty
+                return ty, i
             while toks[i][0] == "[":
                 g, i = _parse_grade(toks, i + 1, sr)
                 if toks[i][0] != "]":
@@ -309,8 +284,7 @@ def _parse_type(c: _Cursor, sr: str, core: bool = False) -> Type:
             while stack and stack[-1][0] == _TFUN:
                 ty = Fun(stack.pop()[1], ty)
             if not stack:
-                c.i = i
-                return ty
+                return ty, i
             frame = stack.pop()
             if frame[0] == _TPAREN:
                 if toks[i][0] != ")":
@@ -329,12 +303,10 @@ def _wellformed(ty: Type, pos: Pos) -> Type:
 
 
 def parse_type(text: str, sr: str = NAT_EXACT, file: str = "<type>") -> Type:
-    c = _Cursor(tokenize(text, file))
-    ty = _parse_type(c, sr)
-    if not c.at_end():
-        t = c.peek()
-        raise ParseError(f"unexpected {t[1]!r} after type", _pos(t))
-    return _wellformed(ty, _pos(c.toks[0]))
+    toks = tokenize(text, file)
+    ty, i = _parse_type(toks, 0, sr)
+    _end(toks, i, "type")
+    return _wellformed(ty, _pos(toks[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +327,10 @@ _PPAIR = 2  # (_PPAIR, pos, first): a pair's second half
 _PINJ = 3  # (_PINJ, con, pos): the pattern after "inl" or "inr"
 
 
-def _parse_pattern(c: _Cursor) -> Pattern:
+def _parse_pattern(toks: list[Token], i: int) -> tuple[Pattern, int]:
     """A pattern: a name, ``_``, an integer, ``unit``, ``inl pat``, ``inr
     pat``, ``[pat]``, ``(pat)`` or ``(pat, pat)``. Each construct still
     open is a frame on ``stack``."""
-    toks = c.toks
-    i = c.i
     stack: list = []
     while True:
         t = toks[i]
@@ -409,8 +379,7 @@ def _parse_pattern(c: _Cursor) -> Pattern:
                     pat = PCon(",", (frame[2], pat), frame[1])
             stack.pop()
         else:
-            c.i = i
-            return pat
+            return pat, i
 
 
 # Frames of the term parser: what a term being read will be part of.
@@ -429,23 +398,21 @@ _INJ = 9  # (_INJ, con, pos): the atom after "inl" or "inr"
 _NOT_ATOM = frozenset({"case", "letrec", "of", "in", "mu"})
 
 
-def _parse_alt(c: _Cursor, i: int) -> tuple[Pattern, int]:
+def _parse_alt(toks: list[Token], i: int) -> tuple[Pattern, int]:
     """The pattern of a case branch at ``toks[i]`` and the index of the
     branch's body, after the "->"."""
-    c.i = i
-    pat = _parse_pattern(c)
-    c.expect("->")
-    return pat, c.i
+    pat, i = _parse_pattern(toks, i)
+    if toks[i][0] != "->":
+        raise _expected("->", toks[i])
+    return pat, i + 1
 
 
-def _parse_term(c: _Cursor, sr: str) -> Term:
+def _parse_term(toks: list[Token], i: int, sr: str) -> tuple[Term, int]:
     """A term: ``\\x -> term``, ``letrec x = term in term``, ``case term of
     pat -> term (; pat -> term)*``, or an application ``atom atom*``. An
     atom is a name, an integer, ``unit``, ``inl atom``, ``inr atom``,
     ``[term]``, ``(term)``, ``(term, term)`` or ``kind @core``. Each
     construct still open is a frame on ``stack``."""
-    toks = c.toks
-    i = c.i
     stack: list = []
     push = stack.append
     term_starts = True  # a term starts at toks[i], else an atom
@@ -472,11 +439,10 @@ def _parse_term(c: _Cursor, sr: str) -> Term:
             if text in DERIVE_KINDS:
                 if toks[i][0] != "@":
                     raise _expected("@", toks[i])
-                c.i = i + 1
                 pos = _pos(t)
                 # no box postfix here: a following [t] is an application argument
-                term = Derive(text, _wellformed(_parse_type(c, sr, core=True), pos), pos)
-                i = c.i
+                at, i = _parse_type(toks, i + 1, sr, core=True)
+                term = Derive(text, _wellformed(at, pos), pos)
             elif text == "unit":
                 term = Con("unit", (), _pos(t))
             elif text == "inl" or text == "inr":
@@ -528,8 +494,7 @@ def _parse_term(c: _Cursor, sr: str) -> Term:
                     break
             # term is a term
             if not stack:
-                c.i = i
-                return term
+                return term, i
             frame = stack[-1]
             tag = frame[0]
             atom = False
@@ -545,7 +510,7 @@ def _parse_term(c: _Cursor, sr: str) -> Term:
                     stack.pop()
                     term = Case(frame[2], tuple(frame[3]), frame[1])
                     continue
-                pat, i = _parse_alt(c, i + 1)
+                pat, i = _parse_alt(toks, i + 1)
                 stack[-1] = (_ALT, frame[1], frame[2], frame[3], pat)
                 term_starts = True
                 break
@@ -582,18 +547,16 @@ def _parse_term(c: _Cursor, sr: str) -> Term:
                 else:
                     if t[1] != "of":
                         raise ParseError("expected 'of'", _pos(t))
-                    pat, i = _parse_alt(c, i + 1)
+                    pat, i = _parse_alt(toks, i + 1)
                     stack[-1] = (_ALT, frame[1], term, [], pat)
                 term_starts = True
                 break
 
 
 def parse_term(text: str, sr: str = NAT_EXACT, file: str = "<term>") -> Term:
-    c = _Cursor(tokenize(text, file))
-    term = _parse_term(c, sr)
-    if not c.at_end():
-        t = c.peek()
-        raise ParseError(f"unexpected {t[1]!r} after term", _pos(t))
+    toks = tokenize(text, file)
+    term, i = _parse_term(toks, 0, sr)
+    _end(toks, i, "term")
     return term
 
 
@@ -633,30 +596,26 @@ def parse_program(text: str, file: str = "<input>") -> SourceProgram:
     for item in items:
         last = item[-1]
         item.append(("EOF", "", last[2], last[3], last[4]))
-        c = _Cursor(item)
-        name = c.expect("IDENT")
-        if c.at(":"):
+        name = item[0]
+        if name[0] != "IDENT":
+            raise _expected("IDENT", name)
+        sep = item[1][0]
+        if sep == ":":
             if pending is not None:
                 raise ParseError(f"signature {pending[0]!r} has no definition", _pos(name))
-            c.next()
-            ty = _parse_type(c, sr)
-            if not c.at_end():
-                t = c.peek()
-                raise ParseError(f"unexpected {t[1]!r} after type", _pos(t))
+            ty, i = _parse_type(item, 2, sr)
+            _end(item, i, "type")
             pos = _pos(name)
             pending = (name[1], _wellformed(ty, pos), pos)
-        elif c.at("="):
-            c.next()
+        elif sep == "=":
             if pending is None:
                 raise ParseError(f"definition {name[1]!r} has no signature", _pos(name))
             if pending[0] != name[1]:
                 raise ParseError(
                     f"definition {name[1]!r} does not match signature {pending[0]!r}",
                     _pos(name))
-            body = _parse_term(c, sr)
-            if not c.at_end():
-                t = c.peek()
-                raise ParseError(f"unexpected {t[1]!r} after definition", _pos(t))
+            body, i = _parse_term(item, 2, sr)
+            _end(item, i, "definition")
             decls.append(Decl(name[1], pending[1], body, pending[2]))
             pending = None
         else:
@@ -848,13 +807,3 @@ def _ends_open(t: Term) -> bool:
     while isinstance(t, (Lam, LetRec)):
         t = t.body
     return isinstance(t, Case)
-
-
-def pretty(x) -> str:
-    if isinstance(x, Type):
-        return pretty_type(x)
-    if isinstance(x, Term):
-        return pretty_term(x)
-    if isinstance(x, Pattern):
-        return pretty_pattern(x)
-    raise TypeError(f"cannot pretty-print {type(x).__name__}")

@@ -17,8 +17,8 @@ from grlin.syntax import (
 
 
 def _pat(text):
-    from grlin.parser import _Cursor, _parse_pattern, tokenize
-    return _parse_pattern(_Cursor(tokenize(text)))
+    from grlin.parser import _parse_pattern, tokenize
+    return _parse_pattern(tokenize(text), 0)[0]
 
 
 def test_match_box_then_pair():

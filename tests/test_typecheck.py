@@ -164,8 +164,8 @@ def test_check_pattern_examples():
 
 
 def _pat(text):
-    from grlin.parser import _Cursor, _parse_pattern, tokenize
-    return _parse_pattern(_Cursor(tokenize(text)))
+    from grlin.parser import _parse_pattern, tokenize
+    return _parse_pattern(tokenize(text), 0)[0]
 
 
 def test_merge_branch_usages():
