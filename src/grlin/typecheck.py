@@ -94,17 +94,8 @@ Assumption = Linear | Graded | RecRef
 
 # Usages ----------------------------------------------------------------------
 
-@frozen
-class LinearUses:
-    count: int
-
-
-@frozen
-class GradedUses:
-    grade: Grade
-
-
-Usage = LinearUses | GradedUses
+# A usage map takes each variable a term uses to its usage: the ``int``
+# count of uses of a linear variable, the ``Grade`` of a graded one.
 UsageMap = dict
 
 
@@ -115,7 +106,7 @@ class BinderRecord:
     pos: Pos | None
     kind: str  # "linear" or "graded"
     declared: Grade | None
-    usage: Usage
+    usage: int | Grade
 
 
 def usage_add(u1: UsageMap, u2: UsageMap) -> UsageMap:
@@ -123,10 +114,10 @@ def usage_add(u1: UsageMap, u2: UsageMap) -> UsageMap:
     for name, u in u2.items():
         if name not in out:
             out[name] = u
-        elif isinstance(u, LinearUses):
-            out[name] = LinearUses(out[name].count + u.count)
+        elif u.__class__ is int:
+            out[name] += u
         else:
-            out[name] = GradedUses(grades.sr_add(out[name].grade, u.grade))
+            out[name] = grades.sr_add(out[name], u)
     return out
 
 
@@ -142,17 +133,17 @@ def merge_branch_usages(us: list[UsageMap], sr: str) -> UsageMap:
     out: UsageMap = {}
     for name in names:
         entries = [u.get(name) for u in us]
-        if any(isinstance(e, LinearUses) for e in entries):
-            counts = [(e.count if e is not None else 0) for e in entries]
+        if any(e.__class__ is int for e in entries):
+            counts = [(e if e is not None else 0) for e in entries]
             if len(set(counts)) != 1:
                 _fail(LINEARITY,
                       f"linear variable {name!r} is used in some branches but not others",
                       var=name)
-            out[name] = LinearUses(counts[0])
+            out[name] = counts[0]
         else:
             acc = None
             for e in entries:
-                g = e.grade if e is not None else grades.zero(sr)
+                g = e if e is not None else grades.zero(sr)
                 if acc is None:
                     acc = g
                 else:
@@ -162,7 +153,7 @@ def merge_branch_usages(us: list[UsageMap], sr: str) -> UsageMap:
                               f"branch usages {acc} and {g} of {name!r} have no upper bound",
                               gs=(acc, g), var=name)
                     acc = j
-            out[name] = GradedUses(acc)
+            out[name] = acc
     return out
 
 
@@ -211,19 +202,17 @@ class Checker:
         if isinstance(asm, RecRef):
             return
         if isinstance(asm, Linear):
-            count = u.count if u is not None else 0
+            count = u if u is not None else 0
             if self.record:
-                self.records.append(BinderRecord(name, pos, "linear", None,
-                                                 LinearUses(count)))
+                self.records.append(BinderRecord(name, pos, "linear", None, count))
             if count != 1:
                 _fail(LINEARITY,
                       f"linear variable {name!r} used {count} times (expected exactly 1)",
                       pos, var=name)
         else:
-            g = u.grade if u is not None else grades.zero(self.sr)
+            g = u if u is not None else grades.zero(self.sr)
             if self.record:
-                self.records.append(BinderRecord(name, pos, "graded", asm.grade,
-                                                 GradedUses(g)))
+                self.records.append(BinderRecord(name, pos, "graded", asm.grade, g))
             if not grades.sr_leq(g, asm.grade):
                 _fail(GRADE_EXCEEDED,
                       f"variable {name!r} used at grade {g}, "
@@ -233,13 +222,13 @@ class Checker:
     def _scale(self, r: Grade, usage: UsageMap, pos: Pos | None) -> UsageMap:
         out: UsageMap = {}
         for name, u in usage.items():
-            if isinstance(u, LinearUses):
-                if u.count == 0:
+            if u.__class__ is int:
+                if u == 0:
                     continue
                 _fail(PROMOTE_LINEAR,
                       f"linear variable {name!r} used under a promotion",
                       pos, var=name)
-            out[name] = GradedUses(grades.sr_mul(r, u.grade))
+            out[name] = grades.sr_mul(r, u)
         return out
 
     # -- patterns ------------------------------------------------------------
@@ -438,9 +427,9 @@ class Checker:
             if t.name in ctx:
                 asm = ctx[t.name]
                 if isinstance(asm, Linear):
-                    return asm.type, {t.name: LinearUses(1)}
+                    return asm.type, {t.name: 1}
                 if isinstance(asm, Graded):
-                    return asm.type, {t.name: GradedUses(grades.one(self.sr))}
+                    return asm.type, {t.name: grades.one(self.sr)}
                 return asm.type, {}
             if t.name in self.defs:
                 return self.defs[t.name], {}

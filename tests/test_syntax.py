@@ -670,9 +670,6 @@ NODES = [
      "Graded(type=TyVar(name='a'), grade=Grade(semiring='nat-exact', value=2))"),
     (T.RecRef, ("type",), {"type": Fun(INT, INT)}, {},
      "RecRef(type=Fun(arg=Base(name='Int'), res=Base(name='Int')))"),
-    (T.LinearUses, ("count",), {"count": 2}, {}, "LinearUses(count=2)"),
-    (T.GradedUses, ("grade",), {"grade": TWO}, {},
-     "GradedUses(grade=Grade(semiring='nat-exact', value=2))"),
 ]
 
 

@@ -8,8 +8,8 @@ import pytest
 from grlin import grades as G
 from grlin.parser import parse_program, parse_term, parse_type
 from grlin.typecheck import (
-    CheckError, Checker, Graded, GradedUses, Linear, LinearUses,
-    check_program, check_term, merge_branch_usages, synth_term,
+    CheckError, Checker, Graded, Linear, check_program, check_term,
+    merge_branch_usages, synth_term,
 )
 from grlin.syntax import Base, TyVar
 
@@ -125,13 +125,13 @@ def test_check_term_usage_map():
     diags, records = check_program(prog, record=True)
     assert diags == []
     graded = {r.name: r for r in records if r.kind == "graded"}
-    assert graded["x"].usage == GradedUses(G.grade_nat(2))
+    assert graded["x"].usage == G.grade_nat(2)
 
 
 def test_synth_examples():
     ty, usage = synth_term({"x": Linear(Base("Int"))}, parse_term("x"), G.NAT_EXACT)
     assert ty == Base("Int")
-    assert usage == {"x": LinearUses(1)}
+    assert usage == {"x": 1}
     with pytest.raises(CheckError) as exc:
         synth_term({}, parse_term("[3]"), G.NAT_EXACT)
     assert exc.value.diag.code == "NEEDS_ANNOTATION"
@@ -170,14 +170,13 @@ def _pat(text):
 
 def test_merge_branch_usages():
     le = G.NAT_LE
-    u1 = {"x": GradedUses(G.grade_nat(1, le))}
-    u2 = {"x": GradedUses(G.grade_nat(3, le))}
+    u1 = {"x": G.grade_nat(1, le)}
+    u2 = {"x": G.grade_nat(3, le)}
     merged = merge_branch_usages([u1, u2], le)
-    assert merged["x"] == GradedUses(G.grade_nat(3, le))
+    assert merged["x"] == G.grade_nat(3, le)
 
     with pytest.raises(CheckError) as exc:
-        merge_branch_usages([{"x": GradedUses(G.grade_nat(1))},
-                             {"x": GradedUses(G.grade_nat(2))}], G.NAT_EXACT)
+        merge_branch_usages([{"x": G.grade_nat(1)}, {"x": G.grade_nat(2)}], G.NAT_EXACT)
     assert exc.value.diag.code == "NO_UPPER_BOUND"
 
     assert merge_branch_usages([u1], le) == u1
@@ -207,9 +206,9 @@ def test_dereliction_invariant():
         term = parse_term("(x, 1)")
         expected = parse_type("Int * Int")
         u1 = check_term({"x": Linear(Base("Int"))}, term, expected, sr)
-        assert u1 == {"x": LinearUses(1)}
+        assert u1 == {"x": 1}
         u2 = check_term({"x": Graded(Base("Int"), G.one(sr))}, term, expected, sr)
-        assert u2 == {"x": GradedUses(G.one(sr))}
+        assert u2 == {"x": G.one(sr)}
 
 
 def test_mixed_semiring_diagnosed():
