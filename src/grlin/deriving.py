@@ -8,7 +8,7 @@ mapping with its function argument boxed at a caller-chosen grade;
 ``fmap_grade`` picks that grade from the subject's structure.
 
 All five are built by one induction on the structure of the subject type
-(``_Walker``), after the kind's preconditions (``_PRECONDITIONS``) hold.
+(``_Walker``), after the kind's ``preconditions`` hold at the subject.
 Every elaborated term is type-checked against its concluded scheme before
 being returned, and results are memoized per (kind, type, semiring, grades).
 Elaborated case expressions carry scrutinee-type annotations so they check
@@ -18,7 +18,6 @@ without any constraint solving.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 from . import grades, syntax
@@ -26,9 +25,8 @@ from .grades import Grade
 from .parser import pretty_type
 from .syntax import (
     App, Base, Box, Case, Con, Derive, Fun, Lam, LetRec, Mu, PBox, PCon,
-    Promote, PVar, RecVar, Sum, Tensor, Term, TyVar, Type, Unit, Var,
-    contains_box, contains_fun, contains_base, contains_res, contains_tyvar,
-    free_tyvars, free_recvars, multi_constructor, subst_tyvars, pair,
+    Promote, PVar, RecVar, RES, Sum, Tensor, Term, TyVar, Type, Unit, Var,
+    free_tyvars, free_recvars, multi_constructor, occurring, subst_tyvars, pair,
 )
 
 # Error codes mirror the checker's stable diagnostic strings.
@@ -73,22 +71,17 @@ class DerivedCombinator:
 
 
 _memo: dict = {}
-_memo_lock = threading.Lock()
 
 
 def clear_memo() -> None:
-    with _memo_lock:
-        _memo.clear()
+    _memo.clear()
 
 
 def _memoized(key, build):
-    with _memo_lock:
-        hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    result = build()
-    with _memo_lock:
-        return _memo.setdefault(key, result)
+    hit = _memo.get(key)
+    if hit is None:
+        hit = _memo[key] = build()
+    return hit
 
 
 def _assert_checks(term: Term, ty: Type, semiring: str, what: str,
@@ -128,10 +121,11 @@ class _Walker:
     The walker does what all kinds share: recording its steps, closing the
     recursion variables of a type (``annot``), the call at a recursion
     variable, the match on a sum or a product, and at a mu the letrec-tied
-    function typed by the kind's ``scheme``. A kind supplies ``split``, the branches of a
-    match, and ``node``, its cases for the other constructors. It may supply
-    ``context``, what the body at a type is passed (push: the subject's
-    type; pull: the target grade; fmap: the unboxed function).
+    function typed by the kind's ``scheme``. A kind supplies ``preconditions``,
+    which refuse a subject it cannot be built at; ``split``, the branches of
+    a match; and ``node``, its cases for the other constructors. It may
+    supply ``context``, what the body at a type is passed (push: the
+    subject's type; pull: the target grade; fmap: the unboxed function).
     """
 
     kind = ""
@@ -140,6 +134,7 @@ class _Walker:
     named = ()           # the named grades of the derived combinator
     start = None         # what ``context`` is given at the subject (pull: the default grade)
     g = None             # fmap: the grade of the mapped function
+    side_conditions: tuple[str, ...] = ()  # push: "1 <= r" where it matches under the box
 
     def __init__(self, semiring: str):
         self.sr = semiring
@@ -171,9 +166,6 @@ class _Walker:
 
     def scrut_type(self, s: Type, ctx) -> Type:
         return self.annot(s)
-
-    def side_conditions(self, s: Type) -> tuple[str, ...]:
-        return ()
 
     def body(self, s: Type, subj: Term, ctx=None) -> Term:
         self.steps.append((self.kind, s))
@@ -228,8 +220,17 @@ class _Push(_Walker):
     def scrut_type(self, s: Type, subj_ty: Type) -> Type:
         return subj_ty
 
-    def side_conditions(self, s: Type) -> tuple[str, ...]:
-        return (f"1 <= {self.r}",) if _push_matches(s) else ()
+    def preconditions(self, s: Type, occ: set) -> None:
+        if Box in occ:
+            raise DeriveError(BOX_IN_SUBJECT, _NO_BOX)
+        if _push_matches(s, occ):
+            one = grades.one(self.sr)
+            if not grades.sr_leq(one, self.r):
+                raise DeriveError(
+                    SIDE_CONDITION,
+                    f"matching under the box consumes a use, so 1 must be approximated "
+                    f"by the grade: {one} is not approximated by {self.r}", (one, self.r))
+            self.side_conditions = (f"1 <= {self.r}",)
 
     def part(self, s: Type, subj: Term) -> Term:
         """push at ``s`` of a value taken from under the box."""
@@ -277,6 +278,28 @@ class _Pull(_Walker):
         self.start = default
         # with no variables occurring, the result grade is the default
         self.named = tuple(sorted(rs.items())) + ((("result", default),) if not rs else ())
+
+    def preconditions(self, s: Type, occ: set) -> None:
+        if Box in occ:
+            raise DeriveError(BOX_IN_SUBJECT, _NO_BOX)
+        if Fun in occ:
+            raise DeriveError(FUN_IN_SUBJECT, _NO_PULL_AT_FUN)
+        if Base in occ:
+            raise DeriveError(BASE_IN_SUBJECT, _no_pull_at_base(s))
+        if set(self.rs) != free_tyvars(s):
+            raise DeriveError(
+                SIDE_CONDITION,
+                f"grades must cover exactly the type variables of the subject (given "
+                f"{sorted(self.rs)}, subject has {sorted(free_tyvars(s))})")
+        for a, g in self.rs.items():
+            if g.semiring != self.sr:
+                raise DeriveError(MIXED_SEMIRING,
+                                  f"grade for {a!r} is from {g.semiring}, expected {self.sr}",
+                                  (g,))
+        d = self.start
+        if d is not None and d.semiring != self.sr:
+            raise DeriveError(MIXED_SEMIRING,
+                              f"result grade is from {d.semiring}, expected {self.sr}", (d,))
 
     def boxed(self, s: Type) -> Type:
         return subst_tyvars(self.annot(s), self.boxes)
@@ -344,6 +367,18 @@ class _Drop(_Walker):
 
     kind = "drop"
 
+    def preconditions(self, s: Type, occ: set) -> None:
+        if TyVar in occ:
+            raise DeriveError(POLYMORPHIC_DROP,
+                              "cannot derive drop in a polymorphic context: type variables "
+                              "range over undroppable types")
+        if RES in occ:
+            raise DeriveError(NOT_DROPPABLE, "the subject contains the linear-only base type Res")
+        if Fun in occ:
+            raise DeriveError(NOT_DROPPABLE, "the subject contains a function type")
+        if Box in occ:
+            raise DeriveError(NOT_DROPPABLE, "the subject contains a graded modality")
+
     def term(self, s: Type) -> tuple[Term, object]:
         if isinstance(s, Base):
             # drop at a weakenable base type is the built-in primitive itself
@@ -388,6 +423,12 @@ class _CopyShape(_Walker):
     """The shape-copying combinator: T -o (spine of T * T)."""
 
     kind = "copyShape"
+
+    def preconditions(self, s: Type, occ: set) -> None:
+        if Fun in occ:
+            raise DeriveError(FUN_IN_SUBJECT, "cannot copy the shape of a function")
+        if Box in occ:
+            raise DeriveError(BOX_IN_SUBJECT, _NO_BOX)
 
     def scheme(self, closed: Type, ctx) -> Type:
         return Fun(closed, Tensor(shape_type(closed), closed))
@@ -434,6 +475,16 @@ class _Fmap(_Walker):
         self.g = g
         self.fn_ty = Box(g, Fun(TyVar(alpha), TyVar(self.beta)))
         self.named = (("var", alpha), ("g", g))
+
+    def preconditions(self, s: Type, occ: set) -> None:
+        if Box in occ:
+            raise DeriveError(BOX_IN_SUBJECT, _NO_BOX)
+        if Fun in occ:
+            raise DeriveError(FUN_IN_SUBJECT, "fmap subjects must not contain functions")
+        g = self.g
+        if g.semiring != self.sr:
+            raise DeriveError(MIXED_SEMIRING,
+                              f"grade {g} is from {g.semiring}, expected {self.sr}", (g,))
 
     def scheme(self, closed: Type, ctx) -> Type:
         mapped = subst_tyvars(closed, {self.alpha: TyVar(self.beta)})
@@ -524,12 +575,12 @@ def _fresh_tyvar(subject: Type, alpha: str) -> str:
 # preconditions
 # ---------------------------------------------------------------------------
 
-def _push_matches(s: Type) -> bool:
+def _push_matches(s: Type, occ: set) -> bool:
     """Whether push matches under the box at a base type or at a type with
-    more than one constructor, which consumes a use. Push matches at the
-    subject and at the result of each function type outside a function
-    argument."""
-    return multi_constructor(s) or contains_base(s) or _results_multi(s, {})
+    more than one constructor, which consumes a use; ``occ`` is
+    ``occurring(s)``. Push matches at the subject and at the result of each
+    function type outside a function argument."""
+    return multi_constructor(s) or Base in occ or _results_multi(s, {})
 
 
 def _results_multi(s: Type, mu_env: dict[str, Type]) -> bool:
@@ -542,11 +593,6 @@ def _results_multi(s: Type, mu_env: dict[str, Type]) -> bool:
     return False
 
 
-def _foreign(gs, semiring: str) -> tuple[Grade] | None:
-    """The first of the grades that is from another semiring, as a 1-tuple."""
-    return next(((g,) for g in gs if g is not None and g.semiring != semiring), None)
-
-
 def _no_pull_at_base(s: Type) -> str:
     return (f"cannot pull at {pretty_type(s)}: a bare base value cannot be "
             f"re-boxed (promotion requires a graded context)")
@@ -555,79 +601,17 @@ def _no_pull_at_base(s: Type) -> str:
 _NO_PULL_AT_FUN = ("cannot pull at function types: the concluding box "
                    "would have to promote the incoming function")
 
-_BOXED = (lambda s, w: contains_box(s), BOX_IN_SUBJECT,
-          "no derivation for types which are themselves graded modalities")
-
-# Per kind, the preconditions in the order they are checked, as rows
-# (fails, code, message). ``fails(subject, walker)`` is falsy when the
-# precondition holds; otherwise it is True or the grades to report.
-# ``message`` is a string or a function of (subject, walker, grades).
-_PRECONDITIONS = {
-    "push": (
-        _BOXED,
-        (lambda s, w: (not grades.sr_leq(grades.one(w.sr), w.r) and _push_matches(s)
-                       and (grades.one(w.sr), w.r)),
-         SIDE_CONDITION,
-         lambda s, w, gs: (f"matching under the box consumes a use, so 1 must be "
-                           f"approximated by the grade: {gs[0]} is not approximated "
-                           f"by {gs[1]}")),
-    ),
-    "pull": (
-        _BOXED,
-        (lambda s, w: contains_fun(s), FUN_IN_SUBJECT, _NO_PULL_AT_FUN),
-        (lambda s, w: contains_base(s), BASE_IN_SUBJECT,
-         lambda s, w, gs: _no_pull_at_base(s)),
-        (lambda s, w: set(w.rs) != free_tyvars(s), SIDE_CONDITION,
-         lambda s, w, gs: (f"grades must cover exactly the type variables of the "
-                           f"subject (given {sorted(w.rs)}, subject has "
-                           f"{sorted(free_tyvars(s))})")),
-        (lambda s, w: _foreign(w.rs.values(), w.sr), MIXED_SEMIRING,
-         lambda s, w, gs: (f"grade for {next(a for a, g in w.rs.items() if g == gs[0])!r} "
-                           f"is from {gs[0].semiring}, expected {w.sr}")),
-        (lambda s, w: _foreign((w.start,), w.sr), MIXED_SEMIRING,
-         lambda s, w, gs: f"result grade is from {gs[0].semiring}, expected {w.sr}"),
-    ),
-    "drop": (
-        (lambda s, w: contains_tyvar(s), POLYMORPHIC_DROP,
-         "cannot derive drop in a polymorphic context: type variables range "
-         "over undroppable types"),
-        (lambda s, w: contains_res(s), NOT_DROPPABLE,
-         "the subject contains the linear-only base type Res"),
-        (lambda s, w: contains_fun(s), NOT_DROPPABLE, "the subject contains a function type"),
-        (lambda s, w: contains_box(s), NOT_DROPPABLE, "the subject contains a graded modality"),
-    ),
-    "copyShape": (
-        (lambda s, w: contains_fun(s), FUN_IN_SUBJECT, "cannot copy the shape of a function"),
-        _BOXED,
-    ),
-    "fmap": (
-        _BOXED,
-        (lambda s, w: contains_fun(s), FUN_IN_SUBJECT, "fmap subjects must not contain functions"),
-        (lambda s, w: _foreign((w.g,), w.sr), MIXED_SEMIRING,
-         lambda s, w, gs: f"grade {gs[0]} is from {gs[0].semiring}, expected {w.sr}"),
-    ),
-}
-
-
-def _elaborate(w: _Walker, subject: Type) -> tuple[Term, object]:
-    """Check the preconditions of the walker's kind at the subject, then
-    build the combinator: its term and the context of the term's body."""
-    for fails, code, message in _PRECONDITIONS[w.kind]:
-        hit = fails(subject, w)
-        if hit:
-            gs = hit if isinstance(hit, tuple) else ()
-            raise DeriveError(
-                code, message if isinstance(message, str) else message(subject, w, gs), gs)
-    return w.term(subject)
+_NO_BOX = "no derivation for types which are themselves graded modalities"
 
 
 def _build(w: _Walker, subject: Type) -> DerivedCombinator:
     syntax.check_wellformed(subject)
-    term, ctx = _elaborate(w, subject)
+    w.preconditions(subject, occurring(subject))
+    term, ctx = w.term(subject)
     concluded = w.scheme(subject, ctx)
     _assert_checks(term, concluded, w.sr, w.kind, w.g)
     return DerivedCombinator(w.kind, subject, w.sr, w.named, term, concluded,
-                             w.side_conditions(subject), tuple(w.steps))
+                             w.side_conditions, tuple(w.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +716,11 @@ def elaborate_untyped(kind: str, subject: Type) -> Term:
     else:
         raise AssertionError(f"unhandled derive kind: {kind}")
     try:
-        return _elaborate(w, subject)[0]
+        w.preconditions(subject, occurring(subject))
+        return w.term(subject)[0]
     except DeriveError as e:
         raise StuckTerm(f"{kind} @{pretty_type(subject)} is not derivable: {e.message}") from e
 
 
 def _memo_fmap_alphas(subject: Type) -> list[str]:
-    with _memo_lock:
-        return [key[3] for key in _memo
-                if key[0] == "fmap" and key[1] == subject]
+    return [key[3] for key in _memo if key[0] == "fmap" and key[1] == subject]

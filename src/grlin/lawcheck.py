@@ -26,8 +26,7 @@ from .parser import pretty_term, pretty_type
 from .syntax import (
     App, Base, Box, Case, Con, Fun, IntLit, Lam, LetRec, Mu, PBox, PCon,
     PInt, Promote, PVar, RecVar, Sum, Tensor, Term, TyVar, Type, Unit, Var,
-    alpha_eq, contains_base, free_tyvars, multi_constructor, pair,
-    subst_term, subst_tyvars, unroll_mu,
+    alpha_eq, free_tyvars, occurring, pair, subst_term, subst_tyvars, unroll_mu,
 )
 
 SUITES = ("inverses", "naturality", "preservation", "equational")
@@ -66,7 +65,6 @@ class TypeGenConfig:
     allow_mu: bool = True
     allow_base: bool = False
     tyvars: tuple[str, ...] = ("a", "b")
-    semiring: str = grades.NAT_EXACT
 
 
 @dataclass
@@ -122,8 +120,7 @@ def gen_type(cfg: TypeGenConfig, rng: random.Random, depth: int | None = None) -
         return Sum(gen_type(cfg, rng, depth - 1), gen_type(cfg, rng, depth - 1))
     if kind == "fun":
         return Fun(gen_type(cfg, rng, depth - 1), gen_type(cfg, rng, depth - 1))
-    elem = gen_type(TypeGenConfig(cfg.max_depth, False, False, cfg.allow_base,
-                                  cfg.tyvars, cfg.semiring),
+    elem = gen_type(TypeGenConfig(cfg.max_depth, False, False, cfg.allow_base, cfg.tyvars),
                     rng, depth - 1)
     return Mu("X", Sum(Unit(), Tensor(elem, RecVar("X"))))
 
@@ -225,7 +222,7 @@ def _agree(lhs: Term, rhs: Term) -> str | None:
 
 def _pick_push_grade(t: Type, sr: str, rng: random.Random) -> Grade:
     pool = GRADE_POOLS[sr]
-    if multi_constructor(t) or contains_base(t):
+    if deriving._push_matches(t, occurring(t)):
         one = grades.one(sr)
         pool = [g for g in pool if grades.sr_leq(one, g)]
     return rng.choice(pool)
@@ -246,7 +243,7 @@ def _case_inverses(i: int, rng: random.Random, max_depth: int) -> str | None:
     sr = SEMIRING_ROTATION[i % 4]
     cfg = TypeGenConfig(max_depth=max_depth, allow_fun=False, allow_mu=True,
                         allow_base=False,
-                        tyvars=("a", "b")[: rng.randrange(3)], semiring=sr)
+                        tyvars=("a", "b")[: rng.randrange(3)])
     t = gen_type(cfg, rng)
     r = _pick_push_grade(t, sr, rng)
     push = deriving.derive_push(t, r)
@@ -275,7 +272,7 @@ def _case_naturality(i: int, rng: random.Random, max_depth: int) -> str | None:
     for _ in range(GEN_RETRIES):
         cfg = TypeGenConfig(max_depth=max_depth, allow_fun=False,
                             allow_mu=allow_mu, allow_base=False,
-                            tyvars=("a",), semiring=sr)
+                            tyvars=("a",))
         t = gen_type(cfg, rng)
         fm = _derive_fmap(t, "a", sr)
         if fm is not None:
@@ -314,7 +311,7 @@ def _case_naturality(i: int, rng: random.Random, max_depth: int) -> str | None:
 
 def _preservation_grades(t: Type, sr: str, rng: random.Random) -> tuple[Grade, Grade] | None:
     pool = GRADE_POOLS[sr]
-    need_one = multi_constructor(t) or contains_base(t)
+    need_one = deriving._push_matches(t, occurring(t))
     one = grades.one(sr)
     candidates = []
     for r in pool:
@@ -336,7 +333,7 @@ def _case_preservation(i: int, rng: random.Random, max_depth: int) -> str | None
     for _ in range(GEN_RETRIES):
         cfg = TypeGenConfig(max_depth=max_depth, allow_fun=False,
                             allow_mu=allow_mu, allow_base=False,
-                            tyvars=("a",)[: rng.randrange(2)], semiring=sr)
+                            tyvars=("a",)[: rng.randrange(2)])
         t = gen_type(cfg, rng)
         fm = _derive_fmap(t, "a", sr)
         if fm is not None:

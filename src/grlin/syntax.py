@@ -188,36 +188,24 @@ def _free(t: Type) -> tuple[frozenset[str], frozenset[str]]:
     return ftv, frv
 
 
-def contains(t: Type, pred) -> bool:
-    if pred(t):
-        return True
-    if isinstance(t, Fun):
-        return contains(t.arg, pred) or contains(t.res, pred)
-    if isinstance(t, (Tensor, Sum)):
-        return contains(t.left, pred) or contains(t.right, pred)
-    if isinstance(t, (Box, Mu)):
-        return contains(t.body, pred)
-    return False
-
-
-def contains_box(t: Type) -> bool:
-    return contains(t, lambda s: isinstance(s, Box))
-
-
-def contains_fun(t: Type) -> bool:
-    return contains(t, lambda s: isinstance(s, Fun))
-
-
-def contains_base(t: Type) -> bool:
-    return contains(t, lambda s: isinstance(s, Base))
-
-
-def contains_tyvar(t: Type) -> bool:
-    return bool(free_tyvars(t))
-
-
-def contains_res(t: Type) -> bool:
-    return contains(t, lambda s: isinstance(s, Base) and s.name not in WEAKENABLE_BASES)
+def occurring(t: Type) -> set:
+    """The classes of the nodes of ``t``, and each base type in it that
+    cannot be weakened (``RES``), found in one walk over an explicit stack."""
+    found: set = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        c = t.__class__
+        found.add(c)
+        if c is Fun:
+            todo += (t.arg, t.res)
+        elif c is Tensor or c is Sum:
+            todo += (t.left, t.right)
+        elif c is Box or c is Mu:
+            todo.append(t.body)
+        elif c is Base and t.name not in WEAKENABLE_BASES:
+            found.add(t)
+    return found
 
 
 def subst_tyvars(t: Type, sub: dict[str, Type]) -> Type:

@@ -48,8 +48,7 @@ def run_derivation_soundness(n: int, seed: int = 99) -> int:
         allow_mu = kind != "fmap" or sr in (G.INTERVAL, G.ZERO_ONE_MANY)
         cfg = L.TypeGenConfig(max_depth=3, allow_fun=False, allow_mu=allow_mu,
                               allow_base=(kind in ("drop", "copyShape", "fmap")),
-                              tyvars=() if kind == "drop" else ("a", "b"),
-                              semiring=sr)
+                              tyvars=() if kind == "drop" else ("a", "b"))
         t = L.gen_type(cfg, rng)
         try:
             if kind == "push":

@@ -100,8 +100,7 @@ def instances():
         rng = random.Random(f"golden:{i}")
         cfg = lawcheck.TypeGenConfig(max_depth=3, allow_fun=rng.random() < 0.5,
                                      allow_mu=True, allow_base=rng.random() < 0.5,
-                                     tyvars=("a", "b")[: rng.randrange(3)],
-                                     semiring=sr)
+                                     tyvars=("a", "b")[: rng.randrange(3)])
         t = lawcheck.gen_type(cfg, rng)
         pool = lawcheck.GRADE_POOLS[sr]
         if kind == "push":

@@ -245,7 +245,7 @@ def test_derived_terms_reparse():
     for i in range(120):
         sr = L.SEMIRING_ROTATION[i % 4]
         cfg = L.TypeGenConfig(max_depth=3, allow_mu=True, allow_base=False,
-                              tyvars=("a", "b")[: rng.randrange(3)], semiring=sr)
+                              tyvars=("a", "b")[: rng.randrange(3)])
         t = L.gen_type(cfg, rng)
         try:
             comb = D.derive_push(t, L._pick_push_grade(t, sr, rng))
@@ -399,7 +399,7 @@ def test_fmap_grade_agrees_with_the_search():
         sr = L.SEMIRING_ROTATION[len(cases) % 4]
         if len(cases) % 3:
             cfg = L.TypeGenConfig(max_depth=3, allow_mu=True, allow_base=rng.random() < 0.5,
-                                  tyvars=("a", "b")[:rng.randrange(1, 3)], semiring=sr)
+                                  tyvars=("a", "b")[:rng.randrange(1, 3)])
             cases.append((L.gen_type(cfg, rng), sr))
         else:
             cases.append((Mu("X", Sum(Unit(), nested_subject(rng, 3, ("X",)))), sr))

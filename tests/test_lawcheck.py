@@ -7,7 +7,7 @@ import pytest
 from grlin import grades as G
 from grlin import lawcheck as L
 from grlin.parser import pretty_type
-from grlin.syntax import Base, Box, Fun, Mu, contains_box, contains_fun
+from grlin.syntax import Base, Box, Fun, Mu, occurring
 from grlin.typecheck import Checker
 
 
@@ -18,8 +18,8 @@ def test_gen_type_respects_config():
     saw_mu = False
     for _ in range(200):
         t = L.gen_type(cfg, rng)
-        assert not contains_fun(t)
-        assert not contains_box(t)
+        assert Fun not in occurring(t)
+        assert Box not in occurring(t)
         saw_mu = saw_mu or isinstance(t, Mu)
     assert saw_mu  # list types are reachable when allow_mu
 
@@ -178,11 +178,10 @@ def test_suite_coverage_is_diverse():
         semirings.add(sr)
         cfg = L.TypeGenConfig(max_depth=L.DEFAULT_DEPTH, allow_fun=False,
                               allow_mu=True, allow_base=False,
-                              tyvars=("a", "b")[: rng.randrange(3)], semiring=sr)
+                              tyvars=("a", "b")[: rng.randrange(3)])
         t = L.gen_type(cfg, rng)
         from grlin.syntax import free_tyvars
-        from grlin.syntax import contains as type_contains
-        saw_mu = saw_mu or type_contains(t, lambda s: isinstance(s, Mu))
+        saw_mu = saw_mu or Mu in occurring(t)
         saw_two_vars = saw_two_vars or len(free_tyvars(t)) == 2
     assert semirings == set(L.SEMIRING_ROTATION)
     assert saw_mu and saw_two_vars
