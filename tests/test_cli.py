@@ -7,8 +7,11 @@ import subprocess
 import sys
 
 from conftest import ROOT
+from grlin import grades as G
+from grlin import lawcheck as L
 from grlin.cli import main
 from grlin.parser import parse_type, pretty_type
+from grlin.syntax import RES, UNIT, Box, Mu, RecVar, Sum, Tensor, TyVar, free_tyvars
 
 
 def run_cli(capsys, *argv):
@@ -423,3 +426,58 @@ def test_cli_totality_fuzz(capsys, tmp_path):
                 for line in err.splitlines():
                     assert diag.match(line) or (argv[0] == "run" and line.startswith("grlin: ")), \
                         (argv[0], line, text)
+
+
+# Characters a mutation of a derive subject puts in place of one character.
+DERIVE_FUZZ_CHARS = "()[]*+-o.,@aXY01w\u00b2\u03bc "
+
+
+def test_derive_totality_fuzz(capsys):
+    """``derive`` on seeded arguments exits with 0, 1 or 2 and raises
+    nothing, and every stderr line is ``grlin: ...`` or a SYNTAX diagnostic
+    of the subject. The arguments cover the five kinds and the four
+    semirings; the subjects come from ``gen_type`` with functions and
+    ``Int``. Some get a box, a ``Res`` or an outer mu, some one character
+    mutated, and some grades come from another semiring."""
+    line = re.compile(r"grlin: \S|<type>:\d+:\d+: SYNTAX: \S")
+    rng = random.Random(11)
+    kinds = ("push", "pull", "drop", "copyshape", "fmap")
+    codes = set()
+    for i in range(1000):
+        kind, sr = kinds[i % 5], G.SEMIRINGS[i % 4]
+        cfg = L.TypeGenConfig(max_depth=3, allow_fun=rng.random() < 0.5, allow_mu=True,
+                              allow_base=True, tyvars=("a", "b")[: rng.randrange(3)])
+        t = L.gen_type(cfg, rng)
+        roll = rng.randrange(6)
+        if roll == 0:
+            t = Tensor(t, Box(rng.choice(L.GRADE_POOLS[sr]), TyVar("a")))
+        elif roll == 1:
+            t = Tensor(t, RES)
+        elif roll == 2:
+            t = Mu("Y", Sum(UNIT, Tensor(t, RecVar("Y"))))
+        text = pretty_type(t)
+        if rng.random() < 0.25:
+            k = rng.randrange(len(text))
+            text = text[:k] + rng.choice(DERIVE_FUZZ_CHARS) + text[k + 1:]
+
+        def grade():
+            g_sr = sr if rng.random() < 0.8 else rng.choice(G.SEMIRINGS)
+            return G.show_grade(rng.choice(L.GRADE_POOLS[g_sr]))
+        argv = ["derive", kind, "--semiring", sr]
+        if kind == "pull" and rng.random() < 0.3:
+            argv.append("--grades=" + ",".join(f"{a}={grade()}" for a in sorted(free_tyvars(t))))
+        if kind in ("push", "pull", "fmap") and rng.random() < 0.9:
+            argv.append(f"--grade={grade()}")
+        if i % 2:
+            argv.append("--explain")
+        argv += ["--", text]
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except Exception as e:
+            raise AssertionError(f"derive raised {e!r} on {argv}") from e
+        assert code in (0, 1, 2), argv
+        assert (code == 0) == (err == ""), (argv, err)
+        for msg in err.splitlines():
+            assert line.match(msg), (argv, msg)
+        codes.add(code)
+    assert codes == {0, 1, 2}
