@@ -27,9 +27,10 @@ it has seen that the tuple holds only strings and ints.
 Types and terms are parsed without recursion: each parser is one loop
 over an explicit stack of frames, one frame per construct still open (a
 parenthesis, a binder, an application, ...), so input nested to any
-depth parses. A parser takes a token list that ends in an EOF token and
-the index where it starts, and returns its node and the index after it. Patterns are parsed the same way, and ``pretty_type``,
+depth parses. Patterns are parsed the same way, and ``pretty_type``,
 ``pretty_term`` and ``pretty_pattern`` print from explicit stacks too.
+Each parser takes a token list that ends in an EOF token and the index
+where it starts, and returns its node and the index after it.
 """
 
 from __future__ import annotations
