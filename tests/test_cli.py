@@ -432,6 +432,13 @@ def test_cli_totality_fuzz(capsys, tmp_path):
 DERIVE_FUZZ_CHARS = "()[]*+-o.,@aXY01w\u00b2\u03bc "
 
 
+def _fuzz_grade(rng, sr):
+    """A grade's text from the pool of ``sr``, or one time in five from the
+    pool of a semiring drawn at random."""
+    g_sr = sr if rng.random() < 0.8 else rng.choice(G.SEMIRINGS)
+    return G.show_grade(rng.choice(L.GRADE_POOLS[g_sr]))
+
+
 def test_derive_totality_fuzz(capsys):
     """``derive`` on seeded arguments exits with 0, 1 or 2 and raises
     nothing, and every stderr line is ``grlin: ...`` or a SYNTAX diagnostic
@@ -459,15 +466,12 @@ def test_derive_totality_fuzz(capsys):
         if rng.random() < 0.25:
             k = rng.randrange(len(text))
             text = text[:k] + rng.choice(DERIVE_FUZZ_CHARS) + text[k + 1:]
-
-        def grade():
-            g_sr = sr if rng.random() < 0.8 else rng.choice(G.SEMIRINGS)
-            return G.show_grade(rng.choice(L.GRADE_POOLS[g_sr]))
         argv = ["derive", kind, "--semiring", sr]
         if kind == "pull" and rng.random() < 0.3:
-            argv.append("--grades=" + ",".join(f"{a}={grade()}" for a in sorted(free_tyvars(t))))
+            argv.append("--grades=" + ",".join(f"{a}={_fuzz_grade(rng, sr)}"
+                                               for a in sorted(free_tyvars(t))))
         if kind in ("push", "pull", "fmap") and rng.random() < 0.9:
-            argv.append(f"--grade={grade()}")
+            argv.append(f"--grade={_fuzz_grade(rng, sr)}")
         if i % 2:
             argv.append("--explain")
         argv += ["--", text]
