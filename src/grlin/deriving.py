@@ -10,9 +10,10 @@ mapping with its function argument boxed at a caller-chosen grade;
 All five are built by one induction on the structure of the subject type
 (``_Walker``), after the kind's ``preconditions`` hold at the subject.
 Every elaborated term is type-checked against its concluded scheme before
-being returned, and results are memoized per (kind, type, semiring, grades).
-Elaborated case expressions carry scrutinee-type annotations so they check
-without any constraint solving.
+being returned, a failure being an internal error, and results are
+memoized per (kind, type, semiring, grades). Elaborated case expressions
+carry scrutinee-type annotations so they check without any constraint
+solving.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .syntax import (
     free_tyvars, free_recvars, multi_constructor, occurring, subst_tyvars, pair,
 )
 
-# Error codes mirror the checker's stable diagnostic strings.
+# Codes of the refusals, which the checker reports as they are; it raises
+# NEEDS_ANNOTATION and MIXED_SEMIRING itself too.
 BOX_IN_SUBJECT = "BOX_IN_SUBJECT"
 FUN_IN_SUBJECT = "FUN_IN_SUBJECT"
 BASE_IN_SUBJECT = "BASE_IN_SUBJECT"
@@ -84,20 +86,13 @@ def _memoized(key, build):
     return hit
 
 
-def _assert_checks(term: Term, ty: Type, semiring: str, what: str,
-                   g: Grade | None = None) -> None:
+def _assert_checks(term: Term, ty: Type, semiring: str, what: str) -> None:
     """Check a derived term at its concluded scheme; a failure is an internal
-    error. fmap passes the grade ``g`` of its function: a usage count that
-    ``g`` cannot cover is a side condition of the derivation instead."""
-    from .typecheck import Checker, CheckError, GRADE_EXCEEDED, NO_UPPER_BOUND
+    error."""
+    from .typecheck import Checker, CheckError
     try:
         Checker(semiring).check({}, term, ty)
     except CheckError as e:
-        if g is not None and e.diag.code in (GRADE_EXCEEDED, NO_UPPER_BOUND):
-            raise DeriveError(
-                SIDE_CONDITION,
-                f"grade {g} cannot cover the usage count of the mapped function: "
-                f"{e.diag.message}", (g,)) from e
         raise RuntimeError(
             f"internal: derived {what} fails to check at {pretty_type(ty)}: "
             f"{e.diag.render()}") from e
@@ -125,7 +120,9 @@ class _Walker:
     which refuse a subject it cannot be built at; ``split``, the branches of
     a match; and ``node``, its cases for the other constructors. It may
     supply ``context``, what the body at a type is passed (push: the
-    subject's type; pull: the target grade; fmap: the unboxed function).
+    subject's type; pull: the target grade; fmap: the unboxed function),
+    and ``covered``, which refuses grades too small for the uses of the
+    built term (fmap).
     """
 
     kind = ""
@@ -133,7 +130,6 @@ class _Walker:
     boxed_match = False  # whether sums and products are matched under the box
     named = ()           # the named grades of the derived combinator
     start = None         # what ``context`` is given at the subject (pull: the default grade)
-    g = None             # fmap: the grade of the mapped function
     side_conditions: tuple[str, ...] = ()  # push: "1 <= r" where it matches under the box
 
     def __init__(self, semiring: str):
@@ -160,6 +156,9 @@ class _Walker:
 
     def context(self, s: Type, closed: Type, ctx):
         return None
+
+    def covered(self, s: Type) -> None:
+        pass
 
     def call(self, f: str, subj: Term, ctx) -> Term:
         return App(Var(f), subj)
@@ -486,6 +485,14 @@ class _Fmap(_Walker):
             raise DeriveError(MIXED_SEMIRING,
                               f"grade {g} is from {g.semiring}, expected {self.sr}", (g,))
 
+    def covered(self, s: Type) -> None:
+        refusal = _fmap_refusal(s, self.alpha, self.g)
+        if refusal is not None:
+            raise DeriveError(
+                SIDE_CONDITION,
+                f"grade {self.g} cannot cover the uses of the mapped function: {refusal}",
+                (self.g,))
+
     def scheme(self, closed: Type, ctx) -> Type:
         mapped = subst_tyvars(closed, {self.alpha: TyVar(self.beta)})
         return Fun(self.fn_ty, Fun(closed, mapped))
@@ -513,14 +520,23 @@ class _Fmap(_Walker):
 
 def fmap_grade(subject: Type, alpha: str, pool) -> Grade | None:
     """The first grade of ``pool`` at which fmap over the ``alpha``
-    positions of ``subject`` can be derived: the one under which each of
-    its functions uses the mapped function at most as often as the grade
-    allows. None if no grade of the pool will do."""
-    for g in pool:
-        levels: list = []
-        levels.append(_fmap_uses(subject, alpha, g, levels))
-        if all(u is not None and grades.sr_leq(u, g) for u in levels):
-            return g
+    positions of ``subject`` can be derived. None if no grade of the pool
+    will do."""
+    return next((g for g in pool if _fmap_refusal(subject, alpha, g) is None), None)
+
+
+def _fmap_refusal(subject: Type, alpha: str, g: Grade) -> str | None:
+    """Why grade ``g`` of the mapped function cannot cover its uses by fmap
+    over the ``alpha`` positions of ``subject``, or None if it covers them:
+    each function of fmap, the one at the subject and the one at each mu,
+    may use it at most as often as ``g`` allows."""
+    levels: list = []
+    levels.append(_fmap_uses(subject, alpha, g, levels))
+    for u in levels:
+        if u is None:
+            return "the branches of one call use it at grades with no upper bound"
+        if not grades.sr_leq(u, g):
+            return f"one call uses it at grade {u}"
     return None
 
 
@@ -608,8 +624,9 @@ def _build(w: _Walker, subject: Type) -> DerivedCombinator:
     syntax.check_wellformed(subject)
     w.preconditions(subject, occurring(subject))
     term, ctx = w.term(subject)
+    w.covered(subject)
     concluded = w.scheme(subject, ctx)
-    _assert_checks(term, concluded, w.sr, w.kind, w.g)
+    _assert_checks(term, concluded, w.sr, w.kind)
     return DerivedCombinator(w.kind, subject, w.sr, w.named, term, concluded,
                              w.side_conditions, tuple(w.steps))
 

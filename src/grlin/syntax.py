@@ -653,33 +653,6 @@ def _subst_under_binders(binders: tuple[str, ...] | list[str], bodies: tuple[Ter
     return mapping, tuple(subst_term(b, inner) for b in bodies)
 
 
-def subst_tyvars_in_term(t: Term, sub: dict[str, Type]) -> Term:
-    """Apply a type-variable substitution to the types embedded in a term
-    (derive subjects and internal annotations)."""
-    if isinstance(t, (Var, IntLit)):
-        return t
-    if isinstance(t, Derive):
-        return Derive(t.kind, subst_tyvars(t.at, sub), t.pos)
-    if isinstance(t, App):
-        return App(subst_tyvars_in_term(t.fn, sub), subst_tyvars_in_term(t.arg, sub), t.pos)
-    if isinstance(t, Lam):
-        return Lam(t.var, subst_tyvars_in_term(t.body, sub), t.pos)
-    if isinstance(t, Promote):
-        return Promote(subst_tyvars_in_term(t.body, sub), t.pos)
-    if isinstance(t, Con):
-        return Con(t.con, tuple(subst_tyvars_in_term(a, sub) for a in t.args), t.pos)
-    if isinstance(t, Case):
-        annot = subst_tyvars(t.scrut_annot, sub) if t.scrut_annot is not None else None
-        return Case(subst_tyvars_in_term(t.scrutinee, sub),
-                    tuple((p, subst_tyvars_in_term(b, sub)) for p, b in t.branches),
-                    t.pos, annot)
-    if isinstance(t, LetRec):
-        annot = subst_tyvars(t.annot, sub) if t.annot is not None else None
-        return LetRec(t.var, subst_tyvars_in_term(t.bound, sub),
-                      subst_tyvars_in_term(t.body, sub), t.pos, annot)
-    raise AssertionError(f"unhandled term: {t}")
-
-
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Equality up to consistent renaming of bound term variables."""
     return _alpha(t1, t2, {}, {}, 0)

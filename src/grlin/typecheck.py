@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import deriving, grades, syntax
-from .deriving import NOT_DROPPABLE, DeriveError
+from .deriving import MIXED_SEMIRING, NEEDS_ANNOTATION, NOT_DROPPABLE, DeriveError
 from .frozen import frozen
 from .grades import Grade
 from .parser import SourceProgram, pretty_type
 from .syntax import (
     App, Base, Box, Case, Con, Derive, Fun, IntLit, Lam, LetRec, Mu, Pattern,
     PBox, PCon, PInt, Pos, Promote, PVar, PWild, RecVar, Sum, Tensor, Term,
-    TyVar, Type, Unit, Var, multi_constructor, types_equal, unroll_mu,
+    TyVar, Type, Unit, Var, multi_constructor, subst_tyvars, types_equal, unroll_mu,
 )
 
 # Stable diagnostic codes (the negative suite matches on these).
@@ -38,9 +38,6 @@ PROMOTE_LINEAR = "PROMOTE_LINEAR"
 WILDCARD_WEAKEN = "WILDCARD_WEAKEN"
 MATCH_USAGE = "MATCH_USAGE"
 NO_UPPER_BOUND = "NO_UPPER_BOUND"
-MEET_UNDEFINED = "MEET_UNDEFINED"
-NEEDS_ANNOTATION = "NEEDS_ANNOTATION"
-MIXED_SEMIRING = "MIXED_SEMIRING"
 UNKNOWN_VAR = "UNKNOWN_VAR"
 DUPLICATE_DEF = "DUPLICATE_DEF"
 SYNTAX = "SYNTAX"
@@ -157,6 +154,13 @@ def merge_branch_usages(us: list[UsageMap], sr: str) -> UsageMap:
     return out
 
 
+def _grade_semiring(g: Grade, sr: str, pos: Pos | None) -> None:
+    """Reject the grade ``g`` unless it is from ``sr``."""
+    if g.semiring != sr:
+        _fail(MIXED_SEMIRING, f"grade {g} is from {g.semiring}, program uses {sr}",
+              pos, gs=(g,))
+
+
 def _scan_type_semiring(ty: Type, sr: str, pos: Pos | None) -> None:
     """Reject the first grade, left to right, that is not from ``sr``. The
     walk keeps the types still to scan on an explicit stack."""
@@ -165,10 +169,7 @@ def _scan_type_semiring(ty: Type, sr: str, pos: Pos | None) -> None:
         ty = todo.pop()
         c = ty.__class__
         if c is Box:
-            if ty.grade.semiring != sr:
-                _fail(MIXED_SEMIRING,
-                      f"grade {ty.grade} is from {ty.grade.semiring}, program uses {sr}",
-                      pos, gs=(ty.grade,))
+            _grade_semiring(ty.grade, sr, pos)
             todo.append(ty.body)
         elif c is Fun:
             todo += (ty.res, ty.arg)
@@ -276,10 +277,7 @@ class Checker:
                 if ty.__class__ is not Box:
                     _fail(TYPE_MISMATCH,
                           f"box pattern against non-box type {pretty_type(ty)}", p.pos)
-                if ty.grade.semiring != self.sr:
-                    _fail(MIXED_SEMIRING,
-                          f"grade {ty.grade} is from {ty.grade.semiring}, program uses {self.sr}",
-                          p.pos, gs=(ty.grade,))
+                _grade_semiring(ty.grade, self.sr, p.pos)
                 enc, p, ty = ty.grade, p.pat, ty.body
             elif c is PInt:
                 if not (ty.__class__ is Base and ty.name == "Int"):
@@ -378,10 +376,7 @@ class Checker:
                 if expected.__class__ is not Box:
                     _fail(TYPE_MISMATCH,
                           f"promotion against non-box type {pretty_type(expected)}", t.pos)
-                if expected.grade.semiring != self.sr:
-                    _fail(MIXED_SEMIRING,
-                          f"grade {expected.grade} is from {expected.grade.semiring}, "
-                          f"program uses {self.sr}", t.pos, gs=(expected.grade,))
+                _grade_semiring(expected.grade, self.sr, t.pos)
                 post.append((_SCALE, expected.grade, t.pos))
                 t, expected = t.body, expected.body
             elif c is Lam:
@@ -573,7 +568,7 @@ class Checker:
                       f"push @{pretty_type(t.at)} must be used at a type of shape "
                       f"({pretty_type(t.at)}) [r] -o ...", t.pos)
             r = expected.arg.grade
-            self._grade_semiring(r, t.pos)
+            _grade_semiring(r, self.sr, t.pos)
             comb = self._run_derive(lambda: deriving.derive_push(t.at, r), t.pos)
             if not types_equal(comb.type, expected):
                 _fail(TYPE_MISMATCH,
@@ -588,9 +583,9 @@ class Checker:
                       f"... -o ({pretty_type(t.at)}) [r]", t.pos)
             rs = self._extract_pull_grades(t.at, expected.arg, t.pos)
             for g in rs.values():
-                self._grade_semiring(g, t.pos)
+                _grade_semiring(g, self.sr, t.pos)
             result_grade = expected.res.grade
-            self._grade_semiring(result_grade, t.pos)
+            _grade_semiring(result_grade, self.sr, t.pos)
             comb = self._run_derive(
                 lambda: deriving.derive_pull(t.at, rs, self.sr, default_grade=result_grade),
                 t.pos)
@@ -611,21 +606,19 @@ class Checker:
                       f"(a -o b) [g] -o ({pretty_type(t.at)}) -o ...", t.pos)
             alpha = expected.arg.body.arg.name
             g = expected.arg.grade
-            self._grade_semiring(g, t.pos)
+            _grade_semiring(g, self.sr, t.pos)
             comb = self._run_derive(
                 lambda: deriving.derive_fmap(t.at, alpha, g, self.sr), t.pos)
-            # beta may be instantiated at any type; re-check the instantiated term.
+            # beta may be instantiated at any type, the result up to one unrolling
             beta = comb.type.arg.body.res.name
-            term = syntax.subst_tyvars_in_term(comb.term, {beta: expected.arg.body.res})
-            sub = Checker(self.sr, self.defs)
-            return sub.check({}, term, expected)
+            result = subst_tyvars(comb.type.res.res, {beta: expected.arg.body.res})
+            if not _types_match(result, expected.res.res):
+                _fail(TYPE_MISMATCH,
+                      f"fmap @{pretty_type(t.at)} has type "
+                      f"{pretty_type(Fun(expected.arg, Fun(t.at, result)))}, "
+                      f"expected {pretty_type(expected)}", t.pos)
+            return {}
         raise AssertionError(f"unhandled derive kind: {t.kind}")
-
-    def _grade_semiring(self, g: Grade, pos: Pos | None) -> None:
-        if g.semiring != self.sr:
-            _fail(MIXED_SEMIRING,
-                  f"grade {g} is from {g.semiring}, program uses {self.sr}",
-                  pos, gs=(g,))
 
     def _extract_pull_grades(self, subject: Type, arg: Type, pos: Pos | None
                              ) -> dict[str, Grade]:

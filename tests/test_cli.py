@@ -133,6 +133,14 @@ def test_derive_copyshape_and_fmap(capsys):
     assert "(a -o " in out
 
 
+def test_derive_fmap_refusal_names_the_counted_use(capsys):
+    """A grade too small for the mapped function is refused with the grade
+    one call needs, not a variable of the derived term."""
+    code, out, err = run_cli(capsys, "derive", "fmap", "a * a", "--grade", "1")
+    assert (code, out) == (1, "")
+    assert "at grade 2" in err and not re.search(r"\bf\d+", err), err
+
+
 def test_derive_explain_prints_trace(capsys):
     code, out, err = run_cli(capsys, "derive", "push", "a * a",
                              "--semiring", "nat-le", "--grade", "1", "--explain")

@@ -13,8 +13,9 @@ from grlin.evaluator import deep_normalize
 from grlin.parser import parse_term, parse_type, pretty_term, pretty_type
 from grlin.syntax import (
     App, Base, Box, Con, Fun, IntLit, Mu, Promote, RecVar, Sum, Tensor, TyVar, Type,
-    Unit, alpha_eq, free_tyvars, pair, types_equal,
+    Unit, alpha_eq, free_tyvars, occurring, pair, types_equal,
 )
+from grlin.typecheck import GRADE_EXCEEDED, NO_UPPER_BOUND, CheckError, Checker
 
 
 def nat(n, sr=G.NAT_EXACT):
@@ -348,18 +349,23 @@ def test_fmap_maps_under_an_inner_mu_rebinding_the_recursion_variable():
     assert pretty_term(out) == "inr (inr (1, inl unit), inl unit)"
 
 
-def search_fmap(t, alpha, sr):
-    """The reference for ``deriving.fmap_grade``: fmap derived at each grade
-    of ``FMAP_GRADES`` in turn until one checks, as the law harness searched
-    before it counted the grade. A failure at the last grade propagates."""
-    *first, last = L.FMAP_GRADES[sr]
-    for g in first:
-        try:
-            return D.derive_fmap(t, alpha, g, sr)
-        except DeriveError as e:
-            if e.code != D.SIDE_CONDITION:
-                raise
-    return D.derive_fmap(t, alpha, last, sr)
+def fmap_checks(t, alpha, g, sr):
+    """The checker's verdict on fmap's term at grade ``g``, built by the
+    walker: False where the mapped function's uses exceed the grade or have
+    no upper bound, None where the walk itself refuses the subject."""
+    w = D._Fmap(t, alpha, g, sr)
+    try:
+        w.preconditions(t, occurring(t))
+        term, ctx = w.term(t)
+    except DeriveError:
+        return None
+    try:
+        Checker(sr).check({}, term, w.scheme(t, ctx))
+    except CheckError as e:
+        if e.diag.code not in (GRADE_EXCEEDED, NO_UPPER_BOUND):
+            raise
+        return False
+    return True
 
 
 def nested_subject(rng, depth, recvars=()):
@@ -386,8 +392,10 @@ def nested_subject(rng, depth, recvars=()):
 
 
 def test_fmap_grade_agrees_with_the_search():
-    """The counted grade is the one the search of every grade finds, and
-    there is none exactly where the search derives nothing."""
+    """The counted grade is the first of ``FMAP_GRADES`` at which the
+    checker accepts fmap's term, as the law harness searched before it
+    counted the grade, and there is none exactly where it accepts none; and
+    at each grade, fmap is derived exactly where the checker accepts it."""
     rng = random.Random(21)
     cases = [(parse_type(src), sr) for src, sr in (
         ("mu X . Unit + ((mu Y . Unit + (a * Y)) * X)", G.INTERVAL),
@@ -404,16 +412,26 @@ def test_fmap_grade_agrees_with_the_search():
         else:
             cases.append((Mu("X", Sum(Unit(), nested_subject(rng, 3, ("X",)))), sr))
     found = {None: 0}
+    decisions = 0
     D.clear_memo()
     for t, sr in cases:
-        try:
-            expected = search_fmap(t, "a", sr).grades[1][1]
-        except DeriveError:
-            expected = None
-        assert D.fmap_grade(t, "a", L.FMAP_GRADES[sr]) == expected, (pretty_type(t), sr)
+        pool = L.FMAP_GRADES[sr]
+        verdicts = {g: fmap_checks(t, "a", g, sr) for g in dict.fromkeys(pool + L.GRADE_POOLS[sr])}
+        expected = next((g for g in pool if verdicts[g]), None)
+        assert D.fmap_grade(t, "a", pool) == expected, (pretty_type(t), sr)
         found[expected] = found.get(expected, 0) + 1
+        for g, verdict in verdicts.items():
+            try:
+                D.derive_fmap(t, "a", g, sr)
+                derived = True
+            except DeriveError as e:
+                assert e.code == D.SIDE_CONDITION, (pretty_type(t), sr, g, e)
+                derived = False
+            assert derived == bool(verdict), (pretty_type(t), sr, g, verdict)
+            decisions += verdict is not None
     nested = sum(1 for t, _ in cases if mu_depth(t) > 1)
     assert found[None] > 300 and len(found) > 8 and nested > 200, (found, nested)
+    assert decisions > 10_000, decisions
 
 
 def mu_depth(t):

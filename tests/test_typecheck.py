@@ -246,6 +246,23 @@ def test_in_program_fmap_resolves_from_signature():
     src2 = ("mapPair : ((a -o (Int * Int)) [2]) -o ((a * a) -o ((Int * Int) * (Int * Int)))\n"
             "mapPair = fmap @(a * a)")
     assert check_program(parse_program(src2)) == []
+    # ... at a linear-only base type, a function type and a box
+    for beta in ("Res", "(Int -o Int)", "(Int [3])"):
+        src3 = (f"mapPair : ((a -o {beta}) [2]) -o ((a * a) -o ({beta} * {beta}))\n"
+                "mapPair = fmap @(a * a)")
+        assert check_program(parse_program(src3)) == [], beta
+    # the result may be written as one unrolling of its mu
+    unrolled = ("#semiring zero-one-many\n"
+                "mapL : ((a -o b) [w]) -o ((mu X . Unit + (a * X)) -o "
+                "(Unit + (b * (mu X . Unit + (b * X)))))\n"
+                "mapL = fmap @(mu X . Unit + (a * X))")
+    assert check_program(parse_program(unrolled)) == []
+    # a result that is not the mapped subject is refused at the fmap node
+    wrong = ("mapPair : ((a -o b) [2]) -o ((a * a) -o (b * a))\n"
+             "mapPair = fmap @(a * a)")
+    assert [d.render() for d in check_program(parse_program(wrong, file="file"))] == [
+        "file:2:11: TYPE_MISMATCH: fmap @a * a has type (a -o b) [2] -o a * a -o b * b, "
+        "expected (a -o b) [2] -o a * a -o b * a"]
     # grade too small for the occurrence count
     bad = ("mapPair : ((a -o b) [1]) -o ((a * a) -o (b * b))\n"
            "mapPair = fmap @(a * a)")
