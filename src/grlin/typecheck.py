@@ -609,10 +609,10 @@ class Checker:
             _grade_semiring(g, self.sr, t.pos)
             comb = self._run_derive(
                 lambda: deriving.derive_fmap(t.at, alpha, g, self.sr), t.pos)
-            # beta may be instantiated at any type, the result up to one unrolling
-            beta = comb.type.arg.body.res.name
-            result = subst_tyvars(comb.type.res.res, {beta: expected.arg.body.res})
-            if not _types_match(result, expected.res.res):
+            # beta may be instantiated at any type
+            beta = {comb.type.arg.body.res.name: expected.arg.body.res}
+            if not _fmap_result_matches(comb.type.res.res, expected.res.res, beta):
+                result = subst_tyvars(comb.type.res.res, beta)
                 _fail(TYPE_MISMATCH,
                       f"fmap @{pretty_type(t.at)} has type "
                       f"{pretty_type(Fun(expected.arg, Fun(t.at, result)))}, "
@@ -681,6 +681,21 @@ def _types_match(a: Type, b: Type) -> bool:
     if isinstance(a, Mu) and types_equal(unroll_mu(a), b):
         return True
     return isinstance(b, Mu) and types_equal(a, unroll_mu(b))
+
+
+def _fmap_result_matches(got: Type, want: Type, beta: dict[str, Type]) -> bool:
+    """Whether fmap's result ``got``, before ``beta`` is put in, checks
+    against ``want`` as its derived term would: that term rebuilds each sum
+    and product by a constructor, which unrolls a mu it is checked against,
+    and elsewhere gives a type that matches up to one unrolling."""
+    c = got.__class__
+    if c is Tensor or c is Sum:
+        while want.__class__ is Mu and not _unguarded(want):
+            want = unroll_mu(want)
+        return (want.__class__ is c
+                and _fmap_result_matches(got.left, want.left, beta)
+                and _fmap_result_matches(got.right, want.right, beta))
+    return _types_match(subst_tyvars(got, beta), want)
 
 
 # ---------------------------------------------------------------------------

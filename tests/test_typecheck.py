@@ -257,6 +257,16 @@ def test_in_program_fmap_resolves_from_signature():
                 "(Unit + (b * (mu X . Unit + (b * X)))))\n"
                 "mapL = fmap @(mu X . Unit + (a * X))")
     assert check_program(parse_program(unrolled)) == []
+    # ... also inside a product, and a subject unrolled there may have its result rolled
+    nested = (("a * (mu X . Unit + (a * X))",
+               "b * (Unit + (b * (mu X . Unit + (b * X))))"),
+              ("a * (Unit + (a * (mu X . Unit + (a * X))))",
+               "b * (mu X . Unit + (b * X))"))
+    for subject, result in nested:
+        src4 = ("#semiring zero-one-many\n"
+                f"m : ((a -o b) [w]) -o (({subject}) -o ({result}))\n"
+                f"m = fmap @({subject})")
+        assert check_program(parse_program(src4)) == [], subject
     # a result that is not the mapped subject is refused at the fmap node
     wrong = ("mapPair : ((a -o b) [2]) -o ((a * a) -o (b * a))\n"
              "mapPair = fmap @(a * a)")
