@@ -16,6 +16,11 @@ stack. Each rule costs one step of fuel, as a substituting normalizer would
 spend it: a closure is evaluated afresh at each use, a scrutinee forced by
 one branch is reused by the next, and a neutral term is evaluated again
 wherever it is read back.
+
+``count_uses`` counts how often the machine forces each binding instance,
+which under call by name is how often its value is demanded: what a grade
+bounds. Forcing an alias forces what it names, and a neutral read back
+twice counts twice (see ``count_uses``).
 """
 
 from __future__ import annotations
@@ -123,6 +128,18 @@ class NCase:
 
 _NEUTRALS = frozenset({NVar, NApp, NCase})
 
+
+class _Use:
+    """A binding instance that ``count_uses`` follows: the bound closure or
+    value, its binder site (name, pos) and how often it has been forced.
+    An ``Evaluator`` given a ``uses`` list makes one at each binding."""
+    __slots__ = ("value", "site", "count")
+
+    def __init__(self, value, site: tuple[str, Pos | None], uses: list):
+        self.value, self.site, self.count = value, site, 0
+        uses.append(self)
+
+
 # Continuation frames: (_ARG, arg), (_DROP, derive value, arg) and
 # (_CASE, node, env, branch index, scrutinee, path of the forced part).
 _ARG, _DROP, _CASE = range(3)
@@ -141,21 +158,9 @@ def _closure(t: Term, env: dict):
 
 
 class Evaluator:
-    def __init__(self, fuel: Fuel, counter: dict | None = None):
+    def __init__(self, fuel: Fuel, uses: list | None = None):
         self.fuel = fuel
-        self.counter = counter
-        self._occ: dict = {}
-
-    # -- counting -------------------------------------------------------------
-
-    def _charge(self, names, body: Term) -> None:
-        """Count the occurrences of each binder in the body it scopes over;
-        a body's counts are computed once."""
-        for name in names:
-            hit = self._occ.get((id(body), name))
-            if hit is None:
-                hit = self._occ[(id(body), name)] = (body, _occurrences(body, name))
-            self.counter[name] = self.counter.get(name, 0) + hit[1]
+        self.uses = uses
 
     # -- weak head normal form ------------------------------------------------
 
@@ -163,7 +168,7 @@ class Evaluator:
         """The value of a closure or value, computed on an explicit stack."""
         t, env = _split(c)
         fuel = self.fuel
-        counting = self.counter is not None
+        uses = self.uses
         stack: list = []
         push = stack.append
         while True:
@@ -192,18 +197,15 @@ class Evaluator:
                 v = (t, env)
             elif k is LetRec:
                 fuel.spend()
-                if counting:
-                    self._charge((t.var,), t.body)
-                env = Rec(t, env).env
+                r = Rec(t, env)
+                if uses is not None:
+                    r.env[t.var] = _Use(r, (t.var, t.pos), uses)
+                env = r.env
                 t = t.body
                 continue
             elif k is Rec:
-                node = t.node
                 fuel.spend()
-                if counting:
-                    self._charge((node.var,), node.bound)
-                env = t.env
-                t = node.bound
+                env, t = t.env, t.node.bound
                 continue
             elif k is NApp:
                 push((_ARG, t.arg))
@@ -213,6 +215,10 @@ class Evaluator:
                 t, env, frame = self._select(t.node, t.env, 0, t.scrut)
                 if frame:
                     push(frame)
+                continue
+            elif k is _Use:
+                t.count += 1
+                t, env = _split(t.value)
                 continue
             else:  # VCon, VBox, NVar
                 v = t
@@ -227,8 +233,8 @@ class Evaluator:
                         fn = v[0]
                         if type(fn) is Lam:
                             fuel.spend()
-                            if counting:
-                                self._charge((fn.var,), fn.body)
+                            if uses is not None:
+                                arg = _Use(arg, (fn.var, fn.pos), uses)
                             env = {**v[1], fn.var: arg}
                             t = fn.body
                             break
@@ -280,8 +286,9 @@ class Evaluator:
             status, res = _walk(pat, scrut)
             if status == _MATCH:
                 self.fuel.spend()
-                if self.counter is not None:
-                    self._charge(res, body)
+                if self.uses is not None:
+                    sites = _sites(pat)
+                    res = {x: _Use(c, sites[x], self.uses) for x, c in res.items()}
                 return body, ({**env, **res} if res else env), None
             if status == _NEED:
                 path, part = res
@@ -388,6 +395,8 @@ class Evaluator:
         """The term a closure or value stands for, without evaluating it:
         its environment is substituted into it."""
         k = type(c)
+        if k is _Use:
+            return self.quote(c.value)
         if k is tuple:
             t, env = c
             sub = {z: self.quote(env[z]) for z in free_vars(t) if z in env}
@@ -501,36 +510,26 @@ def _install(s, path: tuple, v):
     return v
 
 
+def _sites(p: Pattern) -> dict:
+    """The binder site (name, pos) of each variable of ``p``."""
+    sites, todo = {}, [p]
+    while todo:
+        p = todo.pop()
+        if type(p) is PVar:
+            sites[p.name] = (p.name, p.pos)
+        elif type(p) is PBox:
+            todo.append(p.pat)
+        elif type(p) is PCon:
+            todo += p.args
+    return sites
+
+
 class _Build:
     """A read-back node waiting for its ``arity`` parts."""
     __slots__ = ("arity", "make")
 
     def __init__(self, arity: int, make):
         self.arity, self.make = arity, make
-
-
-def _occurrences(t: Term, name: str) -> int:
-    if isinstance(t, Var):
-        return 1 if t.name == name else 0
-    if isinstance(t, App):
-        return _occurrences(t.fn, name) + _occurrences(t.arg, name)
-    if isinstance(t, Lam):
-        return 0 if t.var == name else _occurrences(t.body, name)
-    if isinstance(t, Promote):
-        return _occurrences(t.body, name)
-    if isinstance(t, Con):
-        return sum(_occurrences(a, name) for a in t.args)
-    if isinstance(t, Case):
-        n = _occurrences(t.scrutinee, name)
-        for p, b in t.branches:
-            if name not in pattern_vars(p):
-                n += _occurrences(b, name)
-        return n
-    if isinstance(t, LetRec):
-        if t.var == name:
-            return 0
-        return _occurrences(t.bound, name) + _occurrences(t.body, name)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -605,68 +604,20 @@ def run_main(prog: SourceProgram, fuel: Fuel | None = None) -> str:
     return pretty_term(nf)
 
 
-def tag_binders(t: Term) -> tuple[Term, dict[str, tuple[str, Pos | None]]]:
-    """Rename every binder to a unique tagged name, returning the registry
-    of binding sites for the instrumented evaluator."""
-    registry: dict[str, tuple[str, Pos | None]] = {}
-    return _tag(t, {}, registry), registry
-
-
-def _uid(name: str, pos: Pos | None, registry: dict[str, tuple[str, Pos | None]]) -> str:
-    u = f"{name}~{len(registry) + 1}"
-    registry[u] = (name, pos)
-    return u
-
-
-def _tag_pattern(p: Pattern, mapping: dict[str, str],
-                 registry: dict[str, tuple[str, Pos | None]]) -> Pattern:
-    if isinstance(p, PVar):
-        u = _uid(p.name, p.pos, registry)
-        mapping[p.name] = u
-        return PVar(u, p.pos)
-    if isinstance(p, PBox):
-        return PBox(_tag_pattern(p.pat, mapping, registry), p.pos)
-    if isinstance(p, PCon):
-        return PCon(p.con, tuple(_tag_pattern(a, mapping, registry) for a in p.args), p.pos)
-    return p
-
-
-def _tag(t: Term, env: dict[str, str], registry: dict[str, tuple[str, Pos | None]]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name), t.pos)
-    if isinstance(t, App):
-        return App(_tag(t.fn, env, registry), _tag(t.arg, env, registry), t.pos)
-    if isinstance(t, Lam):
-        u = _uid(t.var, t.pos, registry)
-        return Lam(u, _tag(t.body, {**env, t.var: u}, registry), t.pos)
-    if isinstance(t, Promote):
-        return Promote(_tag(t.body, env, registry), t.pos)
-    if isinstance(t, Con):
-        return Con(t.con, tuple(_tag(a, env, registry) for a in t.args), t.pos)
-    if isinstance(t, LetRec):
-        u = _uid(t.var, t.pos, registry)
-        env2 = {**env, t.var: u}
-        return LetRec(u, _tag(t.bound, env2, registry), _tag(t.body, env2, registry),
-                      t.pos, t.annot)
-    if isinstance(t, Case):
-        scrut = _tag(t.scrutinee, env, registry)
-        branches = []
-        for p, b in t.branches:
-            mapping: dict[str, str] = {}
-            p2 = _tag_pattern(p, mapping, registry)
-            branches.append((p2, _tag(b, {**env, **mapping}, registry)))
-        return Case(scrut, tuple(branches), t.pos, t.scrut_annot)
-    return t
-
-
 def count_uses(t: Term, fuel: Fuel | None = None):
-    """Count, per binding site, how many bound occurrences are consumed by
-    beta steps while normalizing. Returns {(name, pos): count}."""
-    tagged, registry = tag_binders(t)
-    counter: dict[str, int] = {}
-    ev = Evaluator(fuel or Fuel(), counter=counter)
-    ev.normalize(tagged, deep=True)
-    out: dict[tuple[str, Pos | None], int] = {}
-    for u, (name, pos) in registry.items():
-        out[(name, pos)] = counter.get(u, 0)
+    """Normalize ``t`` deeply, counting how many times the machine forces
+    each binding instance. Returns {(name, pos): [count of each instance,
+    in binding order]}; a binder site that was never bound is absent.
+
+    An instance is the environment entry a beta, a case match or a letrec
+    makes. Passing it on is not a force, so forcing an alias also counts
+    the instance it names, along the whole chain. Read-back evaluates a
+    neutral again wherever it meets it, so a use under a stuck term can
+    count twice: the counts are exact for closed programs whose result
+    type is first order."""
+    uses: list[_Use] = []
+    Evaluator(fuel or Fuel(), uses).normalize(t, deep=True)
+    out: dict[tuple[str, Pos | None], list[int]] = {}
+    for u in uses:
+        out.setdefault(u.site, []).append(u.count)
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from grlin.lawcheck import GRADE_POOLS
 from grlin.syntax import (
     App, Base, Box, Case, Con, Derive, DERIVE_KINDS, Fun, IntLit, Lam, LetRec,
     Mu, PBox, PCon, PInt, Promote, PVar, PWild, RecVar, Sum, Tensor, TyVar,
-    Unit, Var,
+    Unit, Var, _rename_pattern, pattern_vars,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -179,3 +180,37 @@ def rand_term(depth: int, rng: random.Random, env: list):
         p = rand_pattern(2, rng, binders)
         branches.append((p, rand_term(depth - 1, rng, env + binders)))
     return Case(rand_term(depth - 1, rng, env), tuple(branches))
+
+
+def rename_binders(t):
+    """``t`` with every binder renamed to a name of its own (``x~1``,
+    ``x~2``, ...), so the result is alpha-equivalent to ``t``."""
+    fresh = itertools.count(1)
+
+    def go(t, env):
+        if isinstance(t, Var):
+            return Var(env.get(t.name, t.name), t.pos)
+        if isinstance(t, App):
+            return App(go(t.fn, env), go(t.arg, env), t.pos)
+        if isinstance(t, Lam):
+            u = f"{t.var}~{next(fresh)}"
+            return Lam(u, go(t.body, {**env, t.var: u}), t.pos)
+        if isinstance(t, Promote):
+            return Promote(go(t.body, env), t.pos)
+        if isinstance(t, Con):
+            return Con(t.con, tuple(go(a, env) for a in t.args), t.pos)
+        if isinstance(t, LetRec):
+            env2 = {**env, t.var: f"{t.var}~{next(fresh)}"}
+            return LetRec(env2[t.var], go(t.bound, env2), go(t.body, env2),
+                          t.pos, t.annot)
+        if isinstance(t, Case):
+            branches = []
+            for p, b in t.branches:
+                mapping = {x: f"{x}~{next(fresh)}" for x in pattern_vars(p)}
+                branches.append((_rename_pattern(p, mapping),
+                                 go(b, {**env, **mapping})))
+            return Case(go(t.scrutinee, env), tuple(branches), t.pos,
+                        t.scrut_annot)
+        return t
+
+    return go(t, {})

@@ -145,8 +145,8 @@ def test_count_uses_copy():
         "main : Int * Int\nmain = copy [5]\n")
     term = inline_definitions(prog, "main")
     counts = {name: n for (name, pos), n in count_uses(term).items()}
-    assert counts["x"] == 2
-    assert counts["y"] == 1
+    assert counts["x"] == [2]
+    assert counts["y"] == [1]
 
 
 def test_count_uses_discarded_binder():
@@ -156,7 +156,7 @@ def test_count_uses_discarded_binder():
         "main : Unit\nmain = toss [9]\n")
     term = inline_definitions(prog, "main")
     counts = {name: n for (name, pos), n in count_uses(term).items()}
-    assert counts["x"] == 0
+    assert counts["x"] == [0]
 
 
 def test_count_uses_fixed_map():
@@ -179,7 +179,7 @@ main = map3 [\\n -> n] list
     assert T.check_program(prog) == []
     term = inline_definitions(prog, "main")
     counts = {name: n for (name, pos), n in count_uses(term).items()}
-    assert counts["f"] == 3  # applied once per element
+    assert counts["f"] == [3]  # applied once per element
 
 
 def test_recursive_map_via_toplevel_letrec():
@@ -196,19 +196,52 @@ main = go [\\n -> n] (inr (1, inr (2, inr (3, inl unit))))
     prog = parse_program(src)
     assert T.check_program(prog) == []
     assert run_main(prog) == "inr (1, inr (2, inr (3, inl unit)))"
-    # go is used once by the letrec and once by each of the 4 unrollings;
-    # f twice in each of the 4 calls
+    # the letrec binds go once, and it is forced by main and by each of the
+    # 3 recursive calls. Each of the 4 calls binds its own f, used once by
+    # `f x` in the 3 calls on a cons; the next call's f is an alias of this
+    # one through `[f]`, so each instance also counts every later use
     counts = {name: n for (name, pos), n in
               count_uses(inline_definitions(prog, "main")).items()}
-    assert (counts["go"], counts["f"]) == (5, 8)
+    assert (counts["go"], counts["f"]) == ([4], [3, 2, 1, 0])
+
+
+def test_count_uses_per_binding_instance():
+    # nat-le admits x at 2 from the join of the branches' 2 and 1; each call
+    # binds its own x and v, and only the branch that runs uses them
+    prog = parse_program("""#semiring nat-le
+pick : (Int [2]) -o ((Unit + Unit) -o (Int * Int))
+pick = \\y -> \\s -> case y of [x] -> (case s of
+    inl u -> (case u of unit -> (x, x));
+    inr v -> (case v of unit -> (x, 0)))
+main : (Int * Int) * (Int * Int)
+main = (pick [1] (inr unit), pick [2] (inl unit))
+""")
+    assert T.check_program(prog) == []
+    counts = {name: n for (name, pos), n in
+              count_uses(inline_definitions(prog, "main")).items()}
+    assert counts["x"] == [1, 2]
+    assert counts["v"] == [1]
+    assert counts["u"] == [1]
+
+
+def test_count_uses_deep_list():
+    # counting walks no term recursively, so a long list literal counts
+    # under the default recursion limit
+    n = 10_000
+    prog = parse_program(
+        "xs : mu X . Unit + (Int * X)\n"
+        "xs = " + "".join(f"inr ({i}, " for i in range(n)) + "inl unit"
+        + ")" * n + "\n"
+        "main : mu X . Unit + (Int * X)\nmain = (\\l -> l) xs\n")
+    counts = count_uses(inline_definitions(prog, "main"))
+    assert {name: n for (name, pos), n in counts.items()} == {"l": [1]}
 
 
 def test_normalization_is_alpha_invariant():
     # renaming every binder must not change evaluation outcomes; this is a
     # direct probe of capture-avoiding substitution
     import random
-    from conftest import rand_term
-    from grlin.evaluator import tag_binders
+    from conftest import rand_term, rename_binders
     rng = random.Random(77)
 
     def outcome(t):
@@ -223,7 +256,7 @@ def test_normalization_is_alpha_invariant():
 
     for _ in range(400):
         t = rand_term(4, rng, [])
-        renamed, _ = tag_binders(t)
+        renamed = rename_binders(t)
         kind1, nf1 = outcome(t)
         kind2, nf2 = outcome(renamed)
         assert kind1 == kind2, pretty_term(t)
