@@ -10,8 +10,8 @@ position ``pos``; the free-variable cache ``_fv`` of a term node, which
 and the facts that every type node caches, which ``__init__`` leaves empty
 and the first reader fills: the free type variables ``_ftv`` and the free
 recursion variables ``_frv`` (``free_tyvars`` and ``free_recvars``) and
-the closed answer ``_multi`` of ``multi_constructor``. So ``==`` stays
-structural and ``alpha_eq`` compares binding structure only.
+the constructor count ``_multi`` that ``multi_constructor`` reads. So
+``==`` stays structural and ``alpha_eq`` compares binding structure only.
 
 Substitution shares: ``subst_term``, ``subst_tyvars`` and ``subst_recvar``
 return a node in which no substituted variable is free as it is, after one
@@ -54,7 +54,7 @@ def _fact():
 class Type:
     _ftv: frozenset[str] = _fact()
     _frv: frozenset[str] = _fact()
-    _multi: bool = _fact()
+    _multi: int = _fact()
 
 
 _set_ftv, _set_frv, _set_multi = (Type.__dict__[f].__set__
@@ -272,37 +272,45 @@ def multi_constructor(t: Type) -> bool:
     counts saturated at 2 and recursion variables starting from 0, which is
     the terminating reading of the unrolling equation for mu types.
     """
-    multi = getattr(t, "_multi", None)
-    if multi is None:
-        multi = _count(t, {}) > 1
-        _set_multi(t, multi)
-    return multi
+    count = getattr(t, "_multi", None)
+    if count is None:
+        count = _count(t, {})
+        _set_multi(t, count)
+    return count > 1
 
 
 def _count(t: Type, env: dict[str, int]) -> int:
-    if isinstance(t, (Unit, Fun)):
+    """``t``'s constructor count, saturated at 2, where ``env`` counts its
+    free recursion variables (0 if absent). A node with none keeps its
+    count in ``_multi``, so a μ's fixpoint runs once per node."""
+    c = t.__class__
+    if c is Unit or c is Fun or c is TyVar:
         return 1
-    if isinstance(t, TyVar):
-        return 1
-    if isinstance(t, RecVar):
+    if c is RecVar:
         return env.get(t.name, 0)
-    if isinstance(t, Base):
+    if c is Base:
         # Int literals are distinguishable by matching; Res is abstract.
         return 2 if t.name in WEAKENABLE_BASES else 1
-    if isinstance(t, Box):
-        return _count(t.body, env)
-    if isinstance(t, Sum):
-        return min(2, 2 * (_count(t.left, env) + _count(t.right, env)))
-    if isinstance(t, Tensor):
-        return min(2, _count(t.left, env) * _count(t.right, env))
-    if isinstance(t, Mu):
-        c = 0
-        while True:
-            c2 = _count(t.body, {**env, t.var: c})
-            if c2 == c:
-                return c
-            c = c2
-    raise AssertionError(f"unhandled type: {t}")
+    closed = not free_recvars(t)
+    if closed:
+        n = getattr(t, "_multi", None)
+        if n is not None:
+            return n
+    if c is Box:
+        n = _count(t.body, env)
+    elif c is Sum:
+        n = min(2, 2 * (_count(t.left, env) + _count(t.right, env)))
+    elif c is Tensor:
+        n = min(2, _count(t.left, env) * _count(t.right, env))
+    elif c is Mu:
+        n = 0
+        while (n2 := _count(t.body, {**env, t.var: n})) != n:
+            n = n2
+    else:
+        raise AssertionError(f"unhandled type: {t}")
+    if closed:
+        _set_multi(t, n)
+    return n
 
 
 def types_equal(a: Type, b: Type) -> bool:

@@ -68,6 +68,20 @@ def test_multi_constructor_agrees_with_bounded_oracle():
         assert multi_constructor(t) == (count_oracle(t) > 1), t
 
 
+def test_multi_constructor_reuses_the_count_of_a_closed_node(monkeypatch):
+    """Below a fresh unrolling, a closed inner mu answers from its cached
+    count; its fixpoint does not run again."""
+    from grlin import syntax
+    inner = parse_type("mu Y . Unit + (Int * Y)")
+    outer = Mu("X", Sum(UNIT, Tensor(inner, RecVar("X"))))
+    assert multi_constructor(inner)
+    walked = []
+    count = syntax._count
+    monkeypatch.setattr(syntax, "_count", lambda t, env: walked.append(t) or count(t, env))
+    assert multi_constructor(unroll_mu(outer))
+    assert inner in walked and inner.body not in walked
+
+
 def test_unroll_mu_examples():
     assert unroll_mu(parse_type("mu X . Unit")) == Unit()
     lists = parse_type("mu X . Unit + (a * X)")
