@@ -113,16 +113,17 @@ def cmd_derive(args) -> int:
         elif kind == "copyShape":
             comb = deriving.derive_copyshape(subject, sr)
         else:  # fmap
-            if args.grade is None:
-                print("grlin: fmap needs --grade", file=sys.stderr)
-                return 2
             tyvars = sorted(free_tyvars(subject))
             if len(tyvars) != 1:
                 print(f"grlin: fmap needs a subject with exactly one type variable "
                       f"(found {tyvars or 'none'})", file=sys.stderr)
                 return 2
-            comb = deriving.derive_fmap(subject, tyvars[0],
-                                        _parse_grade_arg(args.grade, sr), sr)
+            if args.grade is None:  # the least covering grade, else the refusal
+                pool = sorted(lawcheck.FMAP_GRADES[sr], key=lambda g: g.value)
+                g = deriving.fmap_grade(subject, tyvars[0], pool) or pool[-1]
+            else:
+                g = _parse_grade_arg(args.grade, sr)
+            comb = deriving.derive_fmap(subject, tyvars[0], g, sr)
     except DeriveError as e:
         print(f"grlin: {e.code}: {e.message}", file=sys.stderr)
         return 1

@@ -141,6 +141,21 @@ def test_derive_fmap_refusal_names_the_counted_use(capsys):
     assert "at grade 2" in err and not re.search(r"\bf\d+", err), err
 
 
+def test_derive_fmap_without_a_grade_takes_the_least_covering_one(capsys):
+    """Without ``--grade``, fmap is derived at the least grade of the law
+    harness's pool that covers the uses, and refused as ``--grade`` at the
+    pool's greatest grade refuses when none does."""
+    code, out, err = run_cli(capsys, "derive", "fmap", "a * a", "--semiring", "nat-le")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "  : (a -o b) [2] -o a * a -o b * b"
+
+    subject = "(a * a) + a"
+    refused = run_cli(capsys, "derive", "fmap", subject, "--semiring", "nat-exact")
+    assert refused[0] == 1 and "SIDE_CONDITION" in refused[2]
+    assert refused == run_cli(capsys, "derive", "fmap", subject,
+                              "--semiring", "nat-exact", "--grade", "8")
+
+
 def test_derive_explain_prints_trace(capsys):
     code, out, err = run_cli(capsys, "derive", "push", "a * a",
                              "--semiring", "nat-le", "--grade", "1", "--explain")
