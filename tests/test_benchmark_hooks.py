@@ -33,3 +33,18 @@ def test_every_traced_name_resolves():
             f"{module}.{cls}.{attr}"
     deriving = _module("deriving")
     assert isinstance(deriving._memo, dict) and callable(deriving.clear_memo)
+
+
+def test_perfbench_call_shapes_bind():
+    """The calls ``perfbench/workloads.py`` makes still bind to grlin's
+    signatures; nothing is run."""
+    from inspect import signature
+    from grlin import cli, deriving, evaluator, lawcheck
+
+    signature(evaluator.Evaluator).bind(evaluator.Fuel(1))
+    signature(evaluator.Evaluator.normalize).bind(None, None, deep=True)
+    signature(deriving.derive_pull).bind(None, {}, None, default_grade=None)
+    signature(lawcheck.run_suite).bind("inverses", seed=0, only_case=0)
+    signature(cli.main).bind([])
+    assert set(lawcheck.DEFAULT_CASES) == set(lawcheck.SUITES)
+    assert isinstance(lawcheck.DEFAULT_SEED, int)
