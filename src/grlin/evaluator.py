@@ -29,7 +29,7 @@ from .parser import SourceProgram, pretty_term
 from .syntax import (
     App, Base, Case, Con, Derive, IntLit, Lam, LetRec, Pattern, PBox, PCon,
     Pos, Promote, PVar, PWild, Term, Type, UNIT_TERM, Var, _rename_pattern,
-    free_vars, fresh_name, pattern_vars, subst_term,
+    free_vars, fresh_name, pattern_binders, pattern_vars, subst_term,
 )
 
 DEFAULT_FUEL = 100_000
@@ -287,8 +287,8 @@ class Evaluator:
             if status == _MATCH:
                 self.fuel.spend()
                 if self.uses is not None:
-                    sites = _sites(pat)
-                    res = {x: _Use(c, sites[x], self.uses) for x, c in res.items()}
+                    res = {q.name: _Use(res[q.name], (q.name, q.pos), self.uses)
+                           for q in pattern_binders(pat)}
                 return body, ({**env, **res} if res else env), None
             if status == _NEED:
                 path, part = res
@@ -508,20 +508,6 @@ def _install(s, path: tuple, v):
         args[i] = v
         v = VCon(con, tuple(args), pos)
     return v
-
-
-def _sites(p: Pattern) -> dict:
-    """The binder site (name, pos) of each variable of ``p``."""
-    sites, todo = {}, [p]
-    while todo:
-        p = todo.pop()
-        if type(p) is PVar:
-            sites[p.name] = (p.name, p.pos)
-        elif type(p) is PBox:
-            todo.append(p.pat)
-        elif type(p) is PCon:
-            todo += p.args
-    return sites
 
 
 class _Build:

@@ -387,15 +387,20 @@ class PInt(Pattern):
 
 
 def pattern_vars(p: Pattern) -> list[str]:
-    """The variables ``p`` binds, left to right; the walk keeps the
+    """The variables ``p`` binds, left to right."""
+    return [q.name for q in pattern_binders(p)]
+
+
+def pattern_binders(p: Pattern) -> list[PVar]:
+    """The variable patterns of ``p``, left to right; the walk keeps the
     sub-patterns still to visit on an explicit stack."""
-    out: list[str] = []
+    out: list[PVar] = []
     todo = [p]
     while todo:
         p = todo.pop()
         c = p.__class__
         if c is PVar:
-            out.append(p.name)
+            out.append(p)
         elif c is PBox:
             todo.append(p.pat)
         elif c is PCon:
