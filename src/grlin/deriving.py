@@ -11,9 +11,14 @@ All five are built by one induction on the structure of the subject type
 (``_Walker``), after the kind's ``preconditions`` hold at the subject.
 Every elaborated term is type-checked against its concluded scheme before
 being returned, a failure being an internal error, and results are
-memoized per (kind, type, semiring, grades). Elaborated case expressions
-carry scrutinee-type annotations so they check without any constraint
-solving.
+memoized per (kind, type, semiring, grades), and so are the checked
+comonad witnesses. Elaborated case expressions carry scrutinee-type
+annotations so they check without any constraint solving.
+
+Within one memo, derivations share each distinct pattern node and variable
+they build (``_share``), so the match plan the evaluator caches on a
+pattern serves every term the pattern is in; the unit term is one constant.
+Other term nodes and types are built afresh.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from . import grades, syntax
 from .grades import Grade
 from .parser import pretty_type
 from .syntax import (
-    App, Base, Box, Case, Con, Derive, Fun, Lam, LetRec, Mu, PBox, PCon,
-    Promote, PVar, RecVar, RES, Sum, Tensor, Term, TyVar, Type, Unit, Var,
+    App, Base, Box, Case, Con, Derive, Fun, Lam, LetRec, Mu, Pattern, PBox, PCon,
+    Promote, PVar, RecVar, RES, Sum, Tensor, Term, TyVar, Type, UNIT_TERM, Unit, Var,
     free_tyvars, free_recvars, multi_constructor, occurring, subst_tyvars, pair,
 )
 
@@ -73,10 +78,14 @@ class DerivedCombinator:
 
 
 _memo: dict = {}
+# The pattern nodes and variables that derivations build, each distinct one
+# built once per memo (see ``_share``).
+_shared: dict = {}
 
 
 def clear_memo() -> None:
     _memo.clear()
+    _shared.clear()
 
 
 def _memoized(key, build):
@@ -84,6 +93,33 @@ def _memoized(key, build):
     if hit is None:
         hit = _memo[key] = build()
     return hit
+
+
+def _share(key: tuple, make, *fields):
+    """The node ``make(*fields)``, built once per memo. ``key`` holds its
+    fields, a sub-pattern by its identity, so no node is hashed; the node
+    holds its sub-patterns, so no other object takes their identities
+    while its key is in the table."""
+    node = _shared.get(key)
+    if node is None:
+        node = _shared[key] = make(*fields)
+    return node
+
+
+def _var(name: str) -> Var:
+    return _share(("Var", name), Var, name)
+
+
+def _pvar(name: str) -> PVar:
+    return _share(("PVar", name), PVar, name)
+
+
+def _pbox(p: Pattern) -> PBox:
+    return _share(("PBox", id(p)), PBox, p)
+
+
+def _pcon(con: str, args: tuple[Pattern, ...]) -> PCon:
+    return _share(("PCon", con, *map(id, args)), PCon, con, args)
 
 
 def _assert_checks(term: Term, ty: Type, semiring: str, what: str) -> None:
@@ -152,7 +188,7 @@ class _Walker:
 
     def function(self, s: Type, x: str, ctx) -> Term:
         z = self.fresh(x)
-        return Lam(z, self.body(s, Var(z), ctx))
+        return Lam(z, self.body(s, _var(z), ctx))
 
     def context(self, s: Type, closed: Type, ctx):
         return None
@@ -161,7 +197,7 @@ class _Walker:
         pass
 
     def call(self, f: str, subj: Term, ctx) -> Term:
-        return App(Var(f), subj)
+        return App(_var(f), subj)
 
     def scrut_type(self, s: Type, ctx) -> Type:
         return self.annot(s)
@@ -173,12 +209,12 @@ class _Walker:
         if isinstance(s, (Sum, Tensor)):
             x, y = self.fresh("x"), self.fresh("y")
             if isinstance(s, Sum):
-                pats = (PCon("inl", (PVar(x),)), PCon("inr", (PVar(y),)))
+                pats = (_pcon("inl", (_pvar(x),)), _pcon("inr", (_pvar(y),)))
             else:
-                pats = (PCon(",", (PVar(x), PVar(y))),)
+                pats = (_pcon(",", (_pvar(x), _pvar(y))),)
             if self.boxed_match:
-                pats = tuple(map(PBox, pats))
-            branches = self.split(s, Var(x), Var(y), ctx)
+                pats = tuple(map(_pbox, pats))
+            branches = self.split(s, _var(x), _var(y), ctx)
             return Case(subj, tuple(zip(pats, branches)), scrut_annot=self.scrut_type(s, ctx))
         if not isinstance(s, Mu):
             return self.node(s, subj, ctx)
@@ -240,13 +276,13 @@ class _Push(_Walker):
 
     def node(self, s: Type, subj: Term, subj_ty: Type) -> Term:
         if isinstance(s, Unit):
-            return Case(subj, ((PBox(PCon("unit", ())), Con("unit", ())),),
+            return Case(subj, ((_pbox(_pcon("unit", ())), UNIT_TERM),),
                         scrut_annot=subj_ty)
         if isinstance(s, TyVar):
             return subj
         if isinstance(s, Base):
             x = self.fresh("x")
-            return Case(subj, ((PBox(PVar(x)), Var(x)),), scrut_annot=subj_ty)
+            return Case(subj, ((_pbox(_pvar(x)), _var(x)),), scrut_annot=subj_ty)
         if isinstance(s, Fun):
             if free_recvars(s.arg):
                 raise DeriveError(
@@ -256,10 +292,10 @@ class _Push(_Walker):
             arg = self.annot(s.arg)
             puller = _Pull({a: self.r for a in free_tyvars(arg)}, self.sr)
             puller.names, puller.steps = self.names, self.steps
-            inner = Case(puller.body(arg, Var(y), self.r),
-                         ((PBox(PVar(u)), self.part(s.res, App(Var(f), Var(u)))),),
+            inner = Case(puller.body(arg, _var(y), self.r),
+                         ((_pbox(_pvar(u)), self.part(s.res, App(_var(f), _var(u)))),),
                          scrut_annot=Box(self.r, arg))
-            return Lam(y, Case(subj, ((PBox(PVar(f)), inner),), scrut_annot=subj_ty))
+            return Lam(y, Case(subj, ((_pbox(_pvar(f)), inner),), scrut_annot=subj_ty))
         raise AssertionError(f"unhandled type: {s}")
 
 
@@ -335,7 +371,7 @@ class _Pull(_Walker):
 
     def node(self, s: Type, subj: Term, tgt: Grade | None) -> Term:
         if isinstance(s, Unit):
-            return Case(subj, ((PCon("unit", ()), Promote(Con("unit", ()))),),
+            return Case(subj, ((_pcon("unit", ()), Promote(UNIT_TERM)),),
                         scrut_annot=self.annot(s))
         if isinstance(s, TyVar):
             return subj
@@ -352,12 +388,13 @@ class _Pull(_Walker):
         left, right = self.body(s.left, x, c), self.body(s.right, y, c)
         left_ty, right_ty = Box(ca, self.annot(s.left)), Box(cb, self.annot(s.right))
         if isinstance(s, Sum):
-            return [Case(left, ((PBox(PVar(u)), Promote(Con("inl", (Var(u),)))),),
+            return [Case(left, ((_pbox(_pvar(u)), Promote(Con("inl", (_var(u),)))),),
                          scrut_annot=left_ty),
-                    Case(right, ((PBox(PVar(v)), Promote(Con("inr", (Var(v),)))),),
+                    Case(right, ((_pbox(_pvar(v)), Promote(Con("inr", (_var(v),)))),),
                          scrut_annot=right_ty)]
         return [Case(pair(left, right),
-                     ((PCon(",", (PBox(PVar(u)), PBox(PVar(v)))), Promote(pair(Var(u), Var(v)))),),
+                     ((_pcon(",", (_pbox(_pvar(u)), _pbox(_pvar(v)))),
+                       Promote(pair(_var(u), _var(v)))),),
                      scrut_annot=Tensor(left_ty, right_ty))]
 
 
@@ -391,7 +428,7 @@ class _Drop(_Walker):
         if isinstance(s, Base):
             return App(Derive("drop", s), subj)  # built-in weakening
         if isinstance(s, Unit):
-            return Case(subj, ((PCon("unit", ()), Con("unit", ())),),
+            return Case(subj, ((_pcon("unit", ()), UNIT_TERM),),
                         scrut_annot=self.annot(s))
         raise AssertionError(f"unhandled type: {s}")
 
@@ -399,8 +436,8 @@ class _Drop(_Walker):
         left, right = self.body(s.left, x), self.body(s.right, y)
         if isinstance(s, Sum):
             return [left, right]
-        unit = Case(right, ((PCon("unit", ()), Con("unit", ())),), scrut_annot=Unit())
-        return [Case(left, ((PCon("unit", ()), unit),), scrut_annot=Unit())]
+        unit = Case(right, ((_pcon("unit", ()), UNIT_TERM),), scrut_annot=Unit())
+        return [Case(left, ((_pcon("unit", ()), unit),), scrut_annot=Unit())]
 
 
 def shape_type(s: Type) -> Type:
@@ -436,14 +473,14 @@ class _CopyShape(_Walker):
         """copyShape at ``s`` of ``x``, with the shape and the value bound to
         ``sn`` and ``xn`` in ``then``."""
         closed = self.annot(s)
-        return Case(self.body(s, x), ((PCon(",", (PVar(sn), PVar(xn))), then),),
+        return Case(self.body(s, x), ((_pcon(",", (_pvar(sn), _pvar(xn))), then),),
                     scrut_annot=Tensor(shape_type(closed), closed))
 
     def node(self, s: Type, subj: Term, ctx) -> Term:
         if isinstance(s, (TyVar, Base)):
-            return pair(Con("unit", ()), subj)
+            return pair(UNIT_TERM, subj)
         if isinstance(s, Unit):
-            return Case(subj, ((PCon("unit", ()), pair(Con("unit", ()), Con("unit", ()))),),
+            return Case(subj, ((_pcon("unit", ()), pair(UNIT_TERM, UNIT_TERM)),),
                         scrut_annot=self.annot(s))
         raise AssertionError(f"no shape for type: {s}")
 
@@ -452,10 +489,10 @@ class _CopyShape(_Walker):
         s2, y2 = self.fresh("s"), self.fresh("y")
         if isinstance(s, Sum):
             return [self.copied(s.left, x, s1, x1,
-                                pair(Con("inl", (Var(s1),)), Con("inl", (Var(x1),)))),
+                                pair(Con("inl", (_var(s1),)), Con("inl", (_var(x1),)))),
                     self.copied(s.right, y, s2, y2,
-                                pair(Con("inr", (Var(s2),)), Con("inr", (Var(y2),))))]
-        both = pair(pair(Var(s1), Var(s2)), pair(Var(x1), Var(y2)))
+                                pair(Con("inr", (_var(s2),)), Con("inr", (_var(y2),))))]
+        both = pair(pair(_var(s1), _var(s2)), pair(_var(x1), _var(y2)))
         return [self.copied(s.left, x, s1, x1, self.copied(s.right, y, s2, y2, both))]
 
 
@@ -499,16 +536,16 @@ class _Fmap(_Walker):
 
     def function(self, s: Type, x: str, ctx) -> Term:
         bf, z, f = self.fresh("bf"), self.fresh(x), self.fresh("f")
-        return Lam(bf, Lam(z, Case(Var(bf), ((PBox(PVar(f)), self.body(s, Var(z), f)),),
+        return Lam(bf, Lam(z, Case(_var(bf), ((_pbox(_pvar(f)), self.body(s, _var(z), f)),),
                                    scrut_annot=self.fn_ty)))
 
     def call(self, h: str, subj: Term, fvar: str) -> Term:
-        return App(App(Var(h), Promote(Var(fvar))), subj)
+        return App(App(_var(h), Promote(_var(fvar))), subj)
 
     def node(self, s: Type, subj: Term, fvar: str) -> Term:
         if isinstance(s, TyVar):
             if s.name == self.alpha:
-                return App(Var(fvar), subj)
+                return App(_var(fvar), subj)
             return subj
         if isinstance(s, (Unit, Base)):
             return subj
@@ -679,21 +716,25 @@ def derive_fmap(subject: Type, alpha: str, g: Grade,
 # ---------------------------------------------------------------------------
 
 def comonad_eps(a: Type, semiring: str) -> Term:
-    """The counit: (A) [1] -o A."""
-    term = Lam("x", Case(Var("x"), ((PBox(PVar("z")), Var("z")),)))
-    _assert_checks(term, Fun(Box(grades.one(semiring), a), a), semiring, "eps")
-    return term
+    """The counit: (A) [1] -o A, checked once per memo."""
+    def build() -> Term:
+        term = Lam("x", Case(_var("x"), ((_pbox(_pvar("z")), _var("z")),)))
+        _assert_checks(term, Fun(Box(grades.one(semiring), a), a), semiring, "eps")
+        return term
+    return _memoized(("eps", a, semiring), build)
 
 
 def comonad_delta(a: Type, r: Grade, s: Grade) -> Term:
-    """Comultiplication: (A) [r * s] -o ((A) [s]) [r]."""
+    """Comultiplication: (A) [r * s] -o ((A) [s]) [r], checked once per memo."""
     if r.semiring != s.semiring:
         raise DeriveError(MIXED_SEMIRING,
                           f"delta grades mix {r.semiring} and {s.semiring}", (r, s))
-    inner = Case(Var("x"), ((PBox(PVar("z")), Promote(Promote(Var("z")))),))
-    term = Lam("x", inner)
-    _assert_checks(term, delta_type(a, r, s), r.semiring, "delta")
-    return term
+
+    def build() -> Term:
+        term = Lam("x", Case(_var("x"), ((_pbox(_pvar("z")), Promote(Promote(_var("z")))),)))
+        _assert_checks(term, delta_type(a, r, s), r.semiring, "delta")
+        return term
+    return _memoized(("delta", a, r, s), build)
 
 
 def delta_type(a: Type, r: Grade, s: Grade) -> Type:

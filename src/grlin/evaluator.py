@@ -17,6 +17,12 @@ spend it: a closure is evaluated afresh at each use, a scrutinee forced by
 one branch is reused by the next, and a neutral term is evaluated again
 wherever it is read back.
 
+A case branch's pattern is matched by a plan, compiled on its first match
+and cached on the pattern node: a flat list of its tests in the left to
+right preorder in which they force the scrutinee's parts, each linked to
+its parent test. The path to a part that must be forced is rebuilt from
+those links when it is needed, so a plan is linear in the pattern's size.
+
 ``count_uses`` counts how often the machine forces each binding instance,
 which under call by name is how often its value is demanded: what a grade
 bounds. Forcing an alias forces what it names, and a neutral read back
@@ -28,7 +34,7 @@ from __future__ import annotations
 from .parser import SourceProgram, pretty_term
 from .syntax import (
     App, Base, Case, Con, Derive, IntLit, Lam, LetRec, Pattern, PBox, PCon,
-    Pos, Promote, PVar, PWild, Term, Type, UNIT_TERM, Var, _rename_pattern,
+    PInt, Pos, Promote, PVar, PWild, Term, Type, UNIT_TERM, Var, _rename_pattern,
     free_vars, fresh_name, pattern_binders, pattern_vars, subst_term,
 )
 
@@ -263,7 +269,7 @@ class Evaluator:
                                         f"{pretty_term(self.quote(v))}")
                 else:
                     _, node, cenv, bi, scrut, path = f
-                    scrut = _install(scrut, path, v)
+                    scrut = _install(scrut, path, v) if path else v
                     if type(v) in _NEUTRALS:
                         v = NCase(node, cenv, scrut)
                         continue
@@ -283,7 +289,7 @@ class Evaluator:
         branches = node.branches
         while bi < len(branches):
             pat, body = branches[bi]
-            status, res = _walk(pat, scrut)
+            status, res = _match(pat, scrut)
             if status == _MATCH:
                 self.fuel.spend()
                 if self.uses is not None:
@@ -422,69 +428,94 @@ def _split(c):
     return c if type(c) is tuple else (c, None)
 
 
-def _walk(p: Pattern, s):
-    """Match pattern ``p`` against the partly forced scrutinee ``s``, left to
-    right. Returns (_MATCH, bindings), (_NOMATCH, None), or (_NEED, (path,
+def _match(p: Pattern, s):
+    """Match pattern ``p`` against the partly forced scrutinee ``s`` by its
+    plan. Returns (_MATCH, bindings), (_NOMATCH, None), or (_NEED, (path,
     part)) when the part of ``s`` at ``path`` must be evaluated first. A
     pattern variable binds its part as it is."""
+    try:
+        plan = p._plan
+    except AttributeError:  # a variable or a wildcard, which has no plan
+        return _MATCH, ({p.name: s} if type(p) is PVar else {})
+    if plan is None:
+        plan = _compile(p)
+    parts: list = []  # the parts below each test's part, in plan order
     binds: dict = {}
-    work = [(p, s, ())]
-    while work:
-        p, s, path = work.pop()
-        kp = type(p)
-        if kp is PVar:
-            binds[p.name] = s
-            continue
-        if kp is PWild:
-            continue
-        ks = type(s)
+    for up, at, kind, want, n, names in plan:
+        part = s if up < 0 else parts[up][at]
+        ks = type(part)
         if ks is tuple:
-            t, env = s
+            t, env = part
             k = type(t)
-            if k not in _VALUE_TERMS:
-                return _NEED, (path, s)
-        elif ks is VCon or ks is VBox:
-            k = ks
-        else:
-            return _NEED, (path, s)
-        if kp is PCon:
             if k is Con:
-                if t.con != p.con or len(t.args) != len(p.args):
+                if kind is not PCon or t.con != want or len(t.args) != n:
                     return _NOMATCH, None
                 args = [_closure(a, env) for a in t.args]
-            elif k is VCon:
-                if s.con != p.con or len(s.args) != len(p.args):
+            elif k is Promote:
+                if kind is not PBox:
                     return _NOMATCH, None
-                args = s.args
-            else:
-                return _NOMATCH, None
-            pats = p.args
-        elif kp is PBox:
-            if k is Promote:
                 args = (_closure(t.body, env),)
-            elif k is VBox:
-                args = (s.body,)
-            else:
+            elif k is IntLit:
+                if kind is not PInt or t.value != want:
+                    return _NOMATCH, None
+                args = ()
+            elif k in _VALUE_TERMS:
                 return _NOMATCH, None
-            pats = (p.pat,)
-        elif k is not IntLit or t.value != p.value:  # PInt
-            return _NOMATCH, None
+            else:
+                return _NEED, (_path(plan, len(parts)), part)
+        elif ks is VCon:
+            if kind is not PCon or part.con != want or len(part.args) != n:
+                return _NOMATCH, None
+            args = part.args
+        elif ks is VBox:
+            if kind is not PBox:
+                return _NOMATCH, None
+            args = (part.body,)
         else:
-            continue
-        # variables bind at once; the other parts wait their turn
-        for i in range(len(pats) - 1, -1, -1):
-            q = pats[i]
-            if type(q) is PVar:
-                binds[q.name] = args[i]
-            elif type(q) is not PWild:
-                work.append((q, args[i], path + (i,)))
+            return _NEED, (_path(plan, len(parts)), part)
+        parts.append(args)
+        for i, x in names:
+            binds[x] = args[i]
     return _MATCH, binds
+
+
+def _compile(p: Pattern) -> tuple:
+    """The plan of a pattern that is not a variable or a wildcard, cached in
+    its ``_plan``: one test per sub-pattern of that kind, in the left to
+    right preorder in which matching forces parts. A test is (parent test
+    or -1, index of its part among the parent's, pattern class,
+    constructor or literal, arity, ((index, name) of each part it binds))."""
+    plan: list = []
+    todo = [(p, -1, 0)]
+    while todo:
+        q, up, at = todo.pop()
+        kq = type(q)
+        subs = q.args if kq is PCon else (q.pat,) if kq is PBox else ()
+        want = q.con if kq is PCon else q.value if kq is PInt else None
+        me = len(plan)
+        plan.append((up, at, kq, want, len(subs),
+                     tuple((i, r.name) for i, r in enumerate(subs) if type(r) is PVar)))
+        todo += ((subs[i], me, i) for i in range(len(subs) - 1, -1, -1)
+                 if type(subs[i]) not in (PVar, PWild))
+    plan = tuple(plan)
+    object.__setattr__(p, "_plan", plan)
+    return plan
+
+
+def _path(plan: tuple, i: int) -> tuple:
+    """The path from the scrutinee to the part that test ``i`` reads,
+    rebuilt from the parent links."""
+    path = []
+    while True:
+        up, at = plan[i][:2]
+        if up < 0:
+            return tuple(reversed(path))
+        path.append(at)
+        i = up
 
 
 def _install(s, path: tuple, v):
     """``s`` with its part at ``path`` replaced by ``v``."""
-    if not path:
-        return v
     spine = []
     for i in path:
         spine.append(s)
@@ -527,12 +558,12 @@ def match_pattern(t: Term, p: Pattern, fuel: Fuel | None = None):
     ev = Evaluator(fuel or Fuel())
     scrut = (t, {})
     while True:
-        status, res = _walk(p, scrut)
+        status, res = _match(p, scrut)
         if status != _NEED:
             break
         path, part = res
         v = ev.whnf(part)
-        scrut = _install(scrut, path, v)
+        scrut = _install(scrut, path, v) if path else v
         if type(v) in _NEUTRALS:
             return None, ev.quote(scrut)
     if status == _MATCH:

@@ -5,7 +5,9 @@ Types, patterns and terms are frozen, slotted dataclasses made by
 slot's member descriptor, and ``==``, ``hash`` and ``repr`` are the ones
 ``dataclasses`` generates. These fields stay out of all three: the source
 position ``pos``; the free-variable cache ``_fv`` of a term node, which
-``free_vars`` fills later with ``object.__setattr__``; the types
+``free_vars`` fills later with ``object.__setattr__``; the match plan
+``_plan`` of a constructor, box or literal pattern, which the evaluator
+fills on the pattern's first match as a case branch; the types
 ``Case.scrut_annot`` and ``LetRec.annot`` that the deriving engine plants;
 and the facts that every type node caches, which ``__init__`` leaves empty
 and the first reader fills: the free type variables ``_ftv`` and the free
@@ -356,6 +358,12 @@ class Pattern:
     __slots__ = ()
 
 
+def _cache():
+    """A cache on a node: filled once by the function that reads it, and,
+    like positions, left out of ``==``, ``hash`` and ``repr``."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @frozen
 class PVar(Pattern):
     name: str
@@ -371,6 +379,7 @@ class PWild(Pattern):
 class PBox(Pattern):
     pat: Pattern
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _plan: tuple | None = _cache()
 
 
 @frozen
@@ -378,12 +387,14 @@ class PCon(Pattern):
     con: str
     args: tuple[Pattern, ...]
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _plan: tuple | None = _cache()
 
 
 @frozen
 class PInt(Pattern):
     value: int
     pos: Pos | None = field(default=None, compare=False, repr=False)
+    _plan: tuple | None = _cache()
 
 
 def pattern_vars(p: Pattern) -> list[str]:
@@ -419,17 +430,11 @@ class Term:
     __slots__ = ()
 
 
-def _fv_slot():
-    """The free-variable cache of a term node: filled once by ``free_vars``,
-    and, like positions, left out of ``==``, ``hash`` and ``repr``."""
-    return field(default=None, init=False, repr=False, compare=False)
-
-
 @frozen
 class Var(Term):
     name: str
     pos: Pos | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 @frozen
@@ -437,7 +442,7 @@ class App(Term):
     fn: Term
     arg: Term
     pos: Pos | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 @frozen
@@ -445,14 +450,14 @@ class Lam(Term):
     var: str
     body: Term
     pos: Pos | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 @frozen
 class Promote(Term):
     body: Term
     pos: Pos | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 @frozen
@@ -460,7 +465,7 @@ class Con(Term):
     con: str
     args: tuple[Term, ...]
     pos: Pos | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 @frozen
@@ -471,7 +476,7 @@ class Case(Term):
     # Scrutinee type planted by the deriving engine so elaborated terms
     # synthesize without a constraint solver; never set by the parser.
     scrut_annot: Type | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 @frozen
@@ -482,7 +487,7 @@ class LetRec(Term):
     pos: Pos | None = field(default=None, compare=False, repr=False)
     # Type of the recursive binder, planted by the deriving engine.
     annot: Type | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 @frozen
@@ -490,14 +495,14 @@ class Derive(Term):
     kind: str  # one of DERIVE_KINDS
     at: Type
     pos: Pos | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 @frozen
 class IntLit(Term):
     value: int
     pos: Pos | None = field(default=None, compare=False, repr=False)
-    _fv: frozenset[str] | None = _fv_slot()
+    _fv: frozenset[str] | None = _cache()
 
 
 UNIT_TERM = Con("unit", ())

@@ -185,6 +185,7 @@ _ADD = 0  # (_ADD, u1): add after the usage u1 of a pair's left component
 _EXIT = 1  # (_EXIT, name, asm, pos): the lambda's binder leaves scope
 _SCALE = 2  # (_SCALE, grade, pos): the promotion scales the usage
 _LETREC = 3  # (_LETREC, u1, var): add after the bound term's usage, drop var
+_RIGHT = 4  # (_RIGHT, ctx, t, expected): check a pair's right component next
 
 
 class Checker:
@@ -249,173 +250,183 @@ class Checker:
     def _pattern(self, enc, p, ty, binders: list) -> None:
         """Append the binders of ``p`` matched against ``ty`` under the
         enclosing grade ``enc`` to ``binders``, left to right. A box's or an
-        injection's sub-pattern and a pair's right one continue the loop;
-        a pair's left one recurses."""
-        while True:
-            c = p.__class__
-            if c is PVar:
-                asm = Linear(ty) if enc is None else Graded(ty, enc)
-                binders.append((p.name, asm, p.pos))
-                return
-            rolled = ty  # a mu has the constructors of its unrolling
-            if ty.__class__ is Mu and c is not PWild:
-                ty = unroll_mu(ty)
-            if c is PWild:
-                if enc is None:
-                    _fail(WILDCARD_WEAKEN,
-                          "wildcard discards a value; it is only allowed under a box pattern",
-                          p.pos)
-                z = grades.zero(self.sr)
-                if not grades.sr_leq(z, enc):
-                    _fail(WILDCARD_WEAKEN,
-                          f"wildcard needs weakening: {z} is not approximated by {enc}",
-                          p.pos, gs=(z, enc))
-                return
-            if c is PBox:
-                if enc is not None:
-                    _fail(TYPE_MISMATCH, "box patterns cannot be nested", p.pos)
-                if ty.__class__ is not Box:
-                    _fail(TYPE_MISMATCH,
-                          f"box pattern against non-box type {pretty_type(ty)}", p.pos)
-                _grade_semiring(ty.grade, self.sr, p.pos)
-                enc, p, ty = ty.grade, p.pat, ty.body
-            elif c is PInt:
-                if not (ty.__class__ is Base and ty.name == "Int"):
-                    _fail(TYPE_MISMATCH,
-                          f"integer pattern against type {pretty_type(ty)}", p.pos)
-                if enc is not None:
-                    o = grades.one(self.sr)
-                    if not grades.sr_leq(o, enc):
-                        _fail(MATCH_USAGE,
-                              f"matching a literal consumes a use: {o} is not approximated "
-                              f"by {enc}", p.pos, gs=(o, enc))
-                return
-            elif c is PCon:
-                if enc is not None and multi_constructor(rolled):
-                    o = grades.one(self.sr)
-                    if not grades.sr_leq(o, enc):
-                        _fail(MATCH_USAGE,
-                              f"matching a multi-constructor type consumes a use: "
-                              f"{o} is not approximated by {enc}",
-                              p.pos, gs=(o, enc))
-                if p.con == "unit":
-                    if ty.__class__ is not Unit:
-                        _fail(TYPE_MISMATCH, f"unit pattern against type {pretty_type(ty)}",
+        injection's sub-pattern and a pair's left one continue the inner
+        loop; a pair's right one waits on ``todo``, so no pattern recurses."""
+        todo = [(enc, p, ty)]
+        while todo:
+            enc, p, ty = todo.pop()
+            while True:
+                c = p.__class__
+                if c is PVar:
+                    asm = Linear(ty) if enc is None else Graded(ty, enc)
+                    binders.append((p.name, asm, p.pos))
+                    break
+                rolled = ty  # a mu has the constructors of its unrolling
+                if ty.__class__ is Mu and c is not PWild:
+                    ty = unroll_mu(ty)
+                if c is PWild:
+                    if enc is None:
+                        _fail(WILDCARD_WEAKEN,
+                              "wildcard discards a value; it is only allowed under a box pattern",
                               p.pos)
-                    return
-                if p.con == ",":
-                    if ty.__class__ is not Tensor:
-                        _fail(TYPE_MISMATCH, f"pair pattern against type {pretty_type(ty)}",
-                              p.pos)
-                    self._pattern(enc, p.args[0], ty.left, binders)
-                    p, ty = p.args[1], ty.right
-                elif p.con == "inl" or p.con == "inr":
-                    if ty.__class__ is not Sum:
+                    z = grades.zero(self.sr)
+                    if not grades.sr_leq(z, enc):
+                        _fail(WILDCARD_WEAKEN,
+                              f"wildcard needs weakening: {z} is not approximated by {enc}",
+                              p.pos, gs=(z, enc))
+                    break
+                if c is PBox:
+                    if enc is not None:
+                        _fail(TYPE_MISMATCH, "box patterns cannot be nested", p.pos)
+                    if ty.__class__ is not Box:
                         _fail(TYPE_MISMATCH,
-                              f"{p.con} pattern against type {pretty_type(ty)}", p.pos)
-                    ty = ty.left if p.con == "inl" else ty.right
-                    p = p.args[0]
+                              f"box pattern against non-box type {pretty_type(ty)}", p.pos)
+                    _grade_semiring(ty.grade, self.sr, p.pos)
+                    enc, p, ty = ty.grade, p.pat, ty.body
+                elif c is PInt:
+                    if not (ty.__class__ is Base and ty.name == "Int"):
+                        _fail(TYPE_MISMATCH,
+                              f"integer pattern against type {pretty_type(ty)}", p.pos)
+                    if enc is not None:
+                        o = grades.one(self.sr)
+                        if not grades.sr_leq(o, enc):
+                            _fail(MATCH_USAGE,
+                                  f"matching a literal consumes a use: {o} is not approximated "
+                                  f"by {enc}", p.pos, gs=(o, enc))
+                    break
+                elif c is PCon:
+                    if enc is not None and multi_constructor(rolled):
+                        o = grades.one(self.sr)
+                        if not grades.sr_leq(o, enc):
+                            _fail(MATCH_USAGE,
+                                  f"matching a multi-constructor type consumes a use: "
+                                  f"{o} is not approximated by {enc}",
+                                  p.pos, gs=(o, enc))
+                    if p.con == "unit":
+                        if ty.__class__ is not Unit:
+                            _fail(TYPE_MISMATCH, f"unit pattern against type {pretty_type(ty)}",
+                                  p.pos)
+                        break
+                    if p.con == ",":
+                        if ty.__class__ is not Tensor:
+                            _fail(TYPE_MISMATCH, f"pair pattern against type {pretty_type(ty)}",
+                                  p.pos)
+                        todo.append((enc, p.args[1], ty.right))
+                        p, ty = p.args[0], ty.left
+                    elif p.con == "inl" or p.con == "inr":
+                        if ty.__class__ is not Sum:
+                            _fail(TYPE_MISMATCH,
+                                  f"{p.con} pattern against type {pretty_type(ty)}", p.pos)
+                        ty = ty.left if p.con == "inl" else ty.right
+                        p = p.args[0]
+                    else:
+                        _fail(TYPE_MISMATCH, f"unknown constructor {p.con!r}", p.pos)
                 else:
-                    _fail(TYPE_MISMATCH, f"unknown constructor {p.con!r}", p.pos)
-            else:
-                raise AssertionError(f"unhandled pattern: {p}")
+                    raise AssertionError(f"unhandled pattern: {p}")
 
     # -- terms ---------------------------------------------------------------
 
     def check(self, ctx: dict, t: Term, expected: Type) -> UsageMap:
         """The usage of ``t`` checked against ``expected``. A tail position
-        (a mu unrolling, an injection's argument, a pair's right component,
+        (a mu unrolling, an injection's argument, a pair's left component,
         the body of a lambda, promotion or letrec) continues the loop, and
         what it does to the usage on the way out waits on ``post``, to run
-        last first once a leaf has given the usage."""
+        last first once a leaf has given the usage. A pair's right component
+        waits there too, and is checked when its left one is done."""
         post: list[tuple] = []
         while True:
-            c = t.__class__
-            if c is Var or c is App:
-                ty, usage = self.synth(ctx, t)
-                if not _types_match(ty, expected):
-                    _fail(TYPE_MISMATCH,
-                          f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
-                          t.pos)
-                break
-            if (expected.__class__ is Mu and (c is Con or c is Lam or c is Promote
-                                              or c is IntLit)
-                    and not _unguarded(expected)):
-                expected = unroll_mu(expected)
-            elif c is Con:
-                if t.con == ",":
-                    if expected.__class__ is not Tensor:
-                        _fail(TYPE_MISMATCH, f"pair against type {pretty_type(expected)}",
+            while True:
+                c = t.__class__
+                if c is Var or c is App:
+                    ty, usage = self.synth(ctx, t)
+                    if not _types_match(ty, expected):
+                        _fail(TYPE_MISMATCH,
+                              f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
                               t.pos)
-                    post.append((_ADD, self.check(ctx, t.args[0], expected.left)))
-                    t, expected = t.args[1], expected.right
-                elif t.con == "inl" or t.con == "inr":
-                    if expected.__class__ is not Sum:
-                        _fail(TYPE_MISMATCH, f"{t.con} against type {pretty_type(expected)}",
+                    break
+                if (expected.__class__ is Mu and (c is Con or c is Lam or c is Promote
+                                                  or c is IntLit)
+                        and not _unguarded(expected)):
+                    expected = unroll_mu(expected)
+                elif c is Con:
+                    if t.con == ",":
+                        if expected.__class__ is not Tensor:
+                            _fail(TYPE_MISMATCH, f"pair against type {pretty_type(expected)}",
+                                  t.pos)
+                        post.append((_RIGHT, ctx, t.args[1], expected.right))
+                        t, expected = t.args[0], expected.left
+                    elif t.con == "inl" or t.con == "inr":
+                        if expected.__class__ is not Sum:
+                            _fail(TYPE_MISMATCH, f"{t.con} against type {pretty_type(expected)}",
+                                  t.pos)
+                        expected = expected.left if t.con == "inl" else expected.right
+                        t = t.args[0]
+                    else:
+                        if t.con != "unit":
+                            _fail(TYPE_MISMATCH, f"unknown constructor {t.con!r}", t.pos)
+                        if expected.__class__ is not Unit:
+                            _fail(TYPE_MISMATCH, f"unit against type {pretty_type(expected)}",
+                                  t.pos)
+                        usage = {}
+                        break
+                elif c is Case:
+                    scrut_ty, u_scrut = self._scrutinee(ctx, t)
+                    branch_usages = []
+                    for p, body in t.branches:
+                        u = self._branch(ctx, p, scrut_ty, body, expected, check_mode=True)
+                        branch_usages.append(u)
+                    merged = merge_branch_usages(branch_usages, self.sr)
+                    usage = usage_add(u_scrut, merged)
+                    break
+                elif c is Promote:
+                    if expected.__class__ is not Box:
+                        _fail(TYPE_MISMATCH,
+                              f"promotion against non-box type {pretty_type(expected)}", t.pos)
+                    _grade_semiring(expected.grade, self.sr, t.pos)
+                    post.append((_SCALE, expected.grade, t.pos))
+                    t, expected = t.body, expected.body
+                elif c is Lam:
+                    if expected.__class__ is not Fun:
+                        _fail(TYPE_MISMATCH,
+                              f"lambda against non-function type {pretty_type(expected)}",
                               t.pos)
-                    expected = expected.left if t.con == "inl" else expected.right
-                    t = t.args[0]
-                else:
-                    if t.con != "unit":
-                        _fail(TYPE_MISMATCH, f"unknown constructor {t.con!r}", t.pos)
-                    if expected.__class__ is not Unit:
-                        _fail(TYPE_MISMATCH, f"unit against type {pretty_type(expected)}",
-                              t.pos)
+                    asm = Linear(expected.arg)
+                    post.append((_EXIT, t.var, asm, t.pos))
+                    ctx = {**ctx, t.var: asm}
+                    t, expected = t.body, expected.res
+                elif c is LetRec:
+                    bound_ty, ctx = self._letrec_intro(ctx, t)
+                    post.append((_LETREC, self.check(ctx, t.bound, bound_ty), t.var))
+                    t = t.body
+                elif c is IntLit:
+                    if not (expected.__class__ is Base and expected.name == "Int"):
+                        _fail(TYPE_MISMATCH,
+                              f"integer literal against type {pretty_type(expected)}", t.pos)
                     usage = {}
                     break
-            elif c is Case:
-                scrut_ty, u_scrut = self._scrutinee(ctx, t)
-                branch_usages = []
-                for p, body in t.branches:
-                    u = self._branch(ctx, p, scrut_ty, body, expected, check_mode=True)
-                    branch_usages.append(u)
-                merged = merge_branch_usages(branch_usages, self.sr)
-                usage = usage_add(u_scrut, merged)
-                break
-            elif c is Promote:
-                if expected.__class__ is not Box:
-                    _fail(TYPE_MISMATCH,
-                          f"promotion against non-box type {pretty_type(expected)}", t.pos)
-                _grade_semiring(expected.grade, self.sr, t.pos)
-                post.append((_SCALE, expected.grade, t.pos))
-                t, expected = t.body, expected.body
-            elif c is Lam:
-                if expected.__class__ is not Fun:
-                    _fail(TYPE_MISMATCH,
-                          f"lambda against non-function type {pretty_type(expected)}",
-                          t.pos)
-                asm = Linear(expected.arg)
-                post.append((_EXIT, t.var, asm, t.pos))
-                ctx = {**ctx, t.var: asm}
-                t, expected = t.body, expected.res
-            elif c is LetRec:
-                bound_ty, ctx = self._letrec_intro(ctx, t)
-                post.append((_LETREC, self.check(ctx, t.bound, bound_ty), t.var))
-                t = t.body
-            elif c is IntLit:
-                if not (expected.__class__ is Base and expected.name == "Int"):
-                    _fail(TYPE_MISMATCH,
-                          f"integer literal against type {pretty_type(expected)}", t.pos)
-                usage = {}
-                break
-            elif c is Derive:
-                usage = self._check_derive(t, expected)
-                break
+                elif c is Derive:
+                    usage = self._check_derive(t, expected)
+                    break
+                else:
+                    raise AssertionError(f"unhandled term: {t}")
+            while post:
+                action = post.pop()
+                tag = action[0]
+                if tag == _RIGHT:
+                    post.append((_ADD, usage))
+                    _, ctx, t, expected = action
+                    break
+                if tag == _ADD:
+                    usage = usage_add(action[1], usage)
+                elif tag == _EXIT:
+                    self._exit_binder(usage, action[1], action[2], action[3])
+                elif tag == _SCALE:
+                    usage = self._scale(action[1], usage, action[2])
+                else:
+                    usage = usage_add(action[1], usage)
+                    usage.pop(action[2], None)
             else:
-                raise AssertionError(f"unhandled term: {t}")
-        while post:
-            action = post.pop()
-            tag = action[0]
-            if tag == _ADD:
-                usage = usage_add(action[1], usage)
-            elif tag == _EXIT:
-                self._exit_binder(usage, action[1], action[2], action[3])
-            elif tag == _SCALE:
-                usage = self._scale(action[1], usage, action[2])
-            else:
-                usage = usage_add(action[1], usage)
-                usage.pop(action[2], None)
-        return usage
+                return usage
 
     def synth(self, ctx: dict, t: Term) -> tuple[Type, UsageMap]:
         if isinstance(t, Var):

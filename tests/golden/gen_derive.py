@@ -133,7 +133,8 @@ def _show_args(args) -> str:
 
 
 def _annotations(t: Term) -> list[str]:
-    """The scrutinee and letrec annotations of a term, in pre-order."""
+    """The scrutinee and letrec annotations of a term, in pre-order. Only
+    the fields a node is built from are walked, so no cache is."""
     out: list[str] = []
 
     def go(x) -> None:
@@ -145,7 +146,8 @@ def _annotations(t: Term) -> list[str]:
             if annot is not None:
                 out.append(pretty_type(annot))
             for f in dataclasses.fields(x):
-                go(getattr(x, f.name))
+                if f.init:
+                    go(getattr(x, f.name))
     go(t)
     return out
 

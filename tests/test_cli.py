@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ROOT
 from grlin import grades as G
 from grlin import lawcheck as L
@@ -374,6 +376,31 @@ def test_deep_patterns_parse_and_check(capsys, tmp_path):
     sums = "(" * 2_000 + "Int" + " + Unit)" * 2_000
     path.write_text(f"f : {sums} -o Int\nf = \\x -> case x of {'inl ' * 2_000}y -> y\n")
     assert run_cli(capsys, "check", str(path)) == (0, "", "")
+
+
+# A pair pattern nested 10,000 deep, to the left and to the right: (type,
+# pattern, value), each binding x to the Int at the bottom.
+DEEP_PAIRS = {
+    "left": ("(" * 10_000 + "Int" + " * Unit)" * 10_000,
+             "(" * 10_000 + "x" + ", unit)" * 10_000,
+             "(" * 10_000 + "7" + ", unit)" * 10_000),
+    "right": ("Unit * (" * 10_000 + "Int" + ")" * 10_000,
+              "(unit, " * 10_000 + "x" + ")" * 10_000,
+              "(unit, " * 10_000 + "7" + ")" * 10_000),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_PAIRS)
+def test_a_deep_pair_pattern_checks_and_runs(capsys, tmp_path, shape):
+    """Checking walks either sub-pattern of a pair, and either component of
+    a pair value, without recursion; matching compiles the pattern to a
+    plan of 20,000 tests and runs it."""
+    ty, pat, value = DEEP_PAIRS[shape]
+    path = tmp_path / "pairs.grm"
+    path.write_text(f"f : {ty} -o Int\nf = \\p -> case p of {pat} -> x\n\n"
+                    f"main : Int\nmain = f {value}\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+    assert run_cli(capsys, "run", str(path)) == (0, "7\n", "")
 
 
 # ((…(Int + Unit) + …) + Unit), nested 2,000 deep, and a case over it

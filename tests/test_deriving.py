@@ -1,5 +1,6 @@
 """The derivation engine: golden terms, schemes, side conditions, soundness."""
 
+import dataclasses
 import random
 import re
 
@@ -12,8 +13,9 @@ from grlin.deriving import DeriveError
 from grlin.evaluator import deep_normalize
 from grlin.parser import parse_term, parse_type, pretty_term, pretty_type
 from grlin.syntax import (
-    App, Base, Box, Con, Fun, IntLit, Mu, Promote, RecVar, Sum, Tensor, TyVar, Type,
-    Unit, alpha_eq, free_tyvars, occurring, pair, types_equal,
+    App, Base, Box, Case, Con, Fun, IntLit, Lam, LetRec, Mu, Pattern, PBox, PCon,
+    Promote, PVar, RecVar, Sum, Tensor, Term, TyVar, Type, Unit, Var, alpha_eq,
+    free_tyvars, occurring, pair, types_equal,
 )
 from grlin.typecheck import GRADE_EXCEEDED, NO_UPPER_BOUND, CheckError, Checker
 
@@ -205,6 +207,55 @@ def test_comonad_witnesses():
 
     r, s = G.grade_interval(0, 1), G.grade_interval(0, 2)
     assert D.delta_type(TyVar("a"), r, s).arg.grade == G.grade_interval(0, 2)
+
+
+def test_comonad_witnesses_check_once_per_memo(monkeypatch):
+    checks = []
+    real = D._assert_checks
+    monkeypatch.setattr(D, "_assert_checks", lambda *a: checks.append(a[3]) or real(*a))
+    D.clear_memo()
+    for _ in range(3):
+        eps = D.comonad_eps(Base("Int"), G.NAT_EXACT)
+        delta = D.comonad_delta(Base("Int"), nat(2), nat(3))
+    assert checks == ["eps", "delta"]
+    assert D.comonad_eps(Base("Int"), G.NAT_EXACT) is eps
+    assert D.comonad_delta(Base("Int"), nat(2), nat(3)) is delta
+    D.comonad_delta(Base("Int"), nat(3), nat(2))
+    D.comonad_eps(Base("Int"), G.NAT_LE)
+    assert checks == ["eps", "delta", "delta", "eps"]
+    D.clear_memo()
+
+
+def _built_nodes(t):
+    """The term and pattern nodes of ``t`` in preorder, read through the
+    fields they are built from."""
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            todo.extend(reversed(x))
+        elif isinstance(x, (Term, Pattern)):
+            out.append(x)
+            todo.extend(reversed([getattr(x, f.name) for f in dataclasses.fields(x)
+                                  if f.init and f.name not in ("pos", "scrut_annot", "annot")]))
+    return out
+
+
+def test_derivations_share_patterns_and_variables():
+    """Within one memo, derivations build each distinct pattern node and
+    variable once; other term nodes are their own. ``clear_memo`` empties
+    the table."""
+    D.clear_memo()
+    subject = parse_type("mu X . Unit + (a * X)")
+    one, two = (D.derive_push(subject, nat(k, G.NAT_LE)).term for k in (1, 2))
+    assert one is not two and one == two
+    pairs = list(zip(_built_nodes(one), _built_nodes(two)))
+    kinds = {type(x) for x, y in pairs if x is y}
+    assert {PVar, PCon, PBox, Var} <= kinds and not kinds & {Case, Lam, App, LetRec}
+    assert all(x is y for x, y in pairs if type(x) in (PVar, PCon, PBox, Var))
+    assert D._shared
+    D.clear_memo()
+    assert not D._shared and not D._memo
 
 
 def test_memoization_transparency():

@@ -1,7 +1,11 @@
 """Operational behaviour: matching, normalization, fuel, use counting."""
 
+import itertools
+import random
+
 import pytest
 
+from grlin import evaluator as E
 from grlin import typecheck as T
 from grlin.evaluator import (
     Fuel, FuelExhausted, StuckTerm, count_uses, deep_normalize,
@@ -11,8 +15,8 @@ from grlin.parser import parse_program, parse_term, pretty_term
 from grlin import deriving as D
 from grlin import grades as G
 from grlin.syntax import (
-    App, Con, IntLit, Lam, Mu, Promote, RecVar, Sum, Tensor, TyVar, Unit, Var,
-    alpha_eq,
+    App, Case, Con, IntLit, Lam, Mu, PBox, PCon, PInt, Promote, PVar, PWild, RecVar,
+    Sum, Tensor, TyVar, Unit, Var, alpha_eq,
 )
 
 
@@ -40,6 +44,171 @@ def test_match_variable_binds_unevaluated():
     redex = parse_term("(\\x -> x) unit")
     sub, _ = match_pattern(redex, _pat("v"))
     assert sub == {"v": redex}  # not reduced
+
+
+def ref_walk(p, s):
+    """The matcher that plans replaced, kept as a reference: it reads the
+    pattern afresh at each match, on a work list of (pattern, part, path)."""
+    binds: dict = {}
+    work = [(p, s, ())]
+    while work:
+        p, s, path = work.pop()
+        kp = type(p)
+        if kp is PVar:
+            binds[p.name] = s
+            continue
+        if kp is PWild:
+            continue
+        ks = type(s)
+        if ks is tuple:
+            t, env = s
+            k = type(t)
+            if k not in E._VALUE_TERMS:
+                return E._NEED, (path, s)
+        elif ks is E.VCon or ks is E.VBox:
+            k = ks
+        else:
+            return E._NEED, (path, s)
+        if kp is PCon:
+            if k is Con:
+                if t.con != p.con or len(t.args) != len(p.args):
+                    return E._NOMATCH, None
+                args = [E._closure(a, env) for a in t.args]
+            elif k is E.VCon:
+                if s.con != p.con or len(s.args) != len(p.args):
+                    return E._NOMATCH, None
+                args = s.args
+            else:
+                return E._NOMATCH, None
+            pats = p.args
+        elif kp is PBox:
+            if k is Promote:
+                args = (E._closure(t.body, env),)
+            elif k is E.VBox:
+                args = (s.body,)
+            else:
+                return E._NOMATCH, None
+            pats = (p.pat,)
+        elif k is not IntLit or t.value != p.value:  # PInt
+            return E._NOMATCH, None
+        else:
+            continue
+        for i in range(len(pats) - 1, -1, -1):
+            q = pats[i]
+            if type(q) is PVar:
+                binds[q.name] = args[i]
+            elif type(q) is not PWild:
+                work.append((q, args[i], path + (i,)))
+    return E._MATCH, binds
+
+
+def _rand_pattern(rng, depth, names):
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return PVar(f"x{next(names)}") if r < 0.1 or depth == 0 else PWild()
+    return rng.choice([
+        lambda: PInt(rng.randrange(3)),
+        lambda: PCon("unit", ()),
+        lambda: PCon(rng.choice(("inl", "inr")), (_rand_pattern(rng, depth - 1, names),)),
+        lambda: PCon(",", (_rand_pattern(rng, depth - 1, names),
+                           _rand_pattern(rng, depth - 1, names))),
+        lambda: PBox(_rand_pattern(rng, depth - 1, names)),
+    ])()
+
+
+_STUCK = (lambda: E.NVar("n"), lambda: E.NApp(E.NVar("g"), (IntLit(0), {})),
+          lambda: E.NCase(Case(Var("n"), ((PVar("q"), Var("q")),)), {}, E.NVar("n")),
+          lambda: (App(Lam("a", Var("a")), IntLit(1)), {}),
+          lambda: (Var("w"), {"w": (IntLit(2), {})}))
+
+
+def _rand_scrutinee(rng, p, depth):
+    """A partly forced scrutinee, mostly shaped like ``p``: each part is an
+    unevaluated closure, a neutral, a closure of a value term or a value
+    that an earlier force installed (``VCon``, ``VBox``)."""
+    if depth == 0 or rng.random() < 0.12:
+        return rng.choice(_STUCK)()
+    if rng.random() < 0.1:
+        return (Lam("a", Var("a")), {})
+    if type(p) in (PVar, PWild) or rng.random() < 0.1:
+        p = _rand_pattern(rng, 1, itertools.count())
+        if type(p) in (PVar, PWild):
+            return (IntLit(rng.randrange(3)), {})
+    if type(p) is PInt:
+        return (IntLit(p.value if rng.random() < 0.7 else rng.randrange(3)), {})
+    if type(p) is PBox:
+        body = _rand_scrutinee(rng, p.pat, depth - 1)
+        if rng.random() < 0.5:
+            return E.VBox(body, None)
+        return (Promote(Var("b")), {"b": body})
+    con = p.con if rng.random() < 0.8 else rng.choice(("inl", "inr", ",", "unit"))
+    subs = p.args if con == p.con else (PWild(),) * {"unit": 0, ",": 2}.get(con, 1)
+    args = tuple(_rand_scrutinee(rng, q, depth - 1) for q in subs)
+    if rng.random() < 0.5:
+        return E.VCon(con, args, None)
+    if args and rng.random() < 0.3:  # a value term among the parts
+        return (Con(con, (IntLit(1),) + tuple(Var(f"v{i}") for i in range(1, len(args)))),
+                {f"v{i}": a for i, a in enumerate(args)})
+    return (Con(con, tuple(Var(f"v{i}") for i in range(len(args)))),
+            {f"v{i}": a for i, a in enumerate(args)})
+
+
+def _same(a, b):
+    """The same part: the same object, or closures of the same term in the
+    same environment."""
+    return a is b or (type(a) is tuple and type(b) is tuple
+                      and a[0] is b[0] and a[1] is b[1])
+
+
+def test_plans_match_as_the_reference_walk():
+    """On random patterns against partly forced scrutinees, the plan
+    runner gives the reference walk's status, bindings and path, and so
+    forces the same parts in the same order: each part it asks for is
+    installed, as the machine would, and the match is run again."""
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(3000):
+        p = _rand_pattern(rng, rng.randrange(1, 5), itertools.count())
+        s = _rand_scrutinee(rng, p, 5)
+        for _ in range(20):
+            want, got = ref_walk(p, s), E._match(p, s)
+            assert want[0] == got[0], p
+            outcomes.add(want[0])
+            if want[0] == E._MATCH:
+                assert want[1].keys() == got[1].keys()
+                assert all(_same(want[1][x], got[1][x]) for x in want[1])
+            if want[0] != E._NEED:
+                break
+            (path, part), (path2, part2) = want[1], got[1]
+            assert path == path2 and _same(part, part2)
+            if type(part) in (E.NVar, E.NApp, E.NCase):
+                break
+            q = p  # the sub-pattern that reads the part
+            for i in path:
+                q = q.pat if type(q) is PBox else q.args[i]
+            v = _rand_scrutinee(rng, q, 3)  # the part's value, or a neutral
+            if type(v) is tuple and type(v[0]) not in E._VALUE_TERMS:
+                v = E.NVar("m")
+            s = E._install(s, path, v)
+    assert outcomes == {E._MATCH, E._NOMATCH, E._NEED}
+
+
+def test_a_deep_pattern_matches_in_linear_memory():
+    """A pair pattern nested 10,000 deep compiles to a plan of 20,000 tests
+    and matches under the default recursion limit. A plan that kept each
+    test's path would hold about 100 million path entries here."""
+    import tracemalloc
+    pat, value = PVar("x"), IntLit(7)
+    for _ in range(10_000):
+        pat, value = PCon(",", (pat, PCon("unit", ()))), Con(",", (value, Con("unit", ())))
+    tracemalloc.start()
+    try:
+        sub, _ = match_pattern(value, pat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub == {"x": IntLit(7)} and len(pat._plan) == 20_000
+    assert peak < 20_000_000
 
 
 def test_normalize_beta():

@@ -12,6 +12,7 @@ from conftest import rand_term, rand_type
 from grlin import grades as G
 from grlin import lawcheck as L
 from grlin import typecheck as T
+from grlin.evaluator import match_pattern
 from grlin.parser import parse_term, parse_type, pretty_term
 from grlin.syntax import (
     App, Base, Box, Case, Con, Derive, Fun, INT, IntLit, Lam, LetRec, Mu,
@@ -654,10 +655,11 @@ NODES = [
     (Base, (*FACTS, "name"), {"name": "Res"}, {}, "Base(name='Res')"),
     (PVar, ("name", "pos"), {"name": "x"}, {"pos": P1}, "PVar(name='x')"),
     (PWild, ("pos",), {}, {"pos": P1}, "PWild()"),
-    (PBox, ("pat", "pos"), {"pat": PVar("x")}, {"pos": P1}, "PBox(pat=PVar(name='x'))"),
-    (PCon, ("con", "args", "pos"), {"con": ",", "args": (PWild(), PInt(3))}, {"pos": P1},
-     "PCon(con=',', args=(PWild(), PInt(value=3)))"),
-    (PInt, ("value", "pos"), {"value": -4}, {"pos": P1}, "PInt(value=-4)"),
+    (PBox, ("pat", "pos", "_plan"), {"pat": PVar("x")}, {"pos": P1},
+     "PBox(pat=PVar(name='x'))"),
+    (PCon, ("con", "args", "pos", "_plan"), {"con": ",", "args": (PWild(), PInt(3))},
+     {"pos": P1}, "PCon(con=',', args=(PWild(), PInt(value=3)))"),
+    (PInt, ("value", "pos", "_plan"), {"value": -4}, {"pos": P1}, "PInt(value=-4)"),
     (Var, ("name", "pos", "_fv"), {"name": "x"}, {"pos": P1}, "Var(name='x')"),
     (App, ("fn", "arg", "pos", "_fv"), {"fn": Var("f"), "arg": IntLit(1)}, {"pos": P1},
      "App(fn=Var(name='f'), arg=IntLit(value=1))"),
@@ -693,7 +695,7 @@ def test_node_semantics(cls, names, args, hidden, shown):
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
     node = cls(**args)
     assert node == cls(*args.values()) and repr(node) == shown
-    for name in ("pos", "scrut_annot", "annot", "_fv"):
+    for name in ("pos", "scrut_annot", "annot", "_fv", "_plan"):
         if name in names:
             assert getattr(node, name) is None
     for name in FACTS:
@@ -709,10 +711,15 @@ def test_node_semantics(cls, names, args, hidden, shown):
     if isinstance(full, Type):
         free_tyvars(full), multi_constructor(full)
         assert all(hasattr(full, name) for name in FACTS)
+    if "_plan" in names:
+        match_pattern(IntLit(0), full)  # a first match fills the plan
+        assert full._plan is not None
     for a, b in ((node, full), (full, node)):
         assert a == b and hash(a) == hash(b) and repr(a) == shown
     for a in (node, full):
         assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        if "_plan" in names:
+            assert copy.copy(a)._plan == pickle.loads(pickle.dumps(a))._plan == a._plan
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, None)
