@@ -746,13 +746,15 @@ def delta_type(a: Type, r: Grade, s: Grade) -> Type:
 # ---------------------------------------------------------------------------
 
 def elaborate_untyped(kind: str, subject: Type) -> Term:
-    """The elaborated term for a derive node reached during evaluation.
+    """The elaborated term for a derive node that the checker never saw;
+    the evaluator applies the term kept on a checked node instead.
 
     Terms are grade-independent, so placeholder grades are used for the
     (runtime-irrelevant) annotations. drop at a base type stays primitive.
-    Underivable subjects (possible only in unchecked terms) surface as
-    stuck terms. The term is built as ``derive_<kind>`` builds it, but it is
-    not checked and not memoized.
+    Underivable subjects, and fmap over more than one type variable, whose
+    mapped variable only a check can tell, surface as stuck terms. The term
+    is built as ``derive_<kind>`` builds it, but it is not checked and not
+    memoized.
     """
     from .evaluator import StuckTerm
     one = grades.one(grades.NAT_LE)
@@ -765,8 +767,8 @@ def elaborate_untyped(kind: str, subject: Type) -> Term:
     elif kind == "copyShape":
         w = _CopyShape(grades.NAT_LE)
     elif kind == "fmap":
-        alphas = _memo_fmap_alphas(subject) or sorted(free_tyvars(subject))
-        if len(set(alphas)) > 1:
+        alphas = sorted(free_tyvars(subject))
+        if len(alphas) > 1:
             raise StuckTerm(f"ambiguous fmap @{pretty_type(subject)}: cannot determine "
                             f"the mapped variable at run time")
         # with no variable positions the function goes unused
@@ -778,7 +780,3 @@ def elaborate_untyped(kind: str, subject: Type) -> Term:
         return w.term(subject)[0]
     except DeriveError as e:
         raise StuckTerm(f"{kind} @{pretty_type(subject)} is not derivable: {e.message}") from e
-
-
-def _memo_fmap_alphas(subject: Type) -> list[str]:
-    return [key[3] for key in _memo if key[0] == "fmap" and key[1] == subject]

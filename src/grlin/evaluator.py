@@ -23,6 +23,9 @@ right preorder in which they force the scrutinee's parts, each linked to
 its parent test. The path to a part that must be forced is rebuilt from
 those links when it is needed, so a plan is linear in the pattern's size.
 
+A derive node other than drop at a base type applies the term the checker
+kept on it; one never checked is elaborated from its subject alone.
+
 ``count_uses`` counts how often the machine forces each binding instance,
 which under call by name is how often its value is demanded: what a grade
 bounds. Forcing an alias forces what it names, and a neutral read back
@@ -34,7 +37,7 @@ from __future__ import annotations
 from .parser import SourceProgram, pretty_term
 from .syntax import (
     App, Base, Case, Con, Derive, IntLit, Lam, LetRec, Pattern, PBox, PCon,
-    PInt, Pos, Promote, PVar, PWild, Term, Type, UNIT_TERM, Var, _rename_pattern,
+    PInt, Pos, Promote, PVar, PWild, Term, UNIT_TERM, Var, _rename_pattern,
     free_vars, fresh_name, pattern_binders, pattern_vars, subst_term,
 )
 
@@ -195,9 +198,8 @@ class Evaluator:
                     push((_CASE, t, env, 0, None, ()))
                     t = t.scrutinee
                     continue
-                t, env, frame = self._select(t, env, 0, _closure(t.scrutinee, env))
-                if frame:
-                    push(frame)
+                # a variable or a wildcard matches at once: no frame
+                t, env, _ = self._select(t, env, 0, _closure(t.scrutinee, env))
                 continue
             elif k in _VALUE_TERMS:
                 v = (t, env)
@@ -249,9 +251,12 @@ class Evaluator:
                                 push((_DROP, v, arg))
                             else:
                                 fuel.spend()
-                                from . import deriving
                                 push((_ARG, arg))
-                                arg = (deriving.elaborate_untyped(fn.kind, fn.at), {})
+                                term = fn._elaborated
+                                if term is None:  # a node the checker never saw
+                                    from . import deriving
+                                    term = deriving.elaborate_untyped(fn.kind, fn.at)
+                                arg = (term, {})
                             t, env = _split(arg)
                             break
                     if type(v) not in _NEUTRALS:
@@ -583,35 +588,37 @@ def inline_definitions(prog: SourceProgram, name: str) -> Term:
     """Substitute top-level definitions into the named definition's body.
 
     A definition may refer to itself (it becomes a letrec); mutual cycles
-    are rejected.
+    are rejected. Dependencies are resolved depth first on an explicit
+    stack, each once, so a chain of definitions of any length is fine.
     """
     sigs = {d.name: d.signature for d in prog.decls}
     bodies = {d.name: d.body for d in prog.decls}
     if name not in bodies:
         raise NoMain(f"program has no definition {name!r}")
-    return _resolve(name, bodies, sigs, {}, [])
-
-
-def _resolve(n: str, bodies: dict[str, Term], sigs: dict[str, Type],
-             resolved: dict[str, Term], visiting: list[str]) -> Term:
-    """``n``'s body with its dependencies inlined, memoized in ``resolved``;
-    ``visiting`` is the chain of definitions being resolved."""
-    if n in resolved:
-        return resolved[n]
-    if n in visiting:
-        cycle = " -> ".join(visiting + [n])
-        raise StuckTerm(
-            f"mutually recursive top-level definitions (use letrec): {cycle}")
-    visiting.append(n)
-    body = bodies[n]
-    deps = {m for m in free_vars(body) if m in bodies and m != n}
-    sub = {m: _resolve(m, bodies, sigs, resolved, visiting) for m in deps}
-    visiting.pop()
-    inlined = subst_term(body, sub)
-    if n in free_vars(body):
-        inlined = LetRec(n, inlined, Var(n), annot=sigs.get(n))
-    resolved[n] = inlined
-    return inlined
+    resolved: dict[str, Term] = {}
+    visiting: list[str] = []  # the chain of definitions being resolved
+    todo: list = [name]  # a name to resolve, or (name, its dependencies) to inline
+    while True:
+        n = todo.pop()
+        if type(n) is tuple:  # every dependency is resolved
+            n, deps = n
+            visiting.pop()
+            body = bodies[n]
+            inlined = subst_term(body, {m: resolved[m] for m in deps})
+            if n in free_vars(body):
+                inlined = LetRec(n, inlined, Var(n), annot=sigs.get(n))
+            resolved[n] = inlined
+            if not visiting:
+                return inlined
+        elif n in visiting:
+            cycle = " -> ".join(visiting + [n])
+            raise StuckTerm(
+                f"mutually recursive top-level definitions (use letrec): {cycle}")
+        elif n not in resolved:
+            visiting.append(n)
+            deps = list({m for m in free_vars(bodies[n]) if m in bodies and m != n})
+            todo.append((n, deps))
+            todo += reversed(deps)
 
 
 def run_main(prog: SourceProgram, fuel: Fuel | None = None) -> str:

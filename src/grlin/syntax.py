@@ -7,13 +7,19 @@ slot's member descriptor, and ``==``, ``hash`` and ``repr`` are the ones
 position ``pos``; the free-variable cache ``_fv`` of a term node, which
 ``free_vars`` fills later with ``object.__setattr__``; the match plan
 ``_plan`` of a constructor, box or literal pattern, which the evaluator
-fills on the pattern's first match as a case branch; the types
-``Case.scrut_annot`` and ``LetRec.annot`` that the deriving engine plants;
-and the facts that every type node caches, which ``__init__`` leaves empty
-and the first reader fills: the free type variables ``_ftv`` and the free
-recursion variables ``_frv`` (``free_tyvars`` and ``free_recvars``) and
-the constructor count ``_multi`` that ``multi_constructor`` reads. So
-``==`` stays structural and ``alpha_eq`` compares binding structure only.
+fills on the pattern's first match as a case branch; the checked term
+``_elaborated`` that the checker keeps on a derive node for the evaluator;
+the types ``Case.scrut_annot`` and ``LetRec.annot`` that the deriving
+engine plants; and the facts that every type node caches, which
+``__init__`` leaves empty and the first reader fills: the free type
+variables ``_ftv`` and the free recursion variables ``_frv``
+(``free_tyvars`` and ``free_recvars``) and the constructor count
+``_multi`` that ``multi_constructor`` reads. So ``==`` stays structural
+and ``alpha_eq`` compares binding structure only.
+
+``types_equal`` and ``alpha_eq`` are one walk on an explicit stack of node
+pairs, which compares types and terms up to renaming of bound names at any
+depth.
 
 Substitution shares: ``subst_term``, ``subst_tyvars`` and ``subst_recvar``
 return a node in which no substituted variable is free as it is, after one
@@ -315,41 +321,6 @@ def _count(t: Type, env: dict[str, int]) -> int:
     return n
 
 
-def types_equal(a: Type, b: Type) -> bool:
-    """Structural equality up to renaming of mu binders."""
-    return _types_equal(a, b, {}, {}, 0)
-
-
-def _types_equal(a: Type, b: Type, la: dict[str, int], lb: dict[str, int],
-                 depth: int) -> bool:
-    """``la``/``lb`` map each name a mu binds on that side to the depth of
-    its innermost binder; ``depth`` counts the mu binders crossed, as in
-    ``_alpha``. Where the two maps agree, a type compared with itself
-    answers at once."""
-    if a is b and la == lb:
-        return True
-    if isinstance(a, RecVar) and isinstance(b, RecVar):
-        return la.get(a.name, a.name) == lb.get(b.name, b.name)
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Unit):
-        return True
-    if isinstance(a, (TyVar, Base)):
-        return a.name == b.name
-    if isinstance(a, Fun):
-        return (_types_equal(a.arg, b.arg, la, lb, depth)
-                and _types_equal(a.res, b.res, la, lb, depth))
-    if isinstance(a, (Tensor, Sum)):
-        return (_types_equal(a.left, b.left, la, lb, depth)
-                and _types_equal(a.right, b.right, la, lb, depth))
-    if isinstance(a, Box):
-        return a.grade == b.grade and _types_equal(a.body, b.body, la, lb, depth)
-    if isinstance(a, Mu):
-        return _types_equal(a.body, b.body, {**la, a.var: depth}, {**lb, b.var: depth},
-                            depth + 1)
-    raise AssertionError(f"unhandled type: {a}")
-
-
 # ---------------------------------------------------------------------------
 # Patterns
 # ---------------------------------------------------------------------------
@@ -496,6 +467,8 @@ class Derive(Term):
     at: Type
     pos: Pos | None = field(default=None, compare=False, repr=False)
     _fv: frozenset[str] | None = _cache()
+    # The checked combinator term, kept by the checker for the evaluator.
+    _elaborated: Term | None = _cache()
 
 
 @frozen
@@ -671,82 +644,102 @@ def _subst_under_binders(binders: tuple[str, ...] | list[str], bodies: tuple[Ter
     return mapping, tuple(subst_term(b, inner) for b in bodies)
 
 
+# ---------------------------------------------------------------------------
+# Equality up to renaming
+# ---------------------------------------------------------------------------
+
+def types_equal(a: Type, b: Type) -> bool:
+    """Structural equality up to renaming of mu binders."""
+    return a is b or _equal(a, b)
+
+
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Equality up to consistent renaming of bound term variables."""
-    return _alpha(t1, t2, {}, {}, 0)
+    return _equal(t1, t2)
 
 
-def _alpha(t1: Term, t2: Term, env1: dict[str, int], env2: dict[str, int],
-           depth: int) -> bool:
-    """``env1``/``env2`` map each bound name to the binding depth of its
-    innermost binder; ``depth`` counts the binders crossed so far, so a
-    shadowing binder gets a level of its own."""
-    if type(t1) is not type(t2):
-        return False
-    if isinstance(t1, Var):
-        k1 = env1.get(t1.name, ("free", t1.name))
-        k2 = env2.get(t2.name, ("free", t2.name))
-        return k1 == k2
-    if isinstance(t1, App):
-        return (_alpha(t1.fn, t2.fn, env1, env2, depth)
-                and _alpha(t1.arg, t2.arg, env1, env2, depth))
-    if isinstance(t1, Lam):
-        return _alpha(t1.body, t2.body, {**env1, t1.var: depth},
-                      {**env2, t2.var: depth}, depth + 1)
-    if isinstance(t1, Promote):
-        return _alpha(t1.body, t2.body, env1, env2, depth)
-    if isinstance(t1, Con):
-        return t1.con == t2.con and len(t1.args) == len(t2.args) and all(
-            _alpha(a, b, env1, env2, depth) for a, b in zip(t1.args, t2.args)
-        )
-    if isinstance(t1, IntLit):
-        return t1.value == t2.value
-    if isinstance(t1, Derive):
-        return t1.kind == t2.kind and types_equal(t1.at, t2.at)
-    if isinstance(t1, LetRec):
-        e1 = {**env1, t1.var: depth}
-        e2 = {**env2, t2.var: depth}
-        return (_alpha(t1.bound, t2.bound, e1, e2, depth + 1)
-                and _alpha(t1.body, t2.body, e1, e2, depth + 1))
-    if isinstance(t1, Case):
-        if not _alpha(t1.scrutinee, t2.scrutinee, env1, env2, depth):
+def _equal(a, b) -> bool:
+    """Whether two types, or two terms, are equal up to renaming of bound
+    names, in one walk over an explicit stack of node pairs. Bound names are
+    read as de Bruijn read them: each pair of binders met gets a number, and
+    ``ra``/``rb`` (recursion variables, bound by a mu) and ``va``/``vb``
+    (term variables, bound by a lambda, a letrec or a case pattern in
+    ``pattern_binders`` order) map each side's bound names to the number of
+    their innermost binder; a free name stands for itself. A binder writes
+    into the maps in place and pushes, below its scope's pairs, an item
+    ``(None, saved)`` that restores them, so it costs the same at any depth.
+    No mu is in scope where a ``Derive``'s types are met. Identical nodes
+    under equal maps are equal."""
+    ra, rb, va, vb = {}, {}, {}, {}
+    level = 0
+    todo: list = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        c = a.__class__
+        if c is not b.__class__:
+            if a is None:  # the end of a scope
+                for m, x, old in reversed(b):
+                    if old is None:
+                        del m[x]
+                    else:
+                        m[x] = old
+                continue
             return False
-        if len(t1.branches) != len(t2.branches):
-            return False
-        for (p1, b1), (p2, b2) in zip(t1.branches, t2.branches):
-            binders = _pattern_pair(p1, p2)
-            if binders is None:
+        if a is b and (ra == rb if isinstance(a, Type) else va == vb):
+            continue
+        if c is Fun:
+            todo += ((a.res, b.res), (a.arg, b.arg))
+        elif c is Tensor or c is Sum:
+            todo += ((a.right, b.right), (a.left, b.left))
+        elif c is Box:
+            if a.grade != b.grade:
                 return False
-            e1, e2 = dict(env1), dict(env2)
-            for i, (x1, x2) in enumerate(binders):
-                e1[x1] = depth + i
-                e2[x2] = depth + i
-            if not _alpha(b1, b2, e1, e2, depth + len(binders)):
+            todo.append((a.body, b.body))
+        elif c is TyVar or c is Base:
+            if a.name != b.name:
                 return False
-        return True
-    raise AssertionError(f"unhandled term: {t1}")
-
-
-def _pattern_pair(p1: Pattern, p2: Pattern) -> list[tuple[str, str]] | None:
-    """Pair up binders of two patterns if they have the same shape."""
-    if type(p1) is not type(p2):
-        return None
-    if isinstance(p1, PVar):
-        return [(p1.name, p2.name)]
-    if isinstance(p1, PWild):
-        return []
-    if isinstance(p1, PInt):
-        return [] if p1.value == p2.value else None
-    if isinstance(p1, PBox):
-        return _pattern_pair(p1.pat, p2.pat)
-    if isinstance(p1, PCon):
-        if p1.con != p2.con or len(p1.args) != len(p2.args):
-            return None
-        out: list[tuple[str, str]] = []
-        for a, b in zip(p1.args, p2.args):
-            sub = _pattern_pair(a, b)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    raise AssertionError(f"unhandled pattern: {p1}")
+        elif c is Var or c is RecVar:
+            m1, m2 = (va, vb) if c is Var else (ra, rb)
+            if m1.get(a.name, a.name) != m2.get(b.name, b.name):
+                return False
+        elif c is App:
+            todo += ((a.arg, b.arg), (a.fn, b.fn))
+        elif c is Lam or c is Mu or c is LetRec or c is tuple:  # tuple: case branches
+            if c is tuple:
+                xs, ys = pattern_binders(a[0]), pattern_binders(b[0])
+                if len(xs) != len(ys):
+                    return False
+                names = [(x.name, y.name) for x, y in zip(xs, ys)]
+                scope = ((a[1], b[1]), (a[0], b[0]))
+            else:
+                names = ((a.var, b.var),)
+                scope = ((a.body, b.body),) + (((a.bound, b.bound),) if c is LetRec else ())
+            m1, m2 = (ra, rb) if c is Mu else (va, vb)
+            saved = []
+            for x, y in names:
+                saved += ((m1, x, m1.get(x)), (m2, y, m2.get(y)))
+                m1[x] = m2[y] = level
+                level += 1
+            todo.append((None, saved))
+            todo += scope
+        elif c is Con or c is PCon:
+            if a.con != b.con or len(a.args) != len(b.args):
+                return False
+            todo += zip(reversed(a.args), reversed(b.args))
+        elif c is Case:
+            if len(a.branches) != len(b.branches):
+                return False
+            todo += zip(reversed(a.branches), reversed(b.branches))
+            todo.append((a.scrutinee, b.scrutinee))
+        elif c is Promote or c is PBox:
+            todo.append((a.body, b.body) if c is Promote else (a.pat, b.pat))
+        elif c is IntLit or c is PInt:
+            if a.value != b.value:
+                return False
+        elif c is Derive:
+            if a.kind != b.kind:
+                return False
+            todo.append((a.at, b.at))
+        elif c is not Unit and c is not PVar and c is not PWild:
+            raise AssertionError(f"unhandled node: {a}")
+    return True

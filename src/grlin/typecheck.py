@@ -556,10 +556,10 @@ class Checker:
                     _fail(NOT_DROPPABLE,
                           f"{t.at.name} is a linear-only base type", t.pos)
                 return Fun(t.at, Unit()), {}
-            comb = self._run_derive(lambda: deriving.derive_drop(t.at, self.sr), t.pos)
+            comb = self._run_derive(t, lambda: deriving.derive_drop(t.at, self.sr))
             return comb.type, {}
         if t.kind == "copyShape":
-            comb = self._run_derive(lambda: deriving.derive_copyshape(t.at, self.sr), t.pos)
+            comb = self._run_derive(t, lambda: deriving.derive_copyshape(t.at, self.sr))
             return comb.type, {}
         _fail(NEEDS_ANNOTATION,
               f"{t.kind} @T needs an expected type to determine its grades", t.pos)
@@ -580,7 +580,7 @@ class Checker:
                       f"({pretty_type(t.at)}) [r] -o ...", t.pos)
             r = expected.arg.grade
             _grade_semiring(r, self.sr, t.pos)
-            comb = self._run_derive(lambda: deriving.derive_push(t.at, r), t.pos)
+            comb = self._run_derive(t, lambda: deriving.derive_push(t.at, r))
             if not types_equal(comb.type, expected):
                 _fail(TYPE_MISMATCH,
                       f"push @{pretty_type(t.at)} has type {pretty_type(comb.type)}, "
@@ -598,8 +598,7 @@ class Checker:
             result_grade = expected.res.grade
             _grade_semiring(result_grade, self.sr, t.pos)
             comb = self._run_derive(
-                lambda: deriving.derive_pull(t.at, rs, self.sr, default_grade=result_grade),
-                t.pos)
+                t, lambda: deriving.derive_pull(t.at, rs, self.sr, default_grade=result_grade))
             if not types_equal(comb.type, expected):
                 _fail(TYPE_MISMATCH,
                       f"pull @{pretty_type(t.at)} has type {pretty_type(comb.type)}, "
@@ -618,8 +617,7 @@ class Checker:
             alpha = expected.arg.body.arg.name
             g = expected.arg.grade
             _grade_semiring(g, self.sr, t.pos)
-            comb = self._run_derive(
-                lambda: deriving.derive_fmap(t.at, alpha, g, self.sr), t.pos)
+            comb = self._run_derive(t, lambda: deriving.derive_fmap(t.at, alpha, g, self.sr))
             # beta may be instantiated at any type
             beta = {comb.type.arg.body.res.name: expected.arg.body.res}
             if not _fmap_result_matches(comb.type.res.res, expected.res.res, beta):
@@ -640,11 +638,14 @@ class Checker:
                   f"with boxed variables", pos)
         return rs
 
-    def _run_derive(self, thunk, pos: Pos | None):
+    def _run_derive(self, t: Derive, thunk):
+        """The combinator ``thunk`` derives for ``t``, its term kept on ``t``."""
         try:
-            return thunk()
+            comb = thunk()
         except DeriveError as e:
-            raise CheckError(Diagnostic(e.code, e.message, pos, e.grades)) from e
+            raise CheckError(Diagnostic(e.code, e.message, t.pos, e.grades)) from e
+        object.__setattr__(t, "_elaborated", comb.term)
+        return comb
 
 
 def _match_pull_arg(s: Type, a: Type, rs: dict[str, Grade], pos: Pos | None) -> bool:

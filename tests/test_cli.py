@@ -403,6 +403,61 @@ def test_a_deep_pair_pattern_checks_and_runs(capsys, tmp_path, shape):
     assert run_cli(capsys, "run", str(path)) == (0, "7\n", "")
 
 
+@pytest.mark.parametrize("depth", [1_000, 3_000])
+def test_two_signatures_that_spell_one_deep_type_check(capsys, tmp_path, depth):
+    """The application compares the two separately parsed types without
+    recursion."""
+    ty = "Unit * (" * depth + "Int" + ")" * depth
+    pat = "(unit, " * depth + "x" + ")" * depth
+    path = tmp_path / "twice.grm"
+    path.write_text(f"f : {ty} -o Int\nf = \\p -> case p of {pat} -> x\n\n"
+                    f"main : {ty} -o Int\nmain = \\y -> f y\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+
+
+def test_a_long_chain_of_definitions_runs(capsys, tmp_path):
+    """Definitions are inlined without recursion."""
+    n = 3_000
+    path = tmp_path / "chain.grm"
+    path.write_text("".join(f"d{i} : Unit\nd{i} = d{i + 1}\n\n" for i in range(n))
+                    + f"d{n} : Unit\nd{n} = unit\n\nmain : Unit\nmain = d0\n")
+    assert run_cli(capsys, "run", str(path)) == (0, "unit\n", "")
+
+
+def test_two_fmaps_at_one_subject_run_as_checked(capsys, tmp_path):
+    """Each fmap node runs the combinator its own signature chose."""
+    path = tmp_path / "fmaps.grm"
+    path.write_text("mapL : ((a -o a) [1]) -o ((a * b) -o (a * b))\nmapL = fmap @(a * b)\n\n"
+                    "mapR : ((b -o b) [1]) -o ((a * b) -o (a * b))\nmapR = fmap @(a * b)\n\n"
+                    "main : ((a -o a) [1]) -o ((a * b) -o (a * b))\n"
+                    "main = \\f -> \\p -> mapL f p\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+    assert run_cli(capsys, "run", str(path)) == (
+        0, "\\f -> \\p -> case f of [f3] -> case p of (x4, y5) -> (f3 x4, y5)\n", "")
+
+
+def test_synthesized_case_and_letrec_scrutinees(capsys, tmp_path):
+    """A case whose scrutinee is itself a case, or a letrec, synthesizes
+    that scrutinee's type, branch by branch for a case."""
+    inner = "case b of inl u -> (case u of unit -> 1); inr v -> "
+    path = tmp_path / "synth.grm"
+    path.write_text("f : (Unit + Unit) -o Int -o (Int * Int)\n"
+                    f"f = \\b -> \\x -> (case ({inner}(case v of unit -> 2)) of n -> n, "
+                    "case (letrec r = x in r) of m -> m)\n\n"
+                    "main : Int * Int\nmain = f (inr unit) 7\n")
+    assert run_cli(capsys, "run", str(path)) == (0, "(2, 7)\n", "")
+    path.write_text(f"f : (Unit + Unit) -o Int\nf = \\b -> case ({inner}v) of n -> n\n")
+    assert run_cli(capsys, "check", str(path)) == (
+        1, "", f"{path}:2:17: TYPE_MISMATCH: branches disagree: Int vs Unit\n")
+
+
+def test_pull_refuses_a_variable_boxed_at_two_grades(capsys, tmp_path):
+    path = tmp_path / "pull.grm"
+    path.write_text("p : ((a [2]) * (a [3])) -o ((a * a) [2])\np = pull @(a * a)\n")
+    assert run_cli(capsys, "check", str(path)) == (
+        1, "", f"{path}:2:5: TYPE_MISMATCH: variable 'a' is boxed at both 2 and 3\n")
+
+
 # ((…(Int + Unit) + …) + Unit), nested 2,000 deep, and a case over it
 DEEP_SUM = "(" * 2_000 + "Int" + " + Unit)" * 2_000
 DEEP_BRANCHES = f"{'inl ' * 2_000}y -> y; {'inl ' * 1_999}inr u -> case u of unit -> 0"

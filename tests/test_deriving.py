@@ -323,11 +323,14 @@ def test_derive_goldens():
 
 
 def test_elaborate_untyped_builds_the_derived_term():
-    """Run-time elaboration builds the same term as the checked derivation."""
+    """Run-time elaboration of a node the checker never saw builds the same
+    term as the checked derivation. For fmap that holds where the subject
+    alone tells the mapped variable: no other type variable occurs in it."""
     from golden import gen_derive
-    D.clear_memo()  # elaborate_untyped reads fmap's mapped variable off the memo
     accepted = 0
     for kind, t, sr, args in gen_derive.instances():
+        if kind == "fmap" and not free_tyvars(t) <= {args[0]}:
+            continue
         try:
             comb = gen_derive.derive(kind, t, args)
         except (DeriveError, RuntimeError):

@@ -529,3 +529,52 @@ def test_substituting_a_long_list_into_a_suspended_box():
     xs = list(range(3_000))
     nf = normalize(App(Lam("y", Promote(Var("y"))), int_list(xs)))
     assert boxed_ints(nf) == xs
+
+
+# fmap @(a * b) at a signature that maps a (A) and one that maps b (B): only
+# the expected type tells the mapped variable, so only a check can
+MAP_A = ("m : ((a -o a) [1]) -o ((a * b) -o (a * b))\nm = fmap @(a * b)\n"
+         "main : ((a -o a) [1]) -o ((a * b) -o (a * b))\nmain = \\f -> \\p -> m f p")
+MAP_B = ("m : ((b -o b) [1]) -o ((a * b) -o (a * b))\nm = fmap @(a * b)\n"
+         "main : ((b -o b) [1]) -o ((a * b) -o (a * b))\nmain = \\f -> \\p -> m f p")
+MAPPED_A = "\\f -> \\p -> case f of [f3] -> case p of (x4, y5) -> (f3 x4, y5)"
+AMBIGUOUS = "ambiguous fmap @a \\* b: cannot determine the mapped variable at run time"
+
+
+def test_a_checked_derive_node_runs_its_checked_term():
+    """A run applies the term the check derived for the node, whatever else
+    the derivation memo holds."""
+    a = parse_program(MAP_A)
+    assert T.check_program(a) == []
+    D.clear_memo()
+    assert run_main(a) == MAPPED_A
+    b = parse_program(MAP_B)
+    assert T.check_program(b) == []
+    assert run_main(a) == MAPPED_A
+    assert run_main(b) == "\\f -> \\p -> case f of [f3] -> case p of (x4, y5) -> (x4, f3 y5)"
+
+
+@pytest.mark.parametrize("checked_first", [[], [MAP_B]])
+def test_an_unchecked_fmap_over_two_variables_is_stuck(checked_first):
+    """With no check, the mapped variable is unknown, and no other program's
+    derivation in the memo may stand in for it."""
+    D.clear_memo()
+    for src in checked_first:
+        assert T.check_program(parse_program(src)) == []
+    with pytest.raises(StuckTerm, match=AMBIGUOUS):
+        run_main(parse_program(MAP_A))
+
+
+def test_matching_forces_a_redex_part_and_stops_at_a_neutral():
+    pat = _pat("(5, y)")
+    assert match_pattern(parse_term("((\\x -> x) 5, 3)"), pat) \
+        == ({"y": IntLit(3)}, parse_term("(5, 3)"))
+    assert match_pattern(parse_term("((\\x -> x) z, 3)"), pat) == (None, parse_term("(z, 3)"))
+
+
+def test_a_box_blocked_in_a_scrutinee_reads_back():
+    """A case on a box of a neutral is stuck with the box partly forced; read
+    back, the box prints as it was written, shallow and deep."""
+    src = "\\x -> case [x] of [inl a] -> a; [inr b] -> b"
+    for deep in (False, True):
+        assert pretty_term(normalize(parse_term(src), deep=deep)) == src

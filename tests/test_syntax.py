@@ -296,6 +296,68 @@ def test_alpha_eq_agrees_with_de_bruijn_equality():
             assert alpha_eq(t1, t2) == (de_bruijn(t1) == de_bruijn(t2)), (t1, t2)
 
 
+# Deep inputs, compared under the default recursion limit.
+DEEP = 10_000
+
+
+def deep_type(bottom, binder=lambda i: "X"):
+    """A type nested DEEP levels over ``bottom``, every node built afresh.
+    Every fourth level from the top, level i, is ``mu x . Unit + (x * _)``
+    with x = ``binder(i)``; the levels between are a function, a box and a
+    sum."""
+    t = bottom
+    for i in reversed(range(DEEP)):
+        if i % 4 == 0:
+            x = binder(i)
+            t = Mu(x, Sum(Unit(), Tensor(RecVar(x), t)))
+        elif i % 4 == 1:
+            t = Fun(Box(TWO, TyVar("a")), t)
+        elif i % 4 == 2:
+            t = Box(TWO, t)
+        else:
+            t = Sum(t, Base("Int"))
+    return t
+
+
+def test_deep_types_compare():
+    assert types_equal(deep_type(Unit()), deep_type(Unit()))
+    assert not types_equal(deep_type(Unit()), deep_type(Base("Int")))
+    # the outermost mu renamed with its occurrence: the same type
+    assert types_equal(deep_type(Unit()), deep_type(Unit(), lambda i: "Y" if i == 0 else "X"))
+    # the innermost renamed: the X at the bottom is bound one mu further out
+    innermost = (DEEP - 1) // 4 * 4
+    assert not types_equal(deep_type(RecVar("X")),
+                           deep_type(RecVar("X"), lambda i: "Y" if i == innermost else "X"))
+
+
+def long_list(xs):
+    """The normal form of the list of the ints ``xs``."""
+    t = Con("inl", (Con("unit", ()),))
+    for x in reversed(xs):
+        t = Con("inr", (Con(",", (IntLit(x), t)),))
+    return t
+
+
+def lambda_chain(names, body):
+    t = Var(body)
+    for x in reversed(names):
+        t = Lam(x, t)
+    return t
+
+
+def test_deep_terms_compare():
+    xs = list(range(DEEP))
+    assert alpha_eq(long_list(xs), long_list(xs))
+    assert not alpha_eq(long_list(xs), long_list(xs[:-1] + [-1]))
+    left = [f"x{i}" for i in range(DEEP)]
+    right = [f"y{i}" for i in range(DEEP)]
+    assert alpha_eq(lambda_chain(left, "x0"), lambda_chain(right, "y0"))
+    assert not alpha_eq(lambda_chain(left, "x0"), lambda_chain(right, "y1"))
+    # one name for every binder: the body refers to the innermost
+    assert alpha_eq(lambda_chain(["x"] * DEEP, "x"), lambda_chain(right, right[-1]))
+    assert not alpha_eq(lambda_chain(["x"] * DEEP, "x"), lambda_chain(right, "y0"))
+
+
 def first_binders(t):
     """The names bound by the outermost binder of ``t``."""
     if isinstance(t, (Lam, LetRec)):
@@ -676,7 +738,8 @@ NODES = [
     (LetRec, ("var", "bound", "body", "pos", "annot", "_fv"),
      {"var": "f", "bound": Var("f"), "body": Var("g")}, {"pos": P1, "annot": INT},
      "LetRec(var='f', bound=Var(name='f'), body=Var(name='g'))"),
-    (Derive, ("kind", "at", "pos", "_fv"), {"kind": "push", "at": TyVar("a")}, {"pos": P1},
+    (Derive, ("kind", "at", "pos", "_fv", "_elaborated"), {"kind": "push", "at": TyVar("a")},
+     {"pos": P1},
      "Derive(kind='push', at=TyVar(name='a'))"),
     (IntLit, ("value", "pos", "_fv"), {"value": 7}, {"pos": P1}, "IntLit(value=7)"),
     (G.Grade, ("semiring", "value"), {"semiring": G.INTERVAL, "value": (0, G.INF)}, {},
@@ -695,7 +758,7 @@ def test_node_semantics(cls, names, args, hidden, shown):
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
     node = cls(**args)
     assert node == cls(*args.values()) and repr(node) == shown
-    for name in ("pos", "scrut_annot", "annot", "_fv", "_plan"):
+    for name in ("pos", "scrut_annot", "annot", "_fv", "_plan", "_elaborated"):
         if name in names:
             assert getattr(node, name) is None
     for name in FACTS:
@@ -714,12 +777,18 @@ def test_node_semantics(cls, names, args, hidden, shown):
     if "_plan" in names:
         match_pattern(IntLit(0), full)  # a first match fills the plan
         assert full._plan is not None
+    if "_elaborated" in names:  # a check keeps the derived term
+        T.Checker(G.NAT_EXACT).check({}, full, parse_type("(a [2]) -o a [2]"))
+        assert full._elaborated is not None
     for a, b in ((node, full), (full, node)):
         assert a == b and hash(a) == hash(b) and repr(a) == shown
     for a in (node, full):
         assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
-        if "_plan" in names:
-            assert copy.copy(a)._plan == pickle.loads(pickle.dumps(a))._plan == a._plan
+        for name in ("_plan", "_elaborated"):
+            if name in names:
+                kept = getattr(a, name)
+                assert getattr(copy.copy(a), name) == getattr(pickle.loads(pickle.dumps(a)),
+                                                              name) == kept
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, None)
