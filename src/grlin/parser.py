@@ -27,8 +27,9 @@ it has seen that the tuple holds only strings and ints.
 Types and terms are parsed without recursion: each parser is one loop
 over an explicit stack of frames, one frame per construct still open (a
 parenthesis, a binder, an application, ...), so input nested to any
-depth parses. Patterns are parsed the same way, and ``pretty_type``,
-``pretty_term`` and ``pretty_pattern`` print from explicit stacks too.
+depth parses. Patterns are parsed the same way. One loop prints types,
+patterns and terms from an explicit stack too, for ``pretty_type`` and
+``pretty_term``.
 Each parser takes a token list that ends in an EOF token and the index
 where it starts, and returns its node and the index after it.
 """
@@ -631,117 +632,25 @@ def parse_program(text: str, file: str = "<input>") -> SourceProgram:
 # ---------------------------------------------------------------------------
 
 def pretty_type(t: Type) -> str:
-    return _pt(t, 0)
-
-
-def _pt(t: Type, prec: int) -> str:
-    # prec: 0 = function position, 1 = chain operand, 2 = atom. The loop
-    # writes the leftmost part of t first; what follows it waits on
-    # ``todo``, last piece first: closing parentheses and grades as strings,
-    # and (separator, type, prec) triples.
     c = t.__class__
     if c is Unit or c is TyVar or c is RecVar or c is Base:
         # a leaf needs no stack; half the types derivation traces print are leaves
         return "Unit" if c is Unit else t.name
-    out: list[str] = []
-    write = out.append
-    todo: list = []
-    push = todo.append
-    while True:
-        c = t.__class__
-        if c is TyVar or c is Base or c is RecVar:
-            write(t.name)
-        elif c is Unit:
-            write("Unit")
-        else:
-            if c is Box:
-                push(f" [{grades.show_grade(t.grade)}]")
-                t, prec = t.body, 2
-            elif c is Fun:
-                if prec > 0:
-                    write("(")
-                    push(")")
-                push((" -o ", t.res, 0))
-                t, prec = t.arg, 1
-            elif c is Tensor or c is Sum:
-                if prec > 1:
-                    write("(")
-                    push(")")
-                # flatten right-nested chains of the same operator
-                op = " * " if c is Tensor else " + "
-                rest = []
-                r = t.right
-                while r.__class__ is c:
-                    rest.append(r.left)
-                    r = r.right
-                push((op, r, 2))
-                for x in reversed(rest):
-                    push((op, x, 2))
-                t, prec = t.left, 2
-            elif c is Mu:
-                if prec > 0:
-                    write("(")
-                    push(")")
-                write(f"mu {t.var} . ")
-                t, prec = t.body, 0
-            else:
-                raise AssertionError(f"unhandled type: {t}")
-            continue
-        # t is written: write what follows it, up to the next type
-        while todo:
-            item = todo.pop()
-            if item.__class__ is str:
-                write(item)
-            else:
-                sep, t, prec = item
-                write(sep)
-                break
-        else:
-            return "".join(out)
-
-
-def pretty_pattern(p: Pattern) -> str:
-    c = p.__class__
-    if c is PVar or c is PWild:  # a leaf needs no stack
-        return p.name if c is PVar else "_"
-    # ``todo`` holds what is left to write, last piece first: strings and
-    # patterns.
-    out: list[str] = []
-    write = out.append
-    todo: list = [p]
-    while todo:
-        p = todo.pop()
-        c = p.__class__
-        if c is str:
-            write(p)
-        elif c is PVar:
-            write(p.name)
-        elif c is PBox:
-            write("[")
-            todo += ("]", p.pat)
-        elif c is not PCon:
-            write("_" if c is PWild else str(p.value))
-        elif p.con == "unit":
-            write("unit")
-        elif p.con == ",":
-            write("(")
-            todo += (")", p.args[1], ", ", p.args[0])
-        elif p.args[0].__class__ is PCon and p.args[0].con in ("inl", "inr"):
-            write(f"{p.con} (")
-            todo += (")", p.args[0])
-        else:
-            write(f"{p.con} ")
-            todo.append(p.args[0])
-    return "".join(out)
+    return _pretty(t)
 
 
 def pretty_term(t: Term) -> str:
-    # prec: 0 = open position, 1 = application head/argument-ish, 2 = atom.
-    # ``todo`` holds what is left to write, last piece first: strings and
-    # (term, prec) pairs.
+    return _pretty(t)
+
+
+def _pretty(node) -> str:
+    # One loop prints types, patterns and terms. prec: 0 = open position,
+    # 1 = application head or chain operand, 2 = atom. ``todo`` holds what is
+    # left to write, last piece first: strings and (node, prec) pairs. A
+    # pattern takes the branch of its term twin.
     out: list[str] = []
     write = out.append
-    todo: list = [(t, 0)]
+    todo: list = [(node, 0)]
     push = todo.append
     while todo:
         item = todo.pop()
@@ -750,11 +659,9 @@ def pretty_term(t: Term) -> str:
             continue
         t, prec = item
         c = t.__class__
-        if c is Var:
+        if c is Var or c is PVar or c is TyVar or c is Base or c is RecVar:
             write(t.name)
-        elif c is IntLit:
-            write(str(t.value))
-        elif c is Con:
+        elif c is Con or c is PCon:
             if t.con == ",":
                 write("(")
                 todo += (")", (t.args[1], 0), ", ", (t.args[0], 0))
@@ -766,22 +673,44 @@ def pretty_term(t: Term) -> str:
             else:
                 write(f"{t.con} ")
                 push((t.args[0], 2))
-        elif c is App:
+        elif c is App or c is Tensor or c is Sum:
             if prec > 1:
                 write("(")
                 push(")")
-            todo += ((t.arg, 2), " ", (t.fn, 1))
-        elif c is Promote:
+            if c is App:
+                todo += ((t.arg, 2), " ", (t.fn, 1))
+            else:  # a right operand with the same operator continues the chain
+                r = t.right
+                todo += ((r, 1 if r.__class__ is c else 2),
+                         " * " if c is Tensor else " + ", (t.left, 2))
+        elif c is IntLit or c is PInt:
+            write(str(t.value))
+        elif c is Promote or c is PBox:
             write("[")
-            todo += ("]", (t.body, 0))
+            todo += ("]", (t.body if c is Promote else t.pat, 0))
+        elif c is Unit:
+            write("Unit")
+        elif c is Box:
+            todo += (f" [{grades.show_grade(t.grade)}]", (t.body, 2))
+        elif c is PWild:
+            write("_")
         elif c is Derive:
-            at = _pt(t.at, 2)
-            write(f"{t.kind} @({at})" if isinstance(t.at, Box) else f"{t.kind} @{at}")
-        elif c is Lam or c is LetRec or c is Case:
+            if t.at.__class__ is Box:
+                write(f"{t.kind} @(")
+                push(")")
+            else:
+                write(f"{t.kind} @")
+            push((t.at, 2))
+        elif c is Fun or c is Mu or c is Lam or c is LetRec or c is Case:
             if prec > 0:
                 write("(")
                 push(")")
-            if c is Lam:
+            if c is Fun:
+                todo += ((t.res, 0), " -o ", (t.arg, 1))
+            elif c is Mu:
+                write(f"mu {t.var} . ")
+                push((t.body, 0))
+            elif c is Lam:
                 write(f"\\{t.var} -> ")
                 push((t.body, 0))
             elif c is LetRec:
@@ -791,16 +720,18 @@ def pretty_term(t: Term) -> str:
                 parts: list = [(t.scrutinee, 1), " of "]
                 last = len(t.branches) - 1
                 for i, (p, b) in enumerate(t.branches):
-                    parts.append(f"{'; ' if i else ''}{pretty_pattern(p)} -> ")
+                    if i:
+                        parts.append("; ")
+                    parts += ((p, 0), " -> ")
                     # a case (or a term ending in one) would swallow later branches
                     if i < last and _ends_open(b):
-                        parts += ["(", (b, 0), ")"]
+                        parts += ("(", (b, 0), ")")
                     else:
                         parts.append((b, 0))
                 write("case ")
                 todo.extend(reversed(parts))
         else:
-            raise AssertionError(f"unhandled term: {t}")
+            raise AssertionError(f"unhandled node: {t}")
     return "".join(out)
 
 
