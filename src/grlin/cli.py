@@ -156,6 +156,10 @@ def _pull_grades(args, subject, sr):
 
 
 def cmd_laws(args) -> int:
+    for flag, n in (("--cases", args.cases), ("--case", args.case)):
+        if n is not None and n < 0:
+            print(f"grlin: {flag} must not be negative (got {n})", file=sys.stderr)
+            return 2
     names = lawcheck.SUITES if args.suite == "all" else [args.suite]
     reports = []
     for name in names:

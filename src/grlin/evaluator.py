@@ -588,11 +588,13 @@ def inline_definitions(prog: SourceProgram, name: str) -> Term:
     """Substitute top-level definitions into the named definition's body.
 
     A definition may refer to itself (it becomes a letrec); mutual cycles
-    are rejected. Dependencies are resolved depth first on an explicit
-    stack, each once, so a chain of definitions of any length is fine.
+    are rejected. Dependencies are resolved depth first, in declaration
+    order, on an explicit stack, each once, so a chain of definitions of any
+    length is fine and a cycle is named the same way in every process.
     """
     sigs = {d.name: d.signature for d in prog.decls}
     bodies = {d.name: d.body for d in prog.decls}
+    order = {d.name: i for i, d in enumerate(prog.decls)}
     if name not in bodies:
         raise NoMain(f"program has no definition {name!r}")
     resolved: dict[str, Term] = {}
@@ -616,7 +618,8 @@ def inline_definitions(prog: SourceProgram, name: str) -> Term:
                 f"mutually recursive top-level definitions (use letrec): {cycle}")
         elif n not in resolved:
             visiting.append(n)
-            deps = list({m for m in free_vars(bodies[n]) if m in bodies and m != n})
+            deps = sorted((m for m in free_vars(bodies[n]) if m in bodies and m != n),
+                          key=order.__getitem__)
             todo.append((n, deps))
             todo += reversed(deps)
 

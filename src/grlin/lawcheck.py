@@ -522,14 +522,14 @@ def run_suite(name: str, cases: int | None = None, seed: int = DEFAULT_SEED,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     total = cases if cases is not None else DEFAULT_CASES[name]
+    indices = [only_case] if only_case is not None else range(total)
     depth = max_depth if max_depth is not None else DEFAULT_DEPTH
     fn = _CASE_FNS[name]
-    report = LawReport(name, total, seed)
+    report = LawReport(name, len(indices), seed)
     if name == "preservation":
         report.notes = ("delta side conditions use the strongest reading: "
                         "1 <= r, 1 <= s and 1 <= r*s when the subject is "
                         "multi-constructor",)
-    indices = [only_case] if only_case is not None else range(total)
     for i in indices:
         rng = case_rng(name, seed, i)
         try:

@@ -26,12 +26,17 @@ def run_module(*argv, **env):
     """Run ``python -m grlin *argv`` in a child process, from the repo root,
     importing grlin from this checkout's ``src``. The child gets the caller's
     environment minus every ``GRLIN_*`` variable, plus ``env``."""
+    return run_python("-m", "grlin", *argv, **env)
+
+
+def run_python(*argv, **env):
+    """Run ``python *argv`` in a child process as ``run_module`` does."""
     child_env = {k: v for k, v in os.environ.items()
                  if not k.startswith("GRLIN_")}
     child_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     child_env.update(env)
-    return subprocess.run([sys.executable, "-m", "grlin", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, cwd=ROOT,
                           env=child_env)
 
@@ -184,6 +189,18 @@ def test_laws_subcommand(capsys):
 
 def test_laws_invalid_suite_usage_error(capsys):
     assert main(["laws", "--suite", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--cases", "--case"])
+def test_laws_negative_case_counts_are_usage_errors(capsys, flag):
+    assert run_cli(capsys, "laws", flag, "-5") == (
+        2, "", f"grlin: {flag} must not be negative (got -5)\n")
+
+
+def test_laws_single_case_counts_one(capsys):
+    code, out, err = run_cli(capsys, "laws", "--suite", "inverses", "--case", "999999")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split() == ["inverses", "1", "0"]
 
 
 def test_cli_determinism(capsys):
@@ -422,6 +439,46 @@ def test_a_long_chain_of_definitions_runs(capsys, tmp_path):
     path.write_text("".join(f"d{i} : Unit\nd{i} = d{i + 1}\n\n" for i in range(n))
                     + f"d{n} : Unit\nd{n} = unit\n\nmain : Unit\nmain = d0\n")
     assert run_cli(capsys, "run", str(path)) == (0, "unit\n", "")
+
+
+CYCLE = ("a : Unit * Unit\na = (unit, b)\n\n"
+         "b : Unit\nb = case a of (u, v) -> (case u of unit -> v)\n\n"
+         "c : Unit\nc = b\n\n"
+         "main : Unit * (Unit * Unit)\nmain = (c, a)\n")
+
+
+def test_a_mutual_cycle_is_named_in_declaration_order(capsys, tmp_path):
+    """``main`` names ``c`` and ``a``; ``a``, declared first, is followed
+    first, whatever the hash seed."""
+    path = tmp_path / "cycle.grm"
+    path.write_text(CYCLE)
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+    assert run_cli(capsys, "run", str(path)) == (
+        1, "", "grlin: mutually recursive top-level definitions (use letrec): "
+               "main -> a -> b -> a\n")
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """``check`` and ``run`` over ``programs/**`` and the cycle above, then
+    ``laws``, in one child process under each of two hash seeds."""
+    path = tmp_path / "cycle.grm"
+    path.write_text(CYCLE)
+    files = sorted(map(str, ROOT.glob("programs/**/*.grm"))) + [str(path)]
+    argvs = [[cmd, f] for f in files for cmd in ("check", "run")]
+    argvs.append(["laws", "--cases", "40"])
+    script = ("import contextlib, io, sys\n"
+              "from grlin.cli import main\n"
+              "for argv in eval(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        code = main(argv)\n"
+              "    print(argv, code, repr(out.getvalue()), repr(err.getvalue()))\n")
+    procs = [run_python("-c", script, repr(argvs), PYTHONHASHSEED=seed)
+             for seed in ("0", "1")]
+    assert [p.returncode for p in procs] == [0, 0], procs[0].stderr + procs[1].stderr
+    lines = procs[0].stdout.splitlines()
+    assert lines == procs[1].stdout.splitlines()
+    assert len(lines) == len(argvs) and "main -> a -> b -> a" in lines[-2]
 
 
 def test_two_fmaps_at_one_subject_run_as_checked(capsys, tmp_path):
