@@ -618,8 +618,8 @@ def inline_definitions(prog: SourceProgram, name: str) -> Term:
                 f"mutually recursive top-level definitions (use letrec): {cycle}")
         elif n not in resolved:
             visiting.append(n)
-            deps = sorted((m for m in free_vars(bodies[n]) if m in bodies and m != n),
-                          key=order.__getitem__)
+            deps = [m for m in free_vars(bodies[n]) if m in bodies and m != n]
+            deps.sort(key=order.__getitem__)
             todo.append((n, deps))
             todo += reversed(deps)
 

@@ -1,5 +1,6 @@
 """The grlin command line: exit codes, output streams, determinism."""
 
+import json
 import os
 import random
 import re
@@ -466,14 +467,14 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     files = sorted(map(str, ROOT.glob("programs/**/*.grm"))) + [str(path)]
     argvs = [[cmd, f] for f in files for cmd in ("check", "run")]
     argvs.append(["laws", "--cases", "40"])
-    script = ("import contextlib, io, sys\n"
+    script = ("import contextlib, io, json, sys\n"
               "from grlin.cli import main\n"
-              "for argv in eval(sys.argv[1]):\n"
+              "for argv in json.loads(sys.argv[1]):\n"
               "    out, err = io.StringIO(), io.StringIO()\n"
               "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
               "        code = main(argv)\n"
               "    print(argv, code, repr(out.getvalue()), repr(err.getvalue()))\n")
-    procs = [run_python("-c", script, repr(argvs), PYTHONHASHSEED=seed)
+    procs = [run_python("-c", script, json.dumps(argvs), PYTHONHASHSEED=seed)
              for seed in ("0", "1")]
     assert [p.returncode for p in procs] == [0, 0], procs[0].stderr + procs[1].stderr
     lines = procs[0].stdout.splitlines()
