@@ -160,6 +160,10 @@ def cmd_laws(args) -> int:
         if n is not None and n < 0:
             print(f"grlin: {flag} must not be negative (got {n})", file=sys.stderr)
             return 2
+    if args.max_depth is not None and not 0 <= args.max_depth <= lawcheck.MAX_DEPTH:
+        print(f"grlin: --max-depth must be between 0 and {lawcheck.MAX_DEPTH} "
+              f"(got {args.max_depth})", file=sys.stderr)
+        return 2
     names = lawcheck.SUITES if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
@@ -207,7 +211,9 @@ def _argument_parser() -> argparse.ArgumentParser:
                         choices=["all"] + list(lawcheck.SUITES))
     p_laws.add_argument("--seed", type=int, default=lawcheck.DEFAULT_SEED)
     p_laws.add_argument("--cases", type=int, default=None)
-    p_laws.add_argument("--max-depth", type=int, default=None)
+    p_laws.add_argument("--max-depth", type=int, default=None,
+                        help="depth of the generated types, 0 to "
+                             f"{lawcheck.MAX_DEPTH} (default {lawcheck.DEFAULT_DEPTH})")
     p_laws.add_argument("--case", type=int, default=None,
                         help="re-run a single case by index")
     p_laws.set_defaults(fn=cmd_laws)

@@ -24,9 +24,9 @@ Other term nodes and types are built afresh.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import grades, syntax
+from .frozen import frozen
 from .grades import Grade
 from .parser import pretty_type
 from .syntax import (
@@ -56,7 +56,7 @@ class DeriveError(Exception):
         self.grades = gs
 
 
-@dataclass(frozen=True)
+@frozen
 class DerivedCombinator:
     kind: str
     subject: Type

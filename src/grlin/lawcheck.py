@@ -16,11 +16,11 @@ generator seeded with the string ``"<suite>:<s>:<k>"``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import deriving, grades
 from .deriving import DeriveError
 from .evaluator import Evaluator, Fuel, FuelExhausted, StuckTerm
+from .frozen import frozen
 from .grades import Grade, INF
 from .parser import pretty_term, pretty_type
 from .syntax import (
@@ -34,6 +34,10 @@ DEFAULT_SEED = 7
 DEFAULT_CASES = {"inverses": 500, "naturality": 200, "preservation": 200,
                  "equational": 200}
 DEFAULT_DEPTH = 3
+# The generated types and values grow exponentially with the depth:
+# ``grlin laws --cases 20`` takes 0.8 s at depth 8, 1.6 s at 12 and 5.7 s
+# at 16 on a 2-core VM.
+MAX_DEPTH = 16
 CASE_FUEL = 60_000
 GEN_RETRIES = 60
 
@@ -58,7 +62,7 @@ FMAP_GRADES = {
 }
 
 
-@dataclass
+@frozen
 class TypeGenConfig:
     max_depth: int = DEFAULT_DEPTH
     allow_fun: bool = False
@@ -67,7 +71,7 @@ class TypeGenConfig:
     tyvars: tuple[str, ...] = ("a", "b")
 
 
-@dataclass
+@frozen
 class LawFailure:
     suite: str
     index: int
@@ -78,12 +82,12 @@ class LawFailure:
                 f"--case {self.index}  -- {self.detail}")
 
 
-@dataclass
+@frozen
 class LawReport:
     suite: str
     cases: int
     seed: int
-    failures: list[LawFailure] = field(default_factory=list)
+    failures: list[LawFailure]
     notes: tuple[str, ...] = ()
 
 
@@ -132,7 +136,23 @@ class Uninhabitable(Exception):
 def gen_value(a: Type, rng: random.Random, depth: int = 6) -> Term:
     """A closed normal form of the given (variable-free) type.
 
-    The depth budget bounds list-like recursive values to a few elements."""
+    The depth budget bounds list-like recursive values to a few elements. A
+    type with no value within it, such as a product nested more deeply,
+    gets one within the least budget that has one; a type with no value at
+    all raises ``Uninhabitable``."""
+    try:
+        return _draw(a, rng, depth)
+    except Uninhabitable:
+        least = _least_budget(a)
+        if least == INF:
+            raise
+        return _draw(a, rng, least)
+
+
+def _draw(a: Type, rng: random.Random, depth: int) -> Term:
+    """A value of ``a`` within the depth budget. The search tries both sides
+    of every sum, so it fails only when no value fits the budget. With a
+    budget of 1 or less left, a sum tries first the side that needs less."""
     if isinstance(a, Unit):
         return Con("unit", ())
     if isinstance(a, Base):
@@ -142,52 +162,48 @@ def gen_value(a: Type, rng: random.Random, depth: int = 6) -> Term:
     if depth < 0:
         raise Uninhabitable(pretty_type(a))
     if isinstance(a, Tensor):
-        return pair(gen_value(a.left, rng, depth - 1),
-                    gen_value(a.right, rng, depth - 1))
+        return pair(_draw(a.left, rng, depth - 1),
+                    _draw(a.right, rng, depth - 1))
     if isinstance(a, Sum):
         options = [("inl", a.left), ("inr", a.right)]
         rng.shuffle(options)
         if depth <= 1:
-            options.sort(key=lambda opt: _min_depth(opt[1]))
+            options.sort(key=lambda opt: _least_budget(opt[1]))
         for con, side in options:
             try:
-                return Con(con, (gen_value(side, rng, depth - 1),))
+                return Con(con, (_draw(side, rng, depth - 1),))
             except Uninhabitable:
                 continue
         raise Uninhabitable(pretty_type(a))
     if isinstance(a, Box):
-        return Promote(gen_value(a.body, rng, depth - 1))
+        return Promote(_draw(a.body, rng, depth - 1))
     if isinstance(a, Mu):
-        return gen_value(unroll_mu(a), rng, depth - 1)
+        return _draw(unroll_mu(a), rng, depth - 1)
     raise Uninhabitable(pretty_type(a))
 
 
-def _min_depth(a: Type, env: dict[str, int] | None = None, fuel: int = 8) -> int:
+def _least_budget(a: Type, env: dict[str, float] | None = None) -> float:
+    """The least depth budget within which ``_draw`` finds a value of ``a``:
+    -1 for a leaf, which takes any budget, and ``INF`` if ``a`` has no
+    value. A recursive type's budget is the least fixed point of its
+    unrolling, reached from ``INF``."""
     env = env or {}
-    big = 10 ** 6
-    if fuel <= 0:
-        return big
-    if isinstance(a, (Unit, Base, TyVar)):
-        return 0
-    if isinstance(a, RecVar):
-        return env.get(a.name, big)
-    if isinstance(a, Box):
-        return 1 + _min_depth(a.body, env, fuel - 1)
+    if isinstance(a, Unit) or isinstance(a, Base) and a.name == "Int":
+        return -1
     if isinstance(a, Tensor):
-        return 1 + max(_min_depth(a.left, env, fuel - 1),
-                       _min_depth(a.right, env, fuel - 1))
+        return max(0, 1 + _least_budget(a.left, env), 1 + _least_budget(a.right, env))
     if isinstance(a, Sum):
-        return 1 + min(_min_depth(a.left, env, fuel - 1),
-                       _min_depth(a.right, env, fuel - 1))
+        return max(0, 1 + min(_least_budget(a.left, env), _least_budget(a.right, env)))
+    if isinstance(a, Box):
+        return max(0, 1 + _least_budget(a.body, env))
+    if isinstance(a, RecVar):
+        return env.get(a.name, INF)
     if isinstance(a, Mu):
-        cur = big
-        for _ in range(3):
-            nxt = 1 + _min_depth(a.body, {**env, a.var: cur}, fuel - 1)
-            if nxt >= cur:
-                break
+        cur = INF
+        while (nxt := max(0, 1 + _least_budget(a.body, {**env, a.var: cur}))) < cur:
             cur = nxt
         return cur
-    return big
+    return INF
 
 
 def gen_int_fn(rng: random.Random) -> Term:
@@ -508,6 +524,12 @@ def _case_equational(i: int, rng: random.Random, max_depth: int) -> str | None:
     return None
 
 
+_NOTES = {
+    "preservation": ("delta side conditions use the strongest reading: "
+                     "1 <= r, 1 <= s and 1 <= r*s when the subject is "
+                     "multi-constructor",),
+}
+
 _CASE_FNS = {
     "inverses": _case_inverses,
     "naturality": _case_naturality,
@@ -525,11 +547,7 @@ def run_suite(name: str, cases: int | None = None, seed: int = DEFAULT_SEED,
     indices = [only_case] if only_case is not None else range(total)
     depth = max_depth if max_depth is not None else DEFAULT_DEPTH
     fn = _CASE_FNS[name]
-    report = LawReport(name, len(indices), seed)
-    if name == "preservation":
-        report.notes = ("delta side conditions use the strongest reading: "
-                        "1 <= r, 1 <= s and 1 <= r*s when the subject is "
-                        "multi-constructor",)
+    failures = []
     for i in indices:
         rng = case_rng(name, seed, i)
         try:
@@ -537,8 +555,8 @@ def run_suite(name: str, cases: int | None = None, seed: int = DEFAULT_SEED,
         except (DeriveError, FuelExhausted, StuckTerm, Uninhabitable) as e:
             detail = f"exception: {e}"
         if detail is not None:
-            report.failures.append(LawFailure(name, i, detail))
-    return report
+            failures.append(LawFailure(name, i, detail))
+    return LawReport(name, len(indices), seed, failures, _NOTES.get(name, ()))
 
 
 def format_reports(reports: list[LawReport]) -> str:

@@ -37,9 +37,9 @@ where it starts, and returns its node and the index after it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import grades, syntax
+from .frozen import frozen
 from .grades import Grade, GradeSyntaxError, NAT_EXACT, SEMIRINGS
 from .syntax import (
     App, Base, Box, Case, Con, Derive, DERIVE_KINDS, Fun, INT, IntLit, Lam, LetRec,
@@ -96,7 +96,7 @@ def _expected(kind: str, t: Token) -> ParseError:
                       expected=(kind,))
 
 
-@dataclass
+@frozen
 class Decl:
     name: str
     signature: Type
@@ -104,11 +104,15 @@ class Decl:
     pos: Pos
 
 
-@dataclass
 class SourceProgram:
-    semiring: str
-    decls: list[Decl]
-    file: str = "<input>"
+    """A parsed program. Its semiring may be set again, to check the same
+    declarations under another semiring."""
+    __slots__ = ("semiring", "decls", "file")
+
+    def __init__(self, semiring: str, decls: list[Decl], file: str = "<input>"):
+        self.semiring = semiring
+        self.decls = decls
+        self.file = file
 
     def decl(self, name: str) -> Decl | None:
         for d in self.decls:

@@ -1,11 +1,12 @@
 """Abstract syntax for types, terms and patterns, plus type-level utilities.
 
-Types, patterns and terms are frozen, slotted dataclasses made by
+Types, patterns and terms are frozen, slotted classes made by
 ``frozen.frozen``: a node's ``__init__`` writes each field through its
-slot's member descriptor, and ``==``, ``hash`` and ``repr`` are the ones
-``dataclasses`` generates. These fields stay out of all three: the source
-position ``pos``; the free-variable cache ``_fv`` of a term node, which
-``free_vars`` fills later with ``object.__setattr__``; the match plan
+slot's member descriptor, and ``==``, ``hash`` and ``repr`` read its
+fields as one tuple. These fields, declared with ``frozen.field``, stay
+out of all three: the source position ``pos``; the free-variable cache
+``_fv`` of a term node, which ``free_vars`` fills later with
+``object.__setattr__``; the match plan
 ``_plan`` of a constructor, box or literal pattern, which the evaluator
 fills on the pattern's first match as a case branch; the checked term
 ``_elaborated`` that the checker keeps on a derive node for the evaluator;
@@ -31,10 +32,9 @@ cyclic garbage collector could free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import field
 from typing import NamedTuple
 
-from .frozen import frozen
+from .frozen import field, frozen
 from .grades import Grade
 
 
@@ -55,7 +55,7 @@ def _fact():
     """A fact about a type node: cached by the function that reads it
     first, left empty by ``__init__`` and out of ``==``, ``hash`` and
     ``repr``."""
-    return field(init=False, repr=False, compare=False)
+    return field(init=False)
 
 
 @frozen
@@ -332,24 +332,24 @@ class Pattern:
 def _cache():
     """A cache on a node: filled once by the function that reads it, and,
     like positions, left out of ``==``, ``hash`` and ``repr``."""
-    return field(default=None, init=False, repr=False, compare=False)
+    return field(default=None, init=False)
 
 
 @frozen
 class PVar(Pattern):
     name: str
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
 
 
 @frozen
 class PWild(Pattern):
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
 
 
 @frozen
 class PBox(Pattern):
     pat: Pattern
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _plan: tuple | None = _cache()
 
 
@@ -357,14 +357,14 @@ class PBox(Pattern):
 class PCon(Pattern):
     con: str
     args: tuple[Pattern, ...]
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _plan: tuple | None = _cache()
 
 
 @frozen
 class PInt(Pattern):
     value: int
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _plan: tuple | None = _cache()
 
 
@@ -404,7 +404,7 @@ class Term:
 @frozen
 class Var(Term):
     name: str
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
 
 
@@ -412,7 +412,7 @@ class Var(Term):
 class App(Term):
     fn: Term
     arg: Term
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
 
 
@@ -420,14 +420,14 @@ class App(Term):
 class Lam(Term):
     var: str
     body: Term
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
 
 
 @frozen
 class Promote(Term):
     body: Term
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
 
 
@@ -435,7 +435,7 @@ class Promote(Term):
 class Con(Term):
     con: str
     args: tuple[Term, ...]
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
 
 
@@ -443,10 +443,10 @@ class Con(Term):
 class Case(Term):
     scrutinee: Term
     branches: tuple[tuple[Pattern, Term], ...]
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     # Scrutinee type planted by the deriving engine so elaborated terms
     # synthesize without a constraint solver; never set by the parser.
-    scrut_annot: Type | None = field(default=None, compare=False, repr=False)
+    scrut_annot: Type | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
 
 
@@ -455,9 +455,9 @@ class LetRec(Term):
     var: str
     bound: Term
     body: Term
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     # Type of the recursive binder, planted by the deriving engine.
-    annot: Type | None = field(default=None, compare=False, repr=False)
+    annot: Type | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
 
 
@@ -465,7 +465,7 @@ class LetRec(Term):
 class Derive(Term):
     kind: str  # one of DERIVE_KINDS
     at: Type
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
     # The checked combinator term, kept by the checker for the evaluator.
     _elaborated: Term | None = _cache()
@@ -474,7 +474,7 @@ class Derive(Term):
 @frozen
 class IntLit(Term):
     value: int
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None)
     _fv: frozenset[str] | None = _cache()
 
 

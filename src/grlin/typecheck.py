@@ -17,8 +17,6 @@ which the unrolling equation for letrec requires anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import deriving, grades, syntax
 from .deriving import MIXED_SEMIRING, NEEDS_ANNOTATION, NOT_DROPPABLE, DeriveError
 from .frozen import frozen
@@ -43,7 +41,7 @@ DUPLICATE_DEF = "DUPLICATE_DEF"
 SYNTAX = "SYNTAX"
 
 
-@dataclass(frozen=True)
+@frozen
 class Diagnostic:
     code: str
     message: str
@@ -96,7 +94,7 @@ Assumption = Linear | Graded | RecRef
 UsageMap = dict
 
 
-@dataclass
+@frozen
 class BinderRecord:
     """Exit record for one binder; used by the usage-count cross-check."""
     name: str

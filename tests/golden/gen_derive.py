@@ -20,12 +20,12 @@ them with the file.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from pathlib import Path
 
 from grlin import deriving, grades, lawcheck
 from grlin.deriving import DeriveError
+from grlin.frozen import fields
 from grlin.grades import INTERVAL, NAT_EXACT, NAT_LE, ZERO_ONE_MANY
 from grlin.parser import parse_type, pretty_term, pretty_type
 from grlin.syntax import Term, free_tyvars
@@ -145,7 +145,7 @@ def _annotations(t: Term) -> list[str]:
             annot = getattr(x, "scrut_annot", None) or getattr(x, "annot", None)
             if annot is not None:
                 out.append(pretty_type(annot))
-            for f in dataclasses.fields(x):
+            for f in fields(x):
                 if f.init:
                     go(getattr(x, f.name))
     go(t)

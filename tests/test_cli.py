@@ -198,6 +198,21 @@ def test_laws_negative_case_counts_are_usage_errors(capsys, flag):
         2, "", f"grlin: {flag} must not be negative (got -5)\n")
 
 
+@pytest.mark.parametrize("depth", ["-1", "17"])
+def test_laws_max_depth_out_of_range_is_a_usage_error(capsys, depth):
+    assert run_cli(capsys, "laws", "--max-depth", depth) == (
+        2, "", f"grlin: --max-depth must be between 0 and 16 (got {depth})\n")
+
+
+def test_laws_draw_a_value_for_a_deeply_nested_product(capsys):
+    """At depth 8 this case's type nests products more deeply than the value
+    generator's default budget reaches."""
+    code, out, err = run_cli(capsys, "laws", "--suite", "inverses", "--case", "13",
+                             "--max-depth", "8")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split() == ["inverses", "1", "0"]
+
+
 def test_laws_single_case_counts_one(capsys):
     code, out, err = run_cli(capsys, "laws", "--suite", "inverses", "--case", "999999")
     assert (code, err) == (0, "")
@@ -210,6 +225,16 @@ def test_cli_determinism(capsys):
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert (code1, out1) == (code2, out2)
+
+
+def test_grlin_imports_neither_dataclasses_nor_inspect():
+    """Every module a benchmark set-up loads imports without ``dataclasses``
+    and ``inspect``."""
+    proc = run_python("-c", "import sys\n"
+                      "from grlin import (cli, deriving, evaluator, grades, lawcheck, "
+                      "parser, syntax, typecheck)\n"
+                      "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_module_entrypoint():

@@ -1,6 +1,5 @@
 """The derivation engine: golden terms, schemes, side conditions, soundness."""
 
-import dataclasses
 import random
 import re
 
@@ -11,6 +10,7 @@ from grlin import grades as G
 from grlin import lawcheck as L
 from grlin.deriving import DeriveError
 from grlin.evaluator import deep_normalize
+from grlin.frozen import fields
 from grlin.parser import parse_term, parse_type, pretty_term, pretty_type
 from grlin.syntax import (
     App, Base, Box, Case, Con, Fun, IntLit, Lam, LetRec, Mu, Pattern, PBox, PCon,
@@ -236,7 +236,7 @@ def _built_nodes(t):
             todo.extend(reversed(x))
         elif isinstance(x, (Term, Pattern)):
             out.append(x)
-            todo.extend(reversed([getattr(x, f.name) for f in dataclasses.fields(x)
+            todo.extend(reversed([getattr(x, f.name) for f in fields(x)
                                   if f.init and f.name not in ("pos", "scrut_annot", "annot")]))
     return out
 

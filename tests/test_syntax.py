@@ -12,7 +12,9 @@ from conftest import rand_term, rand_type
 from grlin import grades as G
 from grlin import lawcheck as L
 from grlin import typecheck as T
+from grlin import deriving, parser, syntax
 from grlin.evaluator import match_pattern
+from grlin.frozen import MISSING, FrozenInstanceError, fields
 from grlin.parser import parse_term, parse_type, pretty_term
 from grlin.syntax import (
     App, Base, Box, Case, Con, Derive, Fun, INT, IntLit, Lam, LetRec, Mu,
@@ -496,7 +498,7 @@ def ref_free(t, cls, bound=frozenset()):
     if isinstance(t, Mu):
         return ref_free(t.body, cls, bound | {t.var} if cls is RecVar else bound)
     return set().union(*(ref_free(c, cls, bound) for c in (
-        getattr(t, f.name) for f in dataclasses.fields(t) if f.init) if isinstance(c, Type)))
+        getattr(t, f.name) for f in fields(t) if f.init) if isinstance(c, Type)))
 
 
 def test_type_substitution_leaves_untouched_children_shared():
@@ -600,7 +602,7 @@ def subtypes(t):
     while stack:
         s = stack.pop()
         out.append(s)
-        stack.extend(v for v in (getattr(s, f.name) for f in dataclasses.fields(s) if f.init)
+        stack.extend(v for v in (getattr(s, f.name) for f in fields(s) if f.init)
                      if isinstance(v, Type))
     return out
 
@@ -611,9 +613,9 @@ def rename_mu_binders(t, suffix):
         body = rename_mu_binders(t.body, suffix)
         return Mu(t.var + suffix, subst_recvar(body, t.var, RecVar(t.var + suffix)))
     if isinstance(t, (Fun, Tensor, Sum, Box)):
-        fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(t) if f.init}
+        args = {f.name: getattr(t, f.name) for f in fields(t) if f.init}
         return type(t)(**{k: rename_mu_binders(v, suffix) if isinstance(v, Type) else v
-                          for k, v in fields.items()})
+                          for k, v in args.items()})
     return t
 
 
@@ -693,7 +695,7 @@ def test_free_variable_cache_is_invisible():
         assert "_fv" not in repr(filled)
 
 
-# Every frozen node class: (class, the names ``dataclasses.fields`` lists,
+# Every frozen node class: (class, the names ``fields`` lists,
 # the compared constructor arguments, the arguments left out of ``==``,
 # ``hash`` and ``repr``, and the ``repr`` pinned for the sample). A type
 # node's fields start with its cached facts, which ``Type`` declares.
@@ -755,7 +757,7 @@ NODES = [
 @pytest.mark.parametrize("cls,names,args,hidden,shown", NODES,
                          ids=[entry[0].__name__ for entry in NODES])
 def test_node_semantics(cls, names, args, hidden, shown):
-    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert tuple(f.name for f in fields(cls)) == names
     node = cls(**args)
     assert node == cls(*args.values()) and repr(node) == shown
     for name in ("pos", "scrut_annot", "annot", "_fv", "_plan", "_elaborated"):
@@ -790,7 +792,70 @@ def test_node_semantics(cls, names, args, hidden, shown):
                 assert getattr(copy.copy(a), name) == getattr(pickle.loads(pickle.dumps(a)),
                                                               name) == kept
     for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             setattr(node, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             delattr(node, name)
+
+
+# Every ``@frozen`` class of grlin, found through the modules that name it.
+FROZEN = sorted({c for m in (G, T, L, deriving, parser, syntax)
+                 for c in vars(m).values()
+                 if isinstance(c, type) and "__frozen_fields__" in c.__dict__},
+                key=lambda c: c.__name__)
+VALUES = [0, 1, "a", "b", None, (), (1, "a"), INT, Var("x"), P1, TWO]
+EMPTY = object()
+
+
+def reference_dataclass(cls):
+    """A frozen dataclass with the fields of ``cls``: a field of ``cls``
+    left out of ``==`` is left out of ``==``, ``hash`` and ``repr``."""
+    specs = []
+    for f in fields(cls):
+        spec = {"init": f.init, "compare": f.compare, "repr": f.compare}
+        if f.default is not MISSING:
+            spec["default"] = f.default
+        specs.append((f.name, object, dataclasses.field(**spec)))
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+
+
+def state(x, cls):
+    return tuple(getattr(x, f.name, EMPTY) for f in fields(cls))
+
+
+def test_frozen_classes_behave_as_dataclasses():
+    """Seeded instances of every frozen class against instances of a
+    dataclass with its fields, built from the same arguments with the same
+    caches filled: ``==``, ``hash``, ``repr``, ``copy.copy``, ``pickle`` and
+    the error on assignment and deletion agree."""
+    assert len(FROZEN) == 35
+    rng = random.Random(20)
+    for cls in FROZEN:
+        ref = reference_dataclass(cls)
+        pairs = []
+        for _ in range(40):
+            args = [rng.choice(VALUES) for f in fields(cls) if f.init]
+            node, twin = cls(*args), ref(*args)
+            for f in fields(cls):
+                if not f.init and rng.random() < 0.5:
+                    value = rng.choice(VALUES)
+                    object.__setattr__(node, f.name, value)
+                    object.__setattr__(twin, f.name, value)
+            assert state(node, cls) == state(twin, cls)
+            assert hash(node) == hash(twin) and repr(node) == repr(twin)
+            for clone in (copy.copy(node), pickle.loads(pickle.dumps(node))):
+                assert clone.__class__ is cls
+                assert state(clone, cls) == state(copy.copy(twin), cls) == state(node, cls)
+                assert clone == node and hash(clone) == hash(node)
+            pairs.append((node, twin))
+        for (a, ra), (b, rb) in zip(pairs, pairs[1:] + pairs[:1]):
+            assert (a == b, a != b) == (ra == rb, ra != rb)
+        node, twin = pairs[0]
+        for f in fields(cls):
+            for act in (lambda x: setattr(x, f.name, 1), lambda x: delattr(x, f.name)):
+                with pytest.raises(FrozenInstanceError) as mine:
+                    act(node)
+                with pytest.raises(dataclasses.FrozenInstanceError) as theirs:
+                    act(twin)
+                assert str(mine.value) == str(theirs.value)
+        assert state(node, cls) == state(twin, cls)
