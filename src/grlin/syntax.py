@@ -2,21 +2,21 @@
 
 Types, patterns and terms are frozen, slotted classes made by
 ``frozen.frozen``: a node's ``__init__`` writes each field through its
-slot's member descriptor, and ``==``, ``hash`` and ``repr`` read its
-fields as one tuple. These fields, declared with ``frozen.field``, stay
-out of all three: the source position ``pos``; the free-variable cache
-``_fv`` of a term node, which ``free_vars`` fills later with
-``object.__setattr__``; the match plan
-``_plan`` of a constructor, box or literal pattern, which the evaluator
-fills on the pattern's first match as a case branch; the checked term
-``_elaborated`` that the checker keeps on a derive node for the evaluator;
-the types ``Case.scrut_annot`` and ``LetRec.annot`` that the deriving
-engine plants; and the facts that every type node caches, which
-``__init__`` leaves empty and the first reader fills: the free type
-variables ``_ftv`` and the free recursion variables ``_frv``
-(``free_tyvars`` and ``free_recvars``) and the constructor count
-``_multi`` that ``multi_constructor`` reads. So ``==`` stays structural
-and ``alpha_eq`` compares binding structure only.
+slot's member descriptor, ``==`` and ``hash`` read its compared fields
+as one tuple, and ``repr`` shows them. These fields, declared with
+``frozen.field``, stay out of all three: the source position ``pos``;
+the free-variable cache ``_fv`` of a term node, which ``free_vars``
+fills later with ``object.__setattr__``; the match plan ``_plan`` of a
+constructor, box or literal pattern, which the evaluator fills on the
+pattern's first match as a case branch; the checked term ``_elaborated``
+that the checker keeps on a derive node for the evaluator; the types
+``Case.scrut_annot`` and ``LetRec.annot`` that the deriving engine
+plants; and the facts that every type node caches, which ``__init__``
+leaves empty and the first reader fills: the free type variables
+``_ftv`` and the free recursion variables ``_frv`` (``free_tyvars`` and
+``free_recvars``) and the constructor count ``_multi`` that
+``multi_constructor`` reads. So ``==`` stays structural and ``alpha_eq``
+compares binding structure only.
 
 ``types_equal`` and ``alpha_eq`` are one walk on an explicit stack of node
 pairs, which compares types and terms up to renaming of bound names at any
