@@ -19,17 +19,24 @@ from .evaluator import Fuel, FuelExhausted, NoMain, StuckTerm
 from .parser import ParseError
 
 
-def _default_fuel() -> int:
-    """The fuel for ``run`` when ``--fuel`` is absent: ``GRLIN_FUEL`` if set,
-    else the evaluator's default. A bad value is a usage error (exit 2)."""
-    env = os.environ.get("GRLIN_FUEL")
-    if env:
+def _fuel(args) -> int:
+    """The fuel for ``run``: ``--fuel``, else ``GRLIN_FUEL`` if set, else the
+    evaluator's default. A bad or negative value is a usage error (exit 2)."""
+    source, fuel = "--fuel", args.fuel
+    if fuel is None:
+        env = os.environ.get("GRLIN_FUEL")
+        if not env:
+            return evaluator.DEFAULT_FUEL
+        source = "GRLIN_FUEL"
         try:
-            return int(env)
+            fuel = int(env)
         except ValueError:
             print(f"grlin: bad GRLIN_FUEL value {env!r}", file=sys.stderr)
             raise SystemExit(2)
-    return evaluator.DEFAULT_FUEL
+    if fuel < 0:
+        print(f"grlin: {source} must not be negative (got {fuel})", file=sys.stderr)
+        raise SystemExit(2)
+    return fuel
 
 
 def _load_program(path: str):
@@ -49,24 +56,15 @@ def _load_program(path: str):
 
 
 def cmd_check(args) -> int:
-    try:
-        prog = _load_program(args.file)
-    except ParseError as e:
-        print(f"{e.pos}: {typecheck.SYNTAX}: {e.message}", file=sys.stderr)
-        return 1
-    diags = typecheck.check_program(prog)
+    diags = typecheck.check_program(_load_program(args.file))
     for d in diags:
         print(d.render(), file=sys.stderr)
     return 1 if diags else 0
 
 
 def cmd_run(args) -> int:
-    fuel = _default_fuel() if args.fuel is None else args.fuel
-    try:
-        prog = _load_program(args.file)
-    except ParseError as e:
-        print(f"{e.pos}: {typecheck.SYNTAX}: {e.message}", file=sys.stderr)
-        return 1
+    fuel = _fuel(args)
+    prog = _load_program(args.file)
     diags = typecheck.check_program(prog)
     if diags:
         for d in diags:
@@ -74,10 +72,7 @@ def cmd_run(args) -> int:
         return 1
     try:
         print(evaluator.run_main(prog, Fuel(fuel)))
-    except FuelExhausted as e:
-        print(f"grlin: {e}", file=sys.stderr)
-        return 1
-    except (NoMain, StuckTerm) as e:
+    except (FuelExhausted, NoMain, StuckTerm) as e:
         print(f"grlin: {e}", file=sys.stderr)
         return 1
     return 0
@@ -94,11 +89,7 @@ def _parse_grade_arg(text: str, sr: str) -> grades.Grade:
 def cmd_derive(args) -> int:
     sr = args.semiring
     kind = {"copyshape": "copyShape"}.get(args.kind, args.kind)
-    try:
-        subject = parser.parse_type(args.type, sr)
-    except ParseError as e:
-        print(f"{e.pos}: {typecheck.SYNTAX}: {e.message}", file=sys.stderr)
-        return 1
+    subject = parser.parse_type(args.type, sr)
     try:
         if kind == "push":
             if args.grade is None:
@@ -223,7 +214,19 @@ def _argument_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _argument_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except ParseError as e:
+        print(f"{e.pos}: {typecheck.SYNTAX}: {e.message}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader is gone: point stdout at the null device, so that the
+        # flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 

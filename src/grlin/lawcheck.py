@@ -1,7 +1,10 @@
 """Property suites for the derived combinators.
 
-Each suite draws (type, grade, value) instances from seeded generators and
-compares both sides of a law as deep normal forms under the evaluator:
+Each suite draws (type, grade, value) instances from seeded generators. A
+case of a suite yields its equations one at a time, drawing as it goes;
+``run_suite`` compares both sides of each as deep normal forms under the
+evaluator, and the first disagreement, or an exception, is the case's
+failure. The suites:
 
 * ``inverses``     -- pull after push and push after pull are identities
 * ``naturality``   -- push/pull commute with the covariant morphism mapping
@@ -16,6 +19,7 @@ generator seeded with the string ``"<suite>:<s>:<k>"``.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterator
 
 from . import deriving, grades
 from .deriving import DeriveError
@@ -124,13 +128,14 @@ def gen_type(cfg: TypeGenConfig, rng: random.Random, depth: int | None = None) -
         return Sum(gen_type(cfg, rng, depth - 1), gen_type(cfg, rng, depth - 1))
     if kind == "fun":
         return Fun(gen_type(cfg, rng, depth - 1), gen_type(cfg, rng, depth - 1))
-    elem = gen_type(TypeGenConfig(cfg.max_depth, False, False, cfg.allow_base, cfg.tyvars),
-                    rng, depth - 1)
+    elem = gen_type(TypeGenConfig(cfg.max_depth, allow_mu=False, allow_base=cfg.allow_base,
+                                  tyvars=cfg.tyvars), rng, depth - 1)
     return Mu("X", Sum(Unit(), Tensor(elem, RecVar("X"))))
 
 
 class Uninhabitable(Exception):
-    pass
+    """A generator found nothing within its bounds: no value of a type, or
+    no subject at which fmap derives."""
 
 
 def gen_value(a: Type, rng: random.Random, depth: int = 6) -> Term:
@@ -218,8 +223,7 @@ def box_lift(fn: Term) -> Term:
     return Lam("bx", Case(Var("bx"), ((PBox(PVar("by")), Promote(App(fn, Var("by")))),)))
 
 
-def instantiate(t: Type, at: Type | None = None) -> Type:
-    at = at or Base("Int")
+def instantiate(t: Type, at: Type = Base("Int")) -> Type:
     return subst_tyvars(t, {a: at for a in free_tyvars(t)})
 
 
@@ -255,74 +259,60 @@ def _derive_fmap(t: Type, alpha: str, sr: str) -> deriving.DerivedCombinator | N
 # Suites
 # ---------------------------------------------------------------------------
 
-def _case_inverses(i: int, rng: random.Random, max_depth: int) -> str | None:
-    sr = SEMIRING_ROTATION[i % 4]
-    cfg = TypeGenConfig(max_depth=max_depth, allow_fun=False, allow_mu=True,
-                        allow_base=False,
-                        tyvars=("a", "b")[: rng.randrange(3)])
-    t = gen_type(cfg, rng)
-    r = _pick_push_grade(t, sr, rng)
-    push = deriving.derive_push(t, r)
-    rs = {a: r for a in free_tyvars(t)}
-    pull = deriving.derive_pull(t, rs, sr, default_grade=r)
-
-    conc = instantiate(t)
-    v = gen_value(Box(r, conc), rng)
-    bad = _agree(App(pull.term, App(push.term, v)), v)
-    if bad:
-        return (f"pull(push v) != v at {pretty_type(t)} [{r}], "
-                f"v = {pretty_term(v)}: {bad}")
-
-    boxed = subst_tyvars(t, {a: Box(r, Base("Int")) for a in free_tyvars(t)})
-    w = gen_value(boxed, rng)
-    bad = _agree(App(push.term, App(pull.term, w)), w)
-    if bad:
-        return (f"push(pull w) != w at {pretty_type(t)} [{r}], "
-                f"w = {pretty_term(w)}: {bad}")
-    return None
+# Each equation is (what, lhs, rhs). ``what()`` gives the failure text; it is
+# called only when the sides disagree, before the case draws again.
+Equations = Iterator[tuple[Callable[[], str], Term, Term]]
 
 
-def _case_naturality(i: int, rng: random.Random, max_depth: int) -> str | None:
-    sr = SEMIRING_ROTATION[i % 4]
+def _boxed(t: Type, r: Grade) -> Type:
+    return instantiate(t, Box(r, Base("Int")))
+
+
+def _fmap_subject(sr: str, rng: random.Random, max_depth: int,
+                  tyvars: Callable[[], tuple[str, ...]]
+                  ) -> tuple[Type, deriving.DerivedCombinator]:
+    """A generated subject at which fmap derives, with its fmap. Each try
+    draws its type variables from ``tyvars``."""
     allow_mu = sr in (grades.INTERVAL, grades.ZERO_ONE_MANY)
     for _ in range(GEN_RETRIES):
-        cfg = TypeGenConfig(max_depth=max_depth, allow_fun=False,
-                            allow_mu=allow_mu, allow_base=False,
-                            tyvars=("a",))
-        t = gen_type(cfg, rng)
+        t = gen_type(TypeGenConfig(max_depth, allow_mu=allow_mu, tyvars=tyvars()), rng)
         fm = _derive_fmap(t, "a", sr)
         if fm is not None:
-            break
-    else:
-        return f"could not generate an fmap-derivable subject in {sr}"
+            return t, fm
+    raise Uninhabitable(f"could not generate an fmap-derivable subject in {sr}")
+
+
+def _case_inverses(i: int, rng: random.Random, max_depth: int) -> Equations:
+    sr = SEMIRING_ROTATION[i % 4]
+    t = gen_type(TypeGenConfig(max_depth, tyvars=("a", "b")[: rng.randrange(3)]), rng)
     r = _pick_push_grade(t, sr, rng)
     push = deriving.derive_push(t, r)
-
-    f = gen_int_fn(rng)
-    boxf = box_lift(f)
+    pull = deriving.derive_pull(t, {a: r for a in free_tyvars(t)}, sr, default_grade=r)
 
     v = gen_value(Box(r, instantiate(t)), rng)
-    lhs = App(App(fm.term, Promote(boxf)), App(push.term, v))
-    rhs = App(push.term, App(box_lift(App(fm.term, Promote(f))), v))
-    bad = _agree(lhs, rhs)
-    if bad:
-        return (f"push not natural at {pretty_type(t)} [{r}], "
-                f"v = {pretty_term(v)}: {bad}")
+    yield (lambda: f"pull(push v) != v at {pretty_type(t)} [{r}], v = {pretty_term(v)}",
+           App(pull.term, App(push.term, v)), v)
+    w = gen_value(_boxed(t, r), rng)
+    yield (lambda: f"push(pull w) != w at {pretty_type(t)} [{r}], w = {pretty_term(w)}",
+           App(push.term, App(pull.term, w)), w)
 
-    try:
-        pull = deriving.derive_pull(t, {a: r for a in free_tyvars(t)}, sr,
-                                    default_grade=r)
-    except DeriveError as e:
-        return f"pull underivable at {pretty_type(t)}: {e}"
-    w = gen_value(subst_tyvars(t, {a: Box(r, Base("Int"))
-                                   for a in free_tyvars(t)}), rng)
-    lhs = App(box_lift(App(fm.term, Promote(f))), App(pull.term, w))
-    rhs = App(pull.term, App(App(fm.term, Promote(boxf)), w))
-    bad = _agree(lhs, rhs)
-    if bad:
-        return (f"pull not natural at {pretty_type(t)} [{r}], "
-                f"w = {pretty_term(w)}: {bad}")
-    return None
+
+def _case_naturality(i: int, rng: random.Random, max_depth: int) -> Equations:
+    sr = SEMIRING_ROTATION[i % 4]
+    t, fm = _fmap_subject(sr, rng, max_depth, lambda: ("a",))
+    r = _pick_push_grade(t, sr, rng)
+    push = deriving.derive_push(t, r)
+    f = gen_int_fn(rng)
+    fmap_boxf = App(fm.term, Promote(box_lift(f)))
+    boxed_fmap_f = box_lift(App(fm.term, Promote(f)))
+
+    v = gen_value(Box(r, instantiate(t)), rng)
+    yield (lambda: f"push not natural at {pretty_type(t)} [{r}], v = {pretty_term(v)}",
+           App(fmap_boxf, App(push.term, v)), App(push.term, App(boxed_fmap_f, v)))
+    pull = deriving.derive_pull(t, {a: r for a in free_tyvars(t)}, sr, default_grade=r)
+    w = gen_value(_boxed(t, r), rng)
+    yield (lambda: f"pull not natural at {pretty_type(t)} [{r}], w = {pretty_term(w)}",
+           App(boxed_fmap_f, App(pull.term, w)), App(pull.term, App(fmap_boxf, w)))
 
 
 def _preservation_grades(t: Type, sr: str, rng: random.Random) -> tuple[Grade, Grade] | None:
@@ -343,19 +333,9 @@ def _preservation_grades(t: Type, sr: str, rng: random.Random) -> tuple[Grade, G
     return candidates[rng.randrange(len(candidates))]
 
 
-def _case_preservation(i: int, rng: random.Random, max_depth: int) -> str | None:
+def _case_preservation(i: int, rng: random.Random, max_depth: int) -> Equations:
     sr = SEMIRING_ROTATION[i % 4]
-    allow_mu = sr in (grades.INTERVAL, grades.ZERO_ONE_MANY)
-    for _ in range(GEN_RETRIES):
-        cfg = TypeGenConfig(max_depth=max_depth, allow_fun=False,
-                            allow_mu=allow_mu, allow_base=False,
-                            tyvars=("a",)[: rng.randrange(2)])
-        t = gen_type(cfg, rng)
-        fm = _derive_fmap(t, "a", sr)
-        if fm is not None:
-            break
-    else:
-        return f"could not generate an fmap-derivable subject in {sr}"
+    t, fm = _fmap_subject(sr, rng, max_depth, lambda: ("a",)[: rng.randrange(2)])
     one = grades.one(sr)
     conc = instantiate(t)
     varset = free_tyvars(t)
@@ -364,77 +344,58 @@ def _case_preservation(i: int, rng: random.Random, max_depth: int) -> str | None
     push1 = deriving.derive_push(t, one)
     pull1 = deriving.derive_pull(t, {a: one for a in varset}, sr, default_grade=one)
     eps_f = deriving.comonad_eps(conc, sr)
-    eps_int = deriving.comonad_eps(Base("Int"), sr)
+    fmap_eps = App(fm.term, Promote(deriving.comonad_eps(Base("Int"), sr)))
 
     v = gen_value(Box(one, conc), rng)
-    lhs = App(App(fm.term, Promote(eps_int)), App(push1.term, v))
-    rhs = App(eps_f, v)
-    bad = _agree(lhs, rhs)
-    if bad:
-        return (f"push eps triangle fails at {pretty_type(t)}, "
-                f"v = {pretty_term(v)}: {bad}")
-
-    w = gen_value(subst_tyvars(t, {a: Box(one, Base("Int")) for a in varset}), rng)
-    lhs = App(eps_f, App(pull1.term, w))
-    rhs = App(App(fm.term, Promote(eps_int)), w)
-    bad = _agree(lhs, rhs)
-    if bad:
-        return (f"pull eps triangle fails at {pretty_type(t)}, "
-                f"w = {pretty_term(w)}: {bad}")
+    yield (lambda: f"push eps triangle fails at {pretty_type(t)}, v = {pretty_term(v)}",
+           App(fmap_eps, App(push1.term, v)), App(eps_f, v))
+    w = gen_value(_boxed(t, one), rng)
+    yield (lambda: f"pull eps triangle fails at {pretty_type(t)}, w = {pretty_term(w)}",
+           App(eps_f, App(pull1.term, w)), App(fmap_eps, w))
 
     # comultiplication pentagon, at grades r, s
     picked = _preservation_grades(t, sr, rng)
     if picked is None:
-        return None
+        return
     r, s = picked
     rs_prod = grades.sr_mul(r, s)
     push_rs = deriving.derive_push(t, rs_prod)
     push_r = deriving.derive_push(t, r)
     push_s = deriving.derive_push(t, s)
     delta_f = deriving.comonad_delta(conc, r, s)
-    delta_int = deriving.comonad_delta(Base("Int"), r, s)
+    fmap_delta = App(fm.term, Promote(deriving.comonad_delta(Base("Int"), r, s)))
 
     v = gen_value(Box(rs_prod, conc), rng)
-    lhs = App(App(fm.term, Promote(delta_int)), App(push_rs.term, v))
-    rhs = App(push_r.term, App(box_lift(push_s.term), App(delta_f, v)))
-    bad = _agree(lhs, rhs)
-    if bad:
-        return (f"push delta pentagon fails at {pretty_type(t)} "
-                f"[{r}],[{s}], v = {pretty_term(v)}: {bad}")
-
+    yield (lambda: f"push delta pentagon fails at {pretty_type(t)} [{r}],[{s}], "
+                   f"v = {pretty_term(v)}",
+           App(fmap_delta, App(push_rs.term, v)),
+           App(push_r.term, App(box_lift(push_s.term), App(delta_f, v))))
     pull_rs = deriving.derive_pull(t, {a: rs_prod for a in varset}, sr,
                                    default_grade=rs_prod)
     pull_r = deriving.derive_pull(t, {a: r for a in varset}, sr, default_grade=r)
     pull_s = deriving.derive_pull(t, {a: s for a in varset}, sr, default_grade=s)
-    w = gen_value(subst_tyvars(t, {a: Box(rs_prod, Base("Int")) for a in varset}), rng)
-    lhs = App(delta_f, App(pull_rs.term, w))
-    rhs = App(box_lift(pull_s.term),
-              App(pull_r.term, App(App(fm.term, Promote(delta_int)), w)))
-    bad = _agree(lhs, rhs)
-    if bad:
-        return (f"pull delta pentagon fails at {pretty_type(t)} "
-                f"[{r}],[{s}], w = {pretty_term(w)}: {bad}")
-    return None
+    w = gen_value(_boxed(t, rs_prod), rng)
+    yield (lambda: f"pull delta pentagon fails at {pretty_type(t)} [{r}],[{s}], "
+                   f"w = {pretty_term(w)}",
+           App(delta_f, App(pull_rs.term, w)),
+           App(box_lift(pull_s.term), App(pull_r.term, App(fmap_delta, w))))
 
 
 _EQ_RULES = ("eta", "eta_case", "case_assoc", "case_assoc_box", "case_distrib",
              "letrec_distrib", "case_gen")
 
 
-def _case_equational(i: int, rng: random.Random, max_depth: int) -> str | None:
+def _case_equational(i: int, rng: random.Random, max_depth: int) -> Equations:
     rule = _EQ_RULES[i % len(_EQ_RULES)]
     f = gen_int_fn(rng)
     n = gen_value(Base("Int"), rng)
 
     if rule == "eta":
         t = f if rng.random() < 0.5 else Lam("y", Var("y"))
-        lhs = Lam("ex", App(t, Var("ex")))
-        bad = _agree(App(lhs, n), App(t, n))
-        if bad:
-            return f"eta fails for {pretty_term(t)}: {bad}"
-        return None
+        lhs = App(Lam("ex", App(t, Var("ex"))), n)
+        yield (lambda: f"eta fails for {pretty_term(t)}"), lhs, App(t, n)
 
-    if rule == "eta_case":
+    elif rule == "eta_case":
         t1 = gen_value(Tensor(Base("Int"), Base("Int")), rng)
         holes = [Var("hz"), pair(Var("hz"), Con("unit", ())),
                  Con("inl", (Var("hz"),)), Promote(Var("hz"))]
@@ -442,86 +403,54 @@ def _case_equational(i: int, rng: random.Random, max_depth: int) -> str | None:
         lhs = Case(t1, ((PCon(",", (PVar("ex"), PVar("ey"))),
                          subst_term(t2, {"hz": pair(Var("ex"), Var("ey"))})),))
         rhs = subst_term(t2, {"hz": t1})
-        bad = _agree(lhs, rhs)
-        if bad:
-            return f"eta_case fails for t1 = {pretty_term(t1)}: {bad}"
-        return None
+        yield (lambda: f"eta_case fails for t1 = {pretty_term(t1)}"), lhs, rhs
 
-    if rule in ("case_assoc", "case_distrib"):
+    elif rule in ("case_assoc", "case_assoc_box", "case_distrib"):
         scrut = gen_value(Sum(Unit(), Unit()), rng)
         v1 = gen_value(Base("Int"), rng)
         v2 = gen_value(Base("Int"), rng)
-        inner_branches = (
-            (PCon("inl", (PCon("unit", ()),)), v1),
-            (PCon("inr", (PCon("unit", ()),)), v2),
-        )
+        inner = ((PCon("inl", (PCon("unit", ()),)), v1),
+                 (PCon("inr", (PCon("unit", ()),)), v2))
         if rule == "case_distrib":
-            lhs = App(f, Case(scrut, inner_branches))
-            rhs = Case(scrut, tuple((p, App(f, b)) for p, b in inner_branches))
-            bad = _agree(lhs, rhs)
-            if bad:
-                return (f"case_distrib fails for scrut = "
-                        f"{pretty_term(scrut)}: {bad}")
-            return None
-        outer = ((PInt(v1.value), Con("inl", (Con("unit", ()),))),
-                 (PVar("ow"), Con("inr", (Var("ow"),))))
-        lhs = Case(Case(scrut, inner_branches), outer)
-        rhs = Case(scrut, tuple((p, Case(b, outer)) for p, b in inner_branches))
-        bad = _agree(lhs, rhs)
-        if bad:
-            return f"case_assoc fails for scrut = {pretty_term(scrut)}: {bad}"
-        return None
+            lhs = App(f, Case(scrut, inner))
+            rhs = Case(scrut, tuple((p, App(f, b)) for p, b in inner))
+        elif rule == "case_assoc":
+            outer = ((PInt(v1.value), Con("inl", (Con("unit", ()),))),
+                     (PVar("ow"), Con("inr", (Var("ow"),))))
+            lhs = Case(Case(scrut, inner), outer)
+            rhs = Case(scrut, tuple((p, Case(b, outer)) for p, b in inner))
+        else:
+            outer = ((PBox(PVar("ow")), pair(Var("ow"), Var("ow"))),)
+            lhs = Case(Promote(Case(scrut, inner)), outer)
+            rhs = Case(Promote(scrut),
+                       tuple((PBox(p), Case(Promote(b), outer)) for p, b in inner))
+        yield (lambda: f"{rule} fails for scrut = {pretty_term(scrut)}"), lhs, rhs
 
-    if rule == "case_assoc_box":
-        scrut = gen_value(Sum(Unit(), Unit()), rng)
-        v1 = gen_value(Base("Int"), rng)
-        v2 = gen_value(Base("Int"), rng)
-        inner_branches = (
-            (PCon("inl", (PCon("unit", ()),)), v1),
-            (PCon("inr", (PCon("unit", ()),)), v2),
-        )
-        outer = ((PBox(PVar("ow")), pair(Var("ow"), Var("ow"))),)
-        lhs = Case(Promote(Case(scrut, inner_branches)), outer)
-        rhs = Case(Promote(scrut),
-                   tuple((PBox(p), Case(Promote(b), outer))
-                         for p, b in inner_branches))
-        bad = _agree(lhs, rhs)
-        if bad:
-            return f"case_assoc_box fails for scrut = {pretty_term(scrut)}: {bad}"
-        return None
-
-    if rule == "letrec_distrib":
+    elif rule == "letrec_distrib":
         t1 = gen_value(Base("Int"), rng)
-        lhs = App(f, LetRec("lx", t1, Var("lx")))
-        rhs = LetRec("lx", t1, App(f, Var("lx")))
-        bad = _agree(lhs, rhs)
-        if bad:
-            return f"letrec_distrib fails for t1 = {pretty_term(t1)}: {bad}"
-        return None
+        yield (lambda: f"letrec_distrib fails for t1 = {pretty_term(t1)}",
+               App(f, LetRec("lx", t1, Var("lx"))), LetRec("lx", t1, App(f, Var("lx"))))
 
-    # case_gen: a boxed pattern whose body is the pattern itself collapses
-    # to a variable (needs 1 <= r; evaluation is grade-blind so any box works)
-    shapes = ["pair", "inl", "int"]
-    shape = shapes[rng.randrange(len(shapes))]
-    if shape == "pair":
-        val = gen_value(Tensor(Base("Int"), Base("Int")), rng)
-        p = PCon(",", (PVar("gx"), PVar("gy")))
-        back = pair(Var("gx"), Var("gy"))
-    elif shape == "inl":
-        val = Con("inl", (gen_value(Base("Int"), rng),))
-        p = PCon("inl", (PVar("gx"),))
-        back = Con("inl", (Var("gx"),))
     else:
-        val = gen_value(Base("Int"), rng)
-        p = PVar("gx")
-        back = Var("gx")
-    boxed = Promote(val)
-    lhs = Case(boxed, ((PBox(p), back),))
-    rhs = Case(boxed, ((PBox(PVar("gw")), Var("gw")),))
-    bad = _agree(lhs, rhs)
-    if bad:
-        return f"case_gen fails for value = {pretty_term(val)}: {bad}"
-    return None
+        # case_gen: a boxed pattern whose body is the pattern itself
+        # collapses to a variable (needs 1 <= r; evaluation is grade-blind
+        # so any box works)
+        shape = ("pair", "inl", "int")[rng.randrange(3)]
+        if shape == "pair":
+            val = gen_value(Tensor(Base("Int"), Base("Int")), rng)
+            p = PCon(",", (PVar("gx"), PVar("gy")))
+            back = pair(Var("gx"), Var("gy"))
+        elif shape == "inl":
+            val = Con("inl", (gen_value(Base("Int"), rng),))
+            p = PCon("inl", (PVar("gx"),))
+            back = Con("inl", (Var("gx"),))
+        else:
+            val = gen_value(Base("Int"), rng)
+            p = PVar("gx")
+            back = Var("gx")
+        yield (lambda: f"case_gen fails for value = {pretty_term(val)}",
+               Case(Promote(val), ((PBox(p), back),)),
+               Case(Promote(val), ((PBox(PVar("gw")), Var("gw")),)))
 
 
 _NOTES = {
@@ -538,6 +467,21 @@ _CASE_FNS = {
 }
 
 
+def _first_failure(equations: Equations) -> str | None:
+    """The failure text of the first equation whose sides disagree, or of
+    an exception raised while drawing or comparing; None if all agree."""
+    try:
+        for what, lhs, rhs in equations:
+            bad = _agree(lhs, rhs)
+            if bad:
+                return f"{what()}: {bad}"
+    except (DeriveError, FuelExhausted, StuckTerm, Uninhabitable) as e:
+        return f"exception: {e}"
+    except Exception as e:  # an internal error is a failure of the case too
+        return f"exception: {type(e).__name__}: {e}"
+    return None
+
+
 def run_suite(name: str, cases: int | None = None, seed: int = DEFAULT_SEED,
               max_depth: int | None = None, only_case: int | None = None
               ) -> LawReport:
@@ -549,11 +493,7 @@ def run_suite(name: str, cases: int | None = None, seed: int = DEFAULT_SEED,
     fn = _CASE_FNS[name]
     failures = []
     for i in indices:
-        rng = case_rng(name, seed, i)
-        try:
-            detail = fn(i, rng, depth)
-        except (DeriveError, FuelExhausted, StuckTerm, Uninhabitable) as e:
-            detail = f"exception: {e}"
+        detail = _first_failure(fn(i, case_rng(name, seed, i), depth))
         if detail is not None:
             failures.append(LawFailure(name, i, detail))
     return LawReport(name, len(indices), seed, failures, _NOTES.get(name, ()))

@@ -255,6 +255,34 @@ def test_bad_env_fuel_is_run_usage_error(monkeypatch, capsys):
     assert "grlin: bad GRLIN_FUEL value 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["--fuel", "GRLIN_FUEL"])
+def test_negative_fuel_is_a_usage_error(monkeypatch, capsys, source):
+    argv = ["run", "programs/copy.grm"]
+    if source == "--fuel":
+        argv += ["--fuel", "-3"]
+    else:
+        monkeypatch.setenv("GRLIN_FUEL", "-3")
+    assert run_cli(capsys, *argv) == (
+        2, "", f"grlin: {source} must not be negative (got -3)\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_pipe_ends_quietly(unbuffered):
+    """A reader that is gone before grlin writes: exit 1 with nothing on
+    stderr, whether stdout is buffered or not."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grlin", "run", "programs/copy.grm"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                 "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_bad_env_fuel_leaves_check_alone(monkeypatch, capsys):
     monkeypatch.setenv("GRLIN_FUEL", "abc")
     code, out, err = run_cli(capsys, "check", "programs/copy.grm")

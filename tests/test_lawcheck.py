@@ -165,6 +165,45 @@ def test_harness_detects_a_broken_combinator(monkeypatch):
     monkeypatch.setattr(D, "derive_pull", broken)
     rep = L.run_suite("inverses", cases=30, seed=4)
     assert rep.failures, "the corrupted combinator went undetected"
+    assert rep.failures[0].detail.startswith("pull(push v) != v at ")
+    assert rep.failures[0].repro(4).startswith(
+        "grlin laws --suite inverses --seed 4 --case ")
+
+
+def test_an_exception_inside_a_case_is_a_reported_failure(monkeypatch, capsys):
+    from grlin import deriving as D
+    from grlin.cli import main
+
+    def broken(subject, r):
+        raise RuntimeError("internal: planted")
+
+    monkeypatch.setattr(D, "derive_push", broken)
+    rep = L.run_suite("inverses", cases=3)
+    assert [f.detail for f in rep.failures] == \
+        ["exception: RuntimeError: internal: planted"] * 3
+    assert main(["laws", "--suite", "inverses", "--cases", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["inverses", "3", "3"]
+    assert out[2] == ("grlin laws --suite inverses --seed 7 --case 0  -- "
+                      "exception: RuntimeError: internal: planted")
+
+
+def test_every_law_equation_is_compared(monkeypatch):
+    calls = []
+    real = L._agree
+
+    def counting(lhs, rhs):
+        calls.append((lhs, rhs))
+        return real(lhs, rhs)
+
+    monkeypatch.setattr(L, "_agree", counting)
+    counts = {}
+    for suite in L.SUITES:
+        calls.clear()
+        assert L.run_suite(suite, cases=50, seed=7).failures == []
+        counts[suite] = len(calls)
+    assert counts == {"inverses": 100, "naturality": 100, "preservation": 200,
+                      "equational": 50}
 
 
 def test_suite_coverage_is_diverse():
