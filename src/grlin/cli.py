@@ -136,8 +136,11 @@ def _pull_grades(args, subject, sr):
                 print(f"grlin: bad --grades entry {part!r} (want var=grade)",
                       file=sys.stderr)
                 raise SystemExit(2)
-            name, text = part.split("=", 1)
-            rs[name.strip()] = _parse_grade_arg(text.strip(), sr)
+            name, text = (x.strip() for x in part.split("=", 1))
+            if name in rs:
+                print(f"grlin: --grades names {name!r} twice", file=sys.stderr)
+                raise SystemExit(2)
+            rs[name] = _parse_grade_arg(text, sr)
         return rs, (_parse_grade_arg(args.grade, sr) if args.grade else None)
     if args.grade is not None:
         g = _parse_grade_arg(args.grade, sr)

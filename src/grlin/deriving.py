@@ -258,6 +258,7 @@ class _Push(_Walker):
     def preconditions(self, s: Type, occ: set) -> None:
         if Box in occ:
             raise DeriveError(BOX_IN_SUBJECT, _NO_BOX)
+        _refuse_mu_under_mu(self.kind, s, occ)
         if _push_matches(s, occ):
             one = grades.one(self.sr)
             if not grades.sr_leq(one, self.r):
@@ -321,6 +322,7 @@ class _Pull(_Walker):
             raise DeriveError(FUN_IN_SUBJECT, _NO_PULL_AT_FUN)
         if Base in occ:
             raise DeriveError(BASE_IN_SUBJECT, _no_pull_at_base(s))
+        _refuse_mu_under_mu(self.kind, s, occ)
         if set(self.rs) != free_tyvars(s):
             raise DeriveError(
                 SIDE_CONDITION,
@@ -465,6 +467,7 @@ class _CopyShape(_Walker):
             raise DeriveError(FUN_IN_SUBJECT, "cannot copy the shape of a function")
         if Box in occ:
             raise DeriveError(BOX_IN_SUBJECT, _NO_BOX)
+        _refuse_mu_under_mu(self.kind, s, occ)
 
     def scheme(self, closed: Type, ctx) -> Type:
         return Fun(closed, Tensor(shape_type(closed), closed))
@@ -644,6 +647,30 @@ def _results_multi(s: Type, mu_env: dict[str, Type]) -> bool:
     if isinstance(s, Mu):
         return _results_multi(s.body, {**mu_env, s.var: _close(s, mu_env)})
     return False
+
+
+def _refuse_mu_under_mu(kind: str, s: Type, occ: set) -> None:
+    """Refuse a subject with a mu directly under a mu, as in ``mu X . mu
+    Y . Unit + (X * Y)``; ``occ`` is ``occurring(s)``. The inner mu's
+    function concludes at the outer mu unrolled once, and push, pull and
+    copyShape return that type inside a box or a pair, where the checker
+    does not unroll."""
+    if Mu not in occ:
+        return
+    todo = [s]
+    while todo:
+        t = todo.pop()
+        c = t.__class__
+        if c is Mu:
+            if t.body.__class__ is Mu:
+                raise DeriveError(
+                    SIDE_CONDITION,
+                    f"{kind} cannot be derived at a mu directly under a mu: {pretty_type(t)}")
+            todo.append(t.body)
+        elif c is Fun:
+            todo += (t.res, t.arg)
+        elif c is Tensor or c is Sum:
+            todo += (t.right, t.left)
 
 
 def _no_pull_at_base(s: Type) -> str:

@@ -188,22 +188,20 @@ _RIGHT = 4  # (_RIGHT, ctx, t, expected): check a pair's right component next
 
 class Checker:
     def __init__(self, semiring: str, defs: dict[str, Type] | None = None,
-                 record: bool = False):
+                 records: list[BinderRecord] | None = None):
+        """``records``, if given, gets each binder's exit record."""
         self.sr = semiring
         self.defs = defs or {}
-        self.records: list[BinderRecord] = []
-        self.record = record
+        self.records = records
 
     # -- helpers -------------------------------------------------------------
 
-    def _exit_binder(self, usage: UsageMap, name: str, asm: Assumption,
+    def _exit_binder(self, usage: UsageMap, name: str, asm: Linear | Graded,
                      pos: Pos | None) -> None:
         u = usage.pop(name, None)
-        if isinstance(asm, RecRef):
-            return
-        if isinstance(asm, Linear):
+        if asm.__class__ is Linear:
             count = u if u is not None else 0
-            if self.record:
+            if self.records is not None:
                 self.records.append(BinderRecord(name, pos, "linear", None, count))
             if count != 1:
                 _fail(LINEARITY,
@@ -211,7 +209,7 @@ class Checker:
                       pos, var=name)
         else:
             g = u if u is not None else grades.zero(self.sr)
-            if self.record:
+            if self.records is not None:
                 self.records.append(BinderRecord(name, pos, "graded", asm.grade, g))
             if not grades.sr_leq(g, asm.grade):
                 _fail(GRADE_EXCEEDED,
@@ -223,8 +221,6 @@ class Checker:
         out: UsageMap = {}
         for name, u in usage.items():
             if u.__class__ is int:
-                if u == 0:
-                    continue
                 _fail(PROMOTE_LINEAR,
                       f"linear variable {name!r} used under a promotion",
                       pos, var=name)
@@ -261,7 +257,7 @@ class Checker:
                     break
                 rolled = ty  # a mu has the constructors of its unrolling
                 if ty.__class__ is Mu and c is not PWild:
-                    ty = unroll_mu(ty)
+                    ty = _unrolled(ty)
                 if c is PWild:
                     if enc is None:
                         _fail(WILDCARD_WEAKEN,
@@ -326,8 +322,8 @@ class Checker:
 
     def check(self, ctx: dict, t: Term, expected: Type) -> UsageMap:
         """The usage of ``t`` checked against ``expected``. A tail position
-        (a mu unrolling, an injection's argument, a pair's left component,
-        the body of a lambda, promotion or letrec) continues the loop, and
+        (an injection's argument, a pair's left component, the body of a
+        lambda, promotion or letrec) continues the loop, and
         what it does to the usage on the way out waits on ``post``, to run
         last first once a leaf has given the usage. A pair's right component
         waits there too, and is checked when its left one is done."""
@@ -342,11 +338,10 @@ class Checker:
                               f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
                               t.pos)
                     break
-                if (expected.__class__ is Mu and (c is Con or c is Lam or c is Promote
-                                                  or c is IntLit)
-                        and not _unguarded(expected)):
-                    expected = unroll_mu(expected)
-                elif c is Con:
+                if expected.__class__ is Mu and (c is Con or c is Lam or c is Promote
+                                                 or c is IntLit):
+                    expected = _unrolled(expected)
+                if c is Con:
                     if t.con == ",":
                         if expected.__class__ is not Tensor:
                             _fail(TYPE_MISMATCH, f"pair against type {pretty_type(expected)}",
@@ -368,13 +363,7 @@ class Checker:
                         usage = {}
                         break
                 elif c is Case:
-                    scrut_ty, u_scrut = self._scrutinee(ctx, t)
-                    branch_usages = []
-                    for p, body in t.branches:
-                        u = self._branch(ctx, p, scrut_ty, body, expected, check_mode=True)
-                        branch_usages.append(u)
-                    merged = merge_branch_usages(branch_usages, self.sr)
-                    usage = usage_add(u_scrut, merged)
+                    usage = self._case(ctx, t, expected)[1]
                     break
                 elif c is Promote:
                     if expected.__class__ is not Box:
@@ -403,7 +392,8 @@ class Checker:
                     usage = {}
                     break
                 elif c is Derive:
-                    usage = self._check_derive(t, expected)
+                    self._derive(t, expected)
+                    usage = {}
                     break
                 else:
                     raise AssertionError(f"unhandled term: {t}")
@@ -447,7 +437,7 @@ class Checker:
             fn_ty, usage = self.synth(ctx, t)
             for app in reversed(spine):
                 if fn_ty.__class__ is Mu:
-                    fn_ty = unroll_mu(fn_ty)
+                    fn_ty = _unrolled(fn_ty)
                 if fn_ty.__class__ is not Fun:
                     _fail(TYPE_MISMATCH,
                           f"applying a non-function of type {pretty_type(fn_ty)}", app.pos)
@@ -466,25 +456,9 @@ class Checker:
             _fail(NEEDS_ANNOTATION,
                   f"{t.con} needs an expected sum type", t.pos)
         if isinstance(t, Derive):
-            return self._synth_derive(t)
+            return self._derive(t, None), {}
         if isinstance(t, Case):
-            scrut_ty, u_scrut = self._scrutinee(ctx, t)
-            result_ty: Type | None = None
-            branch_usages = []
-            for p, body in t.branches:
-                ty, u = self._branch(ctx, p, scrut_ty, body, None, check_mode=False)
-                if result_ty is None:
-                    result_ty = ty
-                elif not types_equal(result_ty, ty):
-                    if not _types_match(result_ty, ty):
-                        _fail(TYPE_MISMATCH,
-                              f"branches disagree: {pretty_type(result_ty)} vs {pretty_type(ty)}",
-                              t.pos)
-                    if isinstance(ty, Mu):
-                        result_ty = ty  # prefer the rolled form
-                branch_usages.append(u)
-            merged = merge_branch_usages(branch_usages, self.sr)
-            return result_ty, usage_add(u_scrut, merged)
+            return self._case(ctx, t, None)
         if isinstance(t, LetRec):
             bound_ty, ctx2 = self._letrec_intro(ctx, t)
             u1 = self.check(ctx2, t.bound, bound_ty)
@@ -502,23 +476,41 @@ class Checker:
 
     # -- shared pieces ---------------------------------------------------------
 
-    def _scrutinee(self, ctx: dict, t: Case) -> tuple[Type, UsageMap]:
-        if t.scrut_annot is not None:
-            return t.scrut_annot, self.check(ctx, t.scrutinee, t.scrut_annot)
-        return self.synth(ctx, t.scrutinee)
-
-    def _branch(self, ctx, p, scrut_ty, body, expected, check_mode):
-        binders = self.check_pattern(None, p, scrut_ty)
-        ctx2 = dict(ctx)
-        for name, asm, _ in binders:
-            ctx2[name] = asm
-        if check_mode:
-            usage = self.check(ctx2, body, expected)
+    def _case(self, ctx: dict, t: Case, expected: Type | None) -> tuple[Type, UsageMap]:
+        """The type and usage of the case ``t``, checked against
+        ``expected`` or, where that is None, synthesized: the branch types
+        must then agree up to one unrolling, and the rolled one is taken.
+        Each branch discharges its pattern's binders, and the branch usages
+        merge before the scrutinee's is added."""
+        scrut_ty = t.scrut_annot
+        if scrut_ty is None:
+            scrut_ty, usage = self.synth(ctx, t.scrutinee)
         else:
-            ty, usage = self.synth(ctx2, body)
-        for name, asm, pos in binders:
-            self._exit_binder(usage, name, asm, pos)
-        return usage if check_mode else (ty, usage)
+            usage = self.check(ctx, t.scrutinee, scrut_ty)
+        result = expected
+        branch_usages = []
+        for p, body in t.branches:
+            binders = self.check_pattern(None, p, scrut_ty)
+            inner = dict(ctx)
+            for name, asm, _ in binders:
+                inner[name] = asm
+            if expected is not None:
+                u = self.check(inner, body, expected)
+            else:
+                ty, u = self.synth(inner, body)
+                if result is None:
+                    result = ty
+                elif not types_equal(result, ty):
+                    if not _types_match(result, ty):
+                        _fail(TYPE_MISMATCH,
+                              f"branches disagree: {pretty_type(result)} vs {pretty_type(ty)}",
+                              t.pos)
+                    if ty.__class__ is Mu:
+                        result = ty  # prefer the rolled form
+            for name, asm, pos in binders:
+                self._exit_binder(u, name, asm, pos)
+            branch_usages.append(u)
+        return result, usage_add(usage, merge_branch_usages(branch_usages, self.sr))
 
     def _letrec_intro(self, ctx: dict, t: LetRec):
         """The type of the letrec's bound and the context of its bound and
@@ -546,104 +538,78 @@ class Checker:
 
     # -- derive nodes ----------------------------------------------------------
 
-    def _synth_derive(self, t: Derive) -> tuple[Type, UsageMap]:
-        if t.kind == "drop":
-            if isinstance(t.at, Base):
-                # built-in weakening for weakenable base types
-                if t.at.name not in syntax.WEAKENABLE_BASES:
-                    _fail(NOT_DROPPABLE,
-                          f"{t.at.name} is a linear-only base type", t.pos)
-                return Fun(t.at, Unit()), {}
-            comb = self._run_derive(t, lambda: deriving.derive_drop(t.at, self.sr))
-            return comb.type, {}
-        if t.kind == "copyShape":
-            comb = self._run_derive(t, lambda: deriving.derive_copyshape(t.at, self.sr))
-            return comb.type, {}
-        _fail(NEEDS_ANNOTATION,
-              f"{t.kind} @T needs an expected type to determine its grades", t.pos)
-
-    def _check_derive(self, t: Derive, expected: Type) -> UsageMap:
-        if t.kind in ("drop", "copyShape"):
-            ty, usage = self._synth_derive(t)
-            if not types_equal(ty, expected):
-                _fail(TYPE_MISMATCH,
-                      f"{t.kind} @{pretty_type(t.at)} has type {pretty_type(ty)}, "
-                      f"expected {pretty_type(expected)}", t.pos)
-            return usage
-        if t.kind == "push":
-            if not (isinstance(expected, Fun) and isinstance(expected.arg, Box)
-                    and types_equal(expected.arg.body, t.at)):
-                _fail(TYPE_MISMATCH,
-                      f"push @{pretty_type(t.at)} must be used at a type of shape "
-                      f"({pretty_type(t.at)}) [r] -o ...", t.pos)
-            r = expected.arg.grade
-            _grade_semiring(r, self.sr, t.pos)
-            comb = self._run_derive(t, lambda: deriving.derive_push(t.at, r))
-            if not types_equal(comb.type, expected):
-                _fail(TYPE_MISMATCH,
-                      f"push @{pretty_type(t.at)} has type {pretty_type(comb.type)}, "
-                      f"expected {pretty_type(expected)}", t.pos)
-            return {}
-        if t.kind == "pull":
-            if not (isinstance(expected, Fun) and isinstance(expected.res, Box)
-                    and types_equal(expected.res.body, t.at)):
-                _fail(TYPE_MISMATCH,
-                      f"pull @{pretty_type(t.at)} must be used at a type of shape "
-                      f"... -o ({pretty_type(t.at)}) [r]", t.pos)
-            rs = self._extract_pull_grades(t.at, expected.arg, t.pos)
-            for g in rs.values():
-                _grade_semiring(g, self.sr, t.pos)
-            result_grade = expected.res.grade
-            _grade_semiring(result_grade, self.sr, t.pos)
-            comb = self._run_derive(
-                t, lambda: deriving.derive_pull(t.at, rs, self.sr, default_grade=result_grade))
-            if not types_equal(comb.type, expected):
-                _fail(TYPE_MISMATCH,
-                      f"pull @{pretty_type(t.at)} has type {pretty_type(comb.type)}, "
-                      f"expected {pretty_type(expected)}", t.pos)
-            return {}
-        if t.kind == "fmap":
-            shape = (isinstance(expected, Fun) and isinstance(expected.arg, Box)
-                     and isinstance(expected.arg.body, Fun)
-                     and isinstance(expected.arg.body.arg, TyVar)
-                     and isinstance(expected.res, Fun)
-                     and types_equal(expected.res.arg, t.at))
-            if not shape:
-                _fail(TYPE_MISMATCH,
-                      f"fmap @{pretty_type(t.at)} must be used at a type of shape "
-                      f"(a -o b) [g] -o ({pretty_type(t.at)}) -o ...", t.pos)
-            alpha = expected.arg.body.arg.name
-            g = expected.arg.grade
-            _grade_semiring(g, self.sr, t.pos)
-            comb = self._run_derive(t, lambda: deriving.derive_fmap(t.at, alpha, g, self.sr))
-            # beta may be instantiated at any type
-            beta = {comb.type.arg.body.res.name: expected.arg.body.res}
-            if not _fmap_result_matches(comb.type.res.res, expected.res.res, beta):
-                result = subst_tyvars(comb.type.res.res, beta)
-                _fail(TYPE_MISMATCH,
-                      f"fmap @{pretty_type(t.at)} has type "
-                      f"{pretty_type(Fun(expected.arg, Fun(t.at, result)))}, "
-                      f"expected {pretty_type(expected)}", t.pos)
-            return {}
-        raise AssertionError(f"unhandled derive kind: {t.kind}")
-
-    def _extract_pull_grades(self, subject: Type, arg: Type, pos: Pos | None
-                             ) -> dict[str, Grade]:
-        rs: dict[str, Grade] = {}
-        if not _match_pull_arg(subject, arg, rs, pos):
+    def _derive(self, t: Derive, expected: Type | None) -> Type:
+        """The type of the derive node ``t``, which must be ``expected``
+        where that is given. push, pull and fmap read their grades off
+        ``expected``, so they need it. The derived term is kept on ``t``."""
+        kind, at, sr, pos = t.kind, t.at, self.sr, t.pos
+        if kind == "drop" and at.__class__ is Base:
+            # built-in weakening for weakenable base types
+            if at.name not in syntax.WEAKENABLE_BASES:
+                _fail(NOT_DROPPABLE, f"{at.name} is a linear-only base type", pos)
+            ty = Fun(at, Unit())
+        else:
+            if kind == "drop":
+                derive, args = deriving.derive_drop, (at, sr)
+            elif kind == "copyShape":
+                derive, args = deriving.derive_copyshape, (at, sr)
+            elif expected is None:
+                _fail(NEEDS_ANNOTATION,
+                      f"{kind} @T needs an expected type to determine its grades", pos)
+            elif kind == "push":
+                if not (isinstance(expected, Fun) and isinstance(expected.arg, Box)
+                        and types_equal(expected.arg.body, at)):
+                    _fail(TYPE_MISMATCH,
+                          f"push @{pretty_type(at)} must be used at a type of shape "
+                          f"({pretty_type(at)}) [r] -o ...", pos)
+                r = expected.arg.grade
+                _grade_semiring(r, sr, pos)
+                derive, args = deriving.derive_push, (at, r)
+            elif kind == "pull":
+                if not (isinstance(expected, Fun) and isinstance(expected.res, Box)
+                        and types_equal(expected.res.body, at)):
+                    _fail(TYPE_MISMATCH,
+                          f"pull @{pretty_type(at)} must be used at a type of shape "
+                          f"... -o ({pretty_type(at)}) [r]", pos)
+                rs: dict[str, Grade] = {}
+                if not _match_pull_arg(at, expected.arg, rs, pos):
+                    _fail(TYPE_MISMATCH,
+                          f"pull @{pretty_type(at)} argument type does not match the subject "
+                          f"with boxed variables", pos)
+                for g in rs.values():
+                    _grade_semiring(g, sr, pos)
+                result_grade = expected.res.grade
+                _grade_semiring(result_grade, sr, pos)
+                derive, args = deriving.derive_pull, (at, rs, sr, result_grade)
+            else:
+                if not (isinstance(expected, Fun) and isinstance(expected.arg, Box)
+                        and isinstance(expected.arg.body, Fun)
+                        and isinstance(expected.arg.body.arg, TyVar)
+                        and isinstance(expected.res, Fun)
+                        and types_equal(expected.res.arg, at)):
+                    _fail(TYPE_MISMATCH,
+                          f"fmap @{pretty_type(at)} must be used at a type of shape "
+                          f"(a -o b) [g] -o ({pretty_type(at)}) -o ...", pos)
+                g = expected.arg.grade
+                _grade_semiring(g, sr, pos)
+                derive, args = deriving.derive_fmap, (at, expected.arg.body.arg.name, g, sr)
+            try:
+                comb = derive(*args)
+            except DeriveError as e:
+                raise CheckError(Diagnostic(e.code, e.message, pos, e.grades)) from e
+            object.__setattr__(t, "_elaborated", comb.term)
+            ty = comb.type
+            if kind == "fmap":
+                # beta may be instantiated at any type
+                beta = {ty.arg.body.res.name: expected.arg.body.res}
+                if _fmap_result_matches(ty.res.res, expected.res.res, beta):
+                    return expected
+                ty = Fun(expected.arg, Fun(at, subst_tyvars(ty.res.res, beta)))
+        if expected is not None and not types_equal(ty, expected):
             _fail(TYPE_MISMATCH,
-                  f"pull @{pretty_type(subject)} argument type does not match the subject "
-                  f"with boxed variables", pos)
-        return rs
-
-    def _run_derive(self, t: Derive, thunk):
-        """The combinator ``thunk`` derives for ``t``, its term kept on ``t``."""
-        try:
-            comb = thunk()
-        except DeriveError as e:
-            raise CheckError(Diagnostic(e.code, e.message, t.pos, e.grades)) from e
-        object.__setattr__(t, "_elaborated", comb.term)
-        return comb
+                  f"{kind} @{pretty_type(at)} has type {pretty_type(ty)}, "
+                  f"expected {pretty_type(expected)}", pos)
+        return ty
 
 
 def _match_pull_arg(s: Type, a: Type, rs: dict[str, Grade], pos: Pos | None) -> bool:
@@ -675,12 +641,18 @@ def _match_pull_arg(s: Type, a: Type, rs: dict[str, Grade], pos: Pos | None) -> 
     return False
 
 
-def _unguarded(ty: Mu) -> bool:
-    """Whether a recursion variable sits under ``ty``'s leading mus, as in
-    ``mu X . X``: its unrolling is such a mu again, so no value has it."""
+def _unrolled(ty: Mu) -> Type:
+    """``ty`` unrolled until a constructor shows. A recursion variable
+    under its leading mus, as in ``mu X . X``, unrolls to such a mu again,
+    so no value has the type, and it stays as it is."""
+    head = ty.body
+    while head.__class__ is Mu:
+        head = head.body
+    if head.__class__ is RecVar:
+        return ty
     while ty.__class__ is Mu:
-        ty = ty.body
-    return ty.__class__ is RecVar
+        ty = unroll_mu(ty)
+    return ty
 
 
 def _types_match(a: Type, b: Type) -> bool:
@@ -700,8 +672,8 @@ def _fmap_result_matches(got: Type, want: Type, beta: dict[str, Type]) -> bool:
     and elsewhere gives a type that matches up to one unrolling."""
     c = got.__class__
     if c is Tensor or c is Sum:
-        while want.__class__ is Mu and not _unguarded(want):
-            want = unroll_mu(want)
+        if want.__class__ is Mu:
+            want = _unrolled(want)
         return (want.__class__ is c
                 and _fmap_result_matches(got.left, want.left, beta)
                 and _fmap_result_matches(got.right, want.right, beta))
@@ -724,13 +696,10 @@ def synth_term(ctx: dict, t: Term, semiring: str,
     return Checker(semiring, defs).synth(ctx, t)
 
 
-def check_pattern(enc: Grade | None, p: Pattern, ty: Type, semiring: str):
-    return Checker(semiring).check_pattern(enc, p, ty)
-
-
-def check_program(prog: SourceProgram, record: bool = False
-                  ) -> list[Diagnostic] | tuple[list[Diagnostic], list[BinderRecord]]:
-    """Check every declaration against its signature. Empty list = accepted."""
+def check_program(prog: SourceProgram, records: list[BinderRecord] | None = None
+                  ) -> list[Diagnostic]:
+    """Check every declaration against its signature. Empty list = accepted.
+    ``records``, if given, gets each binder's exit record."""
     diags: list[Diagnostic] = []
     defs: dict[str, Type] = {}
     for d in prog.decls:
@@ -739,18 +708,13 @@ def check_program(prog: SourceProgram, record: bool = False
                                     f"{d.name!r} is defined more than once", d.pos))
             continue
         defs[d.name] = d.signature
-    records: list[BinderRecord] = []
     for d in prog.decls:
-        checker = Checker(prog.semiring, defs, record=record)
         try:
             _scan_type_semiring(d.signature, prog.semiring, d.pos)
-            checker.check({}, d.body, d.signature)
+            Checker(prog.semiring, defs, records).check({}, d.body, d.signature)
         except CheckError as e:
             diag = e.diag
             if diag.pos is None:
                 diag = Diagnostic(diag.code, diag.message, d.pos, diag.grades, diag.var)
             diags.append(diag)
-        records.extend(checker.records)
-    if record:
-        return diags, records
     return diags

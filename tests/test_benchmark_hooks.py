@@ -39,12 +39,13 @@ def test_perfbench_call_shapes_bind():
     """The calls ``perfbench/workloads.py`` makes still bind to grlin's
     signatures; nothing is run."""
     from inspect import signature
-    from grlin import cli, deriving, evaluator, lawcheck
+    from grlin import cli, deriving, evaluator, lawcheck, typecheck
 
     signature(evaluator.Evaluator).bind(evaluator.Fuel(1))
     signature(evaluator.Evaluator.normalize).bind(None, None, deep=True)
     signature(deriving.derive_pull).bind(None, {}, None, default_grade=None)
     signature(lawcheck.run_suite).bind("inverses", seed=0, only_case=0)
     signature(cli.main).bind([])
+    signature(typecheck.check_program).bind(None)
     assert set(lawcheck.DEFAULT_CASES) == set(lawcheck.SUITES)
     assert isinstance(lawcheck.DEFAULT_SEED, int)

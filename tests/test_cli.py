@@ -88,6 +88,8 @@ def test_bad_grade_arguments_are_usage_errors(capsys):
     assert "grlin: bad grade 'zz'" in capsys.readouterr().err
     assert main(["derive", "pull", "Unit", "--grades", "a"]) == 2
     assert "grlin: bad --grades entry 'a'" in capsys.readouterr().err
+    assert run_cli(capsys, "derive", "pull", "a", "--grades", "a=1,a=2") \
+        == (2, "", "grlin: --grades names 'a' twice\n")
 
 
 def test_run_prints_value(capsys):
@@ -377,6 +379,36 @@ def test_pull_at_a_recursive_subject_checks(capsys, tmp_path):
     path.write_text("p : (mu X . Unit + ((a [2]) * X)) -o ((mu X . Unit + (a * X)) [2])\n"
                     "p = pull @(mu X . Unit + (a * X))\n\nmain : Int\nmain = 5\n")
     assert run_cli(capsys, "check", str(path)) == (0, "", "")
+
+
+NESTED_MU = "mu X . mu Y . Unit + (X * Y)"
+
+
+@pytest.mark.parametrize("subject", [NESTED_MU, f"Unit + ({NESTED_MU})"])
+@pytest.mark.parametrize("kind", ["push", "pull", "copyshape"])
+def test_a_mu_directly_under_a_mu_is_refused(capsys, kind, subject):
+    """push, pull and copyShape refuse such a subject; their terms would not
+    check at it."""
+    grade = () if kind == "copyshape" else ("--grade", "2")
+    code, out, err = run_cli(capsys, "derive", kind, subject, "--semiring", "nat-le", *grade)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"grlin: SIDE_CONDITION: [^\n]*\n", err), err
+
+
+def test_a_push_at_a_mu_directly_under_a_mu_is_a_diagnostic(capsys, tmp_path):
+    path = tmp_path / "push.grm"
+    path.write_text(f"#semiring nat-le\nunbox : (({NESTED_MU}) [2]) -o ({NESTED_MU})\n"
+                    f"unbox = push @({NESTED_MU})\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (1, "") and one_diagnostic(err, path, "SIDE_CONDITION"), err
+
+
+def test_drop_and_fmap_derive_at_a_mu_directly_under_a_mu(capsys):
+    assert run_cli(capsys, "derive", "drop", NESTED_MU)[::2] == (0, "")
+    for sr in ("interval", "zero-one-many"):
+        code, out, err = run_cli(capsys, "derive", "fmap",
+                                 "mu X . mu Y . Unit + (a * (X * Y))", "--semiring", sr)
+        assert (code, err) == (0, ""), sr
 
 
 def test_a_value_against_an_unguarded_mu_is_a_mismatch(capsys, tmp_path):

@@ -6,12 +6,13 @@ import re
 import pytest
 
 from grlin import grades as G
+from grlin.evaluator import run_main
 from grlin.parser import parse_program, parse_term, parse_type
 from grlin.typecheck import (
     CheckError, Checker, Graded, Linear, check_program, check_term,
     merge_branch_usages, synth_term,
 )
-from grlin.syntax import Base, TyVar
+from grlin.syntax import Base, TyVar, unroll_mu
 
 # Each entry: (name, source, expected diagnostic codes in order).
 # Positive cases exercise every typing rule: var/abs/app, promotion and its
@@ -122,8 +123,8 @@ def test_check_term_usage_map():
     # copy's box-bound variable is used at grade 2
     prog = parse_program("copy : (a [2]) -o (a * a)\n"
                          "copy = \\y -> case y of [x] -> (x, x)")
-    diags, records = check_program(prog, record=True)
-    assert diags == []
+    records = []
+    assert check_program(prog, records) == []
     graded = {r.name: r for r in records if r.kind == "graded"}
     assert graded["x"].usage == G.grade_nat(2)
 
@@ -306,6 +307,43 @@ def test_shadowing_diagnostics_name_the_source_binder():
     diags = check_program(parse_program(src, file="file"))
     assert [d.render() for d in diags] == [
         "file:2:17: LINEARITY: linear variable 'x' used 0 times (expected exactly 1)"]
+
+
+def test_a_nested_mu_is_unrolled_until_a_constructor_shows():
+    """A mu directly under a mu has the constructors of its full unrolling
+    in a pattern and in an application spine, as it has for a value."""
+    nested = "mu X . mu Y . Unit + (X * Y)"
+    src = (f"t : ({nested}) -o ({nested})\n"
+           "t = \\x -> case x of inl u -> inl u; inr p -> inr p\n\n"
+           f"main : {nested}\nmain = t (inr (inl unit, inl unit))\n")
+    prog = parse_program(src)
+    assert check_program(prog) == []
+    assert run_main(prog) == "inr (inl unit, inl unit)"
+    fn = "mu X . mu Y . Int -o X"
+    src = (f"f : {fn}\nf = \\n -> case drop @Int n of unit -> f\n\n"
+           f"g : {fn}\ng = f 1\n")
+    assert check_program(parse_program(src)) == []
+
+
+def test_a_linear_variable_used_once_in_every_branch_is_used_once():
+    src = ("pick : Int -o ((Unit + Unit) -o Int)\n"
+           "pick = \\y -> \\s -> case s of inl u -> (case u of unit -> y); "
+           "inr v -> (case v of unit -> y)")
+    records = []
+    assert check_program(parse_program(src), records) == []
+    assert {r.name: r.usage for r in records} == {"u": 1, "v": 1, "s": 1, "y": 1}
+    assert {r.kind for r in records} == {"linear"}
+
+
+def test_a_synthesized_case_takes_the_rolled_branch_type():
+    """Branch types that differ by one unrolling agree, in either order."""
+    rolled = parse_type("mu X . Unit + X")
+    term = parse_term("case s of inl u -> (case u of unit -> a); "
+                      "inr v -> (case v of unit -> b)")
+    ctx = {"s": Linear(parse_type("Unit + Unit"))}
+    for a, b in ((rolled, unroll_mu(rolled)), (unroll_mu(rolled), rolled)):
+        ty, usage = synth_term(ctx, term, G.NAT_EXACT, {"a": a, "b": b})
+        assert (ty, usage) == (rolled, {"s": 1})
 
 
 @pytest.mark.parametrize("src, rendered", [
