@@ -169,31 +169,42 @@ def free_recvars(t: Type) -> frozenset[str]:
 
 def _free(t: Type) -> tuple[frozenset[str], frozenset[str]]:
     """``t``'s free type and recursion variables, read from ``_ftv`` and
-    ``_frv`` or computed from its children's and written there. Sets are
-    shared as in ``free_vars``. A leaf's are written without a look at
+    ``_frv`` or computed from its children's and written there. A node not
+    yet filled waits on an explicit stack, below a ``None`` and its
+    children, until they are filled, so a type of any depth is fine. Sets
+    are shared as in ``free_vars``. A leaf's are written without a look at
     whether they are there: reading an empty slot raises, which costs more."""
-    c = t.__class__
-    if c is TyVar:
-        ftv, frv = _var_set(t.name), _NO_VARS
-    elif c is RecVar:
-        ftv, frv = _NO_VARS, _var_set(t.name)
-    elif c is Unit or c is Base:
-        ftv = frv = _NO_VARS
-    else:
-        ftv = getattr(t, "_ftv", None)
-        if ftv is not None:
-            return ftv, t._frv
-        if c is Box or c is Mu:
-            ftv, frv = _free(t.body)
-            if c is Mu:
-                frv = _without(frv, (t.var,))
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        c = t.__class__
+        if t is None:  # the children of the node below are filled
+            t = todo.pop()
+            c = t.__class__
+            if c is Box or c is Mu:
+                ftv, frv = t.body._ftv, t.body._frv
+                if c is Mu:
+                    frv = _without(frv, (t.var,))
+            else:
+                a, b = (t.arg, t.res) if c is Fun else (t.left, t.right)
+                ftv, frv = _union(a._ftv, b._ftv), _union(a._frv, b._frv)
+        elif c is TyVar:
+            ftv, frv = _var_set(t.name), _NO_VARS
+        elif c is RecVar:
+            ftv, frv = _NO_VARS, _var_set(t.name)
+        elif c is Unit or c is Base:
+            ftv = frv = _NO_VARS
         else:
-            a, b = (t.arg, t.res) if c is Fun else (t.left, t.right)
-            (ftv, frv), (ftv2, frv2) = _free(a), _free(b)
-            ftv, frv = _union(ftv, ftv2), _union(frv, frv2)
-    _set_ftv(t, ftv)
-    _set_frv(t, frv)
-    return ftv, frv
+            ftv = getattr(t, "_ftv", None)
+            if ftv is None:
+                todo += (t, None, t.body) if c is Box or c is Mu else (
+                    (t, None, t.arg, t.res) if c is Fun else (t, None, t.left, t.right))
+            else:
+                frv = t._frv
+            continue
+        _set_ftv(t, ftv)
+        _set_frv(t, frv)
+    return ftv, frv  # the last node filled or read is ``t``
 
 
 def occurring(t: Type) -> set:

@@ -333,7 +333,7 @@ class Checker:
                 c = t.__class__
                 if c is Var or c is App:
                     ty, usage = self.synth(ctx, t)
-                    if not _types_match(ty, expected):
+                    if not types_match(ty, expected):
                         _fail(TYPE_MISMATCH,
                               f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
                               t.pos)
@@ -479,7 +479,7 @@ class Checker:
     def _case(self, ctx: dict, t: Case, expected: Type | None) -> tuple[Type, UsageMap]:
         """The type and usage of the case ``t``, checked against
         ``expected`` or, where that is None, synthesized: the branch types
-        must then agree up to one unrolling, and the rolled one is taken.
+        must then match up to unrolling, and a rolled one is taken.
         Each branch discharges its pattern's binders, and the branch usages
         merge before the scrutinee's is added."""
         scrut_ty = t.scrut_annot
@@ -501,7 +501,7 @@ class Checker:
                 if result is None:
                     result = ty
                 elif not types_equal(result, ty):
-                    if not _types_match(result, ty):
+                    if not types_match(result, ty):
                         _fail(TYPE_MISMATCH,
                               f"branches disagree: {pretty_type(result)} vs {pretty_type(ty)}",
                               t.pos)
@@ -539,7 +539,7 @@ class Checker:
     # -- derive nodes ----------------------------------------------------------
 
     def _derive(self, t: Derive, expected: Type | None) -> Type:
-        """The type of the derive node ``t``, which must be ``expected``
+        """The type of the derive node ``t``, which must match ``expected``
         where that is given. push, pull and fmap read their grades off
         ``expected``, so they need it. The derived term is kept on ``t``."""
         kind, at, sr, pos = t.kind, t.at, self.sr, t.pos
@@ -599,13 +599,9 @@ class Checker:
                 raise CheckError(Diagnostic(e.code, e.message, pos, e.grades)) from e
             object.__setattr__(t, "_elaborated", comb.term)
             ty = comb.type
-            if kind == "fmap":
-                # beta may be instantiated at any type
-                beta = {ty.arg.body.res.name: expected.arg.body.res}
-                if _fmap_result_matches(ty.res.res, expected.res.res, beta):
-                    return expected
-                ty = Fun(expected.arg, Fun(at, subst_tyvars(ty.res.res, beta)))
-        if expected is not None and not types_equal(ty, expected):
+            if kind == "fmap":  # beta may be instantiated at any type
+                ty = subst_tyvars(ty, {ty.arg.body.res.name: expected.arg.body.res})
+        if expected is not None and not types_match(ty, expected):
             _fail(TYPE_MISMATCH,
                   f"{kind} @{pretty_type(at)} has type {pretty_type(ty)}, "
                   f"expected {pretty_type(expected)}", pos)
@@ -641,43 +637,63 @@ def _match_pull_arg(s: Type, a: Type, rs: dict[str, Grade], pos: Pos | None) -> 
     return False
 
 
-def _unrolled(ty: Mu) -> Type:
-    """``ty`` unrolled until a constructor shows. A recursion variable
-    under its leading mus, as in ``mu X . X``, unrolls to such a mu again,
-    so no value has the type, and it stays as it is."""
+def _unguarded(ty: Mu) -> bool:
+    """Whether ``ty`` unrolls to a mu again before a constructor shows, as ``mu X . X``."""
     head = ty.body
     while head.__class__ is Mu:
         head = head.body
-    if head.__class__ is RecVar:
-        return ty
-    while ty.__class__ is Mu:
-        ty = unroll_mu(ty)
+    return head.__class__ is RecVar
+
+
+def _unrolled(ty: Mu) -> Type:
+    """``ty`` unrolled until a constructor shows; an unguarded mu stays."""
+    if not _unguarded(ty):
+        while ty.__class__ is Mu:
+            ty = unroll_mu(ty)
     return ty
 
 
-def _types_match(a: Type, b: Type) -> bool:
-    """Equality up to one unrolling of a recursive type on either side
-    (values cross the mu boundary freely)."""
+def types_match(a: Type, b: Type) -> bool:
+    """Whether the closed types ``a`` and ``b`` are equal up to unrolling a
+    mu at any position. Past the ``types_equal`` fast path, a loop over an
+    explicit stack of pairs unrolls a mu of each pair by one step, unless
+    ``types_equal`` holds or the pair was met before (Amadio and Cardelli).
+    A mu is unrolled once per call and pairs are known by identity, so the
+    loop ends and hashes no type. An unguarded mu is never unrolled."""
     if types_equal(a, b):
         return True
-    if isinstance(a, Mu) and types_equal(unroll_mu(a), b):
-        return True
-    return isinstance(b, Mu) and types_equal(a, unroll_mu(b))
-
-
-def _fmap_result_matches(got: Type, want: Type, beta: dict[str, Type]) -> bool:
-    """Whether fmap's result ``got``, before ``beta`` is put in, checks
-    against ``want`` as its derived term would: that term rebuilds each sum
-    and product by a constructor, which unrolls a mu it is checked against,
-    and elsewhere gives a type that matches up to one unrolling."""
-    c = got.__class__
-    if c is Tensor or c is Sum:
-        if want.__class__ is Mu:
-            want = _unrolled(want)
-        return (want.__class__ is c
-                and _fmap_result_matches(got.left, want.left, beta)
-                and _fmap_result_matches(got.right, want.right, beta))
-    return _types_match(subst_tyvars(got, beta), want)
+    unrolled: dict = {}  # the identity of a mu -> the mu, kept alive, and its unrolling
+    assumed: set = set()  # the identities of the pairs with a mu met so far
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        c = a.__class__
+        if a is b:
+            continue
+        if c is Mu or b.__class__ is Mu:
+            if (id(a), id(b)) in assumed or types_equal(a, b):
+                continue
+            assumed.add((id(a), id(b)))
+            t = a if c is Mu else b
+            hit = unrolled.get(id(t))
+            if hit is None:
+                hit = unrolled[id(t)] = (t, t if _unguarded(t) else unroll_mu(t))
+            if hit[1] is t:  # unguarded
+                return False
+            todo.append((hit[1], b) if t is a else (a, hit[1]))
+        elif c is not b.__class__:
+            return False
+        elif c is Fun:
+            todo += ((a.res, b.res), (a.arg, b.arg))
+        elif c is Tensor or c is Sum:
+            todo += ((a.right, b.right), (a.left, b.left))
+        elif c is Box:
+            if a.grade != b.grade:
+                return False
+            todo.append((a.body, b.body))
+        elif c is not Unit and a.name != b.name:  # a type or recursion variable, a base
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Checker behaviour: a 40-program corpus with hand-derived verdicts, plus
 the weakening/dereliction invariants and usage bookkeeping."""
 
+import random
 import re
 
 import pytest
@@ -10,9 +11,12 @@ from grlin.evaluator import run_main
 from grlin.parser import parse_program, parse_term, parse_type
 from grlin.typecheck import (
     CheckError, Checker, Graded, Linear, check_program, check_term,
-    merge_branch_usages, synth_term,
+    merge_branch_usages, synth_term, types_match,
 )
-from grlin.syntax import Base, TyVar, unroll_mu
+from grlin.syntax import (
+    Base, Box, Fun, Mu, RecVar, Sum, Tensor, TyVar, Unit, types_equal, unroll_mu,
+)
+from conftest import rand_type
 
 # Each entry: (name, source, expected diagnostic codes in order).
 # Positive cases exercise every typing rule: var/abs/app, promotion and its
@@ -344,6 +348,125 @@ def test_a_synthesized_case_takes_the_rolled_branch_type():
     for a, b in ((rolled, unroll_mu(rolled)), (unroll_mu(rolled), rolled)):
         ty, usage = synth_term(ctx, term, G.NAT_EXACT, {"a": a, "b": b})
         assert (ty, usage) == (rolled, {"s": 1})
+
+
+# A reference for ``types_match``: both types unfolded to a fixed depth.
+
+def unfolded(t, depth: int):
+    """``t`` as a tree of nested tuples down to ``depth`` constructors, with
+    each mu unrolled until a constructor shows; ``...`` stands for what lies
+    deeper. A mu that shows none after as many unrollings as it has leading
+    mus, such as ``mu X . X``, is a leaf that keeps its binding structure."""
+    if depth == 0:
+        return "..."
+    if isinstance(t, Mu):
+        leading, head = 0, t
+        while isinstance(head, Mu):
+            leading, head = leading + 1, head.body
+        for _ in range(leading):
+            t = unroll_mu(t)
+        if isinstance(t, Mu):
+            binders, head = [], t
+            while isinstance(head, Mu):
+                binders, head = [head.var] + binders, head.body
+            return ("unguarded", leading, binders.index(head.name))
+    d = depth - 1
+    if isinstance(t, Fun):
+        return ("->", unfolded(t.arg, d), unfolded(t.res, d))
+    if isinstance(t, (Tensor, Sum)):
+        return (type(t).__name__, unfolded(t.left, d), unfolded(t.right, d))
+    if isinstance(t, Box):
+        return ("box", t.grade, unfolded(t.body, d))
+    return (type(t).__name__, getattr(t, "name", None))
+
+
+def unrolled_somewhere(t, rng: random.Random, budget: int = 3):
+    """``t`` with mus unrolled at random positions: at the top, under a box,
+    in a pair or a sum, in a function's argument or result, in a mu's body;
+    at most ``budget`` unrollings on any path."""
+    if isinstance(t, Mu) and budget and rng.random() < 0.5:
+        return unrolled_somewhere(unroll_mu(t), rng, budget - 1)
+    if isinstance(t, Fun):
+        return Fun(unrolled_somewhere(t.arg, rng, budget), unrolled_somewhere(t.res, rng, budget))
+    if isinstance(t, (Tensor, Sum)):
+        return type(t)(unrolled_somewhere(t.left, rng, budget),
+                       unrolled_somewhere(t.right, rng, budget))
+    if isinstance(t, Box):
+        return Box(t.grade, unrolled_somewhere(t.body, rng, budget))
+    if isinstance(t, Mu):
+        return Mu(t.var, unrolled_somewhere(t.body, rng, budget))
+    return t
+
+
+def mutated(t, rng: random.Random):
+    """``t`` with each leaf other than a recursion variable turned into
+    another one with probability 1/4."""
+    if isinstance(t, Fun):
+        return Fun(mutated(t.arg, rng), mutated(t.res, rng))
+    if isinstance(t, (Tensor, Sum)):
+        return type(t)(mutated(t.left, rng), mutated(t.right, rng))
+    if isinstance(t, Box):
+        return Box(t.grade, mutated(t.body, rng))
+    if isinstance(t, Mu):
+        return Mu(t.var, mutated(t.body, rng))
+    if isinstance(t, RecVar) or rng.random() < 0.75:
+        return t
+    return rng.choice([x for x in (Unit(), Base("Int"), TyVar("a"), TyVar("b"))
+                       if not types_equal(x, t)])
+
+
+def match_pairs(seed: int, n: int) -> list:
+    """Seeded pairs of closed types: a type against copies of it unrolled
+    at random positions, two such copies, and copies of a type and of a
+    mutation of it."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n):
+        t = rand_type(3, rng.choice([G.NAT_EXACT, G.INTERVAL]), rng)
+        u, v = unrolled_somewhere(t, rng), unrolled_somewhere(t, rng)
+        pairs += [(t, u), (u, v), (u, unrolled_somewhere(mutated(t, rng), rng))]
+    return pairs
+
+
+def disagreements(match, pairs, depth: int = 8) -> list:
+    """The pairs on which ``match`` disagrees with the reference, or with
+    itself on the pair swapped."""
+    return [(a, b) for a, b in pairs
+            if match(a, b) != (unfolded(a, depth) == unfolded(b, depth))
+            or match(b, a) != match(a, b)]
+
+
+def top_only(a, b) -> bool:
+    """A planted mutant of ``types_match``: one unrolling at the top only."""
+    return (types_equal(a, b) or isinstance(a, Mu) and types_equal(unroll_mu(a), b)
+            or isinstance(b, Mu) and types_equal(a, unroll_mu(b)))
+
+
+def test_types_match_agrees_with_the_unfolded_trees():
+    pairs = match_pairs(seed=23, n=400)
+    assert not disagreements(types_match, pairs)
+    # the pairs take both answers, and tell the mutant from the match
+    verdicts = [types_match(a, b) for a, b in pairs]
+    assert min(verdicts.count(True), verdicts.count(False)) > len(pairs) // 20
+    assert len(disagreements(top_only, pairs)) > len(pairs) // 20
+
+
+def test_types_match_keeps_an_unguarded_mu_as_it_is():
+    """``mu X . X`` unrolls to itself, so it matches only what
+    ``types_equal`` matches, at the top or below a constructor; a mu whose
+    body is a mu that binds nothing unrolls to that mu."""
+    pairs = [("mu X . X", "mu Y . Y", True), ("mu X . X", "mu X . mu Y . X", False),
+             ("mu X . mu Y . X", "mu Z . mu W . Z", True),
+             ("mu X . mu Y . Y", "mu X . mu Y . X", False),
+             ("Unit + (mu X . X)", "mu Z . Unit + (mu X . X)", True),
+             ("mu X . X", "mu X . Unit + X", False),
+             # the inner mu unrolls to the outer one, one step at a time
+             ("mu Y . Res -o mu Z . Y", "Res -o mu Z . Res -o mu Z . mu Y . Res -o mu Z . Y", True),
+             ("mu Y . Res -o mu Z . Y", "mu Y . Res -o Res -o Y", True),
+             ("mu Y . Res -o mu Z . Y", "Res -o mu Z . Res -o mu Z . Int", False)]
+    for a, b, want in pairs:
+        assert types_match(parse_type(a), parse_type(b)) is want, (a, b)
+        assert types_match(parse_type(b), parse_type(a)) is want, (b, a)
 
 
 @pytest.mark.parametrize("src, rendered", [
