@@ -12,10 +12,10 @@ in an environment that maps its free variables to closures, so no step
 substitutes. Weak head normal forms are computed on an explicit continuation
 stack, and normal forms are read back from a work list (Grégoire & Leroy,
 ICFP 2002), so neither a long reduction nor a deep result uses the Python
-stack. Each rule costs one step of fuel, as a substituting normalizer would
-spend it: a closure is evaluated afresh at each use, a scrutinee forced by
-one branch is reused by the next, and a neutral term is evaluated again
-wherever it is read back.
+stack. Each rule costs one step of fuel. A closure is evaluated afresh at
+each use, and a scrutinee forced by one branch is reused by the next. A
+neutral term is a value that the machine accumulates (Grégoire & Leroy's
+accumulator), so read-back walks each part of a stuck term once.
 
 A case branch's pattern is matched by a plan, compiled on its first match
 and cached on the pattern node: a flat list of its tests in the left to
@@ -28,8 +28,7 @@ kept on it; one never checked is elaborated from its subject alone.
 
 ``count_uses`` counts how often the machine forces each binding instance,
 which under call by name is how often its value is demanded: what a grade
-bounds. Forcing an alias forces what it names, and a neutral read back
-twice counts twice (see ``count_uses``).
+bounds. Forcing an alias forces what it names.
 """
 
 from __future__ import annotations
@@ -78,7 +77,8 @@ class Fuel:
 #
 # A closure is a plain tuple (term, env); env maps names to closures and
 # values. A closure whose term is a Lam, Con, Promote, IntLit or Derive is a
-# value. The other values are the objects below.
+# value. The other values are the objects below; ``whnf`` returns each as it
+# is, the neutrals NVar, NApp and NCase too.
 # ---------------------------------------------------------------------------
 
 _VALUE_TERMS = frozenset({Lam, Con, Promote, IntLit, Derive})
@@ -119,8 +119,8 @@ class NVar:
 
 
 class NApp:
-    """A neutral applied to a closure; also ``drop`` at a base type applied
-    to a closure whose value is neutral (``fn`` is then the derive value)."""
+    """A neutral applied to a closure; also ``drop`` at a base type stuck on
+    a neutral (``fn`` is then the derive value and ``arg`` that neutral)."""
     __slots__ = ("fn", "arg")
 
     def __init__(self, fn, arg):
@@ -215,20 +215,11 @@ class Evaluator:
                 fuel.spend()
                 env, t = t.env, t.node.bound
                 continue
-            elif k is NApp:
-                push((_ARG, t.arg))
-                t, env = _split(t.fn)
-                continue
-            elif k is NCase:
-                t, env, frame = self._select(t.node, t.env, 0, t.scrut)
-                if frame:
-                    push(frame)
-                continue
             elif k is _Use:
                 t.count += 1
                 t, env = _split(t.value)
                 continue
-            else:  # VCon, VBox, NVar
+            else:  # VCon, VBox or a neutral
                 v = t
 
             # -- return v to the innermost frame ------------------------------
@@ -268,7 +259,7 @@ class Evaluator:
                         fuel.spend()
                         v = (UNIT_TERM, {})
                     elif type(v) in _NEUTRALS:
-                        v = NApp(f[1], f[2])
+                        v = NApp(f[1], v)
                     else:
                         raise StuckTerm(f"drop @{f[1][0].at.name} applied to "
                                         f"{pretty_term(self.quote(v))}")
@@ -638,10 +629,7 @@ def count_uses(t: Term, fuel: Fuel | None = None):
 
     An instance is the environment entry a beta, a case match or a letrec
     makes. Passing it on is not a force, so forcing an alias also counts
-    the instance it names, along the whole chain. Read-back evaluates a
-    neutral again wherever it meets it, so a use under a stuck term can
-    count twice: the counts are exact for closed programs whose result
-    type is first order."""
+    the instance it names, along the whole chain."""
     uses: list[_Use] = []
     Evaluator(fuel or Fuel(), uses).normalize(t, deep=True)
     out: dict[tuple[str, Pos | None], list[int]] = {}
