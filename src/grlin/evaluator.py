@@ -381,8 +381,7 @@ class Evaluator:
         if names.isdisjoint(binders):
             return {}
         fv = free_vars(body)
-        reach = {y for z in fv if z not in binders
-                 for y in (free_vars(self.quote(env[z])) if z in env else (z,))}
+        reach = _free_names(fv.difference(binders), env)
         clash = [x for x in binders if x in reach]
         if not clash:
             return {}
@@ -417,6 +416,52 @@ class Evaluator:
             return App(self.quote(c.fn), self.quote(c.arg))
         case = self.quote((c.node, c.env))
         return Case(self.quote(c.scrut), case.branches, case.pos, case.scrut_annot)
+
+
+def _free_names(names, env: dict) -> set[str]:
+    """The free names of the term that ``quote`` would build for ``names``
+    in ``env``: a name bound there stands for the free names of its closure
+    or value. They are collected on an explicit stack without building a
+    term, and each closure or value is visited once, so a ``Rec``'s cycle
+    ends. A ``Rec`` stands for ``LetRec(var, bound, bound)``, whose free
+    names are its bound's less ``var``."""
+    found: set[str] = set()
+    seen: set[int] = set()
+    todo: list = []
+    while True:
+        for y in names:
+            e = env.get(y)
+            if e is None:
+                found.add(y)
+            else:
+                todo.append(e)
+        names = ()
+        if not todo:
+            return found
+        c = todo.pop()
+        if id(c) in seen:
+            continue
+        seen.add(id(c))
+        k = type(c)
+        if k is tuple:
+            names, env = free_vars(c[0]), c[1]
+        elif k is Rec:
+            names, env = free_vars(c.node.bound).difference((c.node.var,)), c.env
+        elif k is NCase:
+            names, env = set(), c.env
+            for p, b in c.node.branches:
+                names.update(free_vars(b).difference(pattern_vars(p)))
+            todo.append(c.scrut)
+        elif k is NVar:
+            found.add(c.name)
+        elif k is NApp:
+            todo += (c.fn, c.arg)
+        elif k is VCon:
+            todo += c.args
+        elif k is VBox:
+            todo.append(c.body)
+        else:  # _Use
+            todo.append(c.value)
 
 
 def _split(c):
