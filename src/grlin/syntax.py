@@ -245,24 +245,55 @@ def subst_tyvars(t: Type, sub: dict[str, Type]) -> Type:
 
 def subst_recvar(t: Type, name: str, value: Type) -> Type:
     """Capture-avoiding substitution of a recursion variable. A mu binder
-    that ``value`` would capture is renamed where ``name`` occurs below it."""
+    that ``value`` would capture is renamed where ``name`` occurs below it:
+    its body is renamed first, then substituted.
+
+    Only the nodes above an occurrence are rebuilt, on an explicit stack, so
+    a type of any depth is fine. ``todo`` holds the types to substitute into
+    and, below the children of a node, ``(node,)``, which rebuilds it from
+    their results on ``done``; a mu's is ``(binder,)``. A renamed mu body is
+    substituted into once ``(binder, name, value)`` restores the outer
+    substitution."""
     if name not in free_recvars(t):
         return t
-    c = t.__class__
-    if c is RecVar:
-        return value
-    if c is Fun:
-        return Fun(subst_recvar(t.arg, name, value), subst_recvar(t.res, name, value))
-    if c is Tensor or c is Sum:
-        return c(subst_recvar(t.left, name, value), subst_recvar(t.right, name, value))
-    if c is Box:
-        return Box(t.grade, subst_recvar(t.body, name, value))
-    body = t.body
-    if t.var in free_recvars(value):
-        fresh = _fresh_recvar(t.var, free_recvars(value) | free_recvars(body))
-        body = subst_recvar(body, t.var, RecVar(fresh))
-        return Mu(fresh, subst_recvar(body, name, value))
-    return Mu(t.var, subst_recvar(body, name, value))
+    done: list[Type] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        c = t.__class__
+        if c is tuple:
+            if len(t) == 3:
+                fresh, name, value = t
+                todo += ((fresh,), done.pop())
+                continue
+            t = t[0]
+            c = t.__class__
+            if c is str:
+                t = Mu(t, done.pop())
+            elif c is Box:
+                t = Box(t.grade, done.pop())
+            else:
+                t = done.pop()
+                t = c(done.pop(), t)
+            done.append(t)
+        elif name not in free_recvars(t):
+            done.append(t)
+        elif c is RecVar:
+            done.append(value)
+        elif c is Mu:
+            if t.var in free_recvars(value):
+                fresh = _fresh_recvar(t.var, free_recvars(value) | free_recvars(t.body))
+                todo += ((fresh, name, value), t.body)
+                name, value = t.var, RecVar(fresh)
+            else:
+                todo += ((t.var,), t.body)
+        elif c is Box:
+            todo += ((t,), t.body)
+        elif c is Fun:
+            todo += ((t,), t.res, t.arg)
+        else:
+            todo += ((t,), t.right, t.left)
+    return done[0]
 
 
 def _fresh_recvar(base: str, avoid: set[str]) -> str:
