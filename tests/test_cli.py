@@ -494,6 +494,51 @@ def test_a_mu_with_a_deep_body_checks_and_runs(capsys, tmp_path, program):
     assert run_cli(capsys, "run", str(path)) == (0, "inl unit\n", "")
 
 
+SPINE_ARGS = " ".join(str(i) for i in range(DEEP))
+SPINE_TYPE = "(" + "Int -o " * DEEP + "Int)"
+
+
+def test_a_long_stuck_spine_runs(capsys, tmp_path):
+    """Read-back walks the neutral spine once, not once per argument."""
+    path = tmp_path / "spine.grm"
+    path.write_text(f"main : {SPINE_TYPE} -o Int\nmain = \\f -> f {SPINE_ARGS}\n")
+    assert run_cli(capsys, "run", str(path)) == (0, f"\\f -> f {SPINE_ARGS}\n", "")
+
+
+def test_a_long_stuck_spine_under_a_renamed_binder_runs(capsys, tmp_path):
+    """The inner ``f`` would capture the spine's ``f``: read-back collects
+    the spine's free names without building its term, and renames."""
+    path = tmp_path / "k.grm"
+    path.write_text("k : Int -o ((Int [0]) -o Int)\nk = \\y -> \\f -> case f of [_] -> y\n\n"
+                    f"main : {SPINE_TYPE} -o ((Int [0]) -o Int)\n"
+                    f"main = \\f -> k (f {SPINE_ARGS})\n")
+    assert run_cli(capsys, "run", str(path)) == (
+        0, f"\\f -> \\f_1 -> case f_1 of [_] -> f {SPINE_ARGS}\n", "")
+
+
+def deep_recvar(depth):
+    return "mu X . Unit + (" + "(" * depth + "X" + " * Unit)" * depth + ")"
+
+
+@pytest.mark.parametrize("ty", [
+    deep_recvar(1_000),
+    "".join(f"mu X{i} . " for i in range(1_000)) + "Unit + X0",
+], ids=["deep", "leading"])
+def test_unrolling_a_deep_recursion_variable_checks_and_runs(capsys, tmp_path, ty):
+    """Substituting for the recursion variable rebuilds the path to it
+    without recursion, through nested pairs or through other mus."""
+    path = tmp_path / "mu.grm"
+    path.write_text(f"main : {ty}\nmain = inl unit\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+    assert run_cli(capsys, "run", str(path)) == (0, "inl unit\n", "")
+
+
+def test_a_recursion_variable_at_the_deepest_depth_checks(capsys, tmp_path):
+    path = tmp_path / "mu.grm"
+    path.write_text(f"main : {deep_recvar(DEEP)}\nmain = inl unit\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+
+
 def one_diagnostic(err: str, path, code: str) -> bool:
     return re.fullmatch(re.escape(str(path)) + rf":\d+:\d+: {code}: [^\n]*\n", err) is not None
 

@@ -300,6 +300,47 @@ def test_reading_back_open_terms(src, printed, spent):
     assert fuel.spent == spent
 
 
+def test_count_uses_reads_a_stuck_drop_once():
+    """The drop stuck on ``x`` keeps the neutral it forced, so read-back
+    does not force ``y`` again."""
+    counts = {name: n for (name, _), n in
+              count_uses(parse_term(r"\x -> (\y -> drop @Int y) x")).items()}
+    assert counts == {"y": [1]}
+
+
+def test_read_back_walks_each_stuck_term_once(monkeypatch):
+    """A neutral is a value: a spine of n arguments is built from n
+    applications once, and a stuck case is never selected from again."""
+    n = 1_000
+    made = []
+    init = E.NApp.__init__
+
+    def counted_init(self, fn, arg):
+        made.append(None)
+        init(self, fn, arg)
+
+    selected = []
+    select = E.Evaluator._select
+
+    def counted_select(self, *args):
+        selected.append(None)
+        return select(self, *args)
+
+    monkeypatch.setattr(E.NApp, "__init__", counted_init)
+    monkeypatch.setattr(E.Evaluator, "_select", counted_select)
+    spine = Var("f")
+    for _ in range(n):
+        spine = App(spine, IntLit(0))
+    deep_normalize(Lam("f", spine))
+    assert len(made) == n
+    cases = Var("x")
+    for _ in range(n):
+        cases = Case(cases, ((PCon("inl", (PVar("a"),)), Con("inl", (Var("a"),))),
+                             (PCon("inr", (PVar("b"),)), Con("inr", (Var("b"),)))))
+    assert alpha_eq(deep_normalize(Lam("x", cases)), Lam("x", cases))
+    assert len(selected) <= n
+
+
 def test_printed_values_reparse():
     prog = parse_program(
         "main : (Unit + Int) * (Int [2])\nmain = (inr 3, [4])\n")
