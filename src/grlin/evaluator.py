@@ -329,7 +329,7 @@ class Evaluator:
                         out.append(term)
                 elif k is Lam:
                     names = set(free_vars(t)) if names is None else names
-                    x = self._rename((term.var,), term.body, env, names).get(
+                    x = _rename((term.var,), term.body, env, names).get(
                         term.var, term.var)
                     names.add(x)
                     todo.append(_Build(1, lambda ps, x=x, t=term: Lam(x, ps[0], t.pos)))
@@ -363,7 +363,7 @@ class Evaluator:
                 pats, bodies = [], []
                 for p, b in node.branches:
                     binders = pattern_vars(p)
-                    mapping = self._rename(binders, b, env, names)
+                    mapping = _rename(binders, b, env, names)
                     names.update(mapping.get(x, x) for x in binders)
                     pats.append(_rename_pattern(p, mapping) if mapping else p)
                     bodies.append((b, {**env, **{x: NVar(mapping.get(x, x))
@@ -373,24 +373,6 @@ class Evaluator:
                 todo.extend(reversed(bodies))
                 todo.append(v.scrut)
         return out[0]
-
-    def _rename(self, binders, body: Term, env: dict, names: set) -> dict[str, str]:
-        """New names for the binders of ``body`` that would capture a neutral
-        variable reachable from body's other free variables in ``env``.
-        ``names`` holds every name a neutral variable has had so far."""
-        if names.isdisjoint(binders):
-            return {}
-        fv = free_vars(body)
-        reach = _free_names(fv.difference(binders), env)
-        clash = [x for x in binders if x in reach]
-        if not clash:
-            return {}
-        avoid = reach | fv | set(binders)
-        mapping = {}
-        for x in clash:
-            mapping[x] = fresh_name(x, avoid)
-            avoid.add(mapping[x])
-        return mapping
 
     def quote(self, c) -> Term:
         """The term a closure or value stands for, without evaluating it:
@@ -418,13 +400,35 @@ class Evaluator:
         return Case(self.quote(c.scrut), case.branches, case.pos, case.scrut_annot)
 
 
+def _rename(binders, body: Term, env: dict, names: set) -> dict[str, str]:
+    """New names for the binders of ``body`` that would capture a neutral
+    variable reachable from body's other free variables in ``env``.
+    ``names`` holds every name a neutral variable has had so far."""
+    if names.isdisjoint(binders):
+        return {}
+    fv = free_vars(body)
+    reach = _free_names(fv.difference(binders), env)
+    clash = [x for x in binders if x in reach]
+    if not clash:
+        return {}
+    avoid = reach | fv | set(binders)
+    mapping = {}
+    for x in clash:
+        mapping[x] = fresh_name(x, avoid)
+        avoid.add(mapping[x])
+    return mapping
+
+
 def _free_names(names, env: dict) -> set[str]:
     """The free names of the term that ``quote`` would build for ``names``
     in ``env``: a name bound there stands for the free names of its closure
     or value. They are collected on an explicit stack without building a
-    term, and each closure or value is visited once, so a ``Rec``'s cycle
-    ends. A ``Rec`` stands for ``LetRec(var, bound, bound)``, whose free
-    names are its bound's less ``var``."""
+    term, and each closure or value is visited once, so what environments
+    share is walked once. A ``Rec`` stands for ``LetRec(var, bound,
+    bound)``: its names are its bound's less ``var``, so the cycle through
+    its own environment is not followed. No ``NApp`` or ``NCase`` is
+    reachable from an environment: a neutral that a frame takes becomes
+    part of another neutral, so no beta or match binds one."""
     found: set[str] = set()
     seen: set[int] = set()
     todo: list = []
@@ -447,15 +451,8 @@ def _free_names(names, env: dict) -> set[str]:
             names, env = free_vars(c[0]), c[1]
         elif k is Rec:
             names, env = free_vars(c.node.bound).difference((c.node.var,)), c.env
-        elif k is NCase:
-            names, env = set(), c.env
-            for p, b in c.node.branches:
-                names.update(free_vars(b).difference(pattern_vars(p)))
-            todo.append(c.scrut)
         elif k is NVar:
             found.add(c.name)
-        elif k is NApp:
-            todo += (c.fn, c.arg)
         elif k is VCon:
             todo += c.args
         elif k is VBox:
