@@ -77,8 +77,8 @@ class Fuel:
 #
 # A closure is a plain tuple (term, env); env maps names to closures and
 # values. A closure whose term is a Lam, Con, Promote, IntLit or Derive is a
-# value. The other values are the objects below; ``whnf`` returns each as it
-# is, the neutrals NVar, NApp and NCase too.
+# value. The other values are the objects below. ``whnf`` returns a VCon, a
+# VBox or a neutral (NVar, NApp, NCase) as it is.
 # ---------------------------------------------------------------------------
 
 _VALUE_TERMS = frozenset({Lam, Con, Promote, IntLit, Derive})

@@ -273,8 +273,8 @@ def subst_recvar(t: Type, name: str, value: Type) -> Type:
             elif c is Box:
                 t = Box(t.grade, done.pop())
             else:
-                t = done.pop()
-                t = c(done.pop(), t)
+                right = done.pop()
+                t = c(done.pop(), right)
             done.append(t)
         elif name not in free_recvars(t):
             done.append(t)
