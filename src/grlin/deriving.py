@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from . import grades, syntax
-from .frozen import frozen
+from .frozen import clear_interned, frozen
 from .grades import Grade
 from .parser import pretty_type
 from .syntax import (
@@ -84,8 +84,11 @@ _shared: dict = {}
 
 
 def clear_memo() -> None:
+    """Empty the memo, the shared term nodes and the table of type nodes,
+    so that nothing built before is met again."""
     _memo.clear()
     _shared.clear()
+    clear_interned()
 
 
 def _memoized(key, build):

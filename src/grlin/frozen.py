@@ -2,7 +2,7 @@
 
 ``@frozen`` takes a class whose body declares its fields as annotations and
 builds it again, once, as a slotted class with the methods of a frozen
-record. ``__init__``, ``==`` and ``hash`` are compiled from one source
+record. Its constructor, ``==`` and ``hash`` are compiled from one source
 generated per class, so they run no loop over the fields:
 
 * ``__init__`` writes each field through its slot's member descriptor,
@@ -19,12 +19,39 @@ A field declared with ``field`` stays out of ``==``, ``hash`` and
 ``repr``. With ``init=False`` it is no argument of the constructor either:
 it is a cache, which ``__init__`` sets to its default or, if it has none,
 leaves empty until a reader fills it. A class's fields follow those of its
-``@frozen`` base; ``fields`` lists them in that order.
+``@frozen`` base; ``fields`` lists them in that order. Names in the class
+body's ``__slots__`` are slots besides the fields, which no method here
+reads.
+
+``@frozen(interned=True)`` makes a class, and every ``@frozen`` subclass of
+it, hash-consed (Filliâtre and Conchon, "Type-safe modular hash-consing",
+2006). Its ``__new__`` looks the class and the constructor's arguments up
+in one table, and builds a node only on a miss. So within one generation
+of the table, between two ``clear_interned`` calls, each distinct node is
+built once. A miss writes the node's fields, its hash ``_h`` (that of the
+tuple of its compared fields, which reads each child's ``_h``) and its
+generation ``_gen``, and then calls the node's ``_fill`` to fill its
+other slots; a hit writes nothing. ``hash`` returns ``_h``. ``==`` is
+``is`` between two nodes of one generation. Between generations it walks
+both nodes on an explicit stack, comparing classes and ``_h`` before
+fields, so it gives what the tuple comparison would, at any depth.
 """
 
 from __future__ import annotations
 
 MISSING = object()  # the default of a field that has none
+
+# The interned nodes of this generation, each under the key
+# ``(class, *field values)``; a key holds its nodes' children, so they live.
+_table: dict = {}
+_generation = 0
+
+
+def clear_interned() -> None:
+    """Forget every interned node: the next generation starts empty."""
+    global _generation
+    _generation += 1
+    _table.clear()
 
 
 class FrozenInstanceError(AttributeError):
@@ -78,7 +105,43 @@ def _setstate(self, state):
         object.__setattr__(self, name, value)
 
 
-def frozen(cls):
+def _interned_hash(self):
+    return self._h
+
+
+def _interned_eq(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._gen != other._gen and _same(self, other)
+
+
+def _same(a, b) -> bool:
+    """Whether the interned nodes ``a`` and ``b`` have equal compared
+    fields, by one walk over an explicit stack of pairs. An identical pair
+    is equal; two interned nodes of one class, equal hashes and different
+    generations are walked into; two of one generation are not equal; any
+    other pair is compared with ``==``."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        c = a.__class__
+        if getattr(c, "__frozen_interned__", False):
+            if b.__class__ is not c or a._h != b._h or a._gen == b._gen:
+                return False
+            todo += reversed([(getattr(a, f.name), getattr(b, f.name))
+                              for f in c.__frozen_fields__ if f.compare])
+        elif not a == b:
+            return False
+    return True
+
+
+def frozen(cls=None, *, interned: bool = False):
+    if cls is None:
+        return lambda cls: frozen(cls, interned=interned)
     body = dict(cls.__dict__)
     own = []
     for name in body.get("__annotations__", {}):
@@ -86,10 +149,18 @@ def frozen(cls):
         own.append(Field(name, spec.default, spec.init, False) if spec.__class__ is Field
                    else Field(name, spec, True, True))
     every = getattr(cls, "__frozen_fields__", ()) + tuple(own)
+    extra = body.pop("__slots__", ())
+    extra = (extra,) if isinstance(extra, str) else tuple(extra)
+    for name in extra:
+        body.pop(name, None)  # the slot of the class being built again
+    if interned and not getattr(cls, "__frozen_interned__", False):
+        extra = ("_h", "_gen") + extra
+    interned = interned or getattr(cls, "__frozen_interned__", False)
     body.pop("__dict__", None)
     body.pop("__weakref__", None)
-    body.update(__slots__=tuple(f.name for f in own), __qualname__=cls.__qualname__,
-                __frozen_fields__=every, __setattr__=_setattr, __delattr__=_delattr,
+    body.update(__slots__=tuple(f.name for f in own) + extra, __qualname__=cls.__qualname__,
+                __frozen_fields__=every, __frozen_interned__=interned,
+                __setattr__=_setattr, __delattr__=_delattr,
                 __reduce__=_reduce, __setstate__=_setstate, __repr__=_repr)
     cls = type(cls)(cls.__name__, cls.__bases__, body)
 
@@ -106,6 +177,33 @@ def frozen(cls):
     shown = [f.name for f in every if f.compare]
     mine = "".join(f"self.{n}," for n in shown)
     theirs = "".join(f"other.{n}," for n in shown)
+    if interned:
+        # ``__new__`` is made by a function that closes over the setters, so
+        # it reads them as fast as locals and ``_generation`` from this
+        # module's globals.
+        env.update(_get=_table.get, _new=object.__new__,
+                   _set__h=cls._h.__set__, _set__gen=cls._gen.__set__)
+        given = "".join(f"{f.name}," for f in every if f.init)
+        scope: dict = {}
+        exec(f"def _make({', '.join(env)}):\n"
+             f" def __new__(cls, {', '.join(params)}):\n"
+             f"  key = (cls, {given})\n"
+             "  self = _get(key)\n"
+             "  if self is None:\n"
+             "   self = _new(cls)\n"
+             + "".join(" " + s for s in sets) +
+             f"   _set__h(self, hash(({mine})))\n"
+             "   _set__gen(self, _generation)\n"
+             "   self._fill()\n"
+             "   _table[key] = self\n"
+             "  return self\n"
+             " return __new__\n", globals(), scope)
+        new = scope["_make"](*env.values())
+        new.__qualname__ = f"{cls.__qualname__}.__new__"
+        new.__module__ = cls.__module__
+        cls.__new__ = staticmethod(new)
+        cls.__eq__, cls.__hash__ = _interned_eq, _interned_hash
+        return cls
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(sets)}  pass\n"
          "def __eq__(self, other):\n"
          "  if other.__class__ is self.__class__:\n"

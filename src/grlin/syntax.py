@@ -47,22 +47,79 @@ class Pos(NamedTuple):
         return f"{self.file}:{self.line}:{self.col}"
 
 
+# Shared sets of names: one empty set, one set per name, and a set itself
+# wherever a union or a binder adds or removes nothing.
+_NO_VARS: frozenset[str] = frozenset()
+_VAR_SETS: dict[str, frozenset[str]] = {}
+
+
+def _var_set(name: str) -> frozenset[str]:
+    fv = _VAR_SETS.get(name)
+    if fv is None:
+        fv = _VAR_SETS[name] = frozenset((name,))
+    return fv
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(fv: frozenset[str], names) -> frozenset[str]:
+    if fv.isdisjoint(names):
+        return fv
+    fv = fv.difference(names)
+    return fv if fv else _NO_VARS
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
-def _fact():
-    """A fact about a type node: cached by the function that reads it
-    first, left empty by ``__init__`` and out of ``==``, ``hash`` and
-    ``repr``."""
-    return field(init=False)
-
-
-@frozen
+@frozen(interned=True)
 class Type:
-    _ftv: frozenset[str] = _fact()
-    _frv: frozenset[str] = _fact()
-    _multi: int = _fact()
+    """A type node, built once per generation of the table (``frozen``).
+    ``_fill`` gives a node its facts from those of its children: the free
+    type variables ``_ftv`` and the free recursion variables ``_frv``
+    (``free_tyvars`` and ``free_recvars``), and the constructor count
+    ``_multi`` (``multi_constructor``), which is None where the node has
+    free recursion variables. A mu's ``_unrolled`` is None until
+    ``unroll_mu`` fills it."""
+    __slots__ = ("_ftv", "_frv", "_multi")
+
+    def _fill(self) -> None:
+        c = self.__class__
+        try:
+            if c is Fun or c is Tensor or c is Sum:
+                a, b = (self.arg, self.res) if c is Fun else (self.left, self.right)
+                ftv, frv = _union(a._ftv, b._ftv), _union(a._frv, b._frv)
+                multi = (None if frv else 1 if c is Fun
+                         else min(2, 2 * (a._multi + b._multi)) if c is Sum
+                         else min(2, a._multi * b._multi))
+            elif c is Box:
+                ftv, frv, multi = self.body._ftv, self.body._frv, self.body._multi
+            elif c is Mu:
+                _set_unrolled(self, None)
+                _set_multi(self, None)
+                ftv, frv = self.body._ftv, _without(self.body._frv, (self.var,))
+                multi = None if frv else _count(self, {})
+            elif c is TyVar:
+                ftv, frv, multi = _var_set(self.name), _NO_VARS, 1
+            elif c is RecVar:
+                ftv, frv, multi = _NO_VARS, _var_set(self.name), None
+            elif c is Unit or c is Base:
+                ftv = frv = _NO_VARS
+                multi = 2 if c is Base and self.name in WEAKENABLE_BASES else 1
+            else:
+                return
+        except AttributeError:  # a child is no type node: no facts
+            return
+        _set_ftv(self, ftv)
+        _set_frv(self, frv)
+        _set_multi(self, multi)
 
 
 _set_ftv, _set_frv, _set_multi = (Type.__dict__[f].__set__
@@ -112,6 +169,10 @@ class RecVar(Type):
 class Mu(Type):
     var: str
     body: Type
+    __slots__ = ("_unrolled",)
+
+
+_set_unrolled = Mu.__dict__["_unrolled"].__set__
 
 
 @frozen
@@ -119,12 +180,12 @@ class Base(Type):
     name: str  # "Int" or "Res"
 
 
+# Base-type classification: Int is weakenable (droppable), Res is linear-only.
+WEAKENABLE_BASES = frozenset({"Int"})
+
 UNIT = Unit()
 INT = Base("Int")
 RES = Base("Res")
-
-# Base-type classification: Int is weakenable (droppable), Res is linear-only.
-WEAKENABLE_BASES = frozenset({"Int"})
 
 
 class IllFormedType(Exception):
@@ -132,8 +193,11 @@ class IllFormedType(Exception):
 
 
 def check_wellformed(t: Type) -> None:
-    """Every recursion variable must be bound by an enclosing mu binder.
-    The first unbound one, left to right, is reported."""
+    """Every recursion variable must be bound by an enclosing mu binder:
+    ``t`` has no free recursion variables. Only to report the first
+    unbound one, left to right, is ``t`` walked."""
+    if not t._frv:
+        return
     bound: list[str] = []  # the binders around the type on top of ``todo``
     todo: list = [t]  # None closes the scope of the innermost binder
     while todo:
@@ -156,55 +220,13 @@ def check_wellformed(t: Type) -> None:
 
 
 def free_tyvars(t: Type) -> frozenset[str]:
-    """The free type variables of ``t``, computed once per node."""
-    ftv = getattr(t, "_ftv", None)
-    return _free(t)[0] if ftv is None else ftv
+    """The free type variables of ``t``."""
+    return t._ftv
 
 
 def free_recvars(t: Type) -> frozenset[str]:
-    """The free recursion variables of ``t``, computed once per node."""
-    frv = getattr(t, "_frv", None)
-    return _free(t)[1] if frv is None else frv
-
-
-def _free(t: Type) -> tuple[frozenset[str], frozenset[str]]:
-    """``t``'s free type and recursion variables, read from ``_ftv`` and
-    ``_frv`` or computed from its children's and written there. A node not
-    yet filled waits on an explicit stack, below a ``None`` and its
-    children, until they are filled, so a type of any depth is fine. Sets
-    are shared as in ``free_vars``. A leaf's are written without a look at
-    whether they are there: reading an empty slot raises, which costs more."""
-    todo: list = [t]
-    while todo:
-        t = todo.pop()
-        c = t.__class__
-        if t is None:  # the children of the node below are filled
-            t = todo.pop()
-            c = t.__class__
-            if c is Box or c is Mu:
-                ftv, frv = t.body._ftv, t.body._frv
-                if c is Mu:
-                    frv = _without(frv, (t.var,))
-            else:
-                a, b = (t.arg, t.res) if c is Fun else (t.left, t.right)
-                ftv, frv = _union(a._ftv, b._ftv), _union(a._frv, b._frv)
-        elif c is TyVar:
-            ftv, frv = _var_set(t.name), _NO_VARS
-        elif c is RecVar:
-            ftv, frv = _NO_VARS, _var_set(t.name)
-        elif c is Unit or c is Base:
-            ftv = frv = _NO_VARS
-        else:
-            ftv = getattr(t, "_ftv", None)
-            if ftv is None:
-                todo += (t, None, t.body) if c is Box or c is Mu else (
-                    (t, None, t.arg, t.res) if c is Fun else (t, None, t.left, t.right))
-            else:
-                frv = t._frv
-            continue
-        _set_ftv(t, ftv)
-        _set_frv(t, frv)
-    return ftv, frv  # the last node filled or read is ``t``
+    """The free recursion variables of ``t``."""
+    return t._frv
 
 
 def occurring(t: Type) -> set:
@@ -309,10 +331,15 @@ class NotAMu(Exception):
 
 
 def unroll_mu(t: Type) -> Type:
-    """One unrolling of a recursive type: mu X. A becomes A[mu X. A / X]."""
-    if not isinstance(t, Mu):
+    """One unrolling of a recursive type: mu X. A becomes A[mu X. A / X].
+    The mu keeps it in ``_unrolled``."""
+    if t.__class__ is not Mu:
         raise NotAMu(f"not a recursive type: {t}")
-    return subst_recvar(t.body, t.var, t)
+    u = t._unrolled
+    if u is None:
+        u = subst_recvar(t.body, t.var, t)
+        _set_unrolled(t, u)
+    return u
 
 
 def multi_constructor(t: Type) -> bool:
@@ -322,45 +349,78 @@ def multi_constructor(t: Type) -> bool:
     counts saturated at 2 and recursion variables starting from 0, which is
     the terminating reading of the unrolling equation for mu types.
     """
-    count = getattr(t, "_multi", None)
+    count = t._multi
     if count is None:
         count = _count(t, {})
-        _set_multi(t, count)
     return count > 1
+
+
+_VAR, _MU = 0, 1  # the steps of ``_count``'s plan that read and set a mu's variable
 
 
 def _count(t: Type, env: dict[str, int]) -> int:
     """``t``'s constructor count, saturated at 2, where ``env`` counts its
-    free recursion variables (0 if absent). A node with none keeps its
-    count in ``_multi``, so a μ's fixpoint runs once per node."""
-    c = t.__class__
-    if c is Unit or c is Fun or c is TyVar:
-        return 1
-    if c is RecVar:
-        return env.get(t.name, 0)
-    if c is Base:
-        # Int literals are distinguishable by matching; Res is abstract.
-        return 2 if t.name in WEAKENABLE_BASES else 1
-    closed = not free_recvars(t)
-    if closed:
-        n = getattr(t, "_multi", None)
+    free recursion variables (0 if absent). A node without any answers from
+    ``_multi``, so only the part of ``t`` with free recursion variables is
+    walked, once, on an explicit stack, into a plan in postorder: a count,
+    ``(_VAR, i)`` for a recursion variable bound by the mu numbered ``i``,
+    ``(Sum,)`` or ``(Tensor,)`` to combine two counts, and ``(_MU, i)``
+    where the body of mu ``i`` is counted. The plan runs until no mu's
+    count changes, each pass with the counts of the pass before; as the
+    counts only grow, this reaches the least fixed point of all the mus at
+    once (Bekić), in at most two passes per mu."""
+    plan: list = []
+    counts: list[int] = []  # each mu's, from 0
+    scope: dict[str, int] = {}  # a name -> the number of its innermost binder
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        c = t.__class__
+        if c is tuple:
+            if len(t) == 1:  # (Sum,) or (Tensor,): the children are planned
+                plan.append(t)
+                continue
+            name, i, outer = t  # the scope of mu i ends
+            if outer is None:
+                del scope[name]
+            else:
+                scope[name] = outer
+            plan.append((_MU, i))
+            continue
+        n = t._multi
         if n is not None:
-            return n
-    if c is Box:
-        n = _count(t.body, env)
-    elif c is Sum:
-        n = min(2, 2 * (_count(t.left, env) + _count(t.right, env)))
-    elif c is Tensor:
-        n = min(2, _count(t.left, env) * _count(t.right, env))
-    elif c is Mu:
-        n = 0
-        while (n2 := _count(t.body, {**env, t.var: n})) != n:
-            n = n2
-    else:
-        raise AssertionError(f"unhandled type: {t}")
-    if closed:
-        _set_multi(t, n)
-    return n
+            plan.append(n)
+        elif c is RecVar:
+            i = scope.get(t.name)
+            plan.append(env.get(t.name, 0) if i is None else (_VAR, i))
+        elif c is Fun:
+            plan.append(1)
+        elif c is Box:
+            todo.append(t.body)
+        elif c is Mu:
+            todo += ((t.var, len(counts), scope.get(t.var)), t.body)
+            scope[t.var] = len(counts)
+            counts.append(0)
+        else:
+            todo += ((c,), t.right, t.left)
+    changed = True
+    while changed:
+        changed = False
+        done: list[int] = []
+        for step in plan:
+            if step.__class__ is int:
+                done.append(step)
+                continue
+            kind = step[0]
+            if kind is Sum or kind is Tensor:
+                right, left = done.pop(), done.pop()
+                done.append(min(2, 2 * (left + right)) if kind is Sum else min(2, left * right))
+            elif kind == _VAR:
+                done.append(counts[step[1]])
+            elif done[-1] != counts[step[1]]:
+                counts[step[1]] = done[-1]
+                changed = True
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,17 +587,6 @@ def pair(a: Term, b: Term) -> Term:
     return Con(",", (a, b))
 
 
-_NO_VARS: frozenset[str] = frozenset()
-_VAR_SETS: dict[str, frozenset[str]] = {}
-
-
-def _var_set(name: str) -> frozenset[str]:
-    fv = _VAR_SETS.get(name)
-    if fv is None:
-        fv = _VAR_SETS[name] = frozenset((name,))
-    return fv
-
-
 def free_vars(t: Term) -> frozenset[str]:
     """The free term variables of ``t``, computed once per node.
 
@@ -597,21 +646,6 @@ def _free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, LetRec):
         return _without(_union(t.bound._fv, t.body._fv), (t.var,))
     return _NO_VARS
-
-
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
-def _without(fv: frozenset[str], names) -> frozenset[str]:
-    if fv.isdisjoint(names):
-        return fv
-    fv = fv.difference(names)
-    return fv if fv else _NO_VARS
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:

@@ -184,6 +184,7 @@ _EXIT = 1  # (_EXIT, name, asm, pos): the lambda's binder leaves scope
 _SCALE = 2  # (_SCALE, grade, pos): the promotion scales the usage
 _LETREC = 3  # (_LETREC, u1, var): add after the bound term's usage, drop var
 _RIGHT = 4  # (_RIGHT, ctx, t, expected): check a pair's right component next
+_ARGS = 5  # (_ARGS, ctx, spine, fn_ty, t, expected): check the next argument
 
 
 class Checker:
@@ -326,17 +327,26 @@ class Checker:
         lambda, promotion or letrec) continues the loop, and
         what it does to the usage on the way out waits on ``post``, to run
         last first once a leaf has given the usage. A pair's right component
-        waits there too, and is checked when its left one is done."""
+        waits there too, and is checked when its left one is done, and so
+        do an application's arguments, left to right, once its head is
+        synthesized."""
         post: list[tuple] = []
         while True:
             while True:
                 c = t.__class__
-                if c is Var or c is App:
+                if c is Var:
                     ty, usage = self.synth(ctx, t)
                     if not types_match(ty, expected):
-                        _fail(TYPE_MISMATCH,
-                              f"expected {pretty_type(expected)}, found {pretty_type(ty)}",
-                              t.pos)
+                        _mismatch(expected, ty, t.pos)
+                    break
+                if c is App:
+                    spine = []  # the applications, the first argument's last
+                    head = t
+                    while head.__class__ is App:
+                        spine.append(head)
+                        head = head.fn
+                    fn_ty, usage = self.synth(ctx, head)
+                    post.append((_ARGS, ctx, spine, fn_ty, t, expected))
                     break
                 if expected.__class__ is Mu and (c is Con or c is Lam or c is Promote
                                                  or c is IntLit):
@@ -404,6 +414,17 @@ class Checker:
                     post.append((_ADD, usage))
                     _, ctx, t, expected = action
                     break
+                if tag == _ARGS:
+                    _, ctx, spine, fn_ty, t, expected = action
+                    if spine:
+                        app = spine.pop()
+                        fn_ty = _applied(fn_ty, app)
+                        post += ((_ARGS, ctx, spine, fn_ty.res, t, expected), (_ADD, usage))
+                        t, expected = app.arg, fn_ty.arg
+                        break
+                    if not types_match(fn_ty, expected):
+                        _mismatch(expected, fn_ty, t.pos)
+                    continue
                 if tag == _ADD:
                     usage = usage_add(action[1], usage)
                 elif tag == _EXIT:
@@ -436,11 +457,7 @@ class Checker:
                 t = t.fn
             fn_ty, usage = self.synth(ctx, t)
             for app in reversed(spine):
-                if fn_ty.__class__ is Mu:
-                    fn_ty = _unrolled(fn_ty)
-                if fn_ty.__class__ is not Fun:
-                    _fail(TYPE_MISMATCH,
-                          f"applying a non-function of type {pretty_type(fn_ty)}", app.pos)
+                fn_ty = _applied(fn_ty, app)
                 usage = usage_add(usage, self.check(ctx, app.arg, fn_ty.arg))
                 fn_ty = fn_ty.res
             return fn_ty, usage
@@ -608,6 +625,19 @@ class Checker:
         return ty
 
 
+def _mismatch(expected: Type, found: Type, pos: Pos | None):
+    _fail(TYPE_MISMATCH, f"expected {pretty_type(expected)}, found {pretty_type(found)}", pos)
+
+
+def _applied(fn_ty: Type, app: App) -> Fun:
+    """The function type ``fn_ty`` that ``app`` applies, unrolled."""
+    if fn_ty.__class__ is Mu:
+        fn_ty = _unrolled(fn_ty)
+    if fn_ty.__class__ is not Fun:
+        _fail(TYPE_MISMATCH, f"applying a non-function of type {pretty_type(fn_ty)}", app.pos)
+    return fn_ty
+
+
 def _match_pull_arg(s: Type, a: Type, rs: dict[str, Grade], pos: Pos | None) -> bool:
     """Whether ``a`` is ``s`` with each type variable boxed, recording
     each variable's grade in ``rs``."""
@@ -658,11 +688,10 @@ def types_match(a: Type, b: Type) -> bool:
     mu at any position. Past the ``types_equal`` fast path, a loop over an
     explicit stack of pairs unrolls a mu of each pair by one step, unless
     ``types_equal`` holds or the pair was met before (Amadio and Cardelli).
-    A mu is unrolled once per call and pairs are known by identity, so the
-    loop ends and hashes no type. An unguarded mu is never unrolled."""
+    Each mu keeps its unrolling, so the loop meets finitely many pairs and
+    ends; pairs are known by identity. An unguarded mu is never unrolled."""
     if types_equal(a, b):
         return True
-    unrolled: dict = {}  # the identity of a mu -> the mu, kept alive, and its unrolling
     assumed: set = set()  # the identities of the pairs with a mu met so far
     todo = [(a, b)]
     while todo:
@@ -675,12 +704,9 @@ def types_match(a: Type, b: Type) -> bool:
                 continue
             assumed.add((id(a), id(b)))
             t = a if c is Mu else b
-            hit = unrolled.get(id(t))
-            if hit is None:
-                hit = unrolled[id(t)] = (t, t if _unguarded(t) else unroll_mu(t))
-            if hit[1] is t:  # unguarded
+            if _unguarded(t):
                 return False
-            todo.append((hit[1], b) if t is a else (a, hit[1]))
+            todo.append((unroll_mu(t), b) if t is a else (a, unroll_mu(t)))
         elif c is not b.__class__:
             return False
         elif c is Fun:

@@ -559,6 +559,27 @@ def test_a_long_application_spine_checks(capsys, tmp_path):
     assert run_cli(capsys, "check", str(path)) == (0, "", "")
 
 
+def nested_applications(n: int, leaf: str) -> str:
+    """``f (f (… (f leaf)…))`` with ``n`` ``f``s."""
+    return "f (" * (n - 1) + f"f {leaf}" + ")" * (n - 1)
+
+
+def test_nested_arguments_check_and_run(capsys, tmp_path):
+    """Each argument of an application is checked in the checker's loop,
+    so arguments nested DEEP deep check, and a mismatch at the innermost
+    one is reported."""
+    path = tmp_path / "nested.grm"
+    sig = f"main : ((Int -o Int) [{DEEP}]) -o Int\n"
+    body = nested_applications(DEEP, "0")
+    path.write_text(f"{sig}main = \\g -> case g of [f] -> {body}\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "", "")
+    assert run_cli(capsys, "run", str(path)) == (0, f"\\g -> case g of [f] -> {body}\n", "")
+    path.write_text(f"{sig}main = \\g -> case g of [f] -> {nested_applications(DEEP, 'unit')}\n")
+    column = len("main = \\g -> case g of [f] -> ") + 3 * DEEP
+    assert run_cli(capsys, "check", str(path)) == (
+        1, "", f"{path}:2:{column}: TYPE_MISMATCH: unit against type Int\n")
+
+
 def test_deep_lambdas_give_a_diagnostic(capsys, tmp_path):
     """2,000 nested lambdas whose body uses only the outermost binder: the
     innermost binder is the first to leave scope unused."""
@@ -679,6 +700,15 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     lines = procs[0].stdout.splitlines()
     assert lines == procs[1].stdout.splitlines()
     assert len(lines) == len(argvs) and "main -> a -> b -> a" in lines[-2]
+
+
+def test_laws_do_not_depend_on_the_hash_seed():
+    """``grlin laws --cases 5``, each in a fresh process, under two hash
+    seeds."""
+    procs = [run_module("laws", "--cases", "5", PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [p.returncode for p in procs] == [0, 0], procs[0].stderr + procs[1].stderr
+    assert procs[0].stdout == procs[1].stdout and procs[0].stderr == procs[1].stderr == ""
+    assert procs[0].stdout.startswith("suite ")
 
 
 def test_two_fmaps_at_one_subject_run_as_checked(capsys, tmp_path):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from grlin import deriving as D
+from grlin import frozen
 from grlin import grades as G
 from grlin import lawcheck as L
 from grlin.deriving import DeriveError
@@ -253,9 +254,32 @@ def test_derivations_share_patterns_and_variables():
     kinds = {type(x) for x, y in pairs if x is y}
     assert {PVar, PCon, PBox, Var} <= kinds and not kinds & {Case, Lam, App, LetRec}
     assert all(x is y for x, y in pairs if type(x) in (PVar, PCon, PBox, Var))
-    assert D._shared
+    assert D._shared and frozen._table
     D.clear_memo()
-    assert not D._shared and not D._memo
+    assert not D._shared and not D._memo and not frozen._table
+
+
+def test_a_derivation_does_not_depend_on_what_was_built_before():
+    """Every sixth subject of the golden corpus, derived from a copy built
+    after ``clear_memo`` and again from one built after another: the two
+    copies are equal nodes of two generations, and the two combinators are
+    equal and print the same ``derive.txt`` entry."""
+    import pickle
+
+    from golden import gen_derive
+    for i, (kind, t, sr, args) in list(enumerate(gen_derive.instances()))[::6]:
+        built = []
+        for _ in range(2):
+            D.clear_memo()
+            subject = pickle.loads(pickle.dumps(t))
+            try:
+                comb = gen_derive.derive(kind, subject, args)
+            except DeriveError as e:
+                comb = (e.code, e.message)
+            built.append((subject, comb, gen_derive.entry(i, kind, subject, sr, args)))
+        (s1, c1, e1), (s2, c2, e2) = built
+        assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2)
+        assert c1 == c2 and e1 == e2, e1
 
 
 def test_memoization_transparency():

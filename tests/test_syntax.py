@@ -19,7 +19,7 @@ from grlin.parser import parse_term, parse_type, pretty_term
 from grlin.syntax import (
     App, Base, Box, Case, Con, Derive, Fun, INT, IntLit, Lam, LetRec, Mu,
     PBox, PCon, PInt, Pos, Promote, PVar, PWild, RecVar, Sum, Tensor, Term,
-    TyVar, UNIT, Unit, Var, alpha_eq, check_wellformed, free_recvars,
+    RES, TyVar, UNIT, Unit, Var, alpha_eq, check_wellformed, free_recvars,
     free_tyvars, free_vars, IllFormedType, multi_constructor, NotAMu,
     pattern_vars, subst_recvar, subst_term, subst_tyvars, Type, types_equal,
     unroll_mu,
@@ -72,8 +72,8 @@ def test_multi_constructor_agrees_with_bounded_oracle():
 
 
 def test_multi_constructor_reuses_the_count_of_a_closed_node(monkeypatch):
-    """Below a fresh unrolling, a closed inner mu answers from its cached
-    count; its fixpoint does not run again."""
+    """A fresh unrolling is counted from the counts its closed parts got
+    when they were built; no fixpoint runs again, not even the outer one."""
     from grlin import syntax
     inner = parse_type("mu Y . Unit + (Int * Y)")
     outer = Mu("X", Sum(UNIT, Tensor(inner, RecVar("X"))))
@@ -82,7 +82,7 @@ def test_multi_constructor_reuses_the_count_of_a_closed_node(monkeypatch):
     count = syntax._count
     monkeypatch.setattr(syntax, "_count", lambda t, env: walked.append(t) or count(t, env))
     assert multi_constructor(unroll_mu(outer))
-    assert inner in walked and inner.body not in walked
+    assert walked == []
 
 
 def test_unroll_mu_examples():
@@ -473,7 +473,8 @@ def test_substitution_returns_a_type_without_the_variable_itself():
 
 def test_cached_type_facts_equal_a_fresh_recomputation():
     """The facts cached on type nodes, shared between types that share
-    nodes, equal what a walk of a freshly built copy computes."""
+    nodes, equal what a walk of a copy built in a new generation of the
+    table computes."""
     rng = random.Random(20)
     cfg = L.TypeGenConfig(max_depth=4, allow_fun=True, allow_mu=True, allow_base=True)
     subjects = [L.gen_type(cfg, rng) for _ in range(300)]
@@ -484,7 +485,9 @@ def test_cached_type_facts_equal_a_fresh_recomputation():
         derived = [t, unroll_mu(t) if isinstance(t, Mu) else t,
                    subst_tyvars(t, {"a": parse_type(LISTS)}), Fun(t, t)]
         for s in subtypes(t)[::-1] + derived:
-            fresh = ref_subst_tyvars(s, {})  # a copy with every cache empty
+            deriving.clear_memo()
+            fresh = ref_subst_tyvars(s, {})  # a copy with its own facts
+            assert fresh == s
             assert free_tyvars(s) == ref_free(fresh, TyVar), s
             assert free_recvars(s) == ref_free(fresh, RecVar), s
             assert multi_constructor(s) == multi_constructor(fresh), s
@@ -661,6 +664,59 @@ def test_type_utilities_agree_with_reference_copies():
     assert mus >= 1_000
 
 
+def nested_type(depth: int, leaf: Type) -> Type:
+    """``((leaf * Unit) * Unit) …`` with ``depth`` products."""
+    t = leaf
+    for _ in range(depth):
+        t = Tensor(t, Unit())
+    return t
+
+
+def test_equal_types_are_one_node_within_a_generation():
+    a = TyVar("a")
+    assert Tensor(a, INT) is Tensor(a, INT)
+    assert Tensor(left=a, right=INT) is Tensor(a, right=INT) is Tensor(a, INT)
+    assert parse_type(LISTS) is parse_type(LISTS)
+    # ``Base("Int")`` is built in this generation and ``INT`` in the first:
+    # the key of a node compares children by value, so both find one node
+    assert Tensor(TyVar("a"), Base("Int")) is Tensor(a, INT)
+
+
+def test_a_type_built_before_clear_memo_equals_one_built_after():
+    before = parse_type(LISTS)
+    deriving.clear_memo()
+    after = parse_type(LISTS)
+    assert before is not after and before._gen != after._gen
+    assert before == after and after == before and not before != after
+    assert hash(before) == hash(after) and {before: 1}[after] == 1
+    assert Sum(before, UNIT) is Sum(after, UNIT)
+    assert before != parse_type("mu X . Unit + (b * X)")
+
+
+def test_hash_and_equality_of_a_type_10000_deep():
+    """Neither ``hash`` nor ``==`` recurses, even between generations; the
+    default recursion limit is 1,000."""
+    old = nested_type(10_000, INT)
+    deriving.clear_memo()
+    new, other = nested_type(10_000, Base("Int")), nested_type(10_000, RES)
+    assert old is not new and old == new and hash(old) == hash(new)
+    assert {old: 1}[new] == 1
+    assert old != other and new != other and not old == other
+    assert new == nested_type(10_000, INT) and new is nested_type(10_000, INT)
+
+
+def test_keyword_construction_copy_and_pickle_give_equal_nodes():
+    t = parse_type(LISTS)
+    assert Mu(var="X", body=t.body) is t
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    deriving.clear_memo()
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
+                  Mu(body=t.body, var="X")):
+        assert clone == t and hash(clone) == hash(t) and repr(clone) == repr(t)
+        assert free_tyvars(clone) == {"a"} and multi_constructor(clone)
+
+
 def test_free_vars_examples():
     assert free_vars(parse_term("\\x -> (x, y)")) == {"y"}
     assert free_vars(parse_term("letrec f = \\n -> f (n, g) in f h")) == {"g", "h"}
@@ -698,25 +754,25 @@ def test_free_variable_cache_is_invisible():
 # Every frozen node class: (class, the names ``fields`` lists,
 # the compared constructor arguments, the arguments left out of ``==``,
 # ``hash`` and ``repr``, and the ``repr`` pinned for the sample). A type
-# node's fields start with its cached facts, which ``Type`` declares.
+# node's facts are slots of ``Type``, not fields, filled when it is built.
 P1 = Pos("f.grm", 1, 2)
 TWO = G.grade_nat(2)
 FACTS = ("_ftv", "_frv", "_multi")
 NODES = [
-    (Fun, (*FACTS, "arg", "res"), {"arg": INT, "res": UNIT}, {},
+    (Fun, ("arg", "res"), {"arg": INT, "res": UNIT}, {},
      "Fun(arg=Base(name='Int'), res=Unit())"),
-    (Tensor, (*FACTS, "left", "right"), {"left": TyVar("a"), "right": INT}, {},
+    (Tensor, ("left", "right"), {"left": TyVar("a"), "right": INT}, {},
      "Tensor(left=TyVar(name='a'), right=Base(name='Int'))"),
-    (Sum, (*FACTS, "left", "right"), {"left": UNIT, "right": RecVar("X")}, {},
+    (Sum, ("left", "right"), {"left": UNIT, "right": RecVar("X")}, {},
      "Sum(left=Unit(), right=RecVar(name='X'))"),
-    (Unit, FACTS, {}, {}, "Unit()"),
-    (Box, (*FACTS, "grade", "body"), {"grade": TWO, "body": TyVar("a")}, {},
+    (Unit, (), {}, {}, "Unit()"),
+    (Box, ("grade", "body"), {"grade": TWO, "body": TyVar("a")}, {},
      "Box(grade=Grade(semiring='nat-exact', value=2), body=TyVar(name='a'))"),
-    (TyVar, (*FACTS, "name"), {"name": "a"}, {}, "TyVar(name='a')"),
-    (RecVar, (*FACTS, "name"), {"name": "X"}, {}, "RecVar(name='X')"),
-    (Mu, (*FACTS, "var", "body"), {"var": "X", "body": Sum(UNIT, RecVar("X"))}, {},
+    (TyVar, ("name",), {"name": "a"}, {}, "TyVar(name='a')"),
+    (RecVar, ("name",), {"name": "X"}, {}, "RecVar(name='X')"),
+    (Mu, ("var", "body"), {"var": "X", "body": Sum(UNIT, RecVar("X"))}, {},
      "Mu(var='X', body=Sum(left=Unit(), right=RecVar(name='X')))"),
-    (Base, (*FACTS, "name"), {"name": "Res"}, {}, "Base(name='Res')"),
+    (Base, ("name",), {"name": "Res"}, {}, "Base(name='Res')"),
     (PVar, ("name", "pos"), {"name": "x"}, {"pos": P1}, "PVar(name='x')"),
     (PWild, ("pos",), {}, {"pos": P1}, "PWild()"),
     (PBox, ("pat", "pos", "_plan"), {"pat": PVar("x")}, {"pos": P1},
@@ -763,9 +819,8 @@ def test_node_semantics(cls, names, args, hidden, shown):
     for name in ("pos", "scrut_annot", "annot", "_fv", "_plan", "_elaborated"):
         if name in names:
             assert getattr(node, name) is None
-    for name in FACTS:
-        if name in names:
-            assert not hasattr(node, name)  # empty until read
+    if isinstance(node, Type):  # filled when built
+        assert all(hasattr(node, name) for name in FACTS)
     full = cls(**args, **hidden)
     assert full == cls(*args.values(), *hidden.values())
     for name, value in hidden.items():
