@@ -1,22 +1,34 @@
 """Abstract syntax for types, terms and patterns, plus type-level utilities.
 
 Types, patterns and terms are frozen, slotted classes made by
-``frozen.frozen``: a node's ``__init__`` writes each field through its
-slot's member descriptor, ``==`` and ``hash`` read its compared fields
-as one tuple, and ``repr`` shows them. These fields, declared with
-``frozen.field``, stay out of all three: the source position ``pos``;
-the free-variable cache ``_fv`` of a term node, which ``free_vars``
-fills later with ``object.__setattr__``; the match plan ``_plan`` of a
-constructor, box or literal pattern, which the evaluator fills on the
-pattern's first match as a case branch; the checked term ``_elaborated``
-that the checker keeps on a derive node for the evaluator; the types
-``Case.scrut_annot`` and ``LetRec.annot`` that the deriving engine
-plants; and the facts that every type node caches, which ``__init__``
-leaves empty and the first reader fills: the free type variables
-``_ftv`` and the free recursion variables ``_frv`` (``free_tyvars`` and
-``free_recvars``) and the constructor count ``_multi`` that
-``multi_constructor`` reads. So ``==`` stays structural and ``alpha_eq``
-compares binding structure only.
+``frozen.frozen``: a node's constructor writes each field through its
+slot's member descriptor, and ``repr`` shows its compared fields.
+
+Type nodes carry no position, and they are hash-consed: within one
+generation of ``frozen``'s table, which ``deriving.clear_memo`` ends, each
+distinct type is one node. So ``==`` between two types of one generation
+is ``is``; between generations it walks both on an explicit stack, and
+gives what comparing their fields would. ``hash`` is computed once, from
+the children's hashes. A type's facts are filled once, when its node is
+built, from those of its children: the free type variables ``_ftv`` and
+the free recursion variables ``_frv`` (``free_tyvars`` and
+``free_recvars``), and the constructor count ``_multi`` of a node without
+free recursion variables (``multi_constructor``). A mu keeps its one-step
+unrolling in ``_unrolled``, which ``unroll_mu`` fills. None of these is a
+field, so they stay out of ``==``, ``hash``, ``repr``, ``copy`` and
+``pickle``.
+
+Pattern and term nodes, which carry positions, are built anew each time;
+their ``==`` and ``hash`` read their compared fields as one tuple. These
+fields, declared with ``frozen.field``, stay out of both and of ``repr``:
+the source position ``pos``; the free-variable cache ``_fv`` of a term
+node, which ``free_vars`` fills later with ``object.__setattr__``; the
+match plan ``_plan`` of a constructor, box or literal pattern, which the
+evaluator fills on the pattern's first match as a case branch; the checked
+term ``_elaborated`` that the checker keeps on a derive node for the
+evaluator; and the types ``Case.scrut_annot`` and ``LetRec.annot`` that
+the deriving engine plants. So ``alpha_eq`` compares binding structure
+only.
 
 ``types_equal`` and ``alpha_eq`` are one walk on an explicit stack of node
 pairs, which compares types and terms up to renaming of bound names at any
