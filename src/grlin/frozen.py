@@ -44,13 +44,12 @@ MISSING = object()  # the default of a field that has none
 # The interned nodes of this generation, each under the key
 # ``(class, *field values)``; a key holds its nodes' children, so they live.
 _table: dict = {}
-_generation = 0
+_generation = [0]  # the number of this generation, which ``__new__`` reads
 
 
 def clear_interned() -> None:
     """Forget every interned node: the next generation starts empty."""
-    global _generation
-    _generation += 1
+    _generation[0] += 1
     _table.clear()
 
 
@@ -149,13 +148,13 @@ def frozen(cls=None, *, interned: bool = False):
         own.append(Field(name, spec.default, spec.init, False) if spec.__class__ is Field
                    else Field(name, spec, True, True))
     every = getattr(cls, "__frozen_fields__", ()) + tuple(own)
-    extra = body.pop("__slots__", ())
-    extra = (extra,) if isinstance(extra, str) else tuple(extra)
+    extra = tuple(body.pop("__slots__", ()))
     for name in extra:
         body.pop(name, None)  # the slot of the class being built again
-    if interned and not getattr(cls, "__frozen_interned__", False):
+    inherited = getattr(cls, "__frozen_interned__", False)
+    if interned and not inherited:
         extra = ("_h", "_gen") + extra
-    interned = interned or getattr(cls, "__frozen_interned__", False)
+    interned = interned or inherited
     body.pop("__dict__", None)
     body.pop("__weakref__", None)
     body.update(__slots__=tuple(f.name for f in own) + extra, __qualname__=cls.__qualname__,
@@ -178,27 +177,21 @@ def frozen(cls=None, *, interned: bool = False):
     mine = "".join(f"self.{n}," for n in shown)
     theirs = "".join(f"other.{n}," for n in shown)
     if interned:
-        # ``__new__`` is made by a function that closes over the setters, so
-        # it reads them as fast as locals and ``_generation`` from this
-        # module's globals.
-        env.update(_get=_table.get, _new=object.__new__,
-                   _set__h=cls._h.__set__, _set__gen=cls._gen.__set__)
+        env.update(_get=_table.get, _table=_table, _generation=_generation,
+                   _new=object.__new__, _set__h=cls._h.__set__, _set__gen=cls._gen.__set__)
         given = "".join(f"{f.name}," for f in every if f.init)
-        scope: dict = {}
-        exec(f"def _make({', '.join(env)}):\n"
-             f" def __new__(cls, {', '.join(params)}):\n"
+        exec(f"def __new__(cls, {', '.join(params)}):\n"
              f"  key = (cls, {given})\n"
              "  self = _get(key)\n"
              "  if self is None:\n"
-             "   self = _new(cls)\n"
-             + "".join(" " + s for s in sets) +
-             f"   _set__h(self, hash(({mine})))\n"
-             "   _set__gen(self, _generation)\n"
-             "   self._fill()\n"
-             "   _table[key] = self\n"
-             "  return self\n"
-             " return __new__\n", globals(), scope)
-        new = scope["_make"](*env.values())
+             "    self = _new(cls)\n"
+             + "".join("  " + s for s in sets) +
+             f"    _set__h(self, hash(({mine})))\n"
+             "    _set__gen(self, _generation[0])\n"
+             "    self._fill()\n"
+             "    _table[key] = self\n"
+             "  return self\n", env)
+        new = env["__new__"]
         new.__qualname__ = f"{cls.__qualname__}.__new__"
         new.__module__ = cls.__module__
         cls.__new__ = staticmethod(new)

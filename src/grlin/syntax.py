@@ -115,7 +115,7 @@ class Type:
                 ftv, frv, multi = self.body._ftv, self.body._frv, self.body._multi
             elif c is Mu:
                 _set_unrolled(self, None)
-                _set_multi(self, None)
+                _set_multi(self, None)  # as ``_count`` reads it
                 ftv, frv = self.body._ftv, _without(self.body._frv, (self.var,))
                 multi = None if frv else _count(self, {})
             elif c is TyVar:
@@ -377,9 +377,9 @@ def _count(t: Type, env: dict[str, int]) -> int:
     walked, once, on an explicit stack, into a plan in postorder: a count,
     ``(_VAR, i)`` for a recursion variable bound by the mu numbered ``i``,
     ``(Sum,)`` or ``(Tensor,)`` to combine two counts, and ``(_MU, i)``
-    where the body of mu ``i`` is counted. The plan runs until no mu's
-    count changes, each pass with the counts of the pass before; as the
-    counts only grow, this reaches the least fixed point of all the mus at
+    where the body of mu ``i`` is counted. The plan runs until a pass
+    changes no mu's count, each step reading the counts as they stand; as
+    they only grow, this reaches the least fixed point of all the mus at
     once (Bekić), in at most two passes per mu."""
     plan: list = []
     counts: list[int] = []  # each mu's, from 0

@@ -693,6 +693,25 @@ def test_a_type_built_before_clear_memo_equals_one_built_after():
     assert before != parse_type("mu X . Unit + (b * X)")
 
 
+def test_equality_across_generations_is_structural():
+    """Seeded types against copies built after ``clear_memo``: ``==`` holds
+    exactly where the two print the same ``repr``, and equal types hash
+    alike."""
+    rng = random.Random(21)
+    types = [rand_type(2, G.NAT_LE, rng) for _ in range(80)]
+    deriving.clear_memo()
+    copies = [pickle.loads(pickle.dumps(t)) for t in types]
+    equal = 0
+    for a in types:
+        for b in copies:
+            same = repr(a) == repr(b)
+            assert (a == b, b == a, a != b) == (same, same, not same), (a, b)
+            if same:
+                equal += 1
+                assert hash(a) == hash(b) and (a is b) == (a._gen == b._gen)
+    assert equal > len(types)
+
+
 def test_hash_and_equality_of_a_type_10000_deep():
     """Neither ``hash`` nor ``==`` recurses, even between generations; the
     default recursion limit is 1,000."""
