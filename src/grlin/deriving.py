@@ -99,10 +99,9 @@ def _memoized(key, build):
 
 
 def _share(key: tuple, make, *fields):
-    """The node ``make(*fields)``, built once per memo. ``key`` holds its
-    fields, a sub-pattern by its identity, so no node is hashed; the node
-    holds its sub-patterns, so no other object takes their identities
-    while its key is in the table."""
+    """The node ``make(*fields)``, built once per memo under ``key``, which
+    holds its fields. A sub-pattern, like any pattern node, hashes and
+    compares by identity."""
     node = _shared.get(key)
     if node is None:
         node = _shared[key] = make(*fields)
@@ -118,11 +117,11 @@ def _pvar(name: str) -> PVar:
 
 
 def _pbox(p: Pattern) -> PBox:
-    return _share(("PBox", id(p)), PBox, p)
+    return _share(("PBox", p), PBox, p)
 
 
 def _pcon(con: str, args: tuple[Pattern, ...]) -> PCon:
-    return _share(("PCon", con, *map(id, args)), PCon, con, args)
+    return _share(("PCon", con, *args), PCon, con, args)
 
 
 def _assert_checks(term: Term, ty: Type, semiring: str, what: str) -> None:

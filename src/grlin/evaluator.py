@@ -591,24 +591,6 @@ class _Build:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def match_pattern(t: Term, p: Pattern, fuel: Fuel | None = None):
-    """Spec-level matcher: returns (substitution | None, forced term)."""
-    ev = Evaluator(fuel or Fuel())
-    scrut = (t, {})
-    while True:
-        status, res = _match(p, scrut)
-        if status != _NEED:
-            break
-        path, part = res
-        v = ev.whnf(part)
-        scrut = _install(scrut, path, v) if path else v
-        if type(v) in _NEUTRALS:
-            return None, ev.quote(scrut)
-    if status == _MATCH:
-        return {x: ev.quote(c) for x, c in res.items()}, ev.quote(scrut)
-    return None, ev.quote(scrut)
-
-
 def normalize(t: Term, fuel: Fuel | None = None, deep: bool = False) -> Term:
     return Evaluator(fuel or Fuel()).normalize(t, deep=deep)
 

@@ -2,39 +2,42 @@
 
 ``@frozen`` takes a class whose body declares its fields as annotations and
 builds it again, once, as a slotted class with the methods of a frozen
-record. Its constructor, ``==`` and ``hash`` are compiled from one source
-generated per class, so they run no loop over the fields:
+record. Its constructor is compiled from source generated per class, so it
+runs no loop over the fields: ``__init__`` writes each field through its
+slot's member descriptor, looked up once, not through
+``object.__setattr__``. Besides that,
 
-* ``__init__`` writes each field through its slot's member descriptor,
-  looked up once, not through ``object.__setattr__``;
-* ``==`` holds between two instances of one class whose compared fields
-  are equal as tuples, and ``hash`` is the hash of that tuple;
 * ``repr`` is ``Name(field=value, ...)`` over the compared fields;
 * assigning or deleting an attribute raises ``FrozenInstanceError``, an
   ``AttributeError``;
 * ``copy`` and ``pickle`` go through ``__reduce__``: the constructor's
   arguments, then the filled caches.
 
-A field declared with ``field`` stays out of ``==``, ``hash`` and
-``repr``. With ``init=False`` it is no argument of the constructor either:
-it is a cache, which ``__init__`` sets to its default or, if it has none,
-leaves empty until a reader fills it. A class's fields follow those of its
-``@frozen`` base; ``fields`` lists them in that order. Names in the class
-body's ``__slots__`` are slots besides the fields, which no method here
-reads.
+An instance of a plain ``@frozen`` class is equal only to itself, and
+hashes by identity, as a plain object does: value equality belongs to
+interned classes alone.
+
+A field declared with ``field`` stays out of ``repr``, and out of an
+interned class's ``==`` and ``hash``. With ``init=False`` it is no argument
+of the constructor either: it is a cache, which ``__init__`` sets to its
+default or, if it has none, leaves empty until a reader fills it. A class's
+fields follow those of its ``@frozen`` base; ``fields`` lists them in that
+order. Names in the class body's ``__slots__`` are slots besides the
+fields, which no method here reads.
 
 ``@frozen(interned=True)`` makes a class, and every ``@frozen`` subclass of
 it, hash-consed (Filliâtre and Conchon, "Type-safe modular hash-consing",
-2006). Its ``__new__`` looks the class and the constructor's arguments up
-in one table, and builds a node only on a miss. So within one generation
-of the table, between two ``clear_interned`` calls, each distinct node is
-built once. A miss writes the node's fields, its hash ``_h`` (that of the
-tuple of its compared fields, which reads each child's ``_h``) and its
-generation ``_gen``, and then calls the node's ``_fill`` to fill its
-other slots; a hit writes nothing. ``hash`` returns ``_h``. ``==`` is
-``is`` between two nodes of one generation. Between generations it walks
-both nodes on an explicit stack, comparing classes and ``_h`` before
-fields, so it gives what the tuple comparison would, at any depth.
+2006). In place of ``__init__`` it gets a generated ``__new__``, which
+looks the class and the constructor's arguments up in one table, and
+builds a node only on a miss. So within one generation of the table,
+between two ``clear_interned`` calls, each distinct node is built once. A
+miss writes the node's fields, its hash ``_h`` (that of the tuple of its
+compared fields, which reads each child's ``_h``) and its generation
+``_gen``, and then calls the node's ``_fill`` to fill its other slots; a
+hit writes nothing. ``hash`` returns ``_h``. ``==`` is ``is`` between two
+nodes of one generation. Between generations it walks both nodes on an
+explicit stack, comparing classes and ``_h`` before fields, so it gives
+what comparing the tuples of their compared fields would, at any depth.
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ class Field:
 
 
 def field(*, default=MISSING, init: bool = True) -> Field:
-    """A field kept out of ``==``, ``hash`` and ``repr``; with
-    ``init=False``, a cache."""
+    """A field kept out of ``repr`` and of an interned class's ``==`` and
+    ``hash``; with ``init=False``, a cache."""
     return Field("", default, init, False)
 
 
@@ -173,13 +176,11 @@ def frozen(cls=None, *, interned: bool = False):
         if f.init:
             params.append(f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}")
         sets.append(f"  _set_{f.name}(self, {f.name if f.init else f'_dflt_{f.name}'})\n")
-    shown = [f.name for f in every if f.compare]
-    mine = "".join(f"self.{n}," for n in shown)
-    theirs = "".join(f"other.{n}," for n in shown)
     if interned:
         env.update(_get=_table.get, _table=_table, _generation=_generation,
                    _new=object.__new__, _set__h=cls._h.__set__, _set__gen=cls._gen.__set__)
         given = "".join(f"{f.name}," for f in every if f.init)
+        mine = "".join(f"self.{f.name}," for f in every if f.compare)
         exec(f"def __new__(cls, {', '.join(params)}):\n"
              f"  key = (cls, {given})\n"
              "  self = _get(key)\n"
@@ -191,22 +192,16 @@ def frozen(cls=None, *, interned: bool = False):
              "    self._fill()\n"
              "    _table[key] = self\n"
              "  return self\n", env)
-        new = env["__new__"]
-        new.__qualname__ = f"{cls.__qualname__}.__new__"
-        new.__module__ = cls.__module__
-        cls.__new__ = staticmethod(new)
+        cls.__new__ = staticmethod(_named(env["__new__"], cls))
         cls.__eq__, cls.__hash__ = _interned_eq, _interned_hash
         return cls
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(sets)}  pass\n"
-         "def __eq__(self, other):\n"
-         "  if other.__class__ is self.__class__:\n"
-         f"    return ({mine}) == ({theirs})\n"
-         "  return NotImplemented\n"
-         "def __hash__(self):\n"
-         f"  return hash(({mine}))\n", env)
-    for name in ("__init__", "__eq__", "__hash__"):
-        fn = env[name]
-        fn.__qualname__ = f"{cls.__qualname__}.{name}"
-        fn.__module__ = cls.__module__
-        setattr(cls, name, fn)
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(sets)}  pass\n", env)
+    cls.__init__ = _named(env["__init__"], cls)
     return cls
+
+
+def _named(fn, cls):
+    """The generated ``fn``, named as a method of ``cls``."""
+    fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+    fn.__module__ = cls.__module__
+    return fn

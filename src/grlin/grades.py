@@ -12,12 +12,15 @@ so adding a semiring (say, a security lattice) means extending each
 operation here and the literal syntax in the parser. Runtime-registered
 semirings are out of scope.
 
-All operations are pure; grades are immutable and hashable.
+All operations are pure. A grade is a ``NamedTuple``, so it is immutable,
+and its ``==`` and ``hash`` are those of the tuple of its semiring and
+value: grades are compared and hashed often, as parts of the keys of
+interned types and of the derivation memo.
 """
 
 from __future__ import annotations
 
-from .frozen import frozen
+from typing import NamedTuple
 
 INF = float("inf")
 
@@ -50,8 +53,7 @@ class GradeSyntaxError(GradeError):
         self.offset = offset
 
 
-@frozen
-class Grade:
+class Grade(NamedTuple):
     """A semiring element tagged with its semiring.
 
     ``value`` is an int for the two natural-number semirings, a

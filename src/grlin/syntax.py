@@ -18,14 +18,16 @@ unrolling in ``_unrolled``, which ``unroll_mu`` fills. None of these is a
 field, so they stay out of ``==``, ``hash``, ``repr``, ``copy`` and
 ``pickle``.
 
-Pattern and term nodes, which carry positions, are built anew each time;
-their ``==`` and ``hash`` read their compared fields as one tuple. These
-fields, declared with ``frozen.field``, stay out of both and of ``repr``:
-the source position ``pos``; the free-variable cache ``_fv`` of a term
-node, which ``free_vars`` fills later with ``object.__setattr__``; the
-match plan ``_plan`` of a constructor, box or literal pattern, which the
-evaluator fills on the pattern's first match as a case branch; the checked
-term ``_elaborated`` that the checker keeps on a derive node for the
+Pattern and term nodes, which carry positions, are built anew each time.
+Each is equal only to itself and hashes by identity, as a plain object
+does; two terms are compared up to renaming of bound names, by
+``alpha_eq``. These fields, declared with ``frozen.field``, stay out of
+``repr``, and ``alpha_eq`` does not read them: the source position
+``pos``; the free-variable cache ``_fv`` of a term node, which
+``free_vars`` fills later with ``object.__setattr__``; the match plan
+``_plan`` of a constructor, box or literal pattern, which the evaluator
+fills on the pattern's first match as a case branch; the checked term
+``_elaborated`` that the checker keeps on a derive node for the
 evaluator; and the types ``Case.scrut_annot`` and ``LetRec.annot`` that
 the deriving engine plants. So ``alpha_eq`` compares binding structure
 only.
@@ -445,7 +447,7 @@ class Pattern:
 
 def _cache():
     """A cache on a node: filled once by the function that reads it, and,
-    like positions, left out of ``==``, ``hash`` and ``repr``."""
+    like positions, left out of ``repr``."""
     return field(default=None, init=False)
 
 

@@ -726,18 +726,6 @@ def types_match(a: Type, b: Type) -> bool:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def check_term(ctx: dict, t: Term, expected: Type, semiring: str,
-               defs: dict[str, Type] | None = None) -> UsageMap:
-    """Check ``t`` against ``expected``; returns per-variable usages or raises
-    CheckError."""
-    return Checker(semiring, defs).check(ctx, t, expected)
-
-
-def synth_term(ctx: dict, t: Term, semiring: str,
-               defs: dict[str, Type] | None = None) -> tuple[Type, UsageMap]:
-    return Checker(semiring, defs).synth(ctx, t)
-
-
 def check_program(prog: SourceProgram, records: list[BinderRecord] | None = None
                   ) -> list[Diagnostic]:
     """Check every declaration against its signature. Empty list = accepted.

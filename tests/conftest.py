@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from grlin import grades as G
+from grlin.frozen import fields
 from grlin.lawcheck import GRADE_POOLS
 from grlin.syntax import (
     App, Base, Box, Case, Con, Derive, DERIVE_KINDS, Fun, IntLit, Lam, LetRec,
@@ -26,6 +27,34 @@ def hermetic(monkeypatch):
     which ``grlin run`` reads."""
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("GRLIN_FUEL", raising=False)
+
+
+def same(a, b) -> bool:
+    """Exact structural equality of term, pattern and record nodes, whose
+    ``==`` is identity: two nodes of one plain ``@frozen`` class are equal
+    if their compared fields are, which leaves out positions, caches and
+    planted annotations; two tuples, or two lists, are equal element by
+    element; anything else, a type or a grade among them, compares with
+    ``==``. One walk over an explicit stack of pairs, so any depth is
+    fine."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        c = a.__class__
+        if c is tuple or c is list:
+            if b.__class__ is not c or len(a) != len(b):
+                return False
+            todo += zip(a, b)
+        elif hasattr(c, "__frozen_fields__") and not c.__frozen_interned__:
+            if b.__class__ is not c:
+                return False
+            todo += [(getattr(a, f.name), getattr(b, f.name))
+                     for f in fields(c) if f.compare]
+        elif not a == b:
+            return False
+    return True
 
 
 def run_derivation_soundness(n: int, seed: int = 99) -> int:

@@ -12,8 +12,8 @@ line, a ``:`` line with its signature and a ``=`` line with its body.
 
 Signatures and bodies are written as s-expressions that name every node.
 Each term and pattern node carries its position as ``@line:col``, written
-out here because positions are left out of ``repr`` and ``==`` on syntax
-nodes. Types carry no positions.
+out here because positions are left out of ``repr``. Types carry no
+positions.
 
 Rewrite the golden file from the repo root with
 

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from conftest import same
 from grlin import evaluator as E
 from grlin import typecheck as T
 from grlin.evaluator import (
     Fuel, FuelExhausted, StuckTerm, count_uses, deep_normalize,
-    inline_definitions, match_pattern, normalize, run_main,
+    inline_definitions, normalize, run_main,
 )
 from grlin.parser import parse_program, parse_term, pretty_term
 from grlin import deriving as D
@@ -20,30 +21,30 @@ from grlin.syntax import (
 )
 
 
-def _pat(text):
-    from grlin.parser import _parse_pattern, tokenize
-    return _parse_pattern(tokenize(text), 0)[0]
-
-
 def test_match_box_then_pair():
-    sub, _ = match_pattern(parse_term("[(1, 2)]"), _pat("[(x, y)]"))
-    assert sub == {"x": IntLit(1), "y": IntLit(2)}
+    out = normalize(parse_term("case [(1, 2)] of [(x, y)] -> (y, x)"))
+    assert same(out, parse_term("(2, 1)"))
 
 
 def test_match_constructor_mismatch():
-    sub, _ = match_pattern(parse_term("inl unit"), _pat("inr y"))
-    assert sub is None
+    out = normalize(parse_term("case inl unit of inr y -> y; _ -> 2"))
+    assert same(out, IntLit(2))
+    with pytest.raises(StuckTerm, match="no branch matches inl unit"):
+        normalize(parse_term("case inl unit of inr y -> y"))
 
 
 def test_match_wildcard_binds_nothing():
-    sub, _ = match_pattern(parse_term("(1, 2)"), _pat("_"))
-    assert sub == {}
+    out = normalize(parse_term("case (1, 2) of _ -> z"))
+    assert same(out, Var("z"))
 
 
 def test_match_variable_binds_unevaluated():
-    redex = parse_term("(\\x -> x) unit")
-    sub, _ = match_pattern(redex, _pat("v"))
-    assert sub == {"v": redex}  # not reduced
+    """A variable pattern forces nothing: a divergent scrutinee is not run,
+    and a redex costs no step."""
+    for scrut in ("letrec f = \\x -> f x in f unit", "(\\x -> x) unit"):
+        fuel = Fuel(100)
+        out = normalize(parse_term(f"case {scrut} of v -> 1"), fuel)
+        assert same(out, IntLit(1)) and fuel.spent == 1, scrut
 
 
 def ref_walk(p, s):
@@ -203,16 +204,16 @@ def test_a_deep_pattern_matches_in_linear_memory():
         pat, value = PCon(",", (pat, PCon("unit", ()))), Con(",", (value, Con("unit", ())))
     tracemalloc.start()
     try:
-        sub, _ = match_pattern(value, pat)
+        out = normalize(Case(value, ((pat, Var("x")),)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sub == {"x": IntLit(7)} and len(pat._plan) == 20_000
+    assert same(out, IntLit(7)) and len(pat._plan) == 20_000
     assert peak < 20_000_000
 
 
 def test_normalize_beta():
-    assert normalize(parse_term("(\\x -> x) unit")) == parse_term("unit")
+    assert same(normalize(parse_term("(\\x -> x) unit")), parse_term("unit"))
 
 
 def test_normalize_copy_example():
@@ -240,13 +241,13 @@ def test_boxes_suspend_until_deep():
 def test_minimal_j_first_match_wins():
     # overlapping earlier branch wins
     t = parse_term("case inl unit of x -> 1; inl y -> (case y of unit -> 2)")
-    assert normalize(t) == IntLit(1)
+    assert same(normalize(t), IntLit(1))
     t2 = parse_term("case inl unit of inl y -> (case y of unit -> 2); x -> 1")
-    assert normalize(t2) == IntLit(2)
+    assert same(normalize(t2), IntLit(2))
     # reordering non-overlapping branches changes nothing
     a = parse_term("case inr 9 of inl u -> (case u of unit -> 1); inr n -> n")
     b = parse_term("case inr 9 of inr n -> n; inl u -> (case u of unit -> 1)")
-    assert normalize(a) == normalize(b) == IntLit(9)
+    assert same(normalize(a), IntLit(9)) and same(normalize(b), IntLit(9))
 
 
 def test_nonexhaustive_match_is_stuck():
@@ -485,7 +486,7 @@ def test_subject_reduction_on_corpus():
         main = prog.decl("main")
         term = inline_definitions(prog, "main")
         nf = deep_normalize(term)
-        T.check_term({}, nf, main.signature, prog.semiring)
+        T.Checker(prog.semiring).check({}, nf, main.signature)
 
 
 def int_list(xs):
@@ -497,10 +498,10 @@ def int_list(xs):
 
 
 def list_ints(t):
-    """The Ints of a list value, read without recursion (a long list is too
-    deep for the recursive ``==``); None if ``t`` is not one."""
+    """The Ints of a list value, read without recursion; None if ``t`` is
+    not one."""
     xs = []
-    while t != Con("inl", (Con("unit", ()),)):
+    while not same(t, Con("inl", (Con("unit", ()),))):
         if not (isinstance(t, Con) and t.con == "inr"):
             return None
         cell = t.args[0]
@@ -561,9 +562,9 @@ def test_reading_back_a_long_application_spine():
     assert isinstance(nf, Lam)
     t, args = nf.body, 0
     while isinstance(t, App):
-        assert t.arg == IntLit(0)
+        assert same(t.arg, IntLit(0))
         t, args = t.fn, args + 1
-    assert t == Var(nf.var) and args == 500
+    assert same(t, Var(nf.var)) and args == 500
 
 
 def test_substituting_a_long_list_into_a_suspended_box():
@@ -607,10 +608,14 @@ def test_an_unchecked_fmap_over_two_variables_is_stuck(checked_first):
 
 
 def test_matching_forces_a_redex_part_and_stops_at_a_neutral():
-    pat = _pat("(5, y)")
-    assert match_pattern(parse_term("((\\x -> x) 5, 3)"), pat) \
-        == ({"y": IntLit(3)}, parse_term("(5, 3)"))
-    assert match_pattern(parse_term("((\\x -> x) z, 3)"), pat) == (None, parse_term("(z, 3)"))
+    """The literal pattern forces the redex in the first part; where that
+    gives a neutral, the case is stuck, and reads back with its scrutinee
+    forced as far as the match went."""
+    out = normalize(parse_term("case ((\\x -> x) 5, 3) of (5, y) -> y"))
+    assert same(out, IntLit(3))
+    out = normalize(parse_term("case ((\\x -> x) z, 3) of (5, y) -> y"))
+    assert same(out.scrutinee, parse_term("(z, 3)"))
+    assert pretty_term(out) == "case (z, 3) of (5, y) -> y"
 
 
 def test_a_box_blocked_in_a_scrutinee_reads_back():

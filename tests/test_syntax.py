@@ -8,12 +8,12 @@ import random
 
 import pytest
 
-from conftest import rand_term, rand_type
+from conftest import rand_term, rand_type, same
 from grlin import grades as G
 from grlin import lawcheck as L
 from grlin import typecheck as T
 from grlin import deriving, parser, syntax
-from grlin.evaluator import match_pattern
+from grlin.evaluator import normalize
 from grlin.frozen import MISSING, FrozenInstanceError, fields
 from grlin.parser import parse_term, parse_type, pretty_term
 from grlin.syntax import (
@@ -404,7 +404,7 @@ PLAIN_CASES = [
 def test_subst_term_simultaneous(src, sub, expected):
     t = parse_term(src)
     result = subst_term(t, {k: parse_term(v) for k, v in sub.items()})
-    assert result == parse_term(expected)
+    assert same(result, parse_term(expected))
 
 
 @pytest.mark.parametrize("src,sub", [
@@ -724,6 +724,86 @@ def test_hash_and_equality_of_a_type_10000_deep():
     assert new == nested_type(10_000, INT) and new is nested_type(10_000, INT)
 
 
+def list_literal(n: int, last: int | None = None) -> str:
+    """The Int list 0, 1, ..., n - 1, its last element ``last`` if given."""
+    xs = list(range(n))
+    if last is not None:
+        xs[-1] = last
+    return "".join(f"inr ({x}, " for x in xs) + "inl unit" + ")" * n
+
+
+def test_equality_and_hash_of_two_parsed_2000_element_lists():
+    """A term node compares and hashes by identity, so neither recurses
+    into two parsed 2,000-element lists; the default recursion limit is
+    1,000."""
+    a, b = (parse_term(list_literal(2_000)) for _ in range(2))
+    assert (a == b) is False and (a == a) is True and a != b
+    assert isinstance(hash(a), int) and {a: 1}[a] == 1 and b not in {a: 1}
+
+
+def test_same_at_depth_10240():
+    """``same`` walks an explicit stack: two lists of 10,240 elements, and
+    two patterns nested as deep, compare under the default recursion
+    limit, down to their last element."""
+    a, b, c = (parse_term(list_literal(10_240, last)) for last in (None, None, 99_999))
+    assert same(a, b) and same(b, a) and not same(a, c) and not same(c, a)
+    pats = []
+    for leaf in ("x", "x", "y"):
+        p = PVar(leaf)
+        for _ in range(10_240):
+            p = PCon(",", (PBox(p), PInt(0)))
+        pats.append(p)
+    assert same(pats[0], pats[1]) and not same(pats[0], pats[2])
+    assert same((a, pats[0]), (b, pats[1])) and not same((a, pats[0]), (c, pats[1]))
+
+
+def _changed_leaf(t, rng: random.Random):
+    """A copy of ``t`` that differs from it in one name or number."""
+    t = pickle.loads(pickle.dumps(t))
+    nodes, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            todo.extend(x)
+        elif isinstance(x, (Term, PVar, PBox, PCon, PInt)):
+            todo.extend(getattr(x, f.name) for f in fields(x) if f.compare)
+            nodes += [(x, f.name) for f in fields(x)
+                      if f.compare and type(getattr(x, f.name)) in (str, int)]
+    node, name = rng.choice(nodes)
+    old = getattr(node, name)
+    object.__setattr__(node, name, old + "'" if type(old) is str else old + 1)
+    return t
+
+
+def test_same_is_the_value_equality_that_repr_shows():
+    """On seeded pairs of terms, of a term and its copy, and of a term and
+    a copy changed at one leaf, where ``==`` between the old value-equal
+    nodes said "different": ``same`` holds exactly where ``repr``, which
+    shows the compared fields, agrees. Positions and caches do not count."""
+    rng = random.Random(26)
+    verdicts = []
+    for _ in range(300):
+        a = rand_term(3, rng, ["p", "q"])
+        pairs = ((a, rand_term(3, rng, ["p", "q"])), (a, pickle.loads(pickle.dumps(a))),
+                 (a, _changed_leaf(a, rng)))
+        for x, y in pairs:
+            assert same(x, y) == (repr(x) == repr(y)) == same(y, x), repr(x)
+        verdicts.append(tuple(same(x, y) for x, y in pairs))
+        free_vars(a)  # fills the caches of a only
+        located = parse_term(pretty_term(a))
+        assert same(a, located) == (repr(a) == repr(located))
+    drawn, copied, changed = zip(*verdicts)
+    assert 0 < drawn.count(True) < 100 and all(copied) and not any(changed)
+    diag = T.Diagnostic("CODE", "m", P1, (TWO,), "x")
+    assert same(diag, T.Diagnostic("CODE", "m", P1, (TWO,), "x"))
+    for other in (T.Diagnostic("CODE", "m", Pos("f.grm", 1, 3), (TWO,), "x"),
+                  T.Diagnostic("CODE", "m", P1, (G.grade_nat(3),), "x"),
+                  T.Diagnostic("CODE", "m", P1, (TWO, TWO), "x")):
+        assert not same(diag, other) and not same(other, diag)
+    assert not same((Var("x"),), [Var("x")]) and not same(Var("x"), PVar("x"))
+    assert not same(IntLit(1), None) and not same(None, IntLit(1))
+
+
 def test_keyword_construction_copy_and_pickle_give_equal_nodes():
     t = parse_type(LISTS)
     assert Mu(var="X", body=t.body) is t
@@ -764,16 +844,15 @@ def test_free_variable_cache_is_invisible():
         t = rand_term(3, rng, ["p"])
         filled, empty = (parse_term(pretty_term(t)) for _ in range(2))
         free_vars(filled)  # fills the cache of filled and its subterms only
-        assert filled == empty and empty == filled
-        assert hash(filled) == hash(empty)
+        assert same(filled, empty) and same(empty, filled)
         assert repr(filled) == repr(empty)
         assert "_fv" not in repr(filled)
 
 
 # Every frozen node class: (class, the names ``fields`` lists,
-# the compared constructor arguments, the arguments left out of ``==``,
-# ``hash`` and ``repr``, and the ``repr`` pinned for the sample). A type
-# node's facts are slots of ``Type``, not fields, filled when it is built.
+# the compared constructor arguments, the arguments left out of ``repr``
+# and of ``same``, and the ``repr`` pinned for the sample). A type node's
+# facts are slots of ``Type``, not fields, filled when it is built.
 P1 = Pos("f.grm", 1, 2)
 TWO = G.grade_nat(2)
 FACTS = ("_ftv", "_frv", "_multi")
@@ -819,8 +898,6 @@ NODES = [
      {"pos": P1},
      "Derive(kind='push', at=TyVar(name='a'))"),
     (IntLit, ("value", "pos", "_fv"), {"value": 7}, {"pos": P1}, "IntLit(value=7)"),
-    (G.Grade, ("semiring", "value"), {"semiring": G.INTERVAL, "value": (0, G.INF)}, {},
-     "Grade(semiring='interval', value=(0, inf))"),
     (T.Linear, ("type",), {"type": INT}, {}, "Linear(type=Base(name='Int'))"),
     (T.Graded, ("type", "grade"), {"type": TyVar("a"), "grade": TWO}, {},
      "Graded(type=TyVar(name='a'), grade=Grade(semiring='nat-exact', value=2))"),
@@ -832,16 +909,23 @@ NODES = [
 @pytest.mark.parametrize("cls,names,args,hidden,shown", NODES,
                          ids=[entry[0].__name__ for entry in NODES])
 def test_node_semantics(cls, names, args, hidden, shown):
+    """A type is one node per generation, so ``==`` is value equality; any
+    other node is equal only to itself and hashes by identity, and
+    ``same`` gives the value equality that ``==`` gave before."""
     assert tuple(f.name for f in fields(cls)) == names
-    node = cls(**args)
-    assert node == cls(*args.values()) and repr(node) == shown
+    interned = issubclass(cls, Type)
+    node, twin = cls(**args), cls(*args.values())
+    assert same(node, twin) and repr(node) == shown
+    assert (node is twin) == (node == twin) == (hash(node) == hash(twin)) == interned
+    if not interned:
+        assert node == node and hash(node) == object.__hash__(node)
     for name in ("pos", "scrut_annot", "annot", "_fv", "_plan", "_elaborated"):
         if name in names:
             assert getattr(node, name) is None
     if isinstance(node, Type):  # filled when built
         assert all(hasattr(node, name) for name in FACTS)
     full = cls(**args, **hidden)
-    assert full == cls(*args.values(), *hidden.values())
+    assert same(full, cls(*args.values(), *hidden.values()))
     for name, value in hidden.items():
         assert getattr(full, name) is value
     if isinstance(full, Term):
@@ -850,26 +934,44 @@ def test_node_semantics(cls, names, args, hidden, shown):
     if isinstance(full, Type):
         free_tyvars(full), multi_constructor(full)
         assert all(hasattr(full, name) for name in FACTS)
-    if "_plan" in names:
-        match_pattern(IntLit(0), full)  # a first match fills the plan
+    if "_plan" in names:  # a first match as a case branch fills the plan
+        normalize(Case(IntLit(0), ((full, IntLit(1)), (PWild(), IntLit(2)))))
         assert full._plan is not None
     if "_elaborated" in names:  # a check keeps the derived term
         T.Checker(G.NAT_EXACT).check({}, full, parse_type("(a [2]) -o a [2]"))
         assert full._elaborated is not None
     for a, b in ((node, full), (full, node)):
-        assert a == b and hash(a) == hash(b) and repr(a) == shown
+        assert same(a, b) and repr(a) == shown
+        assert (a == b) == (hash(a) == hash(b)) == (interned or a is b)
     for a in (node, full):
-        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        clones = (copy.copy(a), pickle.loads(pickle.dumps(a)))
+        assert all(same(c, a) and (c == a) == interned for c in clones)
         for name in ("_plan", "_elaborated"):
             if name in names:
                 kept = getattr(a, name)
-                assert getattr(copy.copy(a), name) == getattr(pickle.loads(pickle.dumps(a)),
-                                                              name) == kept
+                assert all(same(getattr(c, name), kept) for c in clones)
     for name in names:
         with pytest.raises(FrozenInstanceError):
             setattr(node, name, None)
         with pytest.raises(FrozenInstanceError):
             delattr(node, name)
+
+
+def test_grade_is_a_named_tuple():
+    """A grade is a ``NamedTuple``: ``==`` and ``hash`` by value, the
+    ``repr`` it had as a frozen record, immutable, kept by ``copy`` and
+    ``pickle``, and never taken for a closure, which is a plain tuple."""
+    g = G.Grade(semiring=G.INTERVAL, value=(0, G.INF))
+    assert G.Grade._fields == ("semiring", "value") and type(g) is not tuple
+    assert g == G.Grade(G.INTERVAL, (0, G.INF)) == G.grade_interval(0, G.INF)
+    assert hash(g) == hash(G.grade_interval(0, G.INF))
+    assert g != G.Grade(G.INTERVAL, (0, 1)) and g != G.Grade(G.NAT_LE, (0, G.INF))
+    assert repr(g) == "Grade(semiring='interval', value=(0, inf))" and str(g) == "0..Inf"
+    for name in ("semiring", "value"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    assert copy.copy(g) == g and pickle.loads(pickle.dumps(g)) == g
+    assert Box(g, INT) is Box(G.grade_interval(0, G.INF), Base("Int"))
 
 
 # Every ``@frozen`` class of grlin, found through the modules that name it.
@@ -883,18 +985,27 @@ EMPTY = object()
 
 def reference_dataclass(cls):
     """A frozen dataclass with the fields of ``cls``: a field of ``cls``
-    left out of ``==`` is left out of ``==``, ``hash`` and ``repr``."""
+    left out of ``repr`` is left out of ``repr``, and of ``==`` and
+    ``hash``. The dataclass of a plain class, like the class, compares
+    and hashes by identity (``eq=False``); that of an interned class by
+    value."""
     specs = []
     for f in fields(cls):
         spec = {"init": f.init, "compare": f.compare, "repr": f.compare}
         if f.default is not MISSING:
             spec["default"] = f.default
         specs.append((f.name, object, dataclasses.field(**spec)))
-    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True,
+                                      eq=cls.__frozen_interned__)
 
 
 def state(x, cls):
     return tuple(getattr(x, f.name, EMPTY) for f in fields(cls))
+
+
+def value_hash(x):
+    """``hash(x)``, or None where ``x`` hashes by identity."""
+    return None if hash(x) == object.__hash__(x) else hash(x)
 
 
 def test_frozen_classes_behave_as_dataclasses():
@@ -902,7 +1013,7 @@ def test_frozen_classes_behave_as_dataclasses():
     dataclass with its fields, built from the same arguments with the same
     caches filled: ``==``, ``hash``, ``repr``, ``copy.copy``, ``pickle`` and
     the error on assignment and deletion agree."""
-    assert len(FROZEN) == 35
+    assert len(FROZEN) == 34
     rng = random.Random(20)
     for cls in FROZEN:
         ref = reference_dataclass(cls)
@@ -916,11 +1027,14 @@ def test_frozen_classes_behave_as_dataclasses():
                     object.__setattr__(node, f.name, value)
                     object.__setattr__(twin, f.name, value)
             assert state(node, cls) == state(twin, cls)
-            assert hash(node) == hash(twin) and repr(node) == repr(twin)
+            assert value_hash(node) == value_hash(twin) and repr(node) == repr(twin)
             for clone in (copy.copy(node), pickle.loads(pickle.dumps(node))):
                 assert clone.__class__ is cls
-                assert state(clone, cls) == state(copy.copy(twin), cls) == state(node, cls)
-                assert clone == node and hash(clone) == hash(node)
+                assert same(state(clone, cls), state(copy.copy(twin), cls))
+                assert same(state(clone, cls), state(node, cls))
+                ref_clone = ref(*[getattr(clone, f.name) for f in fields(cls) if f.init])
+                assert (clone == node) == (ref_clone == twin)
+                assert value_hash(clone) == value_hash(ref_clone)
             pairs.append((node, twin))
         for (a, ra), (b, rb) in zip(pairs, pairs[1:] + pairs[:1]):
             assert (a == b, a != b) == (ra == rb, ra != rb)

@@ -10,13 +10,13 @@ from grlin import grades as G
 from grlin.evaluator import run_main
 from grlin.parser import parse_program, parse_term, parse_type
 from grlin.typecheck import (
-    CheckError, Checker, Graded, Linear, check_program, check_term,
-    merge_branch_usages, synth_term, types_match,
+    CheckError, Checker, Graded, Linear, check_program, merge_branch_usages,
+    types_match,
 )
 from grlin.syntax import (
     Base, Box, Fun, Mu, RecVar, Sum, Tensor, TyVar, Unit, types_equal, unroll_mu,
 )
-from conftest import rand_type
+from conftest import rand_type, same
 
 # Each entry: (name, source, expected diagnostic codes in order).
 # Positive cases exercise every typing rule: var/abs/app, promotion and its
@@ -122,7 +122,7 @@ def test_rejected(name, src, codes):
 
 def test_check_term_usage_map():
     term = parse_term("\\x -> x")
-    usage = check_term({}, term, parse_type("a -o a"), G.NAT_EXACT)
+    usage = Checker(G.NAT_EXACT).check({}, term, parse_type("a -o a"))
     assert usage == {}
     # copy's box-bound variable is used at grade 2
     prog = parse_program("copy : (a [2]) -o (a * a)\n"
@@ -134,14 +134,14 @@ def test_check_term_usage_map():
 
 
 def test_synth_examples():
-    ty, usage = synth_term({"x": Linear(Base("Int"))}, parse_term("x"), G.NAT_EXACT)
+    ty, usage = Checker(G.NAT_EXACT).synth({"x": Linear(Base("Int"))}, parse_term("x"))
     assert ty == Base("Int")
     assert usage == {"x": 1}
     with pytest.raises(CheckError) as exc:
-        synth_term({}, parse_term("[3]"), G.NAT_EXACT)
+        Checker(G.NAT_EXACT).synth({}, parse_term("[3]"))
     assert exc.value.diag.code == "NEEDS_ANNOTATION"
     with pytest.raises(CheckError) as exc:
-        synth_term({}, parse_term("inl unit"), G.NAT_EXACT)
+        Checker(G.NAT_EXACT).synth({}, parse_term("inl unit"))
     assert exc.value.diag.code == "NEEDS_ANNOTATION"
 
 
@@ -150,7 +150,7 @@ def test_check_pattern_examples():
     binders = checker.check_pattern(G.grade_interval(0, 1), _pat("inl x"),
                                     parse_type("a + b", "interval"))
     assert binders[0][0] == "x"
-    assert binders[0][1] == Graded(TyVar("a"), G.grade_interval(0, 1))
+    assert same(binders[0][1], Graded(TyVar("a"), G.grade_interval(0, 1)))
 
     with pytest.raises(CheckError) as exc:
         checker.check_pattern(G.grade_interval(0, 0), _pat("inl x"),
@@ -198,7 +198,7 @@ def test_weakening_invariant():
         term, expected = parse_term(text), parse_type(ty)
         for ctx in ({}, {"unused": Graded(Base("Int"), G.grade_nat(0))}):
             try:
-                usage = check_term(dict(ctx), term, expected, G.NAT_EXACT)
+                usage = Checker(G.NAT_EXACT).check(dict(ctx), term, expected)
                 ok = True
             except CheckError:
                 ok = False
@@ -210,9 +210,9 @@ def test_dereliction_invariant():
     for sr in (G.NAT_EXACT, G.NAT_LE):
         term = parse_term("(x, 1)")
         expected = parse_type("Int * Int")
-        u1 = check_term({"x": Linear(Base("Int"))}, term, expected, sr)
+        u1 = Checker(sr).check({"x": Linear(Base("Int"))}, term, expected)
         assert u1 == {"x": 1}
-        u2 = check_term({"x": Graded(Base("Int"), G.one(sr))}, term, expected, sr)
+        u2 = Checker(sr).check({"x": Graded(Base("Int"), G.one(sr))}, term, expected)
         assert u2 == {"x": G.one(sr)}
 
 
@@ -346,7 +346,7 @@ def test_a_synthesized_case_takes_the_rolled_branch_type():
                       "inr v -> (case v of unit -> b)")
     ctx = {"s": Linear(parse_type("Unit + Unit"))}
     for a, b in ((rolled, unroll_mu(rolled)), (unroll_mu(rolled), rolled)):
-        ty, usage = synth_term(ctx, term, G.NAT_EXACT, {"a": a, "b": b})
+        ty, usage = Checker(G.NAT_EXACT, {"a": a, "b": b}).synth(ctx, term)
         assert (ty, usage) == (rolled, {"s": 1})
 
 
