@@ -845,6 +845,7 @@ def test_free_variable_cache_is_invisible():
         filled, empty = (parse_term(pretty_term(t)) for _ in range(2))
         free_vars(filled)  # fills the cache of filled and its subterms only
         assert same(filled, empty) and same(empty, filled)
+        assert all(hash(x) == object.__hash__(x) for x in (filled, empty))
         assert repr(filled) == repr(empty)
         assert "_fv" not in repr(filled)
 
